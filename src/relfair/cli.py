@@ -23,10 +23,9 @@ import yaml
 
 from relfair.data import (
     builtin_config,
-    drop_features,
-    encode,
     load_dataset_config,
     load_from_config,
+    reject_unknown_keys,
     split,
 )
 from relfair.metrics import (
@@ -38,7 +37,7 @@ from relfair.metrics import (
     format_comparison_table,
 )
 from relfair.models import forward, load_checkpoint, save_checkpoint
-from relfair.training import VARIANTS, TrainConfig, run_single
+from relfair.training import VARIANTS, TrainConfig, encode_splits, run_single
 
 MODEL_KINDS = ("lr", "svm", "mlp")
 
@@ -81,16 +80,10 @@ class ExperimentConfig:
     train: TrainConfig
 
 
-def _reject_unknown(mapping, allowed, where):
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown key(s) {unknown} in {where}")
-
-
 def parse_experiment_config(doc, where="experiment config", config_dir="."):
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected a mapping at top level")
-    _reject_unknown(doc, EXPERIMENT_KEYS, where)
+    reject_unknown_keys(doc, EXPERIMENT_KEYS, where)
     for key in ("dataset", "variant", "model", "seeds", "output_dir"):
         if key not in doc:
             raise ValueError(f"{where}: missing required key {key!r}")
@@ -130,7 +123,7 @@ def parse_experiment_config(doc, where="experiment config", config_dir="."):
         raise ValueError(f"{where}: duplicate seeds")
 
     train_doc = doc.get("train", {}) or {}
-    _reject_unknown(train_doc, TRAIN_KEYS, f"{where}: train")
+    reject_unknown_keys(train_doc, TRAIN_KEYS, f"{where}: train")
     train = TrainConfig(**train_doc)
 
     return ExperimentConfig(
@@ -177,11 +170,6 @@ def _write_manifest(out_dir, command, files, extra_metadata=None):
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
-def _load_raw(cfg, data_dir):
-    raw = load_from_config(cfg.dataset, data_dir=data_dir)
-    return raw
-
-
 # ---------------------------------------------------------------------------
 # seed jobs (module level so worker processes can unpickle them)
 
@@ -226,7 +214,7 @@ def cmd_train(args):
     exp = load_experiment_config(args.config)
     out_dir = args.output_dir or exp.output_dir
     seeds = _parse_seeds(args.seeds) or exp.seeds
-    raw = _load_raw(exp, args.data_dir)
+    raw = load_from_config(exp.dataset, data_dir=args.data_dir)
 
     os.makedirs(out_dir, exist_ok=True)
     jobs = [
@@ -272,7 +260,7 @@ def cmd_sweep(args):
     seeds = _parse_seeds(args.seeds) or exp.seeds
     etas = _parse_grid(args.eta_grid) or [exp.train.eta]
     betas = _parse_grid(args.beta_grid) or [exp.train.beta]
-    raw = _load_raw(exp, args.data_dir)
+    raw = load_from_config(exp.dataset, data_dir=args.data_dir)
 
     os.makedirs(out_dir, exist_ok=True)
     jobs, keys = [], []
@@ -347,7 +335,7 @@ def cmd_compare(args):
     for v in variants:
         if v not in VARIANTS:
             raise ValueError(f"unknown variant {v!r}; expected one of {VARIANTS}")
-    raw = _load_raw(exp, args.data_dir)
+    raw = load_from_config(exp.dataset, data_dir=args.data_dir)
 
     os.makedirs(out_dir, exist_ok=True)
     jobs = [
@@ -388,17 +376,13 @@ def cmd_compare(args):
 def cmd_evaluate(args):
     exp = load_experiment_config(args.config)
     params, spec = load_checkpoint(args.checkpoint)
-    raw = _load_raw(exp, args.data_dir)
+    raw = load_from_config(exp.dataset, data_dir=args.data_dir)
     seed = args.seed if args.seed is not None else exp.seeds[0]
 
-    train_raw, eval_raw, test_raw = split(raw, seed=seed)
-    if exp.variant == "remove_related":
-        train_raw = drop_features(train_raw, exp.related)
-        eval_raw = drop_features(eval_raw, exp.related)
-        test_raw = drop_features(test_raw, exp.related)
-    encoded = dict(
-        zip(("train", "eval", "test"), encode(train_raw, [eval_raw, test_raw]))
-    )
+    encoded = dict(zip(
+        ("train", "eval", "test"),
+        encode_splits(exp.variant, split(raw, seed=seed), exp.related),
+    ))
     enc = encoded[args.split]
     if spec.input_dim != enc.n_columns:
         raise ValueError(

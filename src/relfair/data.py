@@ -1,12 +1,16 @@
 """Tabular data handling: CSV loading, train-fitted encoding, splits.
 
-Raw records are kept as typed Python values (`Dataset`); models consume the
-numeric `EncodedDataset` built by :func:`encode`, which fits its one-hot
+A :class:`Dataset` holds one numpy array per schema column: categorical
+inputs as integer codes into a sorted vocabulary, continuous inputs as
+float64, label and sensitive columns as integer codes.  Splitting and feature
+removal therefore gather or drop whole arrays.  Models consume the numeric
+`EncodedDataset` built by :func:`encode`, which fits its one-hot
 vocabularies and z-score statistics on the training split only.  The sensitive
 attribute rides along for evaluation but is stripped from the training path:
 training code receives a :class:`TrainView`, which has no ``s`` field at all.
 """
 
+import collections.abc
 import csv
 import dataclasses
 import importlib.resources
@@ -49,36 +53,84 @@ def _check_schema(schema):
 
 @dataclasses.dataclass(frozen=True)
 class Dataset:
-    """Raw typed rows in schema order; labels already mapped to {0,1}."""
+    """One array per schema column; labels already mapped to {0,1}.
 
-    rows: tuple
+    ``columns`` maps every schema name to a 1-D array, all of one length:
+    float64 for continuous inputs, integers for the rest.  A categorical
+    input holds codes into ``vocab[name]``, the sorted tuple of its values;
+    label and sensitive columns hold their 0/1 or group codes directly.
+    """
+
+    columns: dict
     schema: tuple
+    vocab: dict = dataclasses.field(default_factory=dict)
     n_dropped: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "schema", _check_schema(self.schema))
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        arity = len(self.schema)
-        for r in self.rows:
-            if len(r) != arity:
-                raise ValueError(f"row arity {len(r)} != schema arity {arity}")
+        schema = _check_schema(self.schema)
+        object.__setattr__(self, "schema", schema)
+        if set(self.columns) != {f.name for f in schema}:
+            raise ValueError("dataset columns must match the schema's names")
+        coded = {f.name for f in schema if f.role == "input" and f.kind == "categorical"}
+        if set(self.vocab) != coded:
+            raise ValueError("need one vocabulary per categorical input, and no other")
+        columns, vocab = {}, {}
+        for f in schema:
+            continuous = f.role == "input" and f.kind == "continuous"
+            col = np.asarray(self.columns[f.name], dtype=float if continuous else None)
+            if col.ndim != 1:
+                raise ValueError(f"column {f.name!r}: expected a 1-D array")
+            if not continuous and not np.issubdtype(col.dtype, np.integer):
+                raise ValueError(
+                    f"column {f.name!r}: expected integer codes, got {col.dtype}"
+                )
+            if f.name in coded:
+                values = tuple(self.vocab[f.name])
+                if list(values) != sorted(set(values)):
+                    raise ValueError(
+                        f"column {f.name!r}: vocabulary must be sorted and unique"
+                    )
+                if len(col) and (col.min() < 0 or col.max() >= len(values)):
+                    raise ValueError(f"column {f.name!r}: code outside its vocabulary")
+                vocab[f.name] = values
+            columns[f.name] = col
+        if len({len(col) for col in columns.values()}) > 1:
+            raise ValueError("dataset columns differ in length")
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "vocab", vocab)
 
     @property
     def n(self):
-        return len(self.rows)
+        return len(self.columns[self.schema[0].name])
 
-    def feature_index(self, name):
-        for i, f in enumerate(self.schema):
-            if f.name == name:
-                return i
-        raise KeyError(f"no feature named {name!r}")
+    @property
+    def rows(self):
+        """Read-only records in schema order, categorical inputs decoded.
 
-    def column(self, name):
-        i = self.feature_index(name)
-        return [r[i] for r in self.rows]
+        Built one at a time on indexing, for tools outside the library that
+        inspect single records (the benchmark's tracer does); relfair itself
+        works on ``columns``.
+        """
+        return _Rows(self)
 
     def input_features(self):
         return tuple(f for f in self.schema if f.role == "input")
+
+
+class _Rows(collections.abc.Sequence):
+    def __init__(self, dataset):
+        self._dataset = dataset
+
+    def __len__(self):
+        return self._dataset.n
+
+    def __getitem__(self, i):
+        d = self._dataset
+        row = []
+        for name, col in d.columns.items():
+            value = col[i].item()
+            row.append(d.vocab[name][value] if name in d.vocab else value)
+        return tuple(row)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -143,27 +195,75 @@ class RelatedFeatureSet:
 # loading
 
 
-def _parse_value(feature, raw, line_no):
-    if feature.kind == "continuous":
-        try:
-            return float(raw)
-        except ValueError:
+def _first_bad(values, lines, ok):
+    """(line, value) of the first cell failing ``ok``; the caller knows one does."""
+    return next((line, v) for line, v in zip(lines, values) if not ok(v))
+
+
+def _parses_as_float(raw):
+    try:
+        float(raw)
+    except ValueError:
+        return False
+    return True
+
+
+def _float_column(values, name, lines):
+    try:
+        col = np.fromiter(map(float, values), dtype=float, count=len(values))
+    except ValueError:
+        line, raw = _first_bad(values, lines, _parses_as_float)
+        raise ValueError(
+            f"line {line}: cannot parse {raw!r} as number for column {name!r}"
+        ) from None
+    finite = np.isfinite(col)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(
+            f"line {lines[i]}: non-finite value {values[i]!r} in continuous "
+            f"column {name!r}"
+        )
+    return col
+
+
+def _coded_column(values):
+    """(sorted distinct values, integer code of each cell)."""
+    vocab = sorted(set(values))
+    index = {v: i for i, v in enumerate(vocab)}
+    dtype = np.min_scalar_type(max(len(vocab) - 1, 0))
+    return tuple(vocab), np.fromiter(map(index.__getitem__, values), dtype, len(values))
+
+
+def _indicator(vocab, codes, positive):
+    """0/1 codes: 1 where the cell's value is ``positive``."""
+    return np.array([v == positive for v in vocab], dtype=np.uint8)[codes]
+
+
+def _label_column(values, positive, name, lines):
+    """1 for ``positive`` and 0 for the one other value the label may take.
+
+    Without a declared positive value the cells must read "0" or "1".  The
+    other value is the first non-positive one in file order; a third value
+    is an error.
+    """
+    vocab, codes = _coded_column(values)
+    if positive is None:
+        if not set(vocab) <= {"0", "1"}:
+            line, raw = _first_bad(values, lines, {"0", "1"}.__contains__)
             raise ValueError(
-                f"line {line_no}: cannot parse {raw!r} as number for "
-                f"column {feature.name!r}"
-            ) from None
-    return raw
-
-
-def _map_binary(raw, positive, column, line_no):
-    if positive is not None:
-        return 1 if raw == positive else 0
-    if raw in ("0", "1"):
-        return int(raw)
-    raise ValueError(
-        f"line {line_no}: column {column!r} value {raw!r} is not binary and "
-        "no positive value was declared"
-    )
+                f"line {line}: column {name!r} value {raw!r} is not binary and "
+                "no positive value was declared"
+            )
+        positive = "1"
+    elif len(set(vocab) - {positive}) > 1:
+        other = next(v for v in values if v != positive)
+        line, raw = _first_bad(values, lines, {positive, other}.__contains__)
+        raise ValueError(
+            f"line {line}: column {name!r} value {raw!r} is neither the "
+            f"declared positive value {positive!r} nor {other!r}, the one "
+            "other value a binary label may take"
+        )
+    return _indicator(vocab, codes, positive)
 
 
 def load_csv(
@@ -178,9 +278,12 @@ def load_csv(
     """Read a headered CSV into a Dataset, dropping rows with missing values.
 
     Cell whitespace is stripped (several public census extracts pad values
-    with a leading space).  Sensitive values are mapped to integer group
-    codes: 0/1 against ``sensitive_positive`` when given, otherwise codes
-    assigned by sorted distinct value.
+    with a leading space).  Continuous cells must parse as finite numbers.
+    The label maps to 1 for ``label_positive`` and 0 for the one other value
+    the column may hold; without ``label_positive`` it must read "0"/"1".
+    Sensitive values are mapped to integer group codes: 0/1 against
+    ``sensitive_positive`` when given, otherwise codes assigned by sorted
+    distinct value.  Errors name the offending line and column.
     """
     schema = _check_schema(schema)
     if not os.path.exists(path):
@@ -193,13 +296,12 @@ def load_csv(
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        positions = {}
         for f in schema:
             if f.name not in header:
                 raise ValueError(f"{path}: column {f.name!r} missing from header")
-            positions[f.name] = header.index(f.name)
+        positions = [header.index(f.name) for f in schema]
 
-        raw_rows = []
+        records, lines = [], []
         n_dropped = 0
         for line_no, cells in enumerate(reader, start=2):
             if not cells:
@@ -211,42 +313,30 @@ def load_csv(
                     f"{path}: line {line_no} has {len(cells)} fields, "
                     f"expected {len(header)}"
                 )
-            cells = [c.strip() for c in cells]
-            picked = [cells[positions[f.name]] for f in schema]
-            if any(v in missing_tokens for v in picked):
+            picked = [cells[p].strip() for p in positions]
+            if missing_tokens.isdisjoint(picked):
+                records.append(picked)
+                lines.append(line_no)
+            else:
                 n_dropped += 1
-                continue
-            raw_rows.append((line_no, picked))
 
-    if not raw_rows:
+    if not records:
         raise ValueError(f"{path}: no usable rows after dropping missing values")
 
-    sensitive_codes = None
-    sens_idx = next(
-        (i for i, f in enumerate(schema) if f.role == "sensitive"), None
-    )
-    if sens_idx is not None and sensitive_positive is None:
-        values = sorted({picked[sens_idx] for _, picked in raw_rows})
-        sensitive_codes = {v: i for i, v in enumerate(values)}
-
-    rows = []
-    for line_no, picked in raw_rows:
-        row = []
-        for i, f in enumerate(schema):
-            if f.role == "label":
-                row.append(_map_binary(picked[i], label_positive, f.name, line_no))
-            elif f.role == "sensitive":
-                if sensitive_positive is not None:
-                    row.append(
-                        _map_binary(picked[i], sensitive_positive, f.name, line_no)
-                    )
-                else:
-                    row.append(sensitive_codes[picked[i]])
-            else:
-                row.append(_parse_value(f, picked[i], line_no))
-        rows.append(tuple(row))
-
-    return Dataset(rows=tuple(rows), schema=schema, n_dropped=n_dropped)
+    columns, vocab = {}, {}
+    for f, values in zip(schema, zip(*records)):
+        if f.role == "label":
+            col = _label_column(values, label_positive, f.name, lines)
+        elif f.role == "sensitive":
+            groups, col = _coded_column(values)
+            if sensitive_positive is not None:
+                col = _indicator(groups, col, sensitive_positive)
+        elif f.kind == "continuous":
+            col = _float_column(values, f.name, lines)
+        else:
+            vocab[f.name], col = _coded_column(values)
+        columns[f.name] = col
+    return Dataset(columns=columns, schema=schema, vocab=vocab, n_dropped=n_dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +360,9 @@ def split(dataset, ratios=(5, 2, 3), seed=0):
         idx = order[start:stop]
         parts.append(
             Dataset(
-                rows=tuple(dataset.rows[i] for i in idx),
+                columns={name: col[idx] for name, col in dataset.columns.items()},
                 schema=dataset.schema,
-                n_dropped=0,
+                vocab=dataset.vocab,
             )
         )
         start = stop
@@ -284,69 +374,66 @@ def split(dataset, ratios=(5, 2, 3), seed=0):
 
 
 class _Encoder:
-    """One-hot + z-score transform with statistics fitted on one dataset."""
+    """One-hot + z-score transform with statistics fitted on one dataset.
+
+    A categorical feature gets one column per category seen on train, in
+    sorted order, and a continuous feature one z-scored column; columns
+    constant on train are then dropped.  Categories without a column encode
+    as all-zero groups.
+    """
 
     def __init__(self, train):
         self.schema = train.schema
-        self.plan = []  # (feature, vocabulary or (mean, std), kept-mask)
+        self.plan = []  # (feature, {category: block column} or (mean, std), kept-mask)
         for f in train.input_features():
-            col = train.column(f.name)
+            col = train.columns[f.name]
             if f.kind == "categorical":
-                vocab = sorted(set(col))
-                block = np.zeros((train.n, len(vocab)))
-                lookup = {v: j for j, v in enumerate(vocab)}
-                for i, v in enumerate(col):
-                    block[i, lookup[v]] = 1.0
-                keep = block.std(axis=0) > 0.0
-                self.plan.append((f, ("cat", vocab, keep)))
+                counts = np.bincount(col, minlength=len(train.vocab[f.name]))
+                seen = [(v, c) for v, c in zip(train.vocab[f.name], counts) if c]
+                fit = {v: j for j, (v, _) in enumerate(seen)}
+                keep = np.array([c < train.n for _, c in seen], dtype=bool)
             else:
-                arr = np.asarray(col, dtype=float)
-                mean, std = arr.mean(), arr.std()
-                keep = np.array([std > 0.0])
-                self.plan.append((f, ("cont", (mean, std), keep)))
+                mean, std = col.mean(), col.std()
+                fit, keep = (mean, std), np.array([std > 0.0])
+            self.plan.append((f, fit, keep))
 
     def column_map(self):
         out = {}
         start = 0
-        for f, (_, _, keep) in self.plan:
+        for f, _, keep in self.plan:
             width = int(keep.sum())
             out[f.name] = range(start, start + width)
             start += width
         return out
 
     def apply(self, dataset):
+        # X is concatenated from per-feature blocks, not filled in place:
+        # np.concatenate picks the memory order (column-major once a one-hot
+        # block has two or more columns), BLAS rounds X @ w differently per
+        # order, and every trace and report depends on that rounding
         blocks = []
-        for f, (tag, fit, keep) in self.plan:
-            col = dataset.column(f.name)
-            if tag == "cat":
-                vocab = fit
-                lookup = {v: j for j, v in enumerate(vocab)}
-                block = np.zeros((dataset.n, len(vocab)))
-                for i, v in enumerate(col):
-                    j = lookup.get(v)  # unseen category -> all-zero group
-                    if j is not None:
-                        block[i, j] = 1.0
+        for f, fit, keep in self.plan:
+            col = dataset.columns[f.name]
+            if f.kind == "categorical":
+                block = np.zeros((dataset.n, len(fit)))
+                offsets = [fit.get(v, -1) for v in dataset.vocab[f.name]]
+                target = np.array(offsets, dtype=np.intp)[col]
+                hit = np.flatnonzero(target >= 0)
+                block[hit, target[hit]] = 1.0
             else:
                 mean, std = fit
-                arr = np.asarray(col, dtype=float)
-                block = ((arr - mean) / std if std > 0.0 else arr * 0.0)[:, None]
+                block = ((col - mean) / std if std > 0.0 else col * 0.0)[:, None]
             blocks.append(block[:, keep])
         X = np.concatenate(blocks, axis=1) if blocks else np.zeros((dataset.n, 0))
 
-        label_idx = next(i for i, f in enumerate(self.schema) if f.role == "label")
-        y = np.array([r[label_idx] for r in dataset.rows], dtype=float)
-        sens_idx = next(
-            (i for i, f in enumerate(self.schema) if f.role == "sensitive"), None
-        )
-        s = None
-        if sens_idx is not None:
-            s = np.array([r[sens_idx] for r in dataset.rows], dtype=int)
+        label = next(f.name for f in self.schema if f.role == "label")
+        sensitive = next((f.name for f in self.schema if f.role == "sensitive"), None)
         return EncodedDataset(
             X=X,
-            y=y,
-            s=s,
+            y=dataset.columns[label].astype(float),
+            s=None if sensitive is None else dataset.columns[sensitive].astype(int),
             column_map=self.column_map(),
-            feature_names=tuple(f.name for f, _ in self.plan),
+            feature_names=tuple(f.name for f, _, _ in self.plan),
         )
 
 
@@ -403,19 +490,12 @@ def drop_features(dataset, names):
     missing = names - {f.name for f in dataset.schema}
     if missing:
         raise ValueError(f"cannot drop unknown feature(s): {sorted(missing)}")
-    keep = [
-        i
-        for i, f in enumerate(dataset.schema)
-        if f.name not in names or f.role != "input"
-    ]
-    dropped_inputs = [
-        f.name for f in dataset.schema if f.name in names and f.role == "input"
-    ]
-    if len(dropped_inputs) != len(names):
+    if any(f.name in names and f.role != "input" for f in dataset.schema):
         raise ValueError("only input features can be dropped")
     return Dataset(
-        rows=tuple(tuple(r[i] for i in keep) for r in dataset.rows),
-        schema=tuple(dataset.schema[i] for i in keep),
+        columns={k: v for k, v in dataset.columns.items() if k not in names},
+        schema=tuple(f for f in dataset.schema if f.name not in names),
+        vocab={k: v for k, v in dataset.vocab.items() if k not in names},
         n_dropped=dataset.n_dropped,
     )
 
@@ -438,7 +518,8 @@ class DatasetConfig:
         object.__setattr__(self, "schema", _check_schema(self.schema))
 
 
-def _reject_unknown(mapping, allowed, where):
+def reject_unknown_keys(mapping, allowed, where):
+    """Raise naming every key of ``mapping`` outside ``allowed``."""
     unknown = sorted(set(mapping) - set(allowed))
     if unknown:
         raise ValueError(f"unknown key(s) {unknown} in {where}")
@@ -447,7 +528,7 @@ def _reject_unknown(mapping, allowed, where):
 def parse_dataset_config(doc, where="dataset config"):
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected a mapping at top level")
-    _reject_unknown(
+    reject_unknown_keys(
         doc,
         {"name", "csv", "columns", "label", "sensitive", "related", "missing"},
         where,
@@ -458,11 +539,11 @@ def parse_dataset_config(doc, where="dataset config"):
 
     schema = []
     for i, col in enumerate(doc["columns"]):
-        _reject_unknown(col, {"name", "kind"}, f"{where}: columns[{i}]")
+        reject_unknown_keys(col, {"name", "kind"}, f"{where}: columns[{i}]")
         schema.append(FeatureSchema(name=col["name"], kind=col["kind"], role="input"))
 
     label = doc["label"]
-    _reject_unknown(label, {"name", "positive"}, f"{where}: label")
+    reject_unknown_keys(label, {"name", "positive"}, f"{where}: label")
     schema.append(FeatureSchema(name=label["name"], kind="categorical", role="label"))
     label_positive = label.get("positive")
     if label_positive is not None:
@@ -471,7 +552,7 @@ def parse_dataset_config(doc, where="dataset config"):
     sensitive_positive = None
     if "sensitive" in doc and doc["sensitive"] is not None:
         sens = doc["sensitive"]
-        _reject_unknown(sens, {"name", "positive"}, f"{where}: sensitive")
+        reject_unknown_keys(sens, {"name", "positive"}, f"{where}: sensitive")
         schema.append(
             FeatureSchema(name=sens["name"], kind="categorical", role="sensitive")
         )

@@ -62,18 +62,13 @@ def generate(spec):
     logit = spec.label_signal * signal + spec.bias_signal * sgn
     y = (rng.uniform(size=n) < expit(logit)).astype(int)
 
-    columns = [signal, noise, proxy_a, proxy_b]
+    columns = {"signal": signal, "noise": noise, "proxy_a": proxy_a, "proxy_b": proxy_b}
     if spec.label_echo:
-        echo = spec.echo_strength * (2.0 * y - 1.0) + rng.normal(
+        columns["echo"] = spec.echo_strength * (2.0 * y - 1.0) + rng.normal(
             scale=spec.echo_noise, size=n
         )
-        columns.append(echo)
-
-    rows = tuple(
-        tuple(float(col[i]) for col in columns) + (int(y[i]), int(s[i]))
-        for i in range(n)
-    )
-    return Dataset(rows=rows, schema=schema(spec))
+    columns.update(outcome=y, group=s)
+    return Dataset(columns=columns, schema=schema(spec))
 
 
 def write_csv(dataset, path):
@@ -82,10 +77,14 @@ def write_csv(dataset, path):
     The file round-trips through load_csv with label/sensitive positive
     value "1".
     """
+    cells = []
+    for f in dataset.schema:
+        values = dataset.columns[f.name].tolist()
+        if f.name in dataset.vocab:
+            cells.append([dataset.vocab[f.name][c] for c in values])
+        else:
+            cells.append([repr(v) for v in values])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f.name for f in dataset.schema])
-        for row in dataset.rows:
-            writer.writerow(
-                [v if isinstance(v, str) else repr(v) for v in row]
-            )
+        writer.writerows(zip(*cells))

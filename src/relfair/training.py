@@ -416,6 +416,18 @@ def _variant_related_names(variant, schema, related_names, rng):
     raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
+def encode_splits(variant, splits, related_names):
+    """Encode (train, *others) as the variant sees them, train first.
+
+    ``remove_related`` drops the related features before encoding; every
+    other variant encodes all inputs.
+    """
+    if variant == "remove_related":
+        splits = [drop_features(d, related_names) for d in splits]
+    train, *others = splits
+    return encode(train, others)
+
+
 def train_variant(
     variant,
     train_raw,
@@ -433,12 +445,9 @@ def train_variant(
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     rng = np.random.default_rng([cfg.seed, 3])
 
-    if variant == "remove_related":
-        train_raw = drop_features(train_raw, related_names)
-        eval_raw = drop_features(eval_raw, related_names)
-        test_raw = drop_features(test_raw, related_names)
-
-    enc_train, enc_eval, enc_test = encode(train_raw, [eval_raw, test_raw])
+    enc_train, enc_eval, enc_test = encode_splits(
+        variant, (train_raw, eval_raw, test_raw), related_names
+    )
     spec = ModelSpec(
         kind=model_kind,
         input_dim=enc_train.n_columns,

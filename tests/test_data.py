@@ -53,16 +53,68 @@ class TestSchema:
 
     def test_exactly_one_label(self):
         with pytest.raises(ValueError):
-            Dataset(rows=(), schema=(FeatureSchema("a", "continuous"),))
+            Dataset(columns={"a": np.zeros(0)}, schema=(FeatureSchema("a", "continuous"),))
+
+
+class TestDataset:
+    def _columns(self):
+        return {
+            "color": np.array([1, 0, 1]),
+            "height": [1.5, 2.0, 2.5],
+            "outcome": np.array([1, 0, 1]),
+            "group": np.array([0, 1, 0]),
+        }
+
+    def test_columns_follow_schema_and_continuous_become_float(self):
+        cols = self._columns()
+        ds = Dataset(columns=dict(reversed(cols.items())), schema=TOY_SCHEMA,
+                     vocab={"color": ("blue", "red")})
+        assert list(ds.columns) == ["color", "height", "outcome", "group"]
+        assert ds.columns["height"].dtype == np.float64
+        assert ds.n == 3
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"height": None}, "schema"),
+            ({"outcome": np.array([1, 0])}, "length"),
+            ({"outcome": np.array([1.0, 0.0, 1.0])}, "integer"),
+            ({"color": np.array([1, 0, 2])}, "vocabulary"),
+            ({"color": np.array([1, -1, 1])}, "vocabulary"),
+        ],
+    )
+    def test_bad_columns_rejected(self, change, match):
+        cols = self._columns()
+        for name, value in change.items():
+            if value is None:
+                del cols[name]
+            else:
+                cols[name] = value
+        with pytest.raises(ValueError, match=match):
+            Dataset(columns=cols, schema=TOY_SCHEMA, vocab={"color": ("blue", "red")})
+
+    @pytest.mark.parametrize("vocab", [{}, {"color": ("red", "blue")}])
+    def test_bad_vocabulary_rejected(self, vocab):
+        with pytest.raises(ValueError, match="vocabulary"):
+            Dataset(columns=self._columns(), schema=TOY_SCHEMA, vocab=vocab)
+
+    def test_rows_decode_one_record_at_a_time(self, tmp_path):
+        ds = toy_dataset(tmp_path)
+        assert len(ds.rows) == 3
+        assert ds.rows[0] == ("red", 1.5, 1, 0)
+        assert ds.rows[-1] == ("red", 2.5, 1, 0)
+        assert list(ds.rows)[1] == ("blue", 2.0, 0, 1)
 
 
 class TestLoadCsv:
     def test_toy_roundtrip(self, tmp_path):
         ds = toy_dataset(tmp_path)
         assert ds.n == 3
-        assert ds.column("outcome") == [1, 0, 1]
-        assert ds.column("height") == [1.5, 2.0, 2.5]  # whitespace stripped
-        assert ds.column("group") == [0, 1, 0]  # codes by sorted value
+        assert ds.columns["outcome"].tolist() == [1, 0, 1]
+        assert ds.columns["height"].tolist() == [1.5, 2.0, 2.5]  # whitespace stripped
+        assert ds.columns["group"].tolist() == [0, 1, 0]  # codes by sorted value
+        assert ds.vocab == {"color": ("blue", "red")}
+        assert ds.columns["color"].tolist() == [1, 0, 1]
         assert ds.n_dropped == 0
 
     def test_missing_rows_dropped_and_counted(self, tmp_path):
@@ -102,6 +154,33 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="line 2"):
             load_csv(path, TOY_SCHEMA, label_positive="yes")
 
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    def test_non_finite_number_names_line_and_column(self, tmp_path, cell):
+        path = write_csv(
+            tmp_path,
+            f"""
+            color,height,outcome,group
+            red,1.5,yes,a
+            blue,{cell},no,b
+            """,
+        )
+        with pytest.raises(ValueError, match=r"line 3: non-finite .*'height'"):
+            load_csv(path, TOY_SCHEMA, label_positive="yes")
+
+    def test_undeclared_label_value_names_line_column_and_value(self, tmp_path):
+        path = write_csv(
+            tmp_path,
+            """
+            color,height,outcome,group
+            red,1.5,no,a
+            blue,2.0,yes,b
+            red,2.5,no,a
+            blue,3.0,maybe,b
+            """,
+        )
+        with pytest.raises(ValueError, match=r"line 5: column 'outcome' value 'maybe'"):
+            load_csv(path, TOY_SCHEMA, label_positive="yes")
+
     def test_schema_column_missing_from_header(self, tmp_path):
         path = write_csv(tmp_path, "color,height,outcome\nred,1,yes\n")
         with pytest.raises(ValueError, match="group"):
@@ -139,7 +218,7 @@ class TestLoadCsv:
             """,
         )
         ds = load_csv(path, TOY_SCHEMA, label_positive="yes", sensitive_positive="b")
-        assert ds.column("group") == [0, 1, 0]
+        assert ds.columns["group"].tolist() == [0, 1, 0]
 
     def test_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -148,8 +227,13 @@ class TestLoadCsv:
 
 class TestSplit:
     def _dataset(self, n):
-        rows = tuple(("red", float(i), i % 2, 0) for i in range(n))
-        return Dataset(rows=rows, schema=TOY_SCHEMA)
+        columns = {
+            "color": np.zeros(n, dtype=int),
+            "height": np.arange(n, dtype=float),
+            "outcome": np.arange(n) % 2,
+            "group": np.zeros(n, dtype=int),
+        }
+        return Dataset(columns=columns, schema=TOY_SCHEMA, vocab={"color": ("red",)})
 
     def test_sizes_five_two_three(self):
         parts = split(self._dataset(10), seed=0)
@@ -158,20 +242,26 @@ class TestSplit:
     def test_partition_property(self):
         ds = self._dataset(97)
         parts = split(ds, seed=3)
-        seen = [r for p in parts for r in p.rows]
-        assert sorted(seen) == sorted(ds.rows)
+        for name, col in ds.columns.items():
+            gathered = np.concatenate([p.columns[name] for p in parts])
+            assert sorted(gathered) == sorted(col)
+        for p in parts:  # every column gathered with the same row order
+            h = p.columns["height"].astype(int)
+            assert p.columns["outcome"].tolist() == (h % 2).tolist()
+            assert p.vocab == ds.vocab
         assert sum(p.n for p in parts) == ds.n
 
     def test_same_seed_identical(self):
         a = split(self._dataset(50), seed=11)
         b = split(self._dataset(50), seed=11)
         for x, y in zip(a, b):
-            assert x.rows == y.rows
+            for name in x.columns:
+                assert np.array_equal(x.columns[name], y.columns[name])
 
     def test_different_seeds_differ(self):
         a = split(self._dataset(1000), seed=0)
         b = split(self._dataset(1000), seed=1)
-        assert a[0].rows != b[0].rows
+        assert not np.array_equal(a[0].columns["height"], b[0].columns["height"])
 
     def test_too_small(self):
         with pytest.raises(ValueError):
@@ -268,13 +358,29 @@ class TestEncode:
 
     def test_schema_mismatch(self, tmp_path):
         train = toy_dataset(tmp_path)
-        other = Dataset(rows=((1.0, 1, 0),), schema=(
+        other = Dataset(columns={"height": [1.0], "outcome": [1], "group": [0]}, schema=(
             FeatureSchema("height", "continuous"),
             FeatureSchema("outcome", "categorical", role="label"),
             FeatureSchema("group", "categorical", role="sensitive"),
         ))
         with pytest.raises(ValueError):
             encode(train, [other])
+
+    def test_memory_order_follows_the_blocks(self, tmp_path):
+        # BLAS rounds X @ w differently in C and F order, so the layout is
+        # part of the output: a multi-column one-hot block makes X
+        # column-major, single-column blocks alone leave it row-major
+        (enc,) = encode(toy_dataset(tmp_path))
+        assert enc.X.shape == (3, 3)
+        assert enc.X.flags.f_contiguous and not enc.X.flags.c_contiguous
+        (enc,) = encode(Dataset(
+            columns={"height": [1.0, 2.0, 4.0], "width": [3.0, 1.0, 0.0],
+                     "outcome": [1, 0, 1]},
+            schema=(FeatureSchema("height", "continuous"),
+                    FeatureSchema("width", "continuous"),
+                    FeatureSchema("outcome", "categorical", role="label")),
+        ))
+        assert enc.X.flags.c_contiguous and not enc.X.flags.f_contiguous
 
     def test_train_view_has_no_sensitive_field(self, tmp_path):
         (enc,) = encode(toy_dataset(tmp_path))
@@ -329,6 +435,8 @@ class TestDropFeatures:
         ds = toy_dataset(tmp_path)
         out = drop_features(ds, ["color"])
         assert [f.name for f in out.schema] == ["height", "outcome", "group"]
+        assert list(out.columns) == ["height", "outcome", "group"]
+        assert out.vocab == {}
         assert out.n == ds.n
 
     def test_cannot_drop_label(self, tmp_path):

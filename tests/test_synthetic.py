@@ -15,47 +15,51 @@ from relfair.synthetic import (
 class TestGenerate:
     def test_deterministic(self):
         spec = SyntheticSpec(n=200, seed=5)
-        assert generate(spec).rows == generate(spec).rows
+        a, b = generate(spec), generate(spec)
+        assert list(a.columns) == list(b.columns)
+        for name in a.columns:
+            assert np.array_equal(a.columns[name], b.columns[name])
 
     def test_seeds_differ(self):
         a = generate(SyntheticSpec(n=200, seed=0))
         b = generate(SyntheticSpec(n=200, seed=1))
-        assert a.rows != b.rows
+        assert not np.array_equal(a.columns["signal"], b.columns["signal"])
 
     def test_schema_shape(self):
         spec = SyntheticSpec(n=50, label_echo=True)
         ds = generate(spec)
         names = [f.name for f in ds.schema]
         assert names == ["signal", "noise", "proxy_a", "proxy_b", "echo", "outcome", "group"]
-        assert set(ds.column("outcome")) <= {0, 1}
-        assert set(ds.column("group")) <= {0, 1}
+        assert list(ds.columns) == names
+        assert set(ds.columns["outcome"].tolist()) <= {0, 1}
+        assert set(ds.columns["group"].tolist()) <= {0, 1}
         assert related_features(spec) == ["proxy_a", "proxy_b", "echo"]
 
     def test_proxies_track_group_and_signal_does_not(self):
         ds = generate(SyntheticSpec(n=6000, seed=2))
-        s = np.array(ds.column("group"), dtype=float)
-        assert abs(pearson(np.array(ds.column("proxy_a")), s)) > 0.6
-        assert abs(pearson(np.array(ds.column("proxy_b")), s)) > 0.6
-        assert abs(pearson(np.array(ds.column("signal")), s)) < 0.08
-        assert abs(pearson(np.array(ds.column("noise")), s)) < 0.08
+        s = ds.columns["group"].astype(float)
+        assert abs(pearson(ds.columns["proxy_a"], s)) > 0.6
+        assert abs(pearson(ds.columns["proxy_b"], s)) > 0.6
+        assert abs(pearson(ds.columns["signal"], s)) < 0.08
+        assert abs(pearson(ds.columns["noise"], s)) < 0.08
 
     def test_group_biases_label(self):
         ds = generate(SyntheticSpec(n=8000, seed=3))
-        y = np.array(ds.column("outcome"), dtype=float)
-        s = np.array(ds.column("group"))
+        y = ds.columns["outcome"].astype(float)
+        s = ds.columns["group"]
         assert y[s == 1].mean() - y[s == 0].mean() > 0.15
 
     def test_echo_tracks_label_more_than_group(self):
         ds = generate(SyntheticSpec(n=8000, seed=4, label_echo=True))
-        echo = np.array(ds.column("echo"))
-        y = np.array(ds.column("outcome"), dtype=float)
-        s = np.array(ds.column("group"), dtype=float)
+        echo = ds.columns["echo"]
+        y = ds.columns["outcome"].astype(float)
+        s = ds.columns["group"].astype(float)
         r_y = abs(pearson(echo, y))
         r_s = abs(pearson(echo, s))
         assert r_y > 0.6
         assert r_s < r_y
         # the direct proxies stay closer to the group than the echo is
-        proxy_r_s = abs(pearson(np.array(ds.column("proxy_a")), s))
+        proxy_r_s = abs(pearson(ds.columns["proxy_a"], s))
         assert proxy_r_s > r_s
 
     def test_validation(self):
@@ -75,9 +79,9 @@ class TestCsvRoundTrip:
             path, schema(spec), label_positive="1", sensitive_positive="1"
         )
         assert back.n == ds.n
-        assert back.column("outcome") == ds.column("outcome")
-        assert back.column("group") == ds.column("group")
-        assert np.allclose(back.column("proxy_a"), ds.column("proxy_a"))
+        assert back.columns["outcome"].tolist() == ds.columns["outcome"].tolist()
+        assert back.columns["group"].tolist() == ds.columns["group"].tolist()
+        assert np.allclose(back.columns["proxy_a"], ds.columns["proxy_a"])
 
     def test_pipeline_compatibility(self):
         ds = generate(SyntheticSpec(n=300, seed=8))
