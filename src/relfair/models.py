@@ -5,8 +5,9 @@ autodiff). Every classifier exposes a probability-like score in (0, 1): the
 sigmoid of the logit for LR/MLP and the sigmoid of the raw margin for the
 SVM, so the correlation regularizer and the fairness metrics share one code
 path. ``loss_and_grad`` accepts an extra upstream gradient on that score,
-which is how the regularizer injects its pull without the model code knowing
-about fairness at all.
+given as a function of the score it computes, which is how the regularizer
+injects its pull without the model code knowing about fairness at all.
+``forward_loss`` is the same forward pass and loss without the backward pass.
 """
 
 from __future__ import annotations
@@ -121,6 +122,39 @@ def forward(params: ModelParams, spec: ModelSpec, X) -> np.ndarray:
     return expit(raw_scores(params, spec, X))
 
 
+def _check_labels(X, y) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if y.shape != (X.shape[0],):
+        raise ValueError(f"y must be ({X.shape[0]},), got {y.shape}")
+    return y
+
+
+def _cls_loss(spec: ModelSpec, raw, yhat, y):
+    """Summed classification loss plus the per-row terms its gradient reuses.
+
+    Binary cross entropy on the clipped probability for LR/MLP (the terms are
+    the clipped probabilities), hinge on the margins for the SVM (the terms
+    are the signed labels and the per-row hinge losses).
+    """
+    if spec.kind == "svm":
+        t = 2.0 * y - 1.0
+        margin_loss = np.maximum(0.0, 1.0 - t * raw)
+        return float(margin_loss.sum()), (t, margin_loss)
+    yc = np.clip(yhat, PROB_EPS, 1.0 - PROB_EPS)
+    loss = float(-(y * np.log(yc) + (1.0 - y) * np.log(1.0 - yc)).sum())
+    return loss, yc
+
+
+def forward_loss(params: ModelParams, spec: ModelSpec, X, y) -> tuple[np.ndarray, float]:
+    """``(forward(...), loss_and_grad(...)[0])`` from one forward pass, no backward."""
+    X = _check_input(spec, X)
+    y = _check_labels(X, y)
+    raw, _ = _forward_cache(params, spec, X)
+    yhat = expit(raw)
+    loss, _ = _cls_loss(spec, raw, yhat, y)
+    return yhat, loss
+
+
 def loss_and_grad(
     params: ModelParams,
     spec: ModelSpec,
@@ -130,37 +164,37 @@ def loss_and_grad(
 ) -> tuple[float, ModelParams]:
     """Classification loss and its parameter gradient.
 
-    The upstream gradient at the probability output is
-    d(loss)/d(yhat) + extra_grad_on_yhat, so a caller can fold any
-    differentiable function of yhat into the backward pass. The returned
-    loss is the classification term only (sum over rows): binary cross
-    entropy for LR/MLP, hinge on the margins for the SVM.
+    ``extra_grad_on_yhat`` is None or a function that maps the probability
+    output ``yhat`` of this call's forward pass to one extra gradient entry
+    per row.  The upstream gradient at the probability output is then
+    d(loss)/d(yhat) + extra_grad_on_yhat(yhat), so a caller can fold any
+    differentiable function of yhat into the backward pass without a forward
+    pass of its own.  The returned loss is the classification term only (sum
+    over rows): binary cross entropy for LR/MLP, hinge on the margins for the
+    SVM.
     """
     X = _check_input(spec, X)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (X.shape[0],):
-        raise ValueError(f"y must be ({X.shape[0]},), got {y.shape}")
-    extra = (
-        np.zeros(X.shape[0])
-        if extra_grad_on_yhat is None
-        else np.asarray(extra_grad_on_yhat, dtype=float)
-    )
-    if extra.shape != (X.shape[0],):
-        raise ValueError("extra_grad_on_yhat must have one entry per row")
+    y = _check_labels(X, y)
 
     raw, acts = _forward_cache(params, spec, X)
     yhat = expit(raw)
+    extra = None
+    if extra_grad_on_yhat is not None:
+        extra = np.asarray(extra_grad_on_yhat(yhat), dtype=float)
+        if extra.shape != (X.shape[0],):
+            raise ValueError("extra_grad_on_yhat must give one entry per row")
 
+    loss, terms = _cls_loss(spec, raw, yhat, y)
     if spec.kind == "svm":
-        t = 2.0 * y - 1.0
-        margin_loss = np.maximum(0.0, 1.0 - t * raw)
-        loss = float(margin_loss.sum())
+        t, margin_loss = terms
         d_raw = -t * (margin_loss > 0.0)
-        d_raw = d_raw + extra * yhat * (1.0 - yhat)
+        if extra is not None:
+            d_raw = d_raw + extra * yhat * (1.0 - yhat)
     else:
-        yc = np.clip(yhat, PROB_EPS, 1.0 - PROB_EPS)
-        loss = float(-(y * np.log(yc) + (1.0 - y) * np.log(1.0 - yc)).sum())
-        d_yhat = (yc - y) / (yc * (1.0 - yc)) + extra
+        yc = terms
+        d_yhat = (yc - y) / (yc * (1.0 - yc))
+        if extra is not None:
+            d_yhat = d_yhat + extra
         d_raw = d_yhat * yhat * (1.0 - yhat)
 
     grads_w = [np.empty(0)] * len(params.weights)

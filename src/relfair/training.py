@@ -3,10 +3,19 @@
 The fair loop alternates two phases per epoch.  First the model parameters
 take Adam steps against ``L_cls + eta * sum_j lambda_j R_j`` with the penalty
 and its gradient computed on the current mini-batch (means re-estimated per
-batch).  Then, with the model fixed, the feature weights are refreshed in
-closed form: ``lambda = solve_lambda(eta * R, beta)`` with R measured on the
-full training split, which is the exact minimizer of the lambda-part of the
-objective.  Batch order and parameter init are fully determined by the seed.
+batch).  The penalty gradient is handed to ``loss_and_grad`` as a function of
+the predictions, so each step forwards its batch once.  Then, with the model
+fixed, the feature weights are refreshed in closed form:
+``lambda = solve_lambda(eta * R, beta)`` with R measured on the full training
+split, which is the exact minimizer of the lambda-part of the objective.
+Batch order and parameter init are fully determined by the seed.
+
+Bookkeeping forwards each split once per epoch with ``forward_loss`` (no
+backward pass): the training-split predictions serve both the lambda refresh
+and the trace's ``cls_loss``, the evaluation-split predictions serve the
+accuracy, the evaluation objective and the fairness callback.  The loop sees
+features and labels only; the evaluation fairness metrics, which need the
+sensitive column, come from a callback that ``train_variant`` builds.
 
 Model selection: among epochs whose evaluation-split penalty is no worse than
 110% of the final epoch's penalty, the checkpoint with the best evaluation
@@ -33,7 +42,7 @@ from relfair.metrics import (
     delta_dp,
     delta_eo,
 )
-from relfair.models import ModelSpec, forward, init_params, loss_and_grad
+from relfair.models import ModelSpec, forward, forward_loss, init_params, loss_and_grad
 from relfair.objective import ObjectiveConfig, penalty_grad_yhat, related_penalty, total_objective
 from relfair.weights import solve_lambda
 
@@ -184,11 +193,6 @@ def _check_finite(value, params, where):
         raise TrainingDivergedError(f"non-finite parameters at {where}")
 
 
-def _cls_loss(params, spec, X, y):
-    loss, _ = loss_and_grad(params, spec, X, y)
-    return loss
-
-
 # ---------------------------------------------------------------------------
 # pretraining
 
@@ -211,7 +215,7 @@ def pretrain(spec, params, train, evaluation, cfg):
             loss, grads = loss_and_grad(params, spec, train.X[idx], train.y[idx])
             _check_finite(loss, params, f"pretrain epoch {epoch}")
             opt.step(params.arrays(), grads.arrays())
-        eval_loss = _cls_loss(params, spec, evaluation.X, evaluation.y)
+        _, eval_loss = forward_loss(params, spec, evaluation.X, evaluation.y)
         _check_finite(eval_loss, params, f"pretrain epoch {epoch} (eval)")
         if eval_loss < best_eval - MIN_IMPROVEMENT:
             best_eval = eval_loss
@@ -227,30 +231,42 @@ def pretrain(spec, params, train, evaluation, cfg):
 # the alternating fair loop
 
 
-def _eval_fairness(yhat, y, s):
-    """Soft metrics for the trace; None when the split cannot support them."""
-    if s is None:
-        return None, None
-    try:
-        eo = delta_eo(yhat, y, s)
-    except MetricUndefinedError:
-        eo = None
-    try:
-        dp = delta_dp(yhat, s)
-    except MetricUndefinedError:
-        dp = None
-    return eo, dp
+def _eval_fairness(evaluation):
+    """Trace callback: soft ``(delta_eo, delta_dp)`` of evaluation predictions.
+
+    Built outside the training loop from the evaluation split's labels and
+    group codes; a metric is None when the split cannot support it.
+    """
+    y, s = evaluation.y, evaluation.s
+
+    def measure(yhat):
+        if s is None:
+            return None, None
+        try:
+            eo = delta_eo(yhat, y, s)
+        except MetricUndefinedError:
+            eo = None
+        try:
+            dp = delta_dp(yhat, s)
+        except MetricUndefinedError:
+            dp = None
+        return eo, dp
+
+    return measure
 
 
 def train_fairrf(spec, params, train, evaluation, related, cfg, *,
-                 reg_train=None, reg_eval=None):
+                 reg_train=None, reg_eval=None, fairness=None):
     """Alternate Adam steps on the penalized loss with closed-form lambda.
 
+    ``train`` and ``evaluation`` are ``TrainView``s: features and labels.
     ``related`` may be None only for penalty-free runs (eta must then be 0).
     ``reg_train``/``reg_eval`` override the matrices the penalty reads its
     regularized columns from; they default to the model inputs themselves.
     The sensitive-aware baseline passes the group column here so the penalty
     machinery is shared, while the model inputs stay untouched.
+    ``fairness`` maps the evaluation predictions to the trace's
+    ``(eval_delta_eo, eval_delta_dp)``; without it both are None.
     """
     params = params.copy()
     if related is None and (cfg.eta != 0 or cfg.learn_lambda):
@@ -263,6 +279,8 @@ def train_fairrf(spec, params, train, evaluation, related, cfg, *,
         reg_eval = evaluation.X
     if len(reg_train) != train.n or len(reg_eval) != evaluation.n:
         raise ValueError("regularized-column matrices must align with the splits")
+    penalized = related is not None and cfg.eta > 0
+    reg_is_input = reg_train is train.X  # then a batch's Xb is its reg rows
 
     obj_cfg = cfg.objective_config()
     lam = related.lambda0.copy() if related is not None else np.zeros(0)
@@ -287,11 +305,12 @@ def train_fairrf(spec, params, train, evaluation, related, cfg, *,
                 continue
             Xb, yb = train.X[idx], train.y[idx]
             extra = None
-            if related is not None and cfg.eta > 0:
-                yhat_b = forward(params, spec, Xb)
-                extra = cfg.eta * penalty_grad_yhat(
-                    reg_train[idx], related, lam, yhat_b
-                )
+            if penalized:
+                reg_b = Xb if reg_is_input else reg_train[idx]
+
+                def extra(yhat_b):
+                    return cfg.eta * penalty_grad_yhat(reg_b, related, lam, yhat_b)
+
             loss, grads = loss_and_grad(params, spec, Xb, yb, extra_grad_on_yhat=extra)
             _check_finite(loss, params, f"epoch {epoch}")
             opt.step(params.arrays(), grads.arrays())
@@ -299,31 +318,30 @@ def train_fairrf(spec, params, train, evaluation, related, cfg, *,
             if steps is not None and taken >= steps:
                 break
 
-        # (b) lambda refresh: exact minimizer given the current model
+        # (b) lambda refresh: exact minimizer given the current model; the
+        # same forward of the training split gives the trace's cls_loss
+        yhat_train, cls_loss = forward_loss(params, spec, train.X, train.y)
         if related is not None:
-            yhat_full = forward(params, spec, train.X)
-            _, per_feature = related_penalty(reg_train, related, lam, yhat_full)
+            _, per_feature = related_penalty(reg_train, related, lam, yhat_train)
             if cfg.learn_lambda:
                 lam = solve_lambda(cfg.eta * per_feature, cfg.beta).lam
         else:
             per_feature = np.zeros(0)
 
-        # (c) bookkeeping on train and evaluation splits
-        cls_loss = _cls_loss(params, spec, train.X, train.y)
+        # (c) bookkeeping on one forward of the evaluation split
         penalty_total = float(lam @ per_feature)
-        yhat_eval = forward(params, spec, evaluation.X)
-        eval_cls = _cls_loss(params, spec, evaluation.X, evaluation.y)
+        yhat_eval, eval_cls = forward_loss(params, spec, evaluation.X, evaluation.y)
         if related is not None:
             eval_penalty, _ = related_penalty(reg_eval, related, lam, yhat_eval)
         else:
             eval_penalty = 0.0
         eval_obj = total_objective(eval_cls, eval_penalty, lam, obj_cfg)
         eval_acc = accuracy(yhat_eval, evaluation.y)
-        eo, dp = _eval_fairness(yhat_eval, evaluation.y, getattr(evaluation, "s", None))
+        eo, dp = fairness(yhat_eval) if fairness is not None else (None, None)
         trace.append(
             EpochRecord(
                 epoch=epoch,
-                cls_loss=float(cls_loss),
+                cls_loss=cls_loss,
                 penalty_total=penalty_total,
                 per_feature=tuple(float(v) for v in per_feature),
                 lam=tuple(float(v) for v in lam),
@@ -456,15 +474,18 @@ def train_variant(
     )
     params = init_params(spec)
     train_view = enc_train.train_view()
+    eval_view = enc_eval.train_view()
+    fairness = _eval_fairness(enc_eval)
 
     names = _variant_related_names(variant, train_raw.schema, related_names, rng)
 
     penalty_free = names is None
     if penalty_free:
         fair_cfg = dataclasses.replace(cfg, eta=0.0, learn_lambda=False)
-        params = pretrain(spec, params, train_view, enc_eval, fair_cfg)
+        params = pretrain(spec, params, train_view, eval_view, fair_cfg)
         params, trace = train_fairrf(
-            spec, params, train_view, enc_eval, None, fair_cfg
+            spec, params, train_view, eval_view, None, fair_cfg,
+            fairness=fairness,
         )
         return TrainResult(
             variant, spec, params, trace,
@@ -487,10 +508,10 @@ def train_variant(
         reg_train = enc_train.s.astype(float)[:, None]
         reg_eval = enc_eval.s.astype(float)[:, None]
         fair_cfg = dataclasses.replace(cfg, learn_lambda=False)
-        params = pretrain(spec, params, train_view, enc_eval, fair_cfg)
+        params = pretrain(spec, params, train_view, eval_view, fair_cfg)
         params, trace = train_fairrf(
-            spec, params, train_view, enc_eval, related, fair_cfg,
-            reg_train=reg_train, reg_eval=reg_eval,
+            spec, params, train_view, eval_view, related, fair_cfg,
+            reg_train=reg_train, reg_eval=reg_eval, fairness=fairness,
         )
         return TrainResult(
             variant, spec, params, trace,
@@ -517,9 +538,10 @@ def train_variant(
     learn = cfg.learn_lambda and variant != "fixed_lambda"
     fair_cfg = dataclasses.replace(cfg, learn_lambda=learn)
     related = resolve_related(train_raw.schema, enc_train, names)
-    params = pretrain(spec, params, train_view, enc_eval, fair_cfg)
+    params = pretrain(spec, params, train_view, eval_view, fair_cfg)
     params, trace = train_fairrf(
-        spec, params, train_view, enc_eval, related, fair_cfg
+        spec, params, train_view, eval_view, related, fair_cfg,
+        fairness=fairness,
     )
     return TrainResult(
         variant, spec, params, trace,

@@ -7,10 +7,11 @@ benchmark ("adult").  The raw distribution is two header-less CSV files
 into a cache directory, trying in order:
 
 1. an existing adult.csv under $RELFAIR_DATA_DIR (or the default cache),
-2. a fresh download from the UCI archive.
+2. a fresh download from the UCI archive, only when RELFAIR_DOWNLOAD_ADULT=1.
 
-When neither works the data-dependent criteria skip with the reason spelled
-out; nothing is silently faked.
+The test suite makes no network access unless asked to.  When neither
+source works the data-dependent criteria skip with the reason spelled out;
+nothing is silently faked.
 """
 
 import os
@@ -63,6 +64,12 @@ def _ensure_adult_csv():
     target = os.path.join(cache, "adult.csv")
     if os.path.exists(target):
         return target, ""
+    if os.environ.get("RELFAIR_DOWNLOAD_ADULT") != "1":
+        return None, (
+            f"census income data unavailable: no adult.csv under {cache!r}; "
+            f"set RELFAIR_DATA_DIR to a directory holding one, or set "
+            f"RELFAIR_DOWNLOAD_ADULT=1 to download it from the UCI archive"
+        )
     lines = [",".join(ADULT_COLUMNS)]
     for url in ADULT_URLS:
         try:

@@ -1,0 +1,126 @@
+"""How much work the training loops do and what they may read.
+
+Forward counts: every call into ``models._forward_cache`` is one forward
+pass.  Pretraining forwards each batch once (inside ``loss_and_grad``) plus
+the evaluation split once per epoch; the fair loop forwards each theta-step
+batch once and each split once per epoch.
+
+Sensitive column: ``pretrain`` and ``train_fairrf`` receive ``TrainView``s,
+and the evaluation fairness metrics reach the trace through a callback, so
+no read of ``.s`` happens inside them for any variant that does not train on
+the group by design (``constrain_s``) or select by it (``top1``).
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from relfair import models, training
+from relfair.data import TrainView, encode, resolve_related, split
+from relfair.models import ModelSpec, init_params
+from relfair.synthetic import SyntheticSpec, generate, related_features
+from relfair.training import TrainConfig, pretrain, train_fairrf, train_variant
+
+SPEC = SyntheticSpec(n=800, seed=3)
+RAW = generate(SPEC)
+RELATED = related_features(SPEC)
+CFG = TrainConfig(
+    learning_rate=0.01,
+    pretrain_epochs=3,  # under PRETRAIN_PATIENCE + 1, so every epoch runs
+    max_epochs=4,
+    batch_size=64,
+)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Counts forward passes and Adam steps while the test runs."""
+    seen = {"forward": 0, "steps": 0}
+    forward_cache, step = models._forward_cache, training.Adam.step
+
+    def counting_forward(*args):
+        seen["forward"] += 1
+        return forward_cache(*args)
+
+    def counting_step(self, *args):
+        seen["steps"] += 1
+        return step(self, *args)
+
+    monkeypatch.setattr(models, "_forward_cache", counting_forward)
+    monkeypatch.setattr(training.Adam, "step", counting_step)
+    return seen
+
+
+def _setup(kind):
+    train_raw, eval_raw, test_raw = split(RAW, seed=0)
+    enc_train, enc_eval, _ = encode(train_raw, [eval_raw, test_raw])
+    spec = ModelSpec(
+        kind=kind, input_dim=enc_train.n_columns,
+        hidden_dims=(8, 4) if kind == "mlp" else (), seed=0,
+    )
+    related = resolve_related(train_raw.schema, enc_train, RELATED)
+    return spec, enc_train.train_view(), enc_eval.train_view(), related
+
+
+@pytest.mark.parametrize("kind", ["lr", "svm", "mlp"])
+def test_pretrain_forwards_each_batch_and_the_eval_split_once(counts, kind):
+    spec, train, evaluation, _ = _setup(kind)
+    pretrain(spec, init_params(spec), train, evaluation, CFG)
+    batches = math.ceil(train.n / CFG.batch_size)
+    assert counts["steps"] == CFG.pretrain_epochs * batches
+    assert counts["forward"] == CFG.pretrain_epochs * (batches + 1)
+
+
+@pytest.mark.parametrize("kind", ["lr", "mlp"])
+@pytest.mark.parametrize("penalized", [True, False])
+@pytest.mark.parametrize("steps", [None, 3])
+def test_fair_loop_forwards_each_step_and_each_split_once(counts, kind, penalized, steps):
+    spec, train, evaluation, related = _setup(kind)
+    cfg = dataclasses.replace(CFG, model_train_steps=steps)
+    if not penalized:
+        cfg = dataclasses.replace(cfg, eta=0.0, learn_lambda=False)
+        related = None
+    _, trace = train_fairrf(spec, init_params(spec), train, evaluation, related, cfg)
+    epochs = len(trace.records)
+    per_epoch = steps or math.ceil(train.n / cfg.batch_size)
+    assert counts["steps"] == epochs * per_epoch
+    assert counts["forward"] == counts["steps"] + 2 * epochs
+
+
+class _NoSensitive:
+    """A split whose ``.s`` raises; everything else reads through."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        if name == "s":
+            raise RuntimeError("the training loop read the sensitive column")
+        return getattr(self._inner, name)
+
+
+def _guarded(fn):
+    def wrapper(spec, params, train, evaluation, *args, **kwargs):
+        assert isinstance(train, TrainView) and isinstance(evaluation, TrainView)
+        return fn(spec, params, _NoSensitive(train), _NoSensitive(evaluation),
+                  *args, **kwargs)
+
+    return wrapper
+
+
+@pytest.mark.parametrize(
+    "variant", [v for v in training.VARIANTS if v not in ("constrain_s", "top1")]
+)
+def test_training_never_reads_the_sensitive_column(monkeypatch, variant):
+    monkeypatch.setattr(training, "pretrain", _guarded(training.pretrain))
+    monkeypatch.setattr(training, "train_fairrf", _guarded(training.train_fairrf))
+    cfg = dataclasses.replace(CFG, pretrain_epochs=1, max_epochs=2)
+    train_raw, eval_raw, test_raw = split(RAW, seed=1)
+    result = train_variant(variant, train_raw, eval_raw, test_raw, RELATED, "lr", cfg)
+    # the fairness callback still fills the trace from outside the loop
+    for record in result.trace.records:
+        assert record.eval_delta_dp is not None
+        assert record.eval_delta_eo is not None
+    assert np.all(np.isfinite(result.predictions("eval")))

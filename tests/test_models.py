@@ -5,6 +5,7 @@ from relfair.models import (
     ModelParams,
     ModelSpec,
     forward,
+    forward_loss,
     init_params,
     load_checkpoint,
     loss_and_grad,
@@ -138,10 +139,30 @@ class TestLossAndGrad:
         X = rng.normal(size=(9, 4))
         y = (rng.uniform(size=9) > 0.5).astype(float)
         l0, g0 = loss_and_grad(params, spec, X, y)
-        l1, g1 = loss_and_grad(params, spec, X, y, extra_grad_on_yhat=np.zeros(9))
+        l1, g1 = loss_and_grad(
+            params, spec, X, y, extra_grad_on_yhat=lambda yhat: np.zeros(9)
+        )
         assert l0 == l1
         for a, b in zip(g0.arrays(), g1.arrays()):
             assert np.array_equal(a, b)
+
+    def test_extra_is_a_function_of_this_forward(self):
+        rng = np.random.default_rng(4)
+        spec = ModelSpec(kind="mlp", input_dim=4, hidden_dims=(6, 3), seed=2)
+        params = init_params(spec)
+        X = rng.normal(size=(7, 4))
+        y = (rng.uniform(size=7) > 0.5).astype(float)
+        seen = []
+
+        def extra(yhat):
+            seen.append(yhat)
+            return np.zeros(len(yhat))
+
+        loss_and_grad(params, spec, X, y, extra_grad_on_yhat=extra)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], forward(params, spec, X))
+        with pytest.raises(ValueError, match="one entry per row"):
+            loss_and_grad(params, spec, X, y, extra_grad_on_yhat=lambda yhat: np.zeros(6))
 
     @pytest.mark.parametrize("kind", ["lr", "svm", "mlp"])
     @pytest.mark.parametrize("with_extra", [False, True])
@@ -173,7 +194,13 @@ class TestLossAndGrad:
                 if len(y) == 0:
                     continue
             extra = rng.normal(scale=0.5, size=len(y)) if with_extra else None
-            _, analytic = loss_and_grad(params, spec, X, y, extra_grad_on_yhat=extra)
+            loss, analytic = loss_and_grad(
+                params, spec, X, y,
+                extra_grad_on_yhat=(lambda yhat: extra) if with_extra else None,
+            )
+            yhat, loss_only = forward_loss(params, spec, X, y)
+            assert loss_only == loss
+            assert np.array_equal(yhat, forward(params, spec, X))
             numeric = numeric_grad(params, spec, X, y, extra)
             for ga, gn in zip(analytic.arrays(), numeric.arrays()):
                 worst = max(
