@@ -9,11 +9,17 @@ the cost once K grows.
 """
 
 import argparse
+import os
+import sys
 import time
 
 import numpy as np
 
-from relfair import qp_oracle, solve_lambda
+from relfair import solve_lambda
+
+# the brute-force reference solver lives with the tests, not in the library
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+from _lambda_oracle import qp_oracle  # noqa: E402
 
 
 def main():

@@ -46,12 +46,7 @@ from relfair.models import (
     raw_scores,
     save_checkpoint,
 )
-from relfair.objective import (
-    ObjectiveConfig,
-    penalty_grad_yhat,
-    related_penalty,
-    total_objective,
-)
+from relfair.objective import penalty_grad_yhat, related_penalty, total_objective
 from relfair.stats import (
     CorrelationInterval,
     DegenerateVarianceError,
@@ -73,7 +68,7 @@ from relfair.training import (
     train_fairrf,
     train_variant,
 )
-from relfair.weights import LambdaSolution, project_simplex, qp_oracle, solve_lambda
+from relfair.weights import LambdaSolution, solve_lambda
 
 __version__ = "0.1.0"
 
@@ -89,7 +84,6 @@ __all__ = [
     "MetricUndefinedError",
     "ModelParams",
     "ModelSpec",
-    "ObjectiveConfig",
     "RelatedFeatureSet",
     "SeedResult",
     "SyntheticSpec",
@@ -121,9 +115,7 @@ __all__ = [
     "pearson",
     "penalty_grad_yhat",
     "pretrain",
-    "project_simplex",
     "propagate_bound",
-    "qp_oracle",
     "raw_scores",
     "related_features",
     "related_penalty",

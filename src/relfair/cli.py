@@ -36,22 +36,11 @@ from relfair.metrics import (
     delta_eo,
     format_comparison_table,
 )
-from relfair.models import forward, load_checkpoint, save_checkpoint
+from relfair.models import MODEL_KINDS, forward, load_checkpoint, save_checkpoint
 from relfair.training import VARIANTS, TrainConfig, encode_splits, run_single
 
-MODEL_KINDS = ("lr", "svm", "mlp")
-
-TRAIN_KEYS = (
-    "eta",
-    "beta",
-    "learning_rate",
-    "pretrain_epochs",
-    "max_epochs",
-    "batch_size",
-    "model_train_steps",
-    "learn_lambda",
-    "early_stop_patience",
-)
+# the seed comes from the experiment's seed list, never from its train block
+TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed")
 
 EXPERIMENT_KEYS = (
     "dataset",
@@ -80,6 +69,21 @@ class ExperimentConfig:
     train: TrainConfig
 
 
+def _check_variant(variant, where):
+    if variant not in VARIANTS:
+        raise ValueError(f"{where}: unknown variant {variant!r}; expected one of {VARIANTS}")
+    return variant
+
+
+def _check_distinct(values, what, where):
+    """A non-empty list without repeats; ``what`` names its entries."""
+    if not values:
+        raise ValueError(f"{where}: {what} list is empty")
+    if len(set(values)) != len(values):
+        raise ValueError(f"{where}: duplicate {what}")
+    return values
+
+
 def parse_experiment_config(doc, where="experiment config", config_dir="."):
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected a mapping at top level")
@@ -97,9 +101,7 @@ def parse_experiment_config(doc, where="experiment config", config_dir="."):
     else:
         dataset = builtin_config(dataset_ref)
 
-    variant = str(doc["variant"])
-    if variant not in VARIANTS:
-        raise ValueError(f"{where}: unknown variant {variant!r}; expected one of {VARIANTS}")
+    variant = _check_variant(str(doc["variant"]), where)
     model_kind = str(doc["model"])
     if model_kind not in MODEL_KINDS:
         raise ValueError(f"{where}: unknown model {model_kind!r}; expected one of {MODEL_KINDS}")
@@ -116,11 +118,7 @@ def parse_experiment_config(doc, where="experiment config", config_dir="."):
         if name not in input_names:
             raise ValueError(f"{where}: related feature {name!r} is not an input column")
 
-    seeds = tuple(int(s) for s in doc["seeds"])
-    if not seeds:
-        raise ValueError(f"{where}: seeds list is empty")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError(f"{where}: duplicate seeds")
+    seeds = _check_distinct(tuple(int(s) for s in doc["seeds"]), "seeds", where)
 
     train_doc = doc.get("train", {}) or {}
     reject_unknown_keys(train_doc, TRAIN_KEYS, f"{where}: train")
@@ -196,24 +194,54 @@ def _seed_job(payload):
 
 
 def _run_jobs(jobs, workers):
+    """Run seed jobs serially or on a process pool.
+
+    Returns one outcome per job, in job order: ``_seed_job``'s result or the
+    exception it raised.  ``_seed_job`` is looked up at call time, so a
+    wrapper installed on the module runs too.
+    """
     if workers <= 1:
-        return [_seed_job(j) for j in jobs]
+        return [_outcome(_seed_job, job) for job in jobs]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_seed_job, jobs))
+        futures = [pool.submit(_seed_job, job) for job in jobs]
+        return [_outcome(future.result) for future in futures]
 
 
-def _seed_results(rows):
-    return [SeedResult(**row) for row in rows]
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # a failed job is an outcome; callers decide
+        return exc
+
+
+def _results(outcomes):
+    """The outcomes of jobs that must all succeed; raises the first failure."""
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
+def _parse_list(text, parse, what, flag):
+    """A comma-separated override, checked like its YAML list; None if absent."""
+    if text is None:
+        return None
+    values = tuple(parse(v) for v in text.split(",")) if text else ()
+    return _check_distinct(values, what, flag)
+
+
+def _parse_seeds(args, exp):
+    return _parse_list(args.seeds, int, "seeds", "--seeds") or exp.seeds
+
+
 def cmd_train(args):
     exp = load_experiment_config(args.config)
     out_dir = args.output_dir or exp.output_dir
-    seeds = _parse_seeds(args.seeds) or exp.seeds
+    seeds = _parse_seeds(args, exp)
     raw = load_from_config(exp.dataset, data_dir=args.data_dir)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -223,11 +251,10 @@ def cmd_train(args):
          os.path.join(out_dir, f"seed_{seed}"), True)
         for seed in seeds
     ]
-    outputs = _run_jobs(jobs, args.workers)
+    outputs = _results(_run_jobs(jobs, args.workers))
 
-    rows = [row for row, _ in outputs]
     files = [p for _, paths in outputs for p in paths]
-    report = aggregate(_seed_results(rows))
+    report = aggregate([SeedResult(**row) for row, _ in outputs])
     report_path = os.path.join(out_dir, "report.json")
     _write_json(report_path, report.to_dict())
     table_path = os.path.join(out_dir, "report.txt")
@@ -244,22 +271,12 @@ def cmd_train(args):
     return 0
 
 
-def _parse_seeds(text):
-    if not text:
-        return None
-    return tuple(int(v) for v in text.split(","))
-
-
-def _parse_grid(text):
-    return [float(v) for v in text.split(",")] if text else None
-
-
 def cmd_sweep(args):
     exp = load_experiment_config(args.config)
     out_dir = args.output_dir or exp.output_dir
-    seeds = _parse_seeds(args.seeds) or exp.seeds
-    etas = _parse_grid(args.eta_grid) or [exp.train.eta]
-    betas = _parse_grid(args.beta_grid) or [exp.train.beta]
+    seeds = _parse_seeds(args, exp)
+    etas = _parse_list(args.eta_grid, float, "eta values", "--eta-grid") or [exp.train.eta]
+    betas = _parse_list(args.beta_grid, float, "beta values", "--beta-grid") or [exp.train.beta]
     raw = load_from_config(exp.dataset, data_dir=args.data_dir)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -269,7 +286,7 @@ def cmd_sweep(args):
             cell_cfg = dataclasses.replace(exp.train, eta=eta, beta=beta)
             cell_dir = os.path.join(out_dir, "cells", f"eta_{eta:g}__beta_{beta:g}")
             for seed in seeds:
-                keys.append((eta, beta, seed, cell_dir))
+                keys.append((eta, beta, seed))
                 jobs.append(
                     (raw, exp.related, exp.variant, exp.model_kind, cell_cfg,
                      seed, exp.hidden_dims, exp.allow_sensitive_in_training,
@@ -277,25 +294,8 @@ def cmd_sweep(args):
                 )
 
     table_rows, failures, files = [], [], []
-    if args.workers <= 1:
-        results = []
-        for job in jobs:
-            try:
-                results.append(_seed_job(job))
-            except Exception as exc:  # record and keep sweeping
-                results.append(exc)
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futures = [pool.submit(_seed_job, job) for job in jobs]
-            results = []
-            for fut in futures:
-                try:
-                    results.append(fut.result())
-                except Exception as exc:
-                    results.append(exc)
-
-    for (eta, beta, seed, cell_dir), outcome in zip(keys, results):
-        if isinstance(outcome, Exception):
+    for (eta, beta, seed), outcome in zip(keys, _run_jobs(jobs, args.workers)):
+        if isinstance(outcome, Exception):  # record and keep sweeping
             failures.append(
                 {"eta": eta, "beta": beta, "seed": seed, "error": str(outcome)}
             )
@@ -330,11 +330,11 @@ def cmd_sweep(args):
 def cmd_compare(args):
     exp = load_experiment_config(args.config)
     out_dir = args.output_dir or exp.output_dir
-    seeds = _parse_seeds(args.seeds) or exp.seeds
-    variants = tuple(v.strip() for v in args.variants.split(","))
-    for v in variants:
-        if v not in VARIANTS:
-            raise ValueError(f"unknown variant {v!r}; expected one of {VARIANTS}")
+    seeds = _parse_seeds(args, exp)
+    variants = _parse_list(
+        args.variants, lambda v: _check_variant(v.strip(), "--variants"),
+        "variants", "--variants",
+    )
     raw = load_from_config(exp.dataset, data_dir=args.data_dir)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -345,14 +345,13 @@ def cmd_compare(args):
         for variant in variants
         for seed in seeds
     ]
-    outputs = _run_jobs(jobs, args.workers)
+    outputs = _results(_run_jobs(jobs, args.workers))
 
     files = [p for _, paths in outputs for p in paths]
     reports = {}
     it = iter(outputs)
     for variant in variants:
-        rows = [next(it)[0] for _ in seeds]
-        reports[variant] = aggregate(_seed_results(rows))
+        reports[variant] = aggregate([SeedResult(**next(it)[0]) for _ in seeds])
 
     comparison_path = os.path.join(out_dir, "comparison.json")
     _write_json(

@@ -20,7 +20,7 @@ from scipy.special import expit
 
 PROB_EPS = 1e-7  # clamp for probabilities before logs
 
-_KINDS = ("lr", "svm", "mlp")
+MODEL_KINDS = ("lr", "svm", "mlp")
 _CHECKPOINT_VERSION = 1
 
 
@@ -32,8 +32,8 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        if self.kind not in MODEL_KINDS:
+            raise ValueError(f"kind must be one of {MODEL_KINDS}, got {self.kind!r}")
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))

@@ -7,28 +7,15 @@ one lambda_j and their scores add.
 
 The penalty is piecewise linear in the predictions, so its gradient is exact
 between kinks; at a kink (zero covariance) we take subgradient 0.
-"""
 
-import dataclasses
+eta and beta come from the ``TrainConfig`` the training loop holds, which is
+the one place they are validated (eta >= 0, beta > 0).
+"""
 
 import numpy as np
 
 
-@dataclasses.dataclass(frozen=True)
-class ObjectiveConfig:
-    eta: float
-    beta: float
-
-    def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
-
-
-def _matrix(encoded):
-    """Accept an EncodedDataset/TrainView or a bare feature matrix."""
-    X = getattr(encoded, "X", encoded)
+def _matrix(X):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-d feature matrix, got shape {X.shape}")
@@ -44,14 +31,14 @@ def _check_lambda(lam, k):
     return lam
 
 
-def related_penalty(encoded, related, lam, yhat):
+def related_penalty(X, related, lam, yhat):
     """Weighted correlation-score penalty.
 
     Returns ``(total, per_feature)`` where ``per_feature[j]`` sums the
     correlation scores of feature j's encoded columns against ``yhat`` and
     ``total = sum_j lam[j] * per_feature[j]``.
     """
-    X = _matrix(encoded)
+    X = _matrix(X)
     lam = _check_lambda(lam, related.k)
     yhat = np.asarray(yhat, dtype=float)
     if yhat.shape != (X.shape[0],):
@@ -64,9 +51,9 @@ def related_penalty(encoded, related, lam, yhat):
     return float(lam @ per_feature), per_feature
 
 
-def penalty_grad_yhat(encoded, related, lam, yhat):
+def penalty_grad_yhat(X, related, lam, yhat):
     """Gradient of the weighted penalty with respect to the predictions."""
-    X = _matrix(encoded)
+    X = _matrix(X)
     lam = _check_lambda(lam, related.k)
     yhat = np.asarray(yhat, dtype=float)
     grad = np.zeros_like(yhat)
@@ -81,7 +68,10 @@ def penalty_grad_yhat(encoded, related, lam, yhat):
 
 
 def total_objective(cls_loss, penalty_total, lam, cfg):
-    """Classification loss + eta-weighted penalty + beta * ||lambda||^2."""
+    """Classification loss + eta-weighted penalty + beta * ||lambda||^2.
+
+    ``cfg`` is the ``TrainConfig`` of the run; only its eta and beta are read.
+    """
     lam = np.asarray(lam, dtype=float)
     value = cls_loss + cfg.eta * penalty_total + cfg.beta * float(lam @ lam)
     if not np.isfinite(value):

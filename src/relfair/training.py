@@ -43,7 +43,7 @@ from relfair.metrics import (
     delta_eo,
 )
 from relfair.models import ModelSpec, forward, forward_loss, init_params, loss_and_grad
-from relfair.objective import ObjectiveConfig, penalty_grad_yhat, related_penalty, total_objective
+from relfair.objective import penalty_grad_yhat, related_penalty, total_objective
 from relfair.weights import solve_lambda
 
 VARIANTS = (
@@ -92,9 +92,6 @@ class TrainConfig:
                 raise ValueError(f"{field} must be >= 1")
         if self.model_train_steps is not None and self.model_train_steps < 1:
             raise ValueError("model_train_steps must be >= 1 when given")
-
-    def objective_config(self):
-        return ObjectiveConfig(eta=self.eta, beta=self.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +279,6 @@ def train_fairrf(spec, params, train, evaluation, related, cfg, *,
     penalized = related is not None and cfg.eta > 0
     reg_is_input = reg_train is train.X  # then a batch's Xb is its reg rows
 
-    obj_cfg = cfg.objective_config()
     lam = related.lambda0.copy() if related is not None else np.zeros(0)
     rng = np.random.default_rng([cfg.seed, 2])
     opt = Adam(params.arrays(), cfg.learning_rate)
@@ -335,7 +331,7 @@ def train_fairrf(spec, params, train, evaluation, related, cfg, *,
             eval_penalty, _ = related_penalty(reg_eval, related, lam, yhat_eval)
         else:
             eval_penalty = 0.0
-        eval_obj = total_objective(eval_cls, eval_penalty, lam, obj_cfg)
+        eval_obj = total_objective(eval_cls, eval_penalty, lam, cfg)
         eval_acc = accuracy(yhat_eval, evaluation.y)
         eo, dp = fairness(yhat_eval) if fairness is not None else (None, None)
         trace.append(
@@ -387,7 +383,11 @@ class TrainResult:
     encoded_eval: object
     encoded_test: object
     related: object  # RelatedFeatureSet or None
-    regularized: tuple  # names actually regularized (empty for penalty-free)
+
+    @property
+    def regularized(self):
+        """Names actually regularized (empty for penalty-free variants)."""
+        return () if self.related is None else self.related.features
 
     def predictions(self, which="test"):
         enc = getattr(self, f"encoded_{which}")
@@ -415,7 +415,7 @@ def _variant_related_names(variant, schema, related_names, rng):
     inputs = _input_names(schema)
     if variant in ("vanilla", "remove_related"):
         return None
-    if variant in ("fairrf", "fixed_lambda", "top1"):
+    if variant in ("fairrf", "fixed_lambda"):
         return list(related_names)
     if variant == "constrain_all":
         return inputs
@@ -461,8 +461,24 @@ def train_variant(
     """Train one baseline/method variant on pre-split raw data."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    rng = np.random.default_rng([cfg.seed, 3])
 
+    if variant == "top1":
+        if not any(f.role == "sensitive" for f in eval_raw.schema):
+            raise ValueError("top1 selects by evaluation fairness and needs "
+                             "the sensitive attribute on the eval split")
+        best = None
+        for name in related_names:
+            candidate = train_variant(
+                "fairrf", train_raw, eval_raw, test_raw, [name],
+                model_kind, cfg, hidden_dims=hidden_dims,
+            )
+            yhat_eval = candidate.predictions("eval")
+            dp = delta_dp(yhat_eval, candidate.encoded_eval.s)
+            if best is None or dp < best[0]:
+                best = (dp, candidate)
+        return dataclasses.replace(best[1], variant="top1")
+
+    rng = np.random.default_rng([cfg.seed, 3])
     enc_train, enc_eval, enc_test = encode_splits(
         variant, (train_raw, eval_raw, test_raw), related_names
     )
@@ -473,26 +489,14 @@ def train_variant(
         seed=cfg.seed,
     )
     params = init_params(spec)
-    train_view = enc_train.train_view()
-    eval_view = enc_eval.train_view()
-    fairness = _eval_fairness(enc_eval)
 
+    # each variant only chooses what the shared pretrain + fair loop regularize
     names = _variant_related_names(variant, train_raw.schema, related_names, rng)
-
-    penalty_free = names is None
-    if penalty_free:
+    reg_train = reg_eval = None  # None: the penalty reads the model inputs
+    if names is None:
         fair_cfg = dataclasses.replace(cfg, eta=0.0, learn_lambda=False)
-        params = pretrain(spec, params, train_view, eval_view, fair_cfg)
-        params, trace = train_fairrf(
-            spec, params, train_view, eval_view, None, fair_cfg,
-            fairness=fairness,
-        )
-        return TrainResult(
-            variant, spec, params, trace,
-            enc_train, enc_eval, enc_test, None, (),
-        )
-
-    if variant == "constrain_s":
+        related = None
+    elif variant == "constrain_s":
         if not allow_sensitive_in_training:
             raise ValueError(
                 "constrain_s trains against the sensitive attribute; pass "
@@ -508,44 +512,20 @@ def train_variant(
         reg_train = enc_train.s.astype(float)[:, None]
         reg_eval = enc_eval.s.astype(float)[:, None]
         fair_cfg = dataclasses.replace(cfg, learn_lambda=False)
-        params = pretrain(spec, params, train_view, eval_view, fair_cfg)
-        params, trace = train_fairrf(
-            spec, params, train_view, eval_view, related, fair_cfg,
-            reg_train=reg_train, reg_eval=reg_eval, fairness=fairness,
-        )
-        return TrainResult(
-            variant, spec, params, trace,
-            enc_train, enc_eval, enc_test, related, ("__sensitive__",),
-        )
+    else:
+        learn = cfg.learn_lambda and variant != "fixed_lambda"
+        fair_cfg = dataclasses.replace(cfg, learn_lambda=learn)
+        related = resolve_related(train_raw.schema, enc_train, names)
 
-    if variant == "top1":
-        if enc_eval.s is None:
-            raise ValueError("top1 selects by evaluation fairness and needs "
-                             "the sensitive attribute on the eval split")
-        best = None
-        for name in names:
-            candidate = train_variant(
-                "fairrf", train_raw, eval_raw, test_raw, [name],
-                model_kind, cfg, hidden_dims=hidden_dims,
-            )
-            yhat_eval = candidate.predictions("eval")
-            dp = delta_dp(yhat_eval, enc_eval.s)
-            if best is None or dp < best[0]:
-                best = (dp, candidate)
-        result = best[1]
-        return dataclasses.replace(result, variant="top1")
-
-    learn = cfg.learn_lambda and variant != "fixed_lambda"
-    fair_cfg = dataclasses.replace(cfg, learn_lambda=learn)
-    related = resolve_related(train_raw.schema, enc_train, names)
+    train_view = enc_train.train_view()
+    eval_view = enc_eval.train_view()
     params = pretrain(spec, params, train_view, eval_view, fair_cfg)
     params, trace = train_fairrf(
         spec, params, train_view, eval_view, related, fair_cfg,
-        fairness=fairness,
+        reg_train=reg_train, reg_eval=reg_eval, fairness=_eval_fairness(enc_eval),
     )
     return TrainResult(
-        variant, spec, params, trace,
-        enc_train, enc_eval, enc_test, related, tuple(names),
+        variant, spec, params, trace, enc_train, enc_eval, enc_test, related
     )
 
 

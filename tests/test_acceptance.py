@@ -15,13 +15,14 @@ import pytest
 from scipy.stats import spearmanr
 
 from _acceptance_log import record
+from _lambda_oracle import qp_oracle
 from relfair.data import RelatedFeatureSet, builtin_config
 from relfair.models import ModelSpec, init_params, loss_and_grad, raw_scores
 from relfair.objective import penalty_grad_yhat, related_penalty
 from relfair.stats import pearson, propagate_bound
 from relfair.synthetic import SyntheticSpec, generate, related_features
 from relfair.training import TrainConfig, run_seeds, run_single
-from relfair.weights import qp_oracle, solve_lambda
+from relfair.weights import solve_lambda
 
 SEEDS = (0, 1, 2, 3, 4)
 

@@ -55,6 +55,17 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def constrain_s_config(workspace):
+    """The workspace experiment as constrain_s, without the opt-in it needs."""
+    exp = workspace / "exp_constrain.yaml"
+    exp.write_text(
+        (workspace / "exp.yaml").read_text().replace(
+            "variant: fairrf", "variant: constrain_s"
+        )
+    )
+    return exp
+
+
 class TestExperimentConfigParsing:
     DOC = {
         "dataset": "adult",
@@ -224,18 +235,13 @@ class TestSweep:
             assert float(acc) == pytest.approx(row["accuracy"])
             assert float(dp) == pytest.approx(row["delta_dp"])
 
-    def test_failures_recorded_and_command_continues(self, workspace, tmp_path):
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failures_recorded_and_command_continues(self, workspace, tmp_path, workers):
         # constrain_s without the explicit opt-in fails inside every cell
-        exp = workspace / "exp_constrain.yaml"
-        exp.write_text(
-            (workspace / "exp.yaml").read_text().replace(
-                "variant: fairrf", "variant: constrain_s"
-            )
-        )
         out = tmp_path / "sweep"
         code = run_cli(
-            "sweep", "-c", str(exp), "--data-dir", str(workspace),
-            "--output-dir", str(out), "--seeds", "0",
+            "sweep", "-c", str(constrain_s_config(workspace)), "--data-dir", str(workspace),
+            "--output-dir", str(out), "--seeds", "0", "--workers", workers,
         )
         assert code == 1  # nothing succeeded
         failures = json.loads((out / "failures.json").read_text())
@@ -266,7 +272,45 @@ class TestCompare:
             "--variants", "vanilla,magic",
         )
         assert code == 1
-        assert "magic" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "magic" in err and "--variants" in err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize(
+    "argv", [("train",), ("compare", "--variants", "vanilla,constrain_s")],
+    ids=["train", "compare"],
+)
+def test_failed_job_fails_the_command(workspace, tmp_path, capsys, argv, workers):
+    command, *extra = argv
+    code = run_cli(
+        command, "-c", str(constrain_s_config(workspace)), "--data-dir", str(workspace),
+        "--output-dir", str(tmp_path / "o"), "--workers", workers, *extra,
+    )
+    assert code == 1
+    assert "allow_sensitive_in_training" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("train", "--seeds", "0,0"), "--seeds"),
+        (("train", "--seeds", ""), "--seeds"),
+        (("compare", "--variants", "fairrf,fairrf"), "--variants"),
+        (("sweep", "--eta-grid", "0.1,0.1"), "--eta-grid"),
+        (("sweep", "--beta-grid", "0.5,0.5"), "--beta-grid"),
+    ],
+    ids=["seeds-repeated", "seeds-empty", "variants-repeated", "eta-repeated", "beta-repeated"],
+)
+def test_overrides_checked_like_yaml(workspace, tmp_path, capsys, argv, flag):
+    command, *override = argv
+    code = run_cli(
+        command, "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
+        "--output-dir", str(tmp_path / "o"), *override,
+    )
+    assert code == 1
+    assert f"error: {flag}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 class TestEvaluate:

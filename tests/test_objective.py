@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 
 from relfair.data import RelatedFeatureSet
-from relfair.objective import (
-    ObjectiveConfig,
-    penalty_grad_yhat,
-    related_penalty,
-    total_objective,
-)
+from relfair.objective import penalty_grad_yhat, related_penalty, total_objective
 from relfair.stats import correlation_score
+from relfair.training import TrainConfig
 
 
 def penalty_by_definition(X, related, lam, yhat):
@@ -28,15 +24,6 @@ def make_related(groups, lam0=None):
         column_groups=tuple(tuple(g) for g in groups),
         lambda0=lam0,
     )
-
-
-class TestConfig:
-    def test_validation(self):
-        ObjectiveConfig(eta=0.0, beta=0.5)
-        with pytest.raises(ValueError):
-            ObjectiveConfig(eta=-0.1, beta=0.5)
-        with pytest.raises(ValueError):
-            ObjectiveConfig(eta=0.3, beta=0.0)
 
 
 class TestRelatedPenalty:
@@ -170,14 +157,14 @@ class TestPenaltyGrad:
 
 class TestTotalObjective:
     def test_eta_zero(self):
-        cfg = ObjectiveConfig(eta=0.0, beta=0.5)
+        cfg = TrainConfig(eta=0.0, beta=0.5)
         lam = np.array([0.25, 0.75])
         got = total_objective(1.7, 123.0, lam, cfg)
         assert got == pytest.approx(1.7 + 0.5 * (0.25**2 + 0.75**2))
 
     def test_uniform_lambda_beta_term(self):
         for k in (1, 2, 5):
-            cfg = ObjectiveConfig(eta=0.0, beta=0.8)
+            cfg = TrainConfig(eta=0.0, beta=0.8)
             lam = np.full(k, 1.0 / k)
             assert total_objective(0.0, 0.0, lam, cfg) == pytest.approx(0.8 / k)
 
@@ -187,11 +174,11 @@ class TestTotalObjective:
             eta, beta = rng.uniform(0, 2), rng.uniform(0.1, 2)
             cls_loss, pen = rng.uniform(0, 5), rng.uniform(0, 5)
             lam = rng.dirichlet(np.ones(4))
-            cfg = ObjectiveConfig(eta=eta, beta=beta)
+            cfg = TrainConfig(eta=eta, beta=beta)
             expected = cls_loss + eta * pen + beta * sum(v * v for v in lam)
             assert total_objective(cls_loss, pen, lam, cfg) == pytest.approx(expected)
 
     def test_nonfinite_rejected(self):
-        cfg = ObjectiveConfig(eta=1.0, beta=0.5)
+        cfg = TrainConfig(eta=1.0, beta=0.5)
         with pytest.raises(ValueError):
             total_objective(float("nan"), 0.0, np.array([1.0]), cfg)

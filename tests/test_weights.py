@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from relfair.weights import LambdaSolution, project_simplex, qp_oracle, solve_lambda
+from _lambda_oracle import project_simplex, qp_oracle
+from relfair.weights import LambdaSolution, solve_lambda
 
 
 def assert_valid_solution(sol: LambdaSolution, scores, beta):
