@@ -23,6 +23,7 @@ import yaml
 
 from relfair.data import (
     builtin_config,
+    check_related_names,
     load_dataset_config,
     load_from_config,
     reject_unknown_keys,
@@ -113,10 +114,7 @@ def parse_experiment_config(doc, where="experiment config", config_dir="."):
     related = tuple(str(n) for n in doc.get("related", dataset.related))
     if not related:
         raise ValueError(f"{where}: no related features given (and none in the dataset config)")
-    input_names = {f.name for f in dataset.schema if f.role == "input"}
-    for name in related:
-        if name not in input_names:
-            raise ValueError(f"{where}: related feature {name!r} is not an input column")
+    check_related_names(related, dataset.schema, where)
 
     seeds = _check_distinct(tuple(int(s) for s in doc["seeds"]), "seeds", where)
 
@@ -173,12 +171,12 @@ def _write_manifest(out_dir, command, files, extra_metadata=None):
 
 
 def _seed_job(payload):
-    (raw, related, variant, model_kind, cfg, seed, hidden_dims,
-     allow_sensitive, run_dir, keep_checkpoint) = payload
+    """One seed of ``variant`` under ``cfg``; the rest comes from ``exp``."""
+    raw, exp, variant, cfg, seed, run_dir, keep_checkpoint = payload
     result, metrics = run_single(
-        raw, related, variant, model_kind, cfg, seed,
-        hidden_dims=hidden_dims,
-        allow_sensitive_in_training=allow_sensitive,
+        raw, exp.related, variant, exp.model_kind, cfg, seed,
+        hidden_dims=exp.hidden_dims,
+        allow_sensitive_in_training=exp.allow_sensitive_in_training,
     )
     files = []
     if run_dir is not None:
@@ -246,8 +244,7 @@ def cmd_train(args):
 
     os.makedirs(out_dir, exist_ok=True)
     jobs = [
-        (raw, exp.related, exp.variant, exp.model_kind, exp.train, seed,
-         exp.hidden_dims, exp.allow_sensitive_in_training,
+        (raw, exp, exp.variant, exp.train, seed,
          os.path.join(out_dir, f"seed_{seed}"), True)
         for seed in seeds
     ]
@@ -277,6 +274,9 @@ def cmd_sweep(args):
     seeds = _parse_seeds(args, exp)
     etas = _parse_list(args.eta_grid, float, "eta values", "--eta-grid") or [exp.train.eta]
     betas = _parse_list(args.beta_grid, float, "beta values", "--beta-grid") or [exp.train.beta]
+    for values, what, flag in ((etas, "eta", "--eta-grid"), (betas, "beta", "--beta-grid")):
+        # cell directories are named by {v:g}, so distinct values may collide
+        _check_distinct([f"{v:g}" for v in values], f"{what} values as named in cells", flag)
     raw = load_from_config(exp.dataset, data_dir=args.data_dir)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -287,11 +287,8 @@ def cmd_sweep(args):
             cell_dir = os.path.join(out_dir, "cells", f"eta_{eta:g}__beta_{beta:g}")
             for seed in seeds:
                 keys.append((eta, beta, seed))
-                jobs.append(
-                    (raw, exp.related, exp.variant, exp.model_kind, cell_cfg,
-                     seed, exp.hidden_dims, exp.allow_sensitive_in_training,
-                     os.path.join(cell_dir, f"seed_{seed}"), False)
-                )
+                jobs.append((raw, exp, exp.variant, cell_cfg, seed,
+                             os.path.join(cell_dir, f"seed_{seed}"), False))
 
     table_rows, failures, files = [], [], []
     for (eta, beta, seed), outcome in zip(keys, _run_jobs(jobs, args.workers)):
@@ -339,8 +336,7 @@ def cmd_compare(args):
 
     os.makedirs(out_dir, exist_ok=True)
     jobs = [
-        (raw, exp.related, variant, exp.model_kind, exp.train, seed,
-         exp.hidden_dims, exp.allow_sensitive_in_training,
+        (raw, exp, variant, exp.train, seed,
          os.path.join(out_dir, variant, f"seed_{seed}"), False)
         for variant in variants
         for seed in seeds

@@ -151,7 +151,6 @@ class EncodedDataset:
     y: np.ndarray
     s: object  # np.ndarray of group codes, or None
     column_map: dict  # feature name -> range of encoded columns
-    feature_names: tuple
 
     @property
     def n(self):
@@ -273,7 +272,6 @@ def load_csv(
     label_positive=None,
     sensitive_positive=None,
     missing_tokens=DEFAULT_MISSING_TOKENS,
-    comment_prefix=None,
 ):
     """Read a headered CSV into a Dataset, dropping rows with missing values.
 
@@ -305,8 +303,6 @@ def load_csv(
         n_dropped = 0
         for line_no, cells in enumerate(reader, start=2):
             if not cells:
-                continue
-            if comment_prefix and cells[0].lstrip().startswith(comment_prefix):
                 continue
             if len(cells) != len(header):
                 raise ValueError(
@@ -433,7 +429,6 @@ class _Encoder:
             y=dataset.columns[label].astype(float),
             s=None if sensitive is None else dataset.columns[sensitive].astype(int),
             column_map=self.column_map(),
-            feature_names=tuple(f.name for f, _, _ in self.plan),
         )
 
 
@@ -525,6 +520,15 @@ def reject_unknown_keys(mapping, allowed, where):
         raise ValueError(f"unknown key(s) {unknown} in {where}")
 
 
+def check_related_names(related, schema, where):
+    """Return ``related`` if every name in it is an input column of ``schema``."""
+    inputs = {f.name for f in schema if f.role == "input"}
+    for name in related:
+        if name not in inputs:
+            raise ValueError(f"{where}: related feature {name!r} is not an input column")
+    return related
+
+
 def parse_dataset_config(doc, where="dataset config"):
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected a mapping at top level")
@@ -559,11 +563,7 @@ def parse_dataset_config(doc, where="dataset config"):
         if sens.get("positive") is not None:
             sensitive_positive = str(sens["positive"])
 
-    related = tuple(doc["related"])
-    input_names = {f.name for f in schema if f.role == "input"}
-    for name in related:
-        if name not in input_names:
-            raise ValueError(f"{where}: related feature {name!r} is not an input column")
+    related = check_related_names(tuple(doc["related"]), schema, where)
 
     missing = tuple(str(t) for t in doc.get("missing", DEFAULT_MISSING_TOKENS))
     return DatasetConfig(

@@ -1,14 +1,17 @@
 """Training loops: classification pretraining and the alternating fair loop.
 
 The fair loop alternates two phases per epoch.  First the model parameters
-take Adam steps against ``L_cls + eta * sum_j lambda_j R_j`` with the penalty
-and its gradient computed on the current mini-batch (means re-estimated per
-batch).  The penalty gradient is handed to ``loss_and_grad`` as a function of
-the predictions, so each step forwards its batch once.  Then, with the model
+take one full shuffled pass of Adam steps against
+``L_cls + eta * sum_j lambda_j R_j`` with the penalty and its gradient
+computed on the current mini-batch (means re-estimated per batch).  The
+penalty gradient is handed to ``loss_and_grad`` as a function of the
+predictions, so each step forwards its batch once.  Then, with the model
 fixed, the feature weights are refreshed in closed form:
 ``lambda = solve_lambda(eta * R, beta)`` with R measured on the full training
 split, which is the exact minimizer of the lambda-part of the objective.
-Batch order and parameter init are fully determined by the seed.
+Pretraining runs the same pass on the classification loss alone.  Each pass
+checks the loss at every step and the parameters once, at its end.  Batch
+order and parameter init are fully determined by the seed.
 
 Bookkeeping forwards each split once per epoch with ``forward_loss`` (no
 backward pass): the training-split predictions serve both the lambda refresh
@@ -75,8 +78,6 @@ class TrainConfig:
     pretrain_epochs: int = 10
     max_epochs: int = 100
     batch_size: int = 256
-    model_train_steps: object = None  # None -> one full pass per lambda refresh
-    learn_lambda: bool = True
     seed: int = 0
     early_stop_patience: int = 5
 
@@ -90,8 +91,6 @@ class TrainConfig:
         for field in ("max_epochs", "batch_size", "early_stop_patience"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be >= 1")
-        if self.model_train_steps is not None and self.model_train_steps < 1:
-            raise ValueError("model_train_steps must be >= 1 when given")
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +176,23 @@ class Adam:
             a -= scale * m / (np.sqrt(v) + self.eps)
 
 
-def _batches(n, batch_size, rng):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
+def _adam_pass(spec, params, opt, train, cfg, rng, where, extra_for=None):
+    """One shuffled pass of mini-batch Adam steps over ``train``, in place.
 
-
-def _check_finite(value, params, where):
-    if not np.isfinite(value):
-        raise TrainingDivergedError(f"non-finite loss at {where}")
+    ``extra_for(idx, Xb)`` gives a batch's ``extra_grad_on_yhat`` for
+    ``loss_and_grad`` (None: the classification loss alone).  The loss is
+    checked at every step and the parameters once, after the last step;
+    ``where`` names the epoch in either error.
+    """
+    order = rng.permutation(train.n)
+    for start in range(0, train.n, cfg.batch_size):
+        idx = order[start : start + cfg.batch_size]
+        Xb = train.X[idx]
+        extra = None if extra_for is None else extra_for(idx, Xb)
+        loss, grads = loss_and_grad(params, spec, Xb, train.y[idx], extra_grad_on_yhat=extra)
+        if not np.isfinite(loss):
+            raise TrainingDivergedError(f"non-finite loss at {where}")
+        opt.step(params.arrays(), grads.arrays())
     if not params.all_finite():
         raise TrainingDivergedError(f"non-finite parameters at {where}")
 
@@ -208,12 +215,12 @@ def pretrain(spec, params, train, evaluation, cfg):
     best_eval = np.inf
     stall = 0
     for epoch in range(cfg.pretrain_epochs):
-        for idx in _batches(train.n, cfg.batch_size, rng):
-            loss, grads = loss_and_grad(params, spec, train.X[idx], train.y[idx])
-            _check_finite(loss, params, f"pretrain epoch {epoch}")
-            opt.step(params.arrays(), grads.arrays())
+        _adam_pass(spec, params, opt, train, cfg, rng, f"pretrain epoch {epoch}")
         _, eval_loss = forward_loss(params, spec, evaluation.X, evaluation.y)
-        _check_finite(eval_loss, params, f"pretrain epoch {epoch} (eval)")
+        if not np.isfinite(eval_loss):
+            raise TrainingDivergedError(
+                f"non-finite loss at pretrain epoch {epoch} (eval)"
+            )
         if eval_loss < best_eval - MIN_IMPROVEMENT:
             best_eval = eval_loss
             stall = 0
@@ -253,11 +260,12 @@ def _eval_fairness(evaluation):
 
 
 def train_fairrf(spec, params, train, evaluation, related, cfg, *,
-                 reg_train=None, reg_eval=None, fairness=None):
-    """Alternate Adam steps on the penalized loss with closed-form lambda.
+                 learn_lambda=True, reg_train=None, reg_eval=None, fairness=None):
+    """Alternate Adam passes on the penalized loss with closed-form lambda.
 
     ``train`` and ``evaluation`` are ``TrainView``s: features and labels.
     ``related`` may be None only for penalty-free runs (eta must then be 0).
+    ``learn_lambda=False`` keeps lambda at ``related.lambda0`` throughout.
     ``reg_train``/``reg_eval`` override the matrices the penalty reads its
     regularized columns from; they default to the model inputs themselves.
     The sensitive-aware baseline passes the group column here so the penalty
@@ -266,10 +274,8 @@ def train_fairrf(spec, params, train, evaluation, related, cfg, *,
     ``(eval_delta_eo, eval_delta_dp)``; without it both are None.
     """
     params = params.copy()
-    if related is None and (cfg.eta != 0 or cfg.learn_lambda):
-        raise ValueError(
-            "a related feature set is required unless eta=0 and learn_lambda=false"
-        )
+    if related is None and cfg.eta != 0:
+        raise ValueError("a related feature set is required unless eta=0")
     if reg_train is None:
         reg_train = train.X
     if reg_eval is None:
@@ -287,39 +293,22 @@ def train_fairrf(spec, params, train, evaluation, related, cfg, *,
     best_obj = np.inf
     stall = 0
 
-    batch_stream = _batches(train.n, cfg.batch_size, rng)
+    extra_for = None
+    if penalized:
+        def extra_for(idx, Xb):  # reads the lam of the current epoch
+            reg_b = Xb if reg_is_input else reg_train[idx]
+            return lambda yhat_b: cfg.eta * penalty_grad_yhat(reg_b, related, lam, yhat_b)
+
     for epoch in range(cfg.max_epochs):
-        # (a) theta phase
-        steps = cfg.model_train_steps
-        taken = 0
-        while True:
-            idx = next(batch_stream, None)
-            if idx is None:
-                batch_stream = _batches(train.n, cfg.batch_size, rng)
-                if steps is None:
-                    break  # one full pass per refresh
-                continue
-            Xb, yb = train.X[idx], train.y[idx]
-            extra = None
-            if penalized:
-                reg_b = Xb if reg_is_input else reg_train[idx]
-
-                def extra(yhat_b):
-                    return cfg.eta * penalty_grad_yhat(reg_b, related, lam, yhat_b)
-
-            loss, grads = loss_and_grad(params, spec, Xb, yb, extra_grad_on_yhat=extra)
-            _check_finite(loss, params, f"epoch {epoch}")
-            opt.step(params.arrays(), grads.arrays())
-            taken += 1
-            if steps is not None and taken >= steps:
-                break
+        # (a) theta phase: one full pass per lambda refresh
+        _adam_pass(spec, params, opt, train, cfg, rng, f"epoch {epoch}", extra_for)
 
         # (b) lambda refresh: exact minimizer given the current model; the
         # same forward of the training split gives the trace's cls_loss
         yhat_train, cls_loss = forward_loss(params, spec, train.X, train.y)
         if related is not None:
             _, per_feature = related_penalty(reg_train, related, lam, yhat_train)
-            if cfg.learn_lambda:
+            if learn_lambda:
                 lam = solve_lambda(cfg.eta * per_feature, cfg.beta).lam
         else:
             per_feature = np.zeros(0)
@@ -476,7 +465,8 @@ def train_variant(
             dp = delta_dp(yhat_eval, candidate.encoded_eval.s)
             if best is None or dp < best[0]:
                 best = (dp, candidate)
-        return dataclasses.replace(best[1], variant="top1")
+        best[1].variant = "top1"
+        return best[1]
 
     rng = np.random.default_rng([cfg.seed, 3])
     enc_train, enc_eval, enc_test = encode_splits(
@@ -493,8 +483,9 @@ def train_variant(
     # each variant only chooses what the shared pretrain + fair loop regularize
     names = _variant_related_names(variant, train_raw.schema, related_names, rng)
     reg_train = reg_eval = None  # None: the penalty reads the model inputs
+    learn_lambda = variant != "fixed_lambda"
     if names is None:
-        fair_cfg = dataclasses.replace(cfg, eta=0.0, learn_lambda=False)
+        cfg = dataclasses.replace(cfg, eta=0.0)
         related = None
     elif variant == "constrain_s":
         if not allow_sensitive_in_training:
@@ -511,17 +502,15 @@ def train_variant(
         )
         reg_train = enc_train.s.astype(float)[:, None]
         reg_eval = enc_eval.s.astype(float)[:, None]
-        fair_cfg = dataclasses.replace(cfg, learn_lambda=False)
+        learn_lambda = False  # its one weight stays exactly 1.0
     else:
-        learn = cfg.learn_lambda and variant != "fixed_lambda"
-        fair_cfg = dataclasses.replace(cfg, learn_lambda=learn)
         related = resolve_related(train_raw.schema, enc_train, names)
 
     train_view = enc_train.train_view()
     eval_view = enc_eval.train_view()
-    params = pretrain(spec, params, train_view, eval_view, fair_cfg)
+    params = pretrain(spec, params, train_view, eval_view, cfg)
     params, trace = train_fairrf(
-        spec, params, train_view, eval_view, related, fair_cfg,
+        spec, params, train_view, eval_view, related, cfg, learn_lambda=learn_lambda,
         reg_train=reg_train, reg_eval=reg_eval, fairness=_eval_fairness(enc_eval),
     )
     return TrainResult(

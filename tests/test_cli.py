@@ -1,10 +1,13 @@
 import json
 import os
+import pathlib
+import re
 import textwrap
 
 import pytest
+import yaml
 
-from relfair.cli import main, parse_experiment_config
+from relfair.cli import TRAIN_KEYS, main, parse_experiment_config
 from relfair.synthetic import SyntheticSpec, generate, write_csv
 from relfair.training import TrainConfig
 
@@ -117,6 +120,28 @@ class TestExperimentConfigParsing:
         doc = dict(self.DOC, train={"eta": -1})
         with pytest.raises(ValueError):
             parse_experiment_config(doc)
+
+    def test_readme_lists_the_train_keys(self):
+        readme = pathlib.Path(__file__).parent.parent / "README.md"
+        blocks = [yaml.safe_load(b) for b in
+                  re.findall(r"```yaml\n(.*?)```", readme.read_text(), re.S)]
+        (listed,) = [b["train"] for b in blocks if list(b) == ["train"]]
+        assert tuple(listed) == TRAIN_KEYS
+        assert listed == {k: getattr(TrainConfig(), k) for k in TRAIN_KEYS}
+
+
+@pytest.mark.parametrize("line", ["learn_lambda: false", "model_train_steps: 2"])
+def test_removed_train_keys_fail_loudly(workspace, tmp_path, capsys, line):
+    exp = workspace / "exp_removed_key.yaml"
+    exp.write_text((workspace / "exp.yaml").read_text() + f"  {line}\n")
+    code = run_cli(
+        "train", "-c", str(exp), "--data-dir", str(workspace),
+        "--output-dir", str(tmp_path / "o"),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "unknown key(s)" in err and line.split(":")[0] in err
+    assert not (tmp_path / "o").exists()
 
 
 class TestTrain:
@@ -299,8 +324,12 @@ def test_failed_job_fails_the_command(workspace, tmp_path, capsys, argv, workers
         (("compare", "--variants", "fairrf,fairrf"), "--variants"),
         (("sweep", "--eta-grid", "0.1,0.1"), "--eta-grid"),
         (("sweep", "--beta-grid", "0.5,0.5"), "--beta-grid"),
+        # distinct values whose cell directory names ({v:g}) would collide
+        (("sweep", "--eta-grid", "0.1,0.1000001"), "--eta-grid"),
+        (("sweep", "--beta-grid", "0.5,0.5000001"), "--beta-grid"),
     ],
-    ids=["seeds-repeated", "seeds-empty", "variants-repeated", "eta-repeated", "beta-repeated"],
+    ids=["seeds-repeated", "seeds-empty", "variants-repeated", "eta-repeated",
+         "beta-repeated", "eta-cell-names", "beta-cell-names"],
 )
 def test_overrides_checked_like_yaml(workspace, tmp_path, capsys, argv, flag):
     command, *override = argv

@@ -3,7 +3,8 @@
 Forward counts: every call into ``models._forward_cache`` is one forward
 pass.  Pretraining forwards each batch once (inside ``loss_and_grad``) plus
 the evaluation split once per epoch; the fair loop forwards each theta-step
-batch once and each split once per epoch.
+batch once and each split once per epoch, and its fairness callback adds
+none.
 
 Sensitive column: ``pretrain`` and ``train_fairrf`` receive ``TrainView``s,
 and the evaluation fairness metrics reach the trace through a callback, so
@@ -75,18 +76,25 @@ def test_pretrain_forwards_each_batch_and_the_eval_split_once(counts, kind):
 
 @pytest.mark.parametrize("kind", ["lr", "mlp"])
 @pytest.mark.parametrize("penalized", [True, False])
-@pytest.mark.parametrize("steps", [None, 3])
-def test_fair_loop_forwards_each_step_and_each_split_once(counts, kind, penalized, steps):
+@pytest.mark.parametrize("fairness", [None, "callback"])
+def test_fair_loop_forwards_each_step_and_each_split_once(counts, kind, penalized, fairness):
     spec, train, evaluation, related = _setup(kind)
-    cfg = dataclasses.replace(CFG, model_train_steps=steps)
+    cfg = CFG
     if not penalized:
-        cfg = dataclasses.replace(cfg, eta=0.0, learn_lambda=False)
+        cfg = dataclasses.replace(cfg, eta=0.0)
         related = None
-    _, trace = train_fairrf(spec, init_params(spec), train, evaluation, related, cfg)
+    seen = []  # the fairness callback reuses the epoch's eval predictions
+
+    def callback(yhat):
+        seen.append(len(yhat))
+        return None, None
+
+    _, trace = train_fairrf(spec, init_params(spec), train, evaluation, related, cfg,
+                            fairness=fairness and callback)
     epochs = len(trace.records)
-    per_epoch = steps or math.ceil(train.n / cfg.batch_size)
-    assert counts["steps"] == epochs * per_epoch
+    assert counts["steps"] == epochs * math.ceil(train.n / cfg.batch_size)
     assert counts["forward"] == counts["steps"] + 2 * epochs
+    assert seen == ([evaluation.n] * epochs if fairness else [])
 
 
 class _NoSensitive:

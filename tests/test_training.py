@@ -42,7 +42,10 @@ class TestTrainConfig:
     def test_defaults_valid(self):
         cfg = TrainConfig()
         assert cfg.learning_rate == 0.001
-        assert cfg.model_train_steps is None
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+            "eta", "beta", "learning_rate", "pretrain_epochs", "max_epochs",
+            "batch_size", "seed", "early_stop_patience",
+        ]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -54,7 +57,6 @@ class TestTrainConfig:
             {"max_epochs": 0},
             {"batch_size": 0},
             {"early_stop_patience": 0},
-            {"model_train_steps": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -157,7 +159,7 @@ class TestTrainFairrf:
             assert obj(new) <= obj(old) + 1e-9
 
     def test_eta_zero_is_inert(self):
-        cfg0 = dataclasses.replace(BASE_CFG, eta=0.0, learn_lambda=False)
+        cfg0 = dataclasses.replace(BASE_CFG, eta=0.0)
         tr, ev, te = splits(seed=1)
         vanilla = train_variant("vanilla", tr, ev, te, RELATED, "lr", cfg0)
         fair = train_variant("fairrf", tr, ev, te, RELATED, "lr", cfg0)
@@ -176,9 +178,7 @@ class TestTrainFairrf:
     def test_monotone_fairness_pressure_in_eta(self):
         finals = []
         for eta in (0.0, 0.1, 0.3):
-            cfg = dataclasses.replace(
-                BASE_CFG, eta=eta, learn_lambda=(eta > 0)
-            )
+            cfg = dataclasses.replace(BASE_CFG, eta=eta)
             tr, ev, te = splits(seed=0)
             variant = "fairrf" if eta > 0 else "fixed_lambda"
             res = train_variant(variant, tr, ev, te, RELATED, "lr", cfg)
@@ -202,10 +202,64 @@ class TestTrainFairrf:
                 BASE_CFG,
             )
 
-    def test_model_train_steps_cadence(self):
-        cfg = dataclasses.replace(BASE_CFG, model_train_steps=2, max_epochs=6)
-        res, _ = run_single(RAW, RELATED, "fairrf", "lr", cfg, seed=0)
-        assert len(res.trace.records) == 6  # no early stop in so few epochs
+
+class TestDivergence:
+    """A diverging run stops with ``TrainingDivergedError`` naming its epoch.
+
+    Each Adam pass checks the loss at every step and the parameters once,
+    after its last step.
+    """
+
+    @staticmethod
+    def _run(stage, kind, cfg, poison_input=False):
+        from relfair.data import TrainView, encode, resolve_related
+        from relfair.models import ModelSpec
+
+        tr, ev, te = splits()
+        enc_train, enc_eval, _ = encode(tr, [ev, te])
+        spec = ModelSpec(
+            kind=kind, input_dim=enc_train.n_columns,
+            hidden_dims=(8, 4) if kind == "mlp" else (), seed=0,
+        )
+        X = np.array(enc_train.X, copy=True)
+        if poison_input:
+            X[0, 0] = np.inf
+        train = TrainView(X=X, y=enc_train.y)
+        evaluation = enc_eval.train_view()
+        with np.errstate(all="ignore"):
+            if stage == "pretrain":
+                pretrain(spec, init_params(spec), train, evaluation, cfg)
+            else:
+                related = resolve_related(tr.schema, enc_train, RELATED)
+                train_fairrf(spec, init_params(spec), train, evaluation, related, cfg)
+
+    @pytest.mark.parametrize("stage", ["pretrain", "fair"])
+    def test_inf_input_cell(self, stage):
+        with pytest.raises(TrainingDivergedError, match=r"epoch 0\b"):
+            self._run(stage, "lr", BASE_CFG, poison_input=True)
+
+    @pytest.mark.parametrize("stage", ["pretrain", "fair"])
+    def test_mlp_at_huge_learning_rate(self, stage):
+        cfg = dataclasses.replace(BASE_CFG, learning_rate=1e300)
+        with pytest.raises(TrainingDivergedError, match=r"non-finite loss at (pretrain )?epoch 0$"):
+            self._run(stage, "mlp", cfg)
+
+    @pytest.mark.parametrize("stage", ["pretrain", "fair"])
+    def test_parameters_checked_after_the_last_step(self, monkeypatch, stage):
+        n_train = splits()[0].n
+        steps_per_pass = -(-n_train // BASE_CFG.batch_size)
+        step = Adam.step
+
+        def poisoning_step(self, arrays, grads):
+            step(self, arrays, grads)
+            if self.t == steps_per_pass:
+                arrays[0][0, 0] = np.inf
+
+        monkeypatch.setattr(Adam, "step", poisoning_step)
+        prefix = "pretrain " if stage == "pretrain" else ""
+        with pytest.raises(TrainingDivergedError,
+                           match=f"^non-finite parameters at {prefix}epoch 0$"):
+            self._run(stage, "lr", BASE_CFG)
 
 
 class TestVariants:
