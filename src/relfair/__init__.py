@@ -50,7 +50,6 @@ from relfair.objective import penalty_grad_yhat, related_penalty, total_objectiv
 from relfair.stats import (
     CorrelationInterval,
     DegenerateVarianceError,
-    correlation_score,
     fairness_bound,
     pearson,
     propagate_bound,
@@ -96,7 +95,6 @@ __all__ = [
     "accuracy",
     "aggregate",
     "builtin_config",
-    "correlation_score",
     "delta_dp",
     "delta_eo",
     "drop_features",

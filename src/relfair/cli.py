@@ -16,6 +16,7 @@ import concurrent.futures
 import dataclasses
 import datetime
 import json
+import numbers
 import os
 import sys
 
@@ -59,7 +60,6 @@ EXPERIMENT_KEYS = (
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     dataset: object  # DatasetConfig
-    dataset_ref: str
     variant: str
     model_kind: str
     hidden_dims: tuple
@@ -74,6 +74,16 @@ def _check_variant(variant, where):
     if variant not in VARIANTS:
         raise ValueError(f"{where}: unknown variant {variant!r}; expected one of {VARIANTS}")
     return variant
+
+
+def _check_ints(values, key, where):
+    """The entries of a list, each an integer (not a bool)."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{where}: {key} must be a list")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ValueError(f"{where}: {key} entries must be integers, got {v!r}")
+    return tuple(int(v) for v in values)
 
 
 def _check_distinct(values, what, where):
@@ -107,7 +117,7 @@ def parse_experiment_config(doc, where="experiment config", config_dir="."):
     if model_kind not in MODEL_KINDS:
         raise ValueError(f"{where}: unknown model {model_kind!r}; expected one of {MODEL_KINDS}")
 
-    hidden_dims = tuple(int(h) for h in doc.get("hidden_dims", ()))
+    hidden_dims = _check_ints(doc.get("hidden_dims", []), "hidden_dims", where)
     if hidden_dims and model_kind != "mlp":
         raise ValueError(f"{where}: hidden_dims only applies to the mlp model")
 
@@ -116,22 +126,31 @@ def parse_experiment_config(doc, where="experiment config", config_dir="."):
         raise ValueError(f"{where}: no related features given (and none in the dataset config)")
     check_related_names(related, dataset.schema, where)
 
-    seeds = _check_distinct(tuple(int(s) for s in doc["seeds"]), "seeds", where)
+    seeds = _check_distinct(_check_ints(doc["seeds"], "seeds", where), "seeds", where)
+
+    allow_sensitive = doc.get("allow_sensitive_in_training", False)
+    if not isinstance(allow_sensitive, bool):
+        raise ValueError(
+            f"{where}: allow_sensitive_in_training must be true or false, "
+            f"got {allow_sensitive!r}"
+        )
 
     train_doc = doc.get("train", {}) or {}
     reject_unknown_keys(train_doc, TRAIN_KEYS, f"{where}: train")
-    train = TrainConfig(**train_doc)
+    try:
+        train = TrainConfig(**train_doc)
+    except ValueError as exc:
+        raise ValueError(f"{where}: train: {exc}") from None
 
     return ExperimentConfig(
         dataset=dataset,
-        dataset_ref=dataset_ref,
         variant=variant,
         model_kind=model_kind,
         hidden_dims=hidden_dims,
         related=related,
         seeds=seeds,
         output_dir=str(doc["output_dir"]),
-        allow_sensitive_in_training=bool(doc.get("allow_sensitive_in_training", False)),
+        allow_sensitive_in_training=allow_sensitive,
         train=train,
     )
 
@@ -228,7 +247,10 @@ def _parse_list(text, parse, what, flag):
     """A comma-separated override, checked like its YAML list; None if absent."""
     if text is None:
         return None
-    values = tuple(parse(v) for v in text.split(",")) if text else ()
+    try:
+        values = tuple(parse(v) for v in text.split(",")) if text else ()
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
     return _check_distinct(values, what, flag)
 
 
@@ -328,10 +350,9 @@ def cmd_compare(args):
     exp = load_experiment_config(args.config)
     out_dir = args.output_dir or exp.output_dir
     seeds = _parse_seeds(args, exp)
-    variants = _parse_list(
-        args.variants, lambda v: _check_variant(v.strip(), "--variants"),
-        "variants", "--variants",
-    )
+    variants = _parse_list(args.variants, str.strip, "variants", "--variants")
+    for variant in variants:
+        _check_variant(variant, "--variants")
     raw = load_from_config(exp.dataset, data_dir=args.data_dir)
 
     os.makedirs(out_dir, exist_ok=True)

@@ -23,6 +23,7 @@ FEATURE_KINDS = ("categorical", "continuous")
 FEATURE_ROLES = ("input", "label", "sensitive")
 
 DEFAULT_MISSING_TOKENS = ("?", "")
+SPLIT_RATIOS = (5, 2, 3)  # train, eval, test
 
 
 @dataclasses.dataclass(frozen=True)
@@ -168,26 +169,25 @@ class EncodedDataset:
 class RelatedFeatureSet:
     features: tuple
     column_groups: tuple  # per feature, tuple of encoded column indices
-    lambda0: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "features", tuple(self.features))
         object.__setattr__(
             self, "column_groups", tuple(tuple(g) for g in self.column_groups)
         )
-        lam = np.asarray(self.lambda0, dtype=float)
-        object.__setattr__(self, "lambda0", lam)
-        k = len(self.features)
-        if k < 1:
+        if self.k < 1:
             raise ValueError("related feature set must name at least one feature")
-        if len(self.column_groups) != k or len(lam) != k:
-            raise ValueError("features, column_groups and lambda0 must align")
-        if np.any(lam < 0) or abs(lam.sum() - 1.0) > 1e-8:
-            raise ValueError("lambda0 must lie on the probability simplex")
+        if len(self.column_groups) != self.k:
+            raise ValueError("features and column_groups must align")
 
     @property
     def k(self):
         return len(self.features)
+
+    @property
+    def lambda0(self):
+        """The starting feature weights: uniform on the simplex."""
+        return np.full(self.k, 1.0 / self.k)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +339,9 @@ def load_csv(
 # splitting
 
 
-def split(dataset, ratios=(5, 2, 3), seed=0):
-    """Deterministic shuffled partition with sizes proportional to ratios."""
-    if any(r <= 0 for r in ratios):
-        raise ValueError("split ratios must be positive")
+def split(dataset, seed=0):
+    """Deterministic shuffled partition with sizes proportional to SPLIT_RATIOS."""
+    ratios = SPLIT_RATIOS
     n = dataset.n
     if n < len(ratios):
         raise ValueError(f"cannot split {n} rows into {len(ratios)} parts")
@@ -449,14 +448,16 @@ def encode(train, others=()):
 # related features
 
 
-def resolve_related(schema, encoded, names, lambda0=None):
+def resolve_related(schema, encoded, names):
     """Bind related-feature names to their encoded column groups."""
     schema = _check_schema(schema)
     if not names:
         raise ValueError("related feature list is empty")
     by_name = {f.name: f for f in schema}
     groups = []
-    for name in names:
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"related feature {name!r} is named twice")
         f = by_name.get(name)
         if f is None:
             raise ValueError(f"related feature {name!r} not in schema")
@@ -472,11 +473,7 @@ def resolve_related(schema, encoded, names, lambda0=None):
                 "(constant on the training split)"
             )
         groups.append(cols)
-    k = len(names)
-    lam = np.full(k, 1.0 / k) if lambda0 is None else np.asarray(lambda0, float)
-    return RelatedFeatureSet(
-        features=tuple(names), column_groups=tuple(groups), lambda0=lam
-    )
+    return RelatedFeatureSet(features=tuple(names), column_groups=tuple(groups))
 
 
 def drop_features(dataset, names):
@@ -521,11 +518,13 @@ def reject_unknown_keys(mapping, allowed, where):
 
 
 def check_related_names(related, schema, where):
-    """Return ``related`` if every name in it is an input column of ``schema``."""
+    """Return ``related`` if its names are distinct input columns of ``schema``."""
     inputs = {f.name for f in schema if f.role == "input"}
-    for name in related:
+    for i, name in enumerate(related):
         if name not in inputs:
             raise ValueError(f"{where}: related feature {name!r} is not an input column")
+        if name in related[:i]:
+            raise ValueError(f"{where}: related feature {name!r} is named twice")
     return related
 
 

@@ -8,7 +8,6 @@ than two groups the reported gap is the maximum over group pairs.
 """
 
 import dataclasses
-import json
 
 import numpy as np
 
@@ -24,19 +23,19 @@ def _as_array(v, name):
     return arr
 
 
-def thresholded(yhat, threshold=0.5):
-    """Hard 0/1 predictions from probabilities."""
-    return (np.asarray(yhat, dtype=float) >= threshold).astype(float)
+def thresholded(yhat):
+    """Hard 0/1 predictions from probabilities: 1 at 0.5 and above."""
+    return (np.asarray(yhat, dtype=float) >= 0.5).astype(float)
 
 
-def accuracy(yhat, y, threshold=0.5):
+def accuracy(yhat, y):
     yhat = _as_array(yhat, "yhat")
     y = _as_array(y, "y")
     if len(yhat) == 0:
         raise ValueError("accuracy of an empty sample is undefined")
     if len(yhat) != len(y):
         raise ValueError("yhat and y must have equal length")
-    return float(np.mean(thresholded(yhat, threshold) == y))
+    return float(np.mean(thresholded(yhat) == y))
 
 
 def _group_gap(yhat, s, mask, metric_name):
@@ -114,9 +113,6 @@ class FairnessReport:
             out["delta_eo_std"] = self.delta_eo_std
             out["delta_dp_std"] = self.delta_dp_std
         return out
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def aggregate(results):

@@ -67,10 +67,6 @@ class ModelParams:
             out.extend([w, b])
         return out
 
-    @property
-    def n_params(self) -> int:
-        return sum(a.size for a in self.arrays())
-
     def all_finite(self) -> bool:
         return all(np.all(np.isfinite(a)) for a in self.arrays())
 

@@ -75,18 +75,6 @@ def pearson(x, y) -> float:
     return min(1.0, max(-1.0, rho))
 
 
-def correlation_score(x, yhat) -> float:
-    """Absolute unnormalized covariance |sum_i (x_i - mu_x)(yhat_i - mu_yhat)|.
-
-    Centering one factor suffices: the cross term between the centered x and
-    the constant mean of yhat vanishes, so this equals |sum (x_i - mu_x) yhat_i|.
-    """
-    xv = _as_vector(x, "x")
-    yv = _as_vector(yhat, "yhat")
-    _check_same_length(xv, yv)
-    return abs(float((xv - xv.mean()) @ yv))
-
-
 def propagate_bound(rho_xy: float, rho_yz: float) -> CorrelationInterval:
     """Reachable range of rho(X, Z) given rho(X, Y) and rho(Y, Z).
 

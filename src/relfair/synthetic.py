@@ -6,6 +6,11 @@ carries the legitimate part of the label, and a pure-noise column rounds out
 the inputs.  Optionally a label-echo column is added: strongly tied to the
 outcome but tied to the group only through it — useful for checking that
 learned feature weights prefer group proxies over outcome carriers.
+
+The generator's strengths are fixed: ``LABEL_SIGNAL`` and ``BIAS_SIGNAL``
+weight the clean column and the group in the label logit, ``PROXY_NOISE`` is
+the noise std on the two group proxies, and the echo column is
+``ECHO_STRENGTH * (2y - 1)`` plus noise of std ``ECHO_NOISE``.
 """
 
 import csv
@@ -16,23 +21,22 @@ from scipy.special import expit
 
 from relfair.data import Dataset, FeatureSchema
 
+LABEL_SIGNAL = 1.5
+BIAS_SIGNAL = 0.8
+PROXY_NOISE = 0.6
+ECHO_STRENGTH = 1.0
+ECHO_NOISE = 0.5
+
 
 @dataclasses.dataclass(frozen=True)
 class SyntheticSpec:
     n: int = 4000
-    label_signal: float = 1.5  # weight of the clean column in the label logit
-    bias_signal: float = 0.8  # weight of the group in the label logit
-    proxy_noise: float = 0.6  # noise std on the two group proxies
     label_echo: bool = False  # add the outcome-echo column
-    echo_strength: float = 1.0
-    echo_noise: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
         if self.n < 10:
             raise ValueError("need at least 10 rows")
-        if self.proxy_noise <= 0 or self.echo_noise <= 0:
-            raise ValueError("noise scales must be positive")
 
 
 def schema(spec):
@@ -57,15 +61,15 @@ def generate(spec):
     sgn = 2.0 * s - 1.0
     signal = rng.normal(size=n)
     noise = rng.normal(size=n)
-    proxy_a = sgn + rng.normal(scale=spec.proxy_noise, size=n)
-    proxy_b = -0.9 * sgn + rng.normal(scale=spec.proxy_noise, size=n)
-    logit = spec.label_signal * signal + spec.bias_signal * sgn
+    proxy_a = sgn + rng.normal(scale=PROXY_NOISE, size=n)
+    proxy_b = -0.9 * sgn + rng.normal(scale=PROXY_NOISE, size=n)
+    logit = LABEL_SIGNAL * signal + BIAS_SIGNAL * sgn
     y = (rng.uniform(size=n) < expit(logit)).astype(int)
 
     columns = {"signal": signal, "noise": noise, "proxy_a": proxy_a, "proxy_b": proxy_b}
     if spec.label_echo:
-        columns["echo"] = spec.echo_strength * (2.0 * y - 1.0) + rng.normal(
-            scale=spec.echo_noise, size=n
+        columns["echo"] = ECHO_STRENGTH * (2.0 * y - 1.0) + rng.normal(
+            scale=ECHO_NOISE, size=n
         )
     columns.update(outcome=y, group=s)
     return Dataset(columns=columns, schema=schema(spec))

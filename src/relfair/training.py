@@ -27,6 +27,7 @@ accuracy wins.  Reported metrics always come from the held-out test split.
 
 import dataclasses
 import json
+import numbers
 
 import numpy as np
 
@@ -64,6 +65,7 @@ VARIANTS = (
 MIN_IMPROVEMENT = 1e-5  # outer-loop convergence threshold on eval objective
 PRETRAIN_PATIENCE = 3
 SELECTION_PENALTY_SLACK = 1.10
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
@@ -82,6 +84,12 @@ class TrainConfig:
     early_stop_patience: int = 5
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            kind, noun = ((numbers.Integral, "an integer") if field.type is int
+                          else (numbers.Real, "a number"))
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{field.name} must be {noun}, got {value!r}")
         if self.eta < 0 or self.beta <= 0:
             raise ValueError("need eta >= 0 and beta > 0")
         if self.learning_rate <= 0:
@@ -95,18 +103,6 @@ class TrainConfig:
 
 # ---------------------------------------------------------------------------
 # trace
-
-TRACE_FIELDS = (
-    "epoch",
-    "cls_loss",
-    "penalty_total",
-    "per_feature",
-    "lam",
-    "eval_accuracy",
-    "eval_delta_eo",
-    "eval_delta_dp",
-    "eval_objective",
-)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -122,6 +118,9 @@ class EpochRecord:
     eval_objective: float
 
 
+TRACE_FIELDS = tuple(f.name for f in dataclasses.fields(EpochRecord))
+
+
 @dataclasses.dataclass
 class TrainTrace:
     records: list = dataclasses.field(default_factory=list)
@@ -135,12 +134,7 @@ class TrainTrace:
         self.records.append(record)
 
     def to_jsonl(self):
-        lines = []
-        for r in self.records:
-            row = dataclasses.asdict(r)
-            row["per_feature"] = list(row["per_feature"])
-            row["lam"] = list(row["lam"])
-            lines.append(json.dumps(row, sort_keys=True))
+        lines = [json.dumps(dataclasses.asdict(r), sort_keys=True) for r in self.records]
         return "\n".join(lines) + ("\n" if self.records else "")
 
     def write(self, path):
@@ -157,23 +151,22 @@ class TrainTrace:
 
 
 class Adam:
-    def __init__(self, arrays, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, arrays, lr):
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(a) for a in arrays]
         self.v = [np.zeros_like(a) for a in arrays]
         self.t = 0
 
     def step(self, arrays, grads):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         scale = self.lr * np.sqrt(1 - b2**self.t) / (1 - b1**self.t)
         for a, g, m, v in zip(arrays, grads, self.m, self.v):
             m *= b1
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            a -= scale * m / (np.sqrt(v) + self.eps)
+            a -= scale * m / (np.sqrt(v) + ADAM_EPS)
 
 
 def _adam_pass(spec, params, opt, train, cfg, rng, where, extra_for=None):
@@ -265,7 +258,7 @@ def train_fairrf(spec, params, train, evaluation, related, cfg, *,
 
     ``train`` and ``evaluation`` are ``TrainView``s: features and labels.
     ``related`` may be None only for penalty-free runs (eta must then be 0).
-    ``learn_lambda=False`` keeps lambda at ``related.lambda0`` throughout.
+    ``learn_lambda=False`` keeps lambda uniform (``related.lambda0``) throughout.
     ``reg_train``/``reg_eval`` override the matrices the penalty reads its
     regularized columns from; they default to the model inputs themselves.
     The sensitive-aware baseline passes the group column here so the penalty
@@ -285,7 +278,7 @@ def train_fairrf(spec, params, train, evaluation, related, cfg, *,
     penalized = related is not None and cfg.eta > 0
     reg_is_input = reg_train is train.X  # then a batch's Xb is its reg rows
 
-    lam = related.lambda0.copy() if related is not None else np.zeros(0)
+    lam = related.lambda0 if related is not None else np.zeros(0)
     rng = np.random.default_rng([cfg.seed, 2])
     opt = Adam(params.arrays(), cfg.learning_rate)
     trace = TrainTrace()
@@ -495,11 +488,7 @@ def train_variant(
             )
         if enc_train.s is None or enc_eval.s is None:
             raise ValueError("constrain_s requires the sensitive attribute")
-        related = RelatedFeatureSet(
-            features=("__sensitive__",),
-            column_groups=((0,),),
-            lambda0=np.array([1.0]),
-        )
+        related = RelatedFeatureSet(features=("__sensitive__",), column_groups=((0,),))
         reg_train = enc_train.s.astype(float)[:, None]
         reg_eval = enc_eval.s.astype(float)[:, None]
         learn_lambda = False  # its one weight stays exactly 1.0

@@ -208,9 +208,7 @@ def _penalty_instances(rng, count):
         cols = rng.permutation(d)
         k = int(rng.integers(2, 4))
         groups = [tuple(int(c) for c in part) for part in np.array_split(cols, k)]
-        related = RelatedFeatureSet(
-            tuple(f"f{j}" for j in range(k)), tuple(groups), np.full(k, 1.0 / k)
-        )
+        related = RelatedFeatureSet(tuple(f"f{j}" for j in range(k)), tuple(groups))
         lam = rng.dirichlet(np.ones(k))
         yhat = rng.uniform(0.05, 0.95, size=n)
         centered = X - X.mean(axis=0)

@@ -116,6 +116,11 @@ class TestExperimentConfigParsing:
         with pytest.raises(ValueError, match="fnlwgt"):
             parse_experiment_config(dict(self.DOC, related=["fnlwgt"]))
 
+    def test_related_names_distinct(self):
+        doc = dict(self.DOC, related=["relationship", "relationship"])
+        with pytest.raises(ValueError, match="'relationship' is named twice"):
+            parse_experiment_config(doc)
+
     def test_train_config_validated(self):
         doc = dict(self.DOC, train={"eta": -1})
         with pytest.raises(ValueError):
@@ -141,6 +146,37 @@ def test_removed_train_keys_fail_loudly(workspace, tmp_path, capsys, line):
     assert code == 1
     err = capsys.readouterr().err
     assert "unknown key(s)" in err and line.split(":")[0] in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        ({"seeds": [0.5, 1.7]}, "seeds"),
+        ({"seeds": [True, 2]}, "seeds"),
+        ({"model": "mlp", "hidden_dims": [8.5]}, "hidden_dims"),
+        ({"variant": "constrain_s", "allow_sensitive_in_training": "false"},
+         "allow_sensitive_in_training"),
+        ({"train": {"batch_size": 1.5}}, "train: batch_size"),
+        ({"train": {"max_epochs": 2.5}}, "train: max_epochs"),
+        ({"train": {"eta": "0.3"}}, "train: eta"),
+    ],
+    ids=["seeds-float", "seeds-bool", "hidden-dims-float", "allow-sensitive-string",
+         "batch-size-float", "max-epochs-float", "eta-string"],
+)
+def test_config_values_taken_as_written_or_rejected(workspace, tmp_path, capsys,
+                                                    change, named):
+    doc = yaml.safe_load((workspace / "exp.yaml").read_text())
+    doc.update({k: v for k, v in change.items() if k != "train"})
+    doc["train"].update(change.get("train", {}))
+    exp = workspace / "exp_typed.yaml"
+    exp.write_text(yaml.safe_dump(doc))
+    code = run_cli(
+        "train", "-c", str(exp), "--data-dir", str(workspace),
+        "--output-dir", str(tmp_path / "o"),
+    )
+    assert code == 1
+    assert f"error: {exp}: {named}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -327,9 +363,14 @@ def test_failed_job_fails_the_command(workspace, tmp_path, capsys, argv, workers
         # distinct values whose cell directory names ({v:g}) would collide
         (("sweep", "--eta-grid", "0.1,0.1000001"), "--eta-grid"),
         (("sweep", "--beta-grid", "0.5,0.5000001"), "--beta-grid"),
+        # entries that do not parse
+        (("train", "--seeds", "0,1.5"), "--seeds"),
+        (("sweep", "--eta-grid", "0.1,x"), "--eta-grid"),
+        (("sweep", "--beta-grid", "0.5,"), "--beta-grid"),
     ],
     ids=["seeds-repeated", "seeds-empty", "variants-repeated", "eta-repeated",
-         "beta-repeated", "eta-cell-names", "beta-cell-names"],
+         "beta-repeated", "eta-cell-names", "beta-cell-names", "seeds-unparsed",
+         "eta-unparsed", "beta-unparsed"],
 )
 def test_overrides_checked_like_yaml(workspace, tmp_path, capsys, argv, flag):
     command, *override = argv

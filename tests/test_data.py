@@ -267,10 +267,6 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(self._dataset(2), seed=0)
 
-    def test_bad_ratio(self):
-        with pytest.raises(ValueError):
-            split(self._dataset(10), ratios=(5, 0, 3), seed=0)
-
 
 class TestEncode:
     def test_one_hot_and_zscore(self, tmp_path):
@@ -419,10 +415,10 @@ class TestResolveRelated:
         with pytest.raises(ValueError, match="nope"):
             resolve_related(ds.schema, enc, ["nope"])
 
-    def test_lambda0_must_be_simplex(self, tmp_path):
+    def test_repeated_name_rejected(self, tmp_path):
         ds, enc = self._encoded(tmp_path)
-        with pytest.raises(ValueError):
-            resolve_related(ds.schema, enc, ["height", "color"], lambda0=[0.9, 0.3])
+        with pytest.raises(ValueError, match="'height' is named twice"):
+            resolve_related(ds.schema, enc, ["height", "color", "height"])
 
     def test_empty_names(self, tmp_path):
         ds, enc = self._encoded(tmp_path)
@@ -485,6 +481,11 @@ class TestDatasetConfig:
     def test_related_must_be_input(self):
         doc = dict(self.GOOD, related=["group"])
         with pytest.raises(ValueError, match="group"):
+            parse_dataset_config(doc)
+
+    def test_related_names_distinct(self):
+        doc = dict(self.GOOD, related=["color", "color"])
+        with pytest.raises(ValueError, match="'color' is named twice"):
             parse_dataset_config(doc)
 
     def test_missing_required_key(self):

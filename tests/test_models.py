@@ -68,7 +68,7 @@ class TestInit:
     def test_mlp_param_count(self):
         spec = ModelSpec(kind="mlp", input_dim=10, hidden_dims=(64, 32), seed=0)
         expected = 10 * 64 + 64 + 64 * 32 + 32 + 32 * 1 + 1
-        assert init_params(spec).n_params == expected
+        assert sum(a.size for a in init_params(spec).arrays()) == expected
 
     def test_biases_zero(self):
         for spec in ALL_SPECS:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from _correlation_oracle import correlation_score
 
 from relfair.data import RelatedFeatureSet
 from relfair.objective import penalty_grad_yhat, related_penalty, total_objective
-from relfair.stats import correlation_score
 from relfair.training import TrainConfig
 
 
@@ -16,13 +16,10 @@ def penalty_by_definition(X, related, lam, yhat):
     return total, np.array(per)
 
 
-def make_related(groups, lam0=None):
-    k = len(groups)
-    lam0 = np.full(k, 1.0 / k) if lam0 is None else np.asarray(lam0, float)
+def make_related(groups):
     return RelatedFeatureSet(
-        features=tuple(f"f{j}" for j in range(k)),
+        features=tuple(f"f{j}" for j in range(len(groups))),
         column_groups=tuple(tuple(g) for g in groups),
-        lambda0=lam0,
     )
 
 
@@ -31,7 +28,7 @@ class TestRelatedPenalty:
         # feature 0 = column 0 = [0,1,0,1]; feature 1 = column 1 = [1,2,3,4]
         X = np.array([[0.0, 1.0], [1.0, 2.0], [0.0, 3.0], [1.0, 4.0]])
         yhat = np.array([0.1, 0.2, 0.3, 0.4])
-        related = make_related([(0,), (1,)], lam0=[0.25, 0.75])
+        related = make_related([(0,), (1,)])
         lam = np.array([0.25, 0.75])
         # col 0 centered: [-.5,.5,-.5,.5] . yhat = -.05+.1-.15+.2 = 0.1
         # col 1 centered: [-1.5,-.5,.5,1.5] . yhat = -.15-.1+.15+.6 = 0.5

