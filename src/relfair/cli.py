@@ -24,10 +24,11 @@ import yaml
 
 from relfair.data import (
     builtin_config,
+    check_block,
+    check_list,
     check_related_names,
     load_dataset_config,
     load_from_config,
-    reject_unknown_keys,
     split,
 )
 from relfair.metrics import (
@@ -38,31 +39,25 @@ from relfair.metrics import (
     delta_eo,
     format_comparison_table,
 )
-from relfair.models import MODEL_KINDS, forward, load_checkpoint, save_checkpoint
+from relfair.models import (
+    MODEL_KINDS,
+    check_hidden_dims,
+    forward,
+    load_checkpoint,
+    save_checkpoint,
+)
 from relfair.training import VARIANTS, TrainConfig, encode_splits, run_single
 
 # the seed comes from the experiment's seed list, never from its train block
 TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed")
-
-EXPERIMENT_KEYS = (
-    "dataset",
-    "variant",
-    "model",
-    "hidden_dims",
-    "related",
-    "seeds",
-    "output_dir",
-    "allow_sensitive_in_training",
-    "train",
-)
 
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     dataset: object  # DatasetConfig
     variant: str
-    model_kind: str
-    hidden_dims: tuple
+    model: str
+    hidden_dims: object  # a tuple, or None for the model's default widths
     related: tuple
     seeds: tuple
     output_dir: str
@@ -70,20 +65,13 @@ class ExperimentConfig:
     train: TrainConfig
 
 
+EXPERIMENT_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
+
+
 def _check_variant(variant, where):
     if variant not in VARIANTS:
         raise ValueError(f"{where}: unknown variant {variant!r}; expected one of {VARIANTS}")
     return variant
-
-
-def _check_ints(values, key, where):
-    """The entries of a list, each an integer (not a bool)."""
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"{where}: {key} must be a list")
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-            raise ValueError(f"{where}: {key} entries must be integers, got {v!r}")
-    return tuple(int(v) for v in values)
 
 
 def _check_distinct(values, what, where):
@@ -96,12 +84,7 @@ def _check_distinct(values, what, where):
 
 
 def parse_experiment_config(doc, where="experiment config", config_dir="."):
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where}: expected a mapping at top level")
-    reject_unknown_keys(doc, EXPERIMENT_KEYS, where)
-    for key in ("dataset", "variant", "model", "seeds", "output_dir"):
-        if key not in doc:
-            raise ValueError(f"{where}: missing required key {key!r}")
+    check_block(doc, where, EXPERIMENT_KEYS, ("dataset", "variant", "model", "seeds", "output_dir"))
 
     dataset_ref = str(doc["dataset"])
     if dataset_ref.endswith((".yaml", ".yml")):
@@ -113,20 +96,25 @@ def parse_experiment_config(doc, where="experiment config", config_dir="."):
         dataset = builtin_config(dataset_ref)
 
     variant = _check_variant(str(doc["variant"]), where)
-    model_kind = str(doc["model"])
-    if model_kind not in MODEL_KINDS:
-        raise ValueError(f"{where}: unknown model {model_kind!r}; expected one of {MODEL_KINDS}")
+    model = str(doc["model"])
+    if model not in MODEL_KINDS:
+        raise ValueError(f"{where}: unknown model {model!r}; expected one of {MODEL_KINDS}")
 
-    hidden_dims = _check_ints(doc.get("hidden_dims", []), "hidden_dims", where)
-    if hidden_dims and model_kind != "mlp":
-        raise ValueError(f"{where}: hidden_dims only applies to the mlp model")
+    hidden_dims = doc.get("hidden_dims")
+    if hidden_dims is not None:
+        hidden_dims = check_list(hidden_dims, "hidden_dims", where, numbers.Integral, "integers")
+    try:
+        check_hidden_dims(model, hidden_dims)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
-    related = tuple(str(n) for n in doc.get("related", dataset.related))
+    related = check_list(doc.get("related", dataset.related), "related", where, str, "strings")
     if not related:
         raise ValueError(f"{where}: no related features given (and none in the dataset config)")
     check_related_names(related, dataset.schema, where)
 
-    seeds = _check_distinct(_check_ints(doc["seeds"], "seeds", where), "seeds", where)
+    seeds = check_list(doc["seeds"], "seeds", where, numbers.Integral, "integers")
+    _check_distinct(seeds, "seeds", where)
 
     allow_sensitive = doc.get("allow_sensitive_in_training", False)
     if not isinstance(allow_sensitive, bool):
@@ -135,8 +123,8 @@ def parse_experiment_config(doc, where="experiment config", config_dir="."):
             f"got {allow_sensitive!r}"
         )
 
-    train_doc = doc.get("train", {}) or {}
-    reject_unknown_keys(train_doc, TRAIN_KEYS, f"{where}: train")
+    train_doc = doc["train"] if doc.get("train") is not None else {}
+    check_block(train_doc, f"{where}: train", TRAIN_KEYS, ())
     try:
         train = TrainConfig(**train_doc)
     except ValueError as exc:
@@ -145,7 +133,7 @@ def parse_experiment_config(doc, where="experiment config", config_dir="."):
     return ExperimentConfig(
         dataset=dataset,
         variant=variant,
-        model_kind=model_kind,
+        model=model,
         hidden_dims=hidden_dims,
         related=related,
         seeds=seeds,
@@ -173,16 +161,31 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _write_manifest(out_dir, command, files, extra_metadata=None):
+def _write_manifest(out_dir, args, seeds, paths, **metadata):
     manifest = {
-        "files": sorted(files),
+        "files": sorted(os.path.relpath(p, out_dir) for p in paths),
         "metadata": {
-            "command": command,
+            "command": args.command,
+            "config": args.config,
             "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            **(extra_metadata or {}),
+            "seeds": list(seeds),
+            **metadata,
         },
     }
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+
+
+def _write_report(out_dir, stem, payload, reports):
+    """``<stem>.json`` holds ``payload``, ``<stem>.txt`` the table of ``reports``.
+
+    Returns the two paths and the table.
+    """
+    table = format_comparison_table(reports)
+    paths = [os.path.join(out_dir, f"{stem}.json"), os.path.join(out_dir, f"{stem}.txt")]
+    _write_json(paths[0], payload)
+    with open(paths[1], "w") as fh:
+        fh.write(table + "\n")
+    return paths, table
 
 
 # ---------------------------------------------------------------------------
@@ -193,20 +196,16 @@ def _seed_job(payload):
     """One seed of ``variant`` under ``cfg``; the rest comes from ``exp``."""
     raw, exp, variant, cfg, seed, run_dir, keep_checkpoint = payload
     result, metrics = run_single(
-        raw, exp.related, variant, exp.model_kind, cfg, seed,
+        raw, exp.related, variant, exp.model, cfg, seed,
         hidden_dims=exp.hidden_dims,
         allow_sensitive_in_training=exp.allow_sensitive_in_training,
     )
-    files = []
-    if run_dir is not None:
-        os.makedirs(run_dir, exist_ok=True)
-        trace_path = os.path.join(run_dir, "trace.jsonl")
-        result.trace.write(trace_path)
-        files.append(trace_path)
-        if keep_checkpoint:
-            ckpt_path = os.path.join(run_dir, "checkpoint.npz")
-            save_checkpoint(ckpt_path, result.params, result.spec)
-            files.append(ckpt_path)
+    os.makedirs(run_dir, exist_ok=True)
+    files = [os.path.join(run_dir, "trace.jsonl")]
+    result.trace.write(files[0])
+    if keep_checkpoint:
+        files.append(os.path.join(run_dir, "checkpoint.npz"))
+        save_checkpoint(files[1], result.params, result.spec)
     return dataclasses.asdict(metrics), files
 
 
@@ -231,12 +230,38 @@ def _outcome(fn, *args):
         return exc
 
 
-def _results(outcomes):
-    """The outcomes of jobs that must all succeed; raises the first failure."""
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-    return outcomes
+def _run_cells(args, exp, seeds, cells, keep_checkpoint=False):
+    """One job per cell and seed; a cell is ``(variant, TrainConfig, subdir)``.
+
+    Loads the dataset, creates the output directory and runs the jobs cell
+    by cell, seed by seed, each in ``<out_dir>/<subdir>/seed_<k>``.  Returns
+    the output directory, the files the jobs wrote and, per cell, one
+    outcome per seed: the job's metrics row or the exception it raised.
+    """
+    raw = load_from_config(exp.dataset, data_dir=args.data_dir)
+    out_dir = args.output_dir or exp.output_dir
+    os.makedirs(out_dir, exist_ok=True)
+    jobs = [
+        (raw, exp, variant, cfg, seed,
+         os.path.join(out_dir, subdir, f"seed_{seed}"), keep_checkpoint)
+        for variant, cfg, subdir in cells
+        for seed in seeds
+    ]
+    outcomes = _run_jobs(jobs, args.workers)
+    files = [p for o in outcomes if not isinstance(o, Exception) for p in o[1]]
+    rows = iter(o if isinstance(o, Exception) else o[0] for o in outcomes)
+    return out_dir, files, [[next(rows) for _ in seeds] for _ in cells]
+
+
+def _reports(cells, outcomes):
+    """One report per cell's variant; raises the first failed job, in job order."""
+    reports = {}
+    for (variant, _, _), rows in zip(cells, outcomes):
+        for row in rows:
+            if isinstance(row, Exception):
+                raise row
+        reports[variant] = aggregate([SeedResult(**row) for row in rows])
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -258,70 +283,54 @@ def _parse_seeds(args, exp):
     return _parse_list(args.seeds, int, "seeds", "--seeds") or exp.seeds
 
 
+def _grid(text, exp, key, flag):
+    """A sweep axis: the ``flag`` values, else the config's; each one TrainConfig takes."""
+    values = _parse_list(text, float, f"{key} values", flag) or [getattr(exp.train, key)]
+    # cell directories are named by {v:g}, so distinct values may collide
+    _check_distinct([f"{v:g}" for v in values], f"{key} values as named in cells", flag)
+    for value in values:
+        try:
+            dataclasses.replace(exp.train, **{key: value})
+        except ValueError as exc:
+            raise ValueError(f"{flag}: {exc}") from None
+    return values
+
+
 def cmd_train(args):
     exp = load_experiment_config(args.config)
-    out_dir = args.output_dir or exp.output_dir
     seeds = _parse_seeds(args, exp)
-    raw = load_from_config(exp.dataset, data_dir=args.data_dir)
-
-    os.makedirs(out_dir, exist_ok=True)
-    jobs = [
-        (raw, exp, exp.variant, exp.train, seed,
-         os.path.join(out_dir, f"seed_{seed}"), True)
-        for seed in seeds
-    ]
-    outputs = _results(_run_jobs(jobs, args.workers))
-
-    files = [p for _, paths in outputs for p in paths]
-    report = aggregate([SeedResult(**row) for row, _ in outputs])
-    report_path = os.path.join(out_dir, "report.json")
-    _write_json(report_path, report.to_dict())
-    table_path = os.path.join(out_dir, "report.txt")
-    with open(table_path, "w") as fh:
-        fh.write(format_comparison_table({exp.variant: report}) + "\n")
-    files += [report_path, table_path]
-
-    _write_manifest(
-        out_dir, "train",
-        [os.path.relpath(p, out_dir) for p in files],
-        {"config": args.config, "variant": exp.variant, "seeds": list(seeds)},
-    )
-    print(format_comparison_table({exp.variant: report}))
+    cells = [(exp.variant, exp.train, "")]
+    out_dir, files, outcomes = _run_cells(args, exp, seeds, cells, keep_checkpoint=True)
+    reports = _reports(cells, outcomes)
+    paths, table = _write_report(out_dir, "report", reports[exp.variant].to_dict(), reports)
+    _write_manifest(out_dir, args, seeds, files + paths, variant=exp.variant)
+    print(table)
     return 0
 
 
 def cmd_sweep(args):
     exp = load_experiment_config(args.config)
-    out_dir = args.output_dir or exp.output_dir
     seeds = _parse_seeds(args, exp)
-    etas = _parse_list(args.eta_grid, float, "eta values", "--eta-grid") or [exp.train.eta]
-    betas = _parse_list(args.beta_grid, float, "beta values", "--beta-grid") or [exp.train.beta]
-    for values, what, flag in ((etas, "eta", "--eta-grid"), (betas, "beta", "--beta-grid")):
-        # cell directories are named by {v:g}, so distinct values may collide
-        _check_distinct([f"{v:g}" for v in values], f"{what} values as named in cells", flag)
-    raw = load_from_config(exp.dataset, data_dir=args.data_dir)
+    etas = _grid(args.eta_grid, exp, "eta", "--eta-grid")
+    betas = _grid(args.beta_grid, exp, "beta", "--beta-grid")
+    cells = [
+        (exp.variant, dataclasses.replace(exp.train, eta=eta, beta=beta),
+         os.path.join("cells", f"eta_{eta:g}__beta_{beta:g}"))
+        for eta in etas
+        for beta in betas
+    ]
+    out_dir, files, outcomes = _run_cells(args, exp, seeds, cells)
 
-    os.makedirs(out_dir, exist_ok=True)
-    jobs, keys = [], []
-    for eta in etas:
-        for beta in betas:
-            cell_cfg = dataclasses.replace(exp.train, eta=eta, beta=beta)
-            cell_dir = os.path.join(out_dir, "cells", f"eta_{eta:g}__beta_{beta:g}")
-            for seed in seeds:
-                keys.append((eta, beta, seed))
-                jobs.append((raw, exp, exp.variant, cell_cfg, seed,
-                             os.path.join(cell_dir, f"seed_{seed}"), False))
-
-    table_rows, failures, files = [], [], []
-    for (eta, beta, seed), outcome in zip(keys, _run_jobs(jobs, args.workers)):
-        if isinstance(outcome, Exception):  # record and keep sweeping
-            failures.append(
-                {"eta": eta, "beta": beta, "seed": seed, "error": str(outcome)}
-            )
-            continue
-        row, paths = outcome
-        files += paths
-        table_rows.append((eta, beta, seed, row["accuracy"], row["delta_eo"], row["delta_dp"]))
+    table_rows, failures = [], []
+    for (_, cfg, _), rows in zip(cells, outcomes):
+        for seed, row in zip(seeds, rows):
+            if isinstance(row, Exception):  # record and keep sweeping
+                failures.append(
+                    {"eta": cfg.eta, "beta": cfg.beta, "seed": seed, "error": str(row)}
+                )
+            else:
+                table_rows.append((cfg.eta, cfg.beta, seed,
+                                   row["accuracy"], row["delta_eo"], row["delta_dp"]))
 
     table_rows.sort()
     sweep_path = os.path.join(out_dir, "sweep.csv")
@@ -336,55 +345,23 @@ def cmd_sweep(args):
         _write_json(failures_path, failures)
         files.append(failures_path)
 
-    _write_manifest(
-        out_dir, "sweep",
-        [os.path.relpath(p, out_dir) for p in files],
-        {"config": args.config, "eta_grid": etas, "beta_grid": betas,
-         "seeds": list(seeds), "n_failures": len(failures)},
-    )
+    _write_manifest(out_dir, args, seeds, files,
+                    eta_grid=etas, beta_grid=betas, n_failures=len(failures))
     print(f"sweep: {len(table_rows)} rows, {len(failures)} failed cells -> {sweep_path}")
     return 0 if table_rows else 1
 
 
 def cmd_compare(args):
     exp = load_experiment_config(args.config)
-    out_dir = args.output_dir or exp.output_dir
     seeds = _parse_seeds(args, exp)
     variants = _parse_list(args.variants, str.strip, "variants", "--variants")
-    for variant in variants:
-        _check_variant(variant, "--variants")
-    raw = load_from_config(exp.dataset, data_dir=args.data_dir)
-
-    os.makedirs(out_dir, exist_ok=True)
-    jobs = [
-        (raw, exp, variant, exp.train, seed,
-         os.path.join(out_dir, variant, f"seed_{seed}"), False)
-        for variant in variants
-        for seed in seeds
-    ]
-    outputs = _results(_run_jobs(jobs, args.workers))
-
-    files = [p for _, paths in outputs for p in paths]
-    reports = {}
-    it = iter(outputs)
-    for variant in variants:
-        reports[variant] = aggregate([SeedResult(**next(it)[0]) for _ in seeds])
-
-    comparison_path = os.path.join(out_dir, "comparison.json")
-    _write_json(
-        comparison_path, {v: r.to_dict() for v, r in reports.items()}
+    cells = [(_check_variant(v, "--variants"), exp.train, v) for v in variants]
+    out_dir, files, outcomes = _run_cells(args, exp, seeds, cells)
+    reports = _reports(cells, outcomes)
+    paths, table = _write_report(
+        out_dir, "comparison", {v: r.to_dict() for v, r in reports.items()}, reports
     )
-    table = format_comparison_table(reports)
-    table_path = os.path.join(out_dir, "comparison.txt")
-    with open(table_path, "w") as fh:
-        fh.write(table + "\n")
-    files += [comparison_path, table_path]
-
-    _write_manifest(
-        out_dir, "compare",
-        [os.path.relpath(p, out_dir) for p in files],
-        {"config": args.config, "variants": list(variants), "seeds": list(seeds)},
-    )
+    _write_manifest(out_dir, args, seeds, files + paths, variants=list(variants))
     print(table)
     return 0
 
@@ -432,36 +409,35 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("-c", "--config", required=True, help="experiment config YAML")
-        p.add_argument("--data-dir", default=os.environ.get("RELFAIR_DATA_DIR", "."),
-                       help="directory holding dataset CSVs "
-                            "(default: $RELFAIR_DATA_DIR or '.')")
-        p.add_argument("--output-dir", default=None, help="override the config's output_dir")
-        p.add_argument("--seeds", default=None, help="comma-separated seed override")
-        p.add_argument("--workers", type=int, default=1,
-                       help="parallel worker processes (default 1)")
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("-c", "--config", required=True, help="experiment config YAML")
+    data.add_argument("--data-dir", default=os.environ.get("RELFAIR_DATA_DIR", "."),
+                      help="directory holding dataset CSVs "
+                           "(default: $RELFAIR_DATA_DIR or '.')")
+    run = argparse.ArgumentParser(add_help=False, parents=[data])
+    run.add_argument("--output-dir", default=None, help="override the config's output_dir")
+    run.add_argument("--seeds", default=None, help="comma-separated seed override")
+    run.add_argument("--workers", type=int, default=1,
+                     help="parallel worker processes (default 1)")
 
-    p_train = sub.add_parser("train", help="train one variant over the configured seeds")
-    common(p_train)
+    p_train = sub.add_parser("train", parents=[run],
+                             help="train one variant over the configured seeds")
     p_train.set_defaults(func=cmd_train)
 
-    p_sweep = sub.add_parser("sweep", help="grid sweep over eta and beta")
-    common(p_sweep)
+    p_sweep = sub.add_parser("sweep", parents=[run], help="grid sweep over eta and beta")
     p_sweep.add_argument("--eta-grid", default=None, help="comma-separated eta values")
     p_sweep.add_argument("--beta-grid", default=None, help="comma-separated beta values")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_cmp = sub.add_parser("compare", help="run several variants under shared seeds")
-    common(p_cmp)
+    p_cmp = sub.add_parser("compare", parents=[run],
+                           help="run several variants under shared seeds")
     p_cmp.add_argument("--variants", default="vanilla,fairrf",
                        help="comma-separated variant tags")
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_eval = sub.add_parser("evaluate", help="metrics for an existing checkpoint")
-    p_eval.add_argument("-c", "--config", required=True, help="experiment config YAML")
+    p_eval = sub.add_parser("evaluate", parents=[data],
+                            help="metrics for an existing checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--data-dir", default=os.environ.get("RELFAIR_DATA_DIR", "."))
     p_eval.add_argument("--seed", type=int, default=None,
                         help="split seed (default: first configured seed)")
     p_eval.add_argument("--split", choices=("train", "eval", "test"), default="test")

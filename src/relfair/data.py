@@ -510,11 +510,27 @@ class DatasetConfig:
         object.__setattr__(self, "schema", _check_schema(self.schema))
 
 
-def reject_unknown_keys(mapping, allowed, where):
-    """Raise naming every key of ``mapping`` outside ``allowed``."""
-    unknown = sorted(set(mapping) - set(allowed))
+def check_block(block, where, allowed, required):
+    """Return ``block`` if it is a mapping of ``allowed`` keys with every ``required`` one."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{where}: expected a mapping, got {block!r}")
+    unknown = sorted(set(block) - set(allowed))
     if unknown:
-        raise ValueError(f"unknown key(s) {unknown} in {where}")
+        raise ValueError(f"{where}: unknown key(s) {unknown}")
+    for key in required:
+        if key not in block:
+            raise ValueError(f"{where}: missing required key {key!r}")
+    return block
+
+
+def check_list(values, key, where, kind, noun):
+    """The entries of the list ``values`` as a tuple, each a ``kind`` (not a bool)."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{where}: {key} must be a list, got {values!r}")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, kind):
+            raise ValueError(f"{where}: {key} entries must be {noun}, got {v!r}")
+    return tuple(values)
 
 
 def check_related_names(related, schema, where):
@@ -529,42 +545,32 @@ def check_related_names(related, schema, where):
 
 
 def parse_dataset_config(doc, where="dataset config"):
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where}: expected a mapping at top level")
-    reject_unknown_keys(
-        doc,
-        {"name", "csv", "columns", "label", "sensitive", "related", "missing"},
-        where,
-    )
-    for key in ("name", "csv", "columns", "label", "related"):
-        if key not in doc:
-            raise ValueError(f"{where}: missing required key {key!r}")
+    required = ("name", "csv", "columns", "label", "related")
+    check_block(doc, where, (*required, "sensitive", "missing"), required)
 
     schema = []
-    for i, col in enumerate(doc["columns"]):
-        reject_unknown_keys(col, {"name", "kind"}, f"{where}: columns[{i}]")
+    for i, col in enumerate(check_list(doc["columns"], "columns", where, dict, "mappings")):
+        check_block(col, f"{where}: columns[{i}]", ("name", "kind"), ("name", "kind"))
         schema.append(FeatureSchema(name=col["name"], kind=col["kind"], role="input"))
 
-    label = doc["label"]
-    reject_unknown_keys(label, {"name", "positive"}, f"{where}: label")
+    label = check_block(doc["label"], f"{where}: label", ("name", "positive"), ("name",))
     schema.append(FeatureSchema(name=label["name"], kind="categorical", role="label"))
     label_positive = label.get("positive")
     if label_positive is not None:
         label_positive = str(label_positive)
 
     sensitive_positive = None
-    if "sensitive" in doc and doc["sensitive"] is not None:
-        sens = doc["sensitive"]
-        reject_unknown_keys(sens, {"name", "positive"}, f"{where}: sensitive")
+    if doc.get("sensitive") is not None:
+        sens = check_block(doc["sensitive"], f"{where}: sensitive", ("name", "positive"), ("name",))
         schema.append(
             FeatureSchema(name=sens["name"], kind="categorical", role="sensitive")
         )
         if sens.get("positive") is not None:
             sensitive_positive = str(sens["positive"])
 
-    related = check_related_names(tuple(doc["related"]), schema, where)
-
-    missing = tuple(str(t) for t in doc.get("missing", DEFAULT_MISSING_TOKENS))
+    related = check_list(doc["related"], "related", where, str, "strings")
+    check_related_names(related, schema, where)
+    missing = check_list(doc.get("missing", DEFAULT_MISSING_TOKENS), "missing", where, str, "strings")
     return DatasetConfig(
         name=str(doc["name"]),
         csv=str(doc["csv"]),

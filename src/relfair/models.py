@@ -24,11 +24,24 @@ MODEL_KINDS = ("lr", "svm", "mlp")
 _CHECKPOINT_VERSION = 1
 
 
+def check_hidden_dims(kind, hidden_dims):
+    """The hidden widths of a ``kind`` model; None gives an mlp (64, 32)."""
+    if hidden_dims is None:
+        return (64, 32) if kind == "mlp" else ()
+    hidden_dims = tuple(hidden_dims)
+    if kind != "mlp" and hidden_dims:
+        raise ValueError(f"hidden_dims only apply to mlp, got {hidden_dims}")
+    if kind == "mlp" and not (hidden_dims and min(hidden_dims) >= 1):
+        raise ValueError(f"hidden_dims of an mlp must be one or more widths >= 1, "
+                         f"got {hidden_dims}")
+    return hidden_dims
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     kind: str
     input_dim: int
-    hidden_dims: tuple[int, ...] = ()
+    hidden_dims: tuple[int, ...] | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -36,11 +49,7 @@ class ModelSpec:
             raise ValueError(f"kind must be one of {MODEL_KINDS}, got {self.kind!r}")
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
-        object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
-        if self.kind == "mlp" and not self.hidden_dims:
-            object.__setattr__(self, "hidden_dims", (64, 32))
-        if self.kind != "mlp" and self.hidden_dims:
-            raise ValueError(f"hidden_dims only apply to mlp, got {self.hidden_dims}")
+        object.__setattr__(self, "hidden_dims", check_hidden_dims(self.kind, self.hidden_dims))
 
     @property
     def layer_dims(self) -> list[tuple[int, int]]:

@@ -27,6 +27,7 @@ accuracy wins.  Reported metrics always come from the held-out test split.
 
 import dataclasses
 import json
+import math
 import numbers
 
 import numpy as np
@@ -87,11 +88,15 @@ class TrainConfig:
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
             kind, noun = ((numbers.Integral, "an integer") if field.type is int
-                          else (numbers.Real, "a number"))
-            if isinstance(value, bool) or not isinstance(value, kind):
+                          else (numbers.Real, "a finite number"))
+            # false for nan and +-inf; unlike math.isfinite, a huge int cannot overflow
+            if (isinstance(value, bool) or not isinstance(value, kind)
+                    or not -math.inf < value < math.inf):
                 raise ValueError(f"{field.name} must be {noun}, got {value!r}")
-        if self.eta < 0 or self.beta <= 0:
-            raise ValueError("need eta >= 0 and beta > 0")
+        if self.eta < 0:
+            raise ValueError("eta must be >= 0")
+        if self.beta <= 0:
+            raise ValueError("beta must be > 0")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.pretrain_epochs < 0:
@@ -437,7 +442,7 @@ def train_variant(
     model_kind,
     cfg,
     *,
-    hidden_dims=(),
+    hidden_dims=None,
     allow_sensitive_in_training=False,
 ):
     """Train one baseline/method variant on pre-split raw data."""
@@ -468,7 +473,7 @@ def train_variant(
     spec = ModelSpec(
         kind=model_kind,
         input_dim=enc_train.n_columns,
-        hidden_dims=tuple(hidden_dims),
+        hidden_dims=hidden_dims,
         seed=cfg.seed,
     )
     params = init_params(spec)
@@ -519,7 +524,7 @@ def run_single(
     cfg,
     seed,
     *,
-    hidden_dims=(),
+    hidden_dims=None,
     allow_sensitive_in_training=False,
 ):
     """One seed: re-split, train the variant, measure the test split."""

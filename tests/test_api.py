@@ -30,7 +30,7 @@ FIELDS = {
     SyntheticSpec: ("n", "label_echo", "seed"),
     RelatedFeatureSet: ("features", "column_groups"),
     ExperimentConfig: (
-        "dataset", "variant", "model_kind", "hidden_dims", "related", "seeds",
+        "dataset", "variant", "model", "hidden_dims", "related", "seeds",
         "output_dir", "allow_sensitive_in_training", "train",
     ),
 }

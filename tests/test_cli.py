@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -101,6 +102,10 @@ class TestExperimentConfigParsing:
         with pytest.raises(ValueError, match="model"):
             parse_experiment_config(dict(self.DOC, model="tree"))
 
+    def test_absent_hidden_dims_left_to_the_model(self):
+        doc = {k: v for k, v in self.DOC.items() if k != "hidden_dims"}
+        assert parse_experiment_config(doc).hidden_dims is None
+
     def test_hidden_dims_only_for_mlp(self):
         doc = dict(self.DOC, model="lr", hidden_dims=[8])
         with pytest.raises(ValueError, match="hidden_dims"):
@@ -160,9 +165,20 @@ def test_removed_train_keys_fail_loudly(workspace, tmp_path, capsys, line):
         ({"train": {"batch_size": 1.5}}, "train: batch_size"),
         ({"train": {"max_epochs": 2.5}}, "train: max_epochs"),
         ({"train": {"eta": "0.3"}}, "train: eta"),
+        ({"train": {"eta": float("nan")}}, "train: eta"),
+        ({"train": {"beta": float("inf")}}, "train: beta"),
+        ({"train": {"learning_rate": float("inf")}}, "train: learning_rate"),
+        # a string is not split into one-letter names
+        ({"related": "proxy_a"}, "related must be a list"),
+        ({"related": 5}, "related must be a list"),
+        ({"model": "mlp", "hidden_dims": []}, "hidden_dims"),
+        ({"model": "mlp", "hidden_dims": [0]}, "hidden_dims"),
+        ({"model": "mlp", "hidden_dims": [-3]}, "hidden_dims"),
     ],
     ids=["seeds-float", "seeds-bool", "hidden-dims-float", "allow-sensitive-string",
-         "batch-size-float", "max-epochs-float", "eta-string"],
+         "batch-size-float", "max-epochs-float", "eta-string", "eta-nan", "beta-inf",
+         "learning-rate-inf", "related-string", "related-int", "hidden-dims-empty",
+         "hidden-dims-zero", "hidden-dims-negative"],
 )
 def test_config_values_taken_as_written_or_rejected(workspace, tmp_path, capsys,
                                                     change, named):
@@ -177,6 +193,35 @@ def test_config_values_taken_as_written_or_rejected(workspace, tmp_path, capsys,
     )
     assert code == 1
     assert f"error: {exp}: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "name, key, value, named",
+    [
+        ("exp.yaml", "train", 5, "train: expected a mapping"),
+        ("dataset.yaml", "columns", [{"kind": "continuous"}],
+         "columns[0]: missing required key 'name'"),
+        ("dataset.yaml", "label", {"positive": "1"}, "label: missing required key 'name'"),
+        ("dataset.yaml", "columns", 5, "columns must be a list"),
+        # "NA" would otherwise drop every row holding a cell "N" or "A"
+        ("dataset.yaml", "missing", "NA", "missing must be a list"),
+    ],
+    ids=["train-int", "column-without-name", "label-without-name", "columns-int",
+         "missing-string"],
+)
+def test_config_shapes_checked(workspace, tmp_path, capsys, name, key, value, named):
+    for config in ("exp.yaml", "dataset.yaml"):
+        doc = yaml.safe_load((workspace / config).read_text())
+        if config == name:
+            doc[key] = value
+        (tmp_path / config).write_text(yaml.safe_dump(doc))
+    code = run_cli(
+        "train", "-c", str(tmp_path / "exp.yaml"), "--data-dir", str(workspace),
+        "--output-dir", str(tmp_path / "o"),
+    )
+    assert code == 1
+    assert f"error: {tmp_path / name}: {named}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -337,6 +382,93 @@ class TestCompare:
         assert "magic" in err and "--variants" in err
 
 
+# sha256 of every file a command's manifest declares, and of the manifest
+# without its metadata block, for the workspace experiment on seeds 0 and 1.
+# The three commands share one run pipeline; reworking it must move no byte.
+PINNED_ARTIFACTS = {
+    "train": {
+        "manifest.json":
+            "cc9f6de69cf9fca5c59ce90a023e570ca8243be1bc9d0d951d35899b7e7d021a",
+        "report.json":
+            "e1433623a25d7b622727ddfe9b41f44928fe43f717236af6c28798a0b4bbe2b7",
+        "report.txt":
+            "dd3bf5ffdb503c82921073958bf9748475f897ab97249100aa30cc8f1e19be0b",
+        "seed_0/checkpoint.npz":
+            "a6b6ef32330330821cc0eff74659283e3c1b7ab4e56d804d57ae88cb1e31bcd5",
+        "seed_0/trace.jsonl":
+            "12c1cbb476b7f71b51bac67980ce72ea258e78e2603f99f2e28b0496523d3d3d",
+        "seed_1/checkpoint.npz":
+            "99a5f748eba2025328a195c4c977742314734ed8eb592d748b83af19b5f7160f",
+        "seed_1/trace.jsonl":
+            "06f4570db9b8df2a63e2dcd0f4cb95c3c4c419360132046d7562a3f393bd1be3",
+    },
+    "compare": {
+        "manifest.json":
+            "576549d2f3e5ce6e0feefcd6a291185f8026671591e787dc159475310fed9936",
+        "comparison.json":
+            "efd7acf7a926037b955a0cde7bdcd204322050821967914639121fe8dde4bdb8",
+        "comparison.txt":
+            "3d7059ea86b7b623c07375ada988193947a63879a6f5e3400de843e19245ff86",
+        "fairrf/seed_0/trace.jsonl":
+            "12c1cbb476b7f71b51bac67980ce72ea258e78e2603f99f2e28b0496523d3d3d",
+        "fairrf/seed_1/trace.jsonl":
+            "06f4570db9b8df2a63e2dcd0f4cb95c3c4c419360132046d7562a3f393bd1be3",
+        "remove_related/seed_0/trace.jsonl":
+            "9c4ccf458f3745fa792702758d8b330bb3622b76f0df5a7cc810c96612b77bdf",
+        "remove_related/seed_1/trace.jsonl":
+            "e79417ab438d0570b5f04893137b18867d58ae9394c15d5f67412a7d7cfb3248",
+        "vanilla/seed_0/trace.jsonl":
+            "acb6171755de9d9b7980f950dde4126a601a6fef003a1e237d937d81353fc638",
+        "vanilla/seed_1/trace.jsonl":
+            "4688f973fd78984b9492a4823065882e986a597308bb09e114439bd268809e3d",
+    },
+    "sweep": {
+        "manifest.json":
+            "34479881f67dfb6450bc5768335aeff6781a455051dc6f27dc10fcbafbbac3f6",
+        "cells/eta_0.1__beta_0.5/seed_0/trace.jsonl":
+            "fa017e24b3be8a91dde5f738febc2ed6e8090d5001e3101deeb9230002e2ebe0",
+        "cells/eta_0.1__beta_0.5/seed_1/trace.jsonl":
+            "9d18fcd568d290d080294c6ef4a7e41b92e3643065bfb53d1ff637b5d5437f14",
+        "cells/eta_0.1__beta_0.8/seed_0/trace.jsonl":
+            "4bfc72c623cb45b02e4b7752f16bc83f7b7b5f9b5cb1083516caa5432c3d11f8",
+        "cells/eta_0.1__beta_0.8/seed_1/trace.jsonl":
+            "5ae48968cf6135b93cae1a03a18b9aabc1d568e6d5ac49ad0acd0a2df7c6fecd",
+        "cells/eta_0.3__beta_0.5/seed_0/trace.jsonl":
+            "12c1cbb476b7f71b51bac67980ce72ea258e78e2603f99f2e28b0496523d3d3d",
+        "cells/eta_0.3__beta_0.5/seed_1/trace.jsonl":
+            "06f4570db9b8df2a63e2dcd0f4cb95c3c4c419360132046d7562a3f393bd1be3",
+        "cells/eta_0.3__beta_0.8/seed_0/trace.jsonl":
+            "15e05921d4b785b0250c946ac07ceea71ad64652b3227735dd2e10e4d1660824",
+        "cells/eta_0.3__beta_0.8/seed_1/trace.jsonl":
+            "d33fe678d7d68ce5f41ad8d62405b41741b3c70fd3e9273ab9fe1da041a08047",
+        "sweep.csv":
+            "f30bbadd02ea3d8bdd80f5b0b1a9830a4695c934b8318732211fcffb83858d9e",
+    },
+}
+
+PINNED_COMMANDS = {
+    "train": ("train",),
+    "compare": ("compare", "--variants", "vanilla,fairrf,remove_related"),
+    "sweep": ("sweep", "--eta-grid", "0.1,0.3", "--beta-grid", "0.5,0.8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COMMANDS))
+def test_artifacts_are_pinned(workspace, tmp_path, name):
+    command, *extra = PINNED_COMMANDS[name]
+    out = tmp_path / name
+    assert run_cli(
+        command, "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
+        "--output-dir", str(out), "--seeds", "0,1", *extra,
+    ) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    body = {k: v for k, v in manifest.items() if k != "metadata"}
+    blobs = {"manifest.json": json.dumps(body, sort_keys=True).encode()}
+    blobs.update({rel: (out / rel).read_bytes() for rel in manifest["files"]})
+    assert {rel: hashlib.sha256(blob).hexdigest()
+            for rel, blob in blobs.items()} == PINNED_ARTIFACTS[name]
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize(
     "argv", [("train",), ("compare", "--variants", "vanilla,constrain_s")],
@@ -367,10 +499,14 @@ def test_failed_job_fails_the_command(workspace, tmp_path, capsys, argv, workers
         (("train", "--seeds", "0,1.5"), "--seeds"),
         (("sweep", "--eta-grid", "0.1,x"), "--eta-grid"),
         (("sweep", "--beta-grid", "0.5,"), "--beta-grid"),
+        # values TrainConfig rejects
+        (("sweep", "--eta-grid", "-1"), "--eta-grid"),
+        (("sweep", "--beta-grid", "0"), "--beta-grid"),
+        (("sweep", "--eta-grid", "nan"), "--eta-grid"),
     ],
     ids=["seeds-repeated", "seeds-empty", "variants-repeated", "eta-repeated",
          "beta-repeated", "eta-cell-names", "beta-cell-names", "seeds-unparsed",
-         "eta-unparsed", "beta-unparsed"],
+         "eta-unparsed", "beta-unparsed", "eta-negative", "beta-zero", "eta-nan"],
 )
 def test_overrides_checked_like_yaml(workspace, tmp_path, capsys, argv, flag):
     command, *override = argv

@@ -83,6 +83,12 @@ class TestInit:
         with pytest.raises(ValueError):
             ModelSpec(kind="lr", input_dim=3, hidden_dims=(8,))
         assert ModelSpec(kind="mlp", input_dim=3).hidden_dims == (64, 32)
+        assert ModelSpec(kind="lr", input_dim=3).hidden_dims == ()
+
+    @pytest.mark.parametrize("hidden_dims", [(), (0,), (-3,), (8, 0)])
+    def test_mlp_widths_are_taken_as_given_or_rejected(self, hidden_dims):
+        with pytest.raises(ValueError, match="hidden_dims"):
+            ModelSpec(kind="mlp", input_dim=3, hidden_dims=hidden_dims)
 
 
 class TestForward:
