@@ -3,9 +3,9 @@
 Each refresh solves  min_lam  lam @ scores + beta * ||lam||^2  on the
 probability simplex.  Small beta piles all the weight on the feature with
 the lowest score; large beta spreads it toward uniform.  The closed form
-comes from sorting the scores and scanning KKT breakpoints, so it should
-(and does) match brute-force enumeration of active sets, at a fraction of
-the cost once K grows.
+reads the support off the sorted scores and their cumulative sums, so it
+should (and does) match brute-force enumeration of active sets, at a
+fraction of the cost once K grows.
 """
 
 import argparse
