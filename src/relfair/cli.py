@@ -210,12 +210,13 @@ def _seed_job(payload):
 
 
 def _run_jobs(jobs, workers):
-    """Run seed jobs serially or on a process pool.
+    """Run seed jobs serially or on a pool of at most one process per job.
 
     Returns one outcome per job, in job order: ``_seed_job``'s result or the
     exception it raised.  ``_seed_job`` is looked up at call time, so a
     wrapper installed on the module runs too.
     """
+    workers = min(workers, len(jobs))
     if workers <= 1:
         return [_outcome(_seed_job, job) for job in jobs]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -238,6 +239,8 @@ def _run_cells(args, exp, seeds, cells, keep_checkpoint=False):
     the output directory, the files the jobs wrote and, per cell, one
     outcome per seed: the job's metrics row or the exception it raised.
     """
+    if args.workers < 1:
+        raise ValueError(f"--workers: must be at least 1, got {args.workers}")
     raw = load_from_config(exp.dataset, data_dir=args.data_dir)
     out_dir = args.output_dir or exp.output_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -418,7 +421,7 @@ def build_parser():
     run.add_argument("--output-dir", default=None, help="override the config's output_dir")
     run.add_argument("--seeds", default=None, help="comma-separated seed override")
     run.add_argument("--workers", type=int, default=1,
-                     help="parallel worker processes (default 1)")
+                     help="parallel worker processes, at most one per job (default 1)")
 
     p_train = sub.add_parser("train", parents=[run],
                              help="train one variant over the configured seeds")

@@ -280,8 +280,9 @@ def load_csv(
     The label maps to 1 for ``label_positive`` and 0 for the one other value
     the column may hold; without ``label_positive`` it must read "0"/"1".
     Sensitive values are mapped to integer group codes: 0/1 against
-    ``sensitive_positive`` when given, otherwise codes assigned by sorted
-    distinct value.  Errors name the offending line and column.
+    ``sensitive_positive`` when given (it must occur in the column),
+    otherwise codes assigned by sorted distinct value.  Errors name the
+    offending line and column.
     """
     schema = _check_schema(schema)
     if not os.path.exists(path):
@@ -326,6 +327,11 @@ def load_csv(
         elif f.role == "sensitive":
             groups, col = _coded_column(values)
             if sensitive_positive is not None:
+                if sensitive_positive not in groups:
+                    raise ValueError(
+                        f"{path}: column {f.name!r} never holds the declared "
+                        f"positive value {sensitive_positive!r}"
+                    )
                 col = _indicator(groups, col, sensitive_positive)
         elif f.kind == "continuous":
             col = _float_column(values, f.name, lines)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -8,9 +9,10 @@ import textwrap
 import pytest
 import yaml
 
+from relfair import cli
 from relfair.cli import TRAIN_KEYS, main, parse_experiment_config
 from relfair.synthetic import SyntheticSpec, generate, write_csv
-from relfair.training import TrainConfig
+from relfair.training import VARIANTS, TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +141,12 @@ class TestExperimentConfigParsing:
         assert tuple(listed) == TRAIN_KEYS
         assert listed == {k: getattr(TrainConfig(), k) for k in TRAIN_KEYS}
 
+    def test_readme_lists_the_variants(self):
+        readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+        section = readme.split("\n## Training variants\n", 1)[1].split("\n## ", 1)[0]
+        tags = re.findall(r"^\| `(\w+)` \|", section, re.M)
+        assert sorted(tags) == sorted(VARIANTS)
+
 
 @pytest.mark.parametrize("line", ["learn_lambda: false", "model_train_steps: 2"])
 def test_removed_train_keys_fail_loudly(workspace, tmp_path, capsys, line):
@@ -223,6 +231,63 @@ def test_config_shapes_checked(workspace, tmp_path, capsys, name, key, value, na
     assert code == 1
     assert f"error: {tmp_path / name}: {named}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_declared_sensitive_value_must_occur(workspace, tmp_path, capsys):
+    for config in ("exp.yaml", "dataset.yaml"):
+        (tmp_path / config).write_text((workspace / config).read_text())
+    dataset = tmp_path / "dataset.yaml"
+    dataset.write_text(dataset.read_text().replace(
+        'sensitive: {name: group, positive: "1"}', 'sensitive: {name: group, positive: "7"}'
+    ))
+    code = run_cli(
+        "train", "-c", str(tmp_path / "exp.yaml"), "--data-dir", str(workspace),
+        "--output-dir", str(tmp_path / "o"),
+    )
+    assert code == 1
+    assert "column 'group' never holds the declared positive value '7'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def recording_pool(sizes):
+    """A ProcessPoolExecutor stand-in that runs jobs in-process and records its size."""
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
+
+    return Pool
+
+
+@pytest.mark.parametrize(
+    "workers, seeds, pool_sizes",
+    [("1000", "0,1", [2]), ("4", "0", [])],
+    ids=["more-workers-than-jobs", "one-job-runs-serially"],
+)
+def test_pool_never_outnumbers_the_jobs(workspace, tmp_path, monkeypatch,
+                                        workers, seeds, pool_sizes):
+    sizes = []
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", recording_pool(sizes))
+    code = run_cli(
+        "train", "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
+        "--output-dir", str(tmp_path / "o"), "--seeds", seeds, "--workers", workers,
+    )
+    assert code == 0
+    assert sizes == pool_sizes
 
 
 class TestTrain:
@@ -503,10 +568,13 @@ def test_failed_job_fails_the_command(workspace, tmp_path, capsys, argv, workers
         (("sweep", "--eta-grid", "-1"), "--eta-grid"),
         (("sweep", "--beta-grid", "0"), "--beta-grid"),
         (("sweep", "--eta-grid", "nan"), "--eta-grid"),
+        (("train", "--workers", "0"), "--workers"),
+        (("train", "--workers", "-3"), "--workers"),
     ],
     ids=["seeds-repeated", "seeds-empty", "variants-repeated", "eta-repeated",
          "beta-repeated", "eta-cell-names", "beta-cell-names", "seeds-unparsed",
-         "eta-unparsed", "beta-unparsed", "eta-negative", "beta-zero", "eta-nan"],
+         "eta-unparsed", "beta-unparsed", "eta-negative", "beta-zero", "eta-nan",
+         "workers-zero", "workers-negative"],
 )
 def test_overrides_checked_like_yaml(workspace, tmp_path, capsys, argv, flag):
     command, *override = argv

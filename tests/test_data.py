@@ -220,6 +220,11 @@ class TestLoadCsv:
         ds = load_csv(path, TOY_SCHEMA, label_positive="yes", sensitive_positive="b")
         assert ds.columns["group"].tolist() == [0, 1, 0]
 
+    def test_sensitive_positive_must_occur(self, tmp_path):
+        path = write_csv(tmp_path, "color,height,outcome,group\nred,1,yes,a\nred,1,no,b\n")
+        with pytest.raises(ValueError, match="column 'group' never holds .* 'c'"):
+            load_csv(path, TOY_SCHEMA, label_positive="yes", sensitive_positive="c")
+
     def test_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv", TOY_SCHEMA)

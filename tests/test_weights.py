@@ -103,6 +103,29 @@ class TestSolveLambda:
         for c in [0.5, 10.0, 123.4]:
             assert solve_lambda(scores + c, 0.7).lam == pytest.approx(base, abs=1e-9)
 
+    def test_exact_breakpoints_match_enumeration_oracle(self):
+        # half-integer scores and power-of-two beta: tau_m lands exactly on a score
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            k = int(rng.integers(1, 9))
+            scores = rng.integers(0, 8, size=k) / 2.0
+            beta = float(2.0 ** rng.integers(-3, 2))  # 1/8 .. 2
+            sol = solve_lambda(scores, beta)
+            ref = qp_oracle(scores, beta, method="enumerate")
+            assert np.abs(sol.lam - ref).max() < 1e-9
+            assert_valid_solution(sol, scores, beta)
+
+    def test_scale_equivariance(self):
+        # scaling scores and beta by a power of two scales tau exactly
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            scores = rng.uniform(0.0, 3.0, size=int(rng.integers(1, 9)))
+            beta = float(rng.uniform(0.01, 2.0))
+            base = solve_lambda(scores, beta).lam
+            for e in range(-20, 21):
+                c = 2.0 ** e
+                assert solve_lambda(c * scores, c * beta).lam.tobytes() == base.tobytes()
+
     def test_ties_share_weight(self):
         sol = solve_lambda([0.3, 0.3, 0.9], beta=0.2)
         assert sol.lam[0] == pytest.approx(sol.lam[1], abs=1e-12)
