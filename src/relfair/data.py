@@ -238,12 +238,21 @@ def _indicator(vocab, codes, positive):
     return np.array([v == positive for v in vocab], dtype=np.uint8)[codes]
 
 
-def _label_column(values, positive, name, lines):
+def _check_occurs(path, name, vocab, positive):
+    """Reject a declared positive value the column never holds."""
+    if positive not in vocab:
+        raise ValueError(
+            f"{path}: column {name!r} never holds the declared positive value "
+            f"{positive!r}"
+        )
+
+
+def _label_column(values, positive, name, lines, path):
     """1 for ``positive`` and 0 for the one other value the label may take.
 
-    Without a declared positive value the cells must read "0" or "1".  The
-    other value is the first non-positive one in file order; a third value
-    is an error.
+    Without a declared positive value the cells must read "0" or "1".  A
+    declared one must occur; the other value is the first non-positive one
+    in file order, and a third value is an error.
     """
     vocab, codes = _coded_column(values)
     if positive is None:
@@ -254,14 +263,16 @@ def _label_column(values, positive, name, lines):
                 "no positive value was declared"
             )
         positive = "1"
-    elif len(set(vocab) - {positive}) > 1:
-        other = next(v for v in values if v != positive)
-        line, raw = _first_bad(values, lines, {positive, other}.__contains__)
-        raise ValueError(
-            f"line {line}: column {name!r} value {raw!r} is neither the "
-            f"declared positive value {positive!r} nor {other!r}, the one "
-            "other value a binary label may take"
-        )
+    else:
+        _check_occurs(path, name, vocab, positive)
+        if len(vocab) > 2:
+            other = next(v for v in values if v != positive)
+            line, raw = _first_bad(values, lines, {positive, other}.__contains__)
+            raise ValueError(
+                f"line {line}: column {name!r} value {raw!r} is neither the "
+                f"declared positive value {positive!r} nor {other!r}, the one "
+                "other value a binary label may take"
+            )
     return _indicator(vocab, codes, positive)
 
 
@@ -277,8 +288,9 @@ def load_csv(
 
     Cell whitespace is stripped (several public census extracts pad values
     with a leading space).  Continuous cells must parse as finite numbers.
-    The label maps to 1 for ``label_positive`` and 0 for the one other value
-    the column may hold; without ``label_positive`` it must read "0"/"1".
+    The label maps to 1 for ``label_positive`` (it must occur in the column)
+    and 0 for the one other value the column may hold; without
+    ``label_positive`` it must read "0"/"1".
     Sensitive values are mapped to integer group codes: 0/1 against
     ``sensitive_positive`` when given (it must occur in the column),
     otherwise codes assigned by sorted distinct value.  Errors name the
@@ -323,15 +335,11 @@ def load_csv(
     columns, vocab = {}, {}
     for f, values in zip(schema, zip(*records)):
         if f.role == "label":
-            col = _label_column(values, label_positive, f.name, lines)
+            col = _label_column(values, label_positive, f.name, lines, path)
         elif f.role == "sensitive":
             groups, col = _coded_column(values)
             if sensitive_positive is not None:
-                if sensitive_positive not in groups:
-                    raise ValueError(
-                        f"{path}: column {f.name!r} never holds the declared "
-                        f"positive value {sensitive_positive!r}"
-                    )
+                _check_occurs(path, f.name, groups, sensitive_positive)
                 col = _indicator(groups, col, sensitive_positive)
         elif f.kind == "continuous":
             col = _float_column(values, f.name, lines)
@@ -380,52 +388,47 @@ class _Encoder:
     A categorical feature gets one column per category seen on train, in
     sorted order, and a continuous feature one z-scored column; columns
     constant on train are then dropped.  Categories without a column encode
-    as all-zero groups.
+    as all-zero groups.  ``X`` is one row-major array, filled in place, so
+    the mini-batch gathers ``X[idx]`` of training read contiguous rows.
     """
 
     def __init__(self, train):
         self.schema = train.schema
-        self.plan = []  # (feature, {category: block column} or (mean, std), kept-mask)
+        self.plan = []  # (feature, {category: column of X} or (mean, std))
+        self.column_map = {}
+        width = 0
         for f in train.input_features():
             col = train.columns[f.name]
             if f.kind == "categorical":
                 counts = np.bincount(col, minlength=len(train.vocab[f.name]))
-                seen = [(v, c) for v, c in zip(train.vocab[f.name], counts) if c]
-                fit = {v: j for j, (v, _) in enumerate(seen)}
-                keep = np.array([c < train.n for _, c in seen], dtype=bool)
+                kept = [v for v, c in zip(train.vocab[f.name], counts) if 0 < c < train.n]
+                fit = {v: width + j for j, v in enumerate(kept)}
+                n_cols = len(kept)
             else:
-                mean, std = col.mean(), col.std()
-                fit, keep = (mean, std), np.array([std > 0.0])
-            self.plan.append((f, fit, keep))
-
-    def column_map(self):
-        out = {}
-        start = 0
-        for f, _, keep in self.plan:
-            width = int(keep.sum())
-            out[f.name] = range(start, start + width)
-            start += width
-        return out
+                fit = (col.mean(), col.std())
+                n_cols = int(fit[1] > 0.0)
+            self.plan.append((f, fit))
+            self.column_map[f.name] = range(width, width + n_cols)
+            width += n_cols
+        self.width = width
 
     def apply(self, dataset):
-        # X is concatenated from per-feature blocks, not filled in place:
-        # np.concatenate picks the memory order (column-major once a one-hot
-        # block has two or more columns), BLAS rounds X @ w differently per
-        # order, and every trace and report depends on that rounding
-        blocks = []
-        for f, fit, keep in self.plan:
-            col = dataset.columns[f.name]
-            if f.kind == "categorical":
-                block = np.zeros((dataset.n, len(fit)))
-                offsets = [fit.get(v, -1) for v in dataset.vocab[f.name]]
-                target = np.array(offsets, dtype=np.intp)[col]
+        # the z-scored columns come before X is allocated: the other order
+        # left the heap of a continuous-only run a few MB larger
+        z = {
+            f.name: (dataset.columns[f.name] - fit[0]) / fit[1]
+            for f, fit in self.plan
+            if f.kind == "continuous" and self.column_map[f.name]
+        }
+        X = np.zeros((dataset.n, self.width))
+        for f, fit in self.plan:
+            if f.name in z:
+                X[:, self.column_map[f.name].start] = z[f.name]
+            elif f.kind == "categorical":
+                targets = [fit.get(v, -1) for v in dataset.vocab[f.name]]
+                target = np.array(targets, dtype=np.intp)[dataset.columns[f.name]]
                 hit = np.flatnonzero(target >= 0)
-                block[hit, target[hit]] = 1.0
-            else:
-                mean, std = fit
-                block = ((col - mean) / std if std > 0.0 else col * 0.0)[:, None]
-            blocks.append(block[:, keep])
-        X = np.concatenate(blocks, axis=1) if blocks else np.zeros((dataset.n, 0))
+                X[hit, target[hit]] = 1.0
 
         label = next(f.name for f in self.schema if f.role == "label")
         sensitive = next((f.name for f in self.schema if f.role == "sensitive"), None)
@@ -433,7 +436,7 @@ class _Encoder:
             X=X,
             y=dataset.columns[label].astype(float),
             s=None if sensitive is None else dataset.columns[sensitive].astype(int),
-            column_map=self.column_map(),
+            column_map=dict(self.column_map),
         )
 
 

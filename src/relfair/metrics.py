@@ -50,7 +50,7 @@ def _group_gap(yhat, s, mask, metric_name):
         sel = (s == g) & mask
         if not np.any(sel):
             raise MetricUndefinedError(
-                f"{metric_name} undefined: group {g!r} has no qualifying rows"
+                f"{metric_name} undefined: group {g} has no qualifying rows"
             )
         means.append(float(yhat[sel].mean()))
     return max(means) - min(means)  # == max pairwise absolute gap

@@ -14,6 +14,8 @@ the one place they are validated (eta >= 0, beta > 0).
 
 import numpy as np
 
+from relfair.weights import on_simplex
+
 
 def _matrix(X):
     X = np.asarray(X, dtype=float)
@@ -26,7 +28,7 @@ def _check_lambda(lam, k):
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (k,):
         raise ValueError(f"lambda has shape {lam.shape}, expected ({k},)")
-    if np.any(lam < -1e-12) or abs(lam.sum() - 1.0) > 1e-8:
+    if not on_simplex(lam):
         raise ValueError("lambda must lie on the probability simplex")
     return lam
 

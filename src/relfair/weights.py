@@ -31,6 +31,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def on_simplex(lam) -> bool:
+    """Whether ``lam`` lies on the probability simplex, up to rounding."""
+    return not (np.any(lam < -1e-12) or abs(lam.sum() - 1.0) > 1e-8)
+
+
 @dataclass(frozen=True)
 class LambdaSolution:
     lam: np.ndarray
@@ -65,5 +70,12 @@ def solve_lambda(scores, beta: float) -> LambdaSolution:
     v = -tau[np.flatnonzero(r_asc <= tau)[-1]]
 
     lam = np.maximum(0.0, (-v - r) / (2.0 * beta))
+    if not on_simplex(lam):
+        # 2 beta below the rounding unit of the scores cancels in -v - r
+        raise ValueError(
+            f"beta {beta:g} is too small next to the scores (largest |score| "
+            f"{np.abs(r).max():g}): the weights sum to {lam.sum():g} after "
+            "rounding, not 1; use a larger beta"
+        )
     active = tuple(int(i) for i in np.flatnonzero(lam > 0.0))
     return LambdaSolution(lam=lam, v=float(v), active_set=active)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import hashlib
 import json
 import os
@@ -247,6 +248,44 @@ def test_declared_sensitive_value_must_occur(workspace, tmp_path, capsys):
     assert code == 1
     assert "column 'group' never holds the declared positive value '7'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_declared_label_value_must_occur(workspace, tmp_path, capsys):
+    for config in ("exp.yaml", "dataset.yaml"):
+        (tmp_path / config).write_text((workspace / config).read_text())
+    with open(workspace / "synth.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(tmp_path / "synth.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows({**row, "outcome": "0"} for row in rows)
+    code = run_cli(
+        "train", "-c", str(tmp_path / "exp.yaml"), "--data-dir", str(tmp_path),
+        "--output-dir", str(tmp_path / "o"),
+    )
+    assert code == 1
+    assert (
+        f"error: {tmp_path / 'synth.csv'}: column 'outcome' never holds the declared "
+        "positive value '1'"
+    ) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_beta_too_small_for_the_scores_is_named(workspace, tmp_path, capsys):
+    doc = yaml.safe_load((workspace / "exp.yaml").read_text())
+    doc["dataset"] = str(workspace / "dataset.yaml")
+    doc["train"]["beta"] = 1.0e-12
+    exp = tmp_path / "exp.yaml"
+    exp.write_text(yaml.safe_dump(doc))
+    code = run_cli(
+        "train", "-c", str(exp), "--data-dir", str(workspace),
+        "--output-dir", str(tmp_path / "o"),
+    )
+    assert code == 1
+    assert re.search(
+        r"error: beta 1e-12 is too small next to the scores \(largest \|score\| [0-9.]+\)",
+        capsys.readouterr().err,
+    )
 
 
 def recording_pool(sizes):

@@ -1,3 +1,4 @@
+import re
 import textwrap
 
 import numpy as np
@@ -16,6 +17,7 @@ from relfair.data import (
     resolve_related,
     split,
 )
+from relfair.training import encode_splits
 
 TOY_SCHEMA = (
     FeatureSchema("color", "categorical"),
@@ -225,6 +227,15 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="column 'group' never holds .* 'c'"):
             load_csv(path, TOY_SCHEMA, label_positive="yes", sensitive_positive="c")
 
+    def test_label_positive_must_occur(self, tmp_path):
+        path = write_csv(tmp_path, "color,height,outcome,group\nred,1,no,a\nred,2,no,b\n")
+        with pytest.raises(
+            ValueError,
+            match=f"^{re.escape(str(path))}: column 'outcome' never holds the declared "
+            "positive value 'yes'$",
+        ):
+            load_csv(path, TOY_SCHEMA, label_positive="yes")
+
     def test_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv", TOY_SCHEMA)
@@ -348,7 +359,7 @@ class TestEncode:
             tmp_path,
             """
             color,height,outcome,group
-            blue,100.0,no,b
+            blue,100.0,yes,b
             """,
             name="big.csv",
         )
@@ -367,21 +378,59 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(train, [other])
 
-    def test_memory_order_follows_the_blocks(self, tmp_path):
-        # BLAS rounds X @ w differently in C and F order, so the layout is
-        # part of the output: a multi-column one-hot block makes X
-        # column-major, single-column blocks alone leave it row-major
-        (enc,) = encode(toy_dataset(tmp_path))
-        assert enc.X.shape == (3, 3)
-        assert enc.X.flags.f_contiguous and not enc.X.flags.c_contiguous
-        (enc,) = encode(Dataset(
-            columns={"height": [1.0, 2.0, 4.0], "width": [3.0, 1.0, 0.0],
-                     "outcome": [1, 0, 1]},
-            schema=(FeatureSchema("height", "continuous"),
-                    FeatureSchema("width", "continuous"),
-                    FeatureSchema("outcome", "categorical", role="label")),
-        ))
-        assert enc.X.flags.c_contiguous and not enc.X.flags.f_contiguous
+    def test_every_encoded_matrix_is_row_major(self):
+        # mini-batch gathers X[idx] read whole rows, so X is C-ordered on
+        # every path; the values are written out by hand
+        schema = (
+            FeatureSchema("color", "categorical"),
+            FeatureSchema("shape", "categorical"),
+            FeatureSchema("height", "continuous"),
+            FeatureSchema("width", "continuous"),
+            FeatureSchema("outcome", "categorical", role="label"),
+            FeatureSchema("group", "categorical", role="sensitive"),
+        )
+        vocab = {"color": ("blue", "green", "red", "violet"), "shape": ("round", "square")}
+
+        def dataset(color, shape, height, width):
+            n = len(color)
+            return Dataset(
+                columns={"color": color, "shape": shape, "height": height,
+                         "width": width, "outcome": [1] * n, "group": [0] * n},
+                schema=schema, vocab=vocab,
+            )
+
+        # shape and width are constant on train and get no column; violet
+        # never occurs on train, so it encodes as an all-zero color group
+        train = dataset([2, 0, 1, 2], [0, 0, 0, 0], [0.0, 10.0, 0.0, 10.0], [3.0] * 4)
+        other = dataset([3, 1], [1, 0], [5.0, 20.0], [1.0, 3.0])
+        want_train = [[0, 0, 1, -1], [1, 0, 0, 1], [0, 1, 0, -1], [0, 0, 1, 1]]
+        want_other = [[0, 0, 0, 0], [0, 1, 0, 3]]
+
+        enc_train, enc_other = encode(train, [other])
+        assert enc_train.column_map == {
+            "color": range(0, 3), "shape": range(3, 3),
+            "height": range(3, 4), "width": range(4, 4),
+        }
+        keep = ("height", "width", "outcome", "group")
+        train_c, other_c = (
+            Dataset(columns={k: d.columns[k] for k in keep},
+                    schema=[f for f in schema if f.name in keep])
+            for d in (train, other)
+        )
+        continuous = encode(train_c, [other_c])
+        removed = encode_splits("remove_related", [train, other], ["height"])
+        cases = [
+            (enc_train.X, want_train),
+            (enc_other.X, want_other),
+            (continuous[0].X, [[-1], [1], [-1], [1]]),
+            (continuous[1].X, [[0], [3]]),
+            (removed[0].X, [row[:3] for row in want_train]),
+            (removed[1].X, [row[:3] for row in want_other]),
+        ]
+        for X, want in cases:
+            assert X.flags.c_contiguous
+            assert X.dtype == np.float64
+            assert np.array_equal(X, np.array(want, dtype=float))
 
     def test_train_view_has_no_sensitive_field(self, tmp_path):
         (enc,) = encode(toy_dataset(tmp_path))

@@ -125,6 +125,14 @@ class TestDeltaEO:
         with pytest.raises(MetricUndefinedError):
             delta_eo(yhat, y, s)
 
+    def test_error_names_the_plain_group_code(self):
+        s = np.array([0, 0, 1, 1], dtype=np.int64)  # group 0 has no positive labels
+        with pytest.raises(
+            MetricUndefinedError,
+            match=r"^delta_eo undefined: group 0 has no qualifying rows$",
+        ):
+            delta_eo(np.full(4, 0.5), np.array([0.0, 0.0, 1.0, 1.0]), s)
+
     def test_only_uses_positive_rows(self):
         yhat = np.array([0.9, 0.1, 0.123, 0.987])
         y = np.array([1.0, 1.0, 0.0, 0.0])

@@ -5,7 +5,9 @@
 so a rework of the training loop that changes a single bit of arithmetic
 shows up here.  The runs cover every model kind under ``fairrf``, a
 penalty-free run (``vanilla``, where ``related is None``) and ``constrain_s``,
-whose penalty reads the group column instead of the model inputs.
+whose penalty reads the group column instead of the model inputs.  One more
+``fairrf`` run bins the two proxies into categories, so its ``X`` carries
+one-hot blocks and a categorical related feature spans several columns.
 """
 
 import hashlib
@@ -13,7 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from relfair.data import split
+from relfair.data import Dataset, FeatureSchema, split
 from relfair.synthetic import SyntheticSpec, generate, related_features
 from relfair.training import TrainConfig, train_variant
 
@@ -71,3 +73,34 @@ def test_trace_and_params_are_pinned(variant, kind):
     )
     trace = hashlib.sha256(result.trace.to_jsonl().encode()).hexdigest()
     assert (trace, _params_digest(result.params)) == PINNED[(variant, kind)]
+
+
+PINNED_ONE_HOT = (
+    "eec8192a1a10bba9bd623ef7a0fe65aaee18c7aa59e47b9c0913dbd509ea85da",
+    "4c4ecb506b4a8abe54cfcf2e76c9cd7fdeb8067ac2bcfea774906ed1d360f24f",
+)
+BINS = {"proxy_a": (-1.0, 0.0, 1.0), "proxy_b": (-0.5, 0.5)}  # category edges
+
+
+def _one_hot_dataset():
+    base = generate(SPEC)
+    columns = dict(base.columns)
+    vocab = {}
+    for name, edges in BINS.items():
+        columns[name] = np.digitize(columns[name], edges)
+        vocab[name] = tuple(f"bin{i}" for i in range(len(edges) + 1))
+    schema = tuple(
+        FeatureSchema(f.name, "categorical") if f.name in BINS else f
+        for f in base.schema
+    )
+    return Dataset(columns=columns, schema=schema, vocab=vocab)
+
+
+def test_one_hot_trace_and_params_are_pinned():
+    train_raw, eval_raw, test_raw = split(_one_hot_dataset(), seed=CFG.seed)
+    result = train_variant(
+        "fairrf", train_raw, eval_raw, test_raw, related_features(SPEC), "lr", CFG,
+    )
+    assert result.encoded_train.column_map["proxy_a"] == range(2, 6)
+    trace = hashlib.sha256(result.trace.to_jsonl().encode()).hexdigest()
+    assert (trace, _params_digest(result.params)) == PINNED_ONE_HOT

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,22 @@ class TestSolveLambda:
         assert sol.lam == pytest.approx([1.0, 0.0])
         assert sol.active_set == (0,)
         assert_valid_solution(sol, [0.1, 0.5], 0.1)
+
+    @pytest.mark.parametrize("scores, beta, total", [
+        ([1.0, 2.0], 1e-300, "0"),  # 2 beta vanishes next to the smallest score
+        ([1209.0, 1284.0, 4701.0], 1e-13, "1.13687"),  # half an ulp of 1209 ends up in lam
+    ])
+    def test_beta_too_small_for_the_scores_is_named(self, scores, beta, total):
+        # 2 beta below the rounding unit of the scores leaves no room for the
+        # weights, so the closed form cannot return a point on the simplex
+        with pytest.raises(
+            ValueError,
+            match=re.escape(
+                f"beta {beta:g} is too small next to the scores (largest |score| "
+                f"{max(scores):g}): the weights sum to {total} after rounding"
+            ),
+        ):
+            solve_lambda(scores, beta)
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(7)
