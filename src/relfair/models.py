@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 PROB_EPS = 1e-7  # clamp for probabilities before logs
 
@@ -91,6 +90,16 @@ def init_params(spec: ModelSpec) -> ModelParams:
     return ModelParams(weights=weights, biases=biases)
 
 
+def sigmoid(x) -> np.ndarray:
+    """The logistic function ``1 / (1 + exp(-x))``, elementwise.
+
+    Below x = -709.78 ``exp(-x)`` overflows to inf and the result is exactly
+    0.0; that overflow is the intended saturation, so it is not warned about.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def _check_input(spec: ModelSpec, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != spec.input_dim:
@@ -124,7 +133,7 @@ def raw_scores(params: ModelParams, spec: ModelSpec, X) -> np.ndarray:
 
 def forward(params: ModelParams, spec: ModelSpec, X) -> np.ndarray:
     """Probability-like score in (0, 1) for every row of X."""
-    return expit(raw_scores(params, spec, X))
+    return sigmoid(raw_scores(params, spec, X))
 
 
 def _check_labels(X, y) -> np.ndarray:
@@ -155,7 +164,7 @@ def forward_loss(params: ModelParams, spec: ModelSpec, X, y) -> tuple[np.ndarray
     X = _check_input(spec, X)
     y = _check_labels(X, y)
     raw, _ = _forward_cache(params, spec, X)
-    yhat = expit(raw)
+    yhat = sigmoid(raw)
     loss, _ = _cls_loss(spec, raw, yhat, y)
     return yhat, loss
 
@@ -182,7 +191,7 @@ def loss_and_grad(
     y = _check_labels(X, y)
 
     raw, acts = _forward_cache(params, spec, X)
-    yhat = expit(raw)
+    yhat = sigmoid(raw)
     extra = None
     if extra_grad_on_yhat is not None:
         extra = np.asarray(extra_grad_on_yhat(yhat), dtype=float)

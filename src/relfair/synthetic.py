@@ -17,9 +17,9 @@ import csv
 import dataclasses
 
 import numpy as np
-from scipy.special import expit
 
 from relfair.data import Dataset, FeatureSchema
+from relfair.models import sigmoid
 
 LABEL_SIGNAL = 1.5
 BIAS_SIGNAL = 0.8
@@ -64,7 +64,7 @@ def generate(spec):
     proxy_a = sgn + rng.normal(scale=PROXY_NOISE, size=n)
     proxy_b = -0.9 * sgn + rng.normal(scale=PROXY_NOISE, size=n)
     logit = LABEL_SIGNAL * signal + BIAS_SIGNAL * sgn
-    y = (rng.uniform(size=n) < expit(logit)).astype(int)
+    y = (rng.uniform(size=n) < sigmoid(logit)).astype(int)
 
     columns = {"signal": signal, "noise": noise, "proxy_a": proxy_a, "proxy_b": proxy_b}
     if spec.label_echo:

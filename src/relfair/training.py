@@ -49,7 +49,7 @@ from relfair.metrics import (
 )
 from relfair.models import ModelSpec, forward, forward_loss, init_params, loss_and_grad
 from relfair.objective import penalty_grad_yhat, related_penalty, total_objective
-from relfair.weights import solve_lambda
+from relfair.weights import on_simplex, solve_lambda
 
 VARIANTS = (
     "vanilla",
@@ -132,7 +132,7 @@ class TrainTrace:
 
     def append(self, record):
         lam = np.asarray(record.lam, dtype=float)
-        if len(lam) and (np.any(lam < -1e-10) or abs(lam.sum() - 1.0) > 1e-8):
+        if len(lam) and not on_simplex(lam):
             raise TrainingDivergedError(
                 f"epoch {record.epoch}: lambda left the simplex: {lam}"
             )

@@ -494,13 +494,13 @@ PINNED_ARTIFACTS = {
         "manifest.json":
             "cc9f6de69cf9fca5c59ce90a023e570ca8243be1bc9d0d951d35899b7e7d021a",
         "report.json":
-            "e1433623a25d7b622727ddfe9b41f44928fe43f717236af6c28798a0b4bbe2b7",
+            "7cc608257d7e3b17ebb568070ca83fcec829816d57af0882682a768d04d68732",
         "report.txt":
             "dd3bf5ffdb503c82921073958bf9748475f897ab97249100aa30cc8f1e19be0b",
         "seed_0/checkpoint.npz":
-            "a6b6ef32330330821cc0eff74659283e3c1b7ab4e56d804d57ae88cb1e31bcd5",
+            "5c957e19555768a27e84c262c7ad2e5a3be79b93927ca1d0a40013af798b53af",
         "seed_0/trace.jsonl":
-            "12c1cbb476b7f71b51bac67980ce72ea258e78e2603f99f2e28b0496523d3d3d",
+            "282d895950b3dd24f6aabdcf2268867f9f0938b3e4b62019d24d3918dd143230",
         "seed_1/checkpoint.npz":
             "99a5f748eba2025328a195c4c977742314734ed8eb592d748b83af19b5f7160f",
         "seed_1/trace.jsonl":
@@ -510,11 +510,11 @@ PINNED_ARTIFACTS = {
         "manifest.json":
             "576549d2f3e5ce6e0feefcd6a291185f8026671591e787dc159475310fed9936",
         "comparison.json":
-            "efd7acf7a926037b955a0cde7bdcd204322050821967914639121fe8dde4bdb8",
+            "aa40b5cceb51183a377db6835044dc5ada06bcf95047e28d4a5f7044b2a54939",
         "comparison.txt":
             "3d7059ea86b7b623c07375ada988193947a63879a6f5e3400de843e19245ff86",
         "fairrf/seed_0/trace.jsonl":
-            "12c1cbb476b7f71b51bac67980ce72ea258e78e2603f99f2e28b0496523d3d3d",
+            "282d895950b3dd24f6aabdcf2268867f9f0938b3e4b62019d24d3918dd143230",
         "fairrf/seed_1/trace.jsonl":
             "06f4570db9b8df2a63e2dcd0f4cb95c3c4c419360132046d7562a3f393bd1be3",
         "remove_related/seed_0/trace.jsonl":
@@ -522,31 +522,31 @@ PINNED_ARTIFACTS = {
         "remove_related/seed_1/trace.jsonl":
             "e79417ab438d0570b5f04893137b18867d58ae9394c15d5f67412a7d7cfb3248",
         "vanilla/seed_0/trace.jsonl":
-            "acb6171755de9d9b7980f950dde4126a601a6fef003a1e237d937d81353fc638",
+            "884b7430fbb1b10c45d885ad57a0ed6e948ec2b0f90628dd67f8105341ee2fce",
         "vanilla/seed_1/trace.jsonl":
-            "4688f973fd78984b9492a4823065882e986a597308bb09e114439bd268809e3d",
+            "31026ee6f131b1d8a06d6180db781e8a4522ddd58f9ad4712ee98bb910515fd3",
     },
     "sweep": {
         "manifest.json":
             "34479881f67dfb6450bc5768335aeff6781a455051dc6f27dc10fcbafbbac3f6",
         "cells/eta_0.1__beta_0.5/seed_0/trace.jsonl":
-            "fa017e24b3be8a91dde5f738febc2ed6e8090d5001e3101deeb9230002e2ebe0",
+            "7237479445a4e0ee502082a5e3d5a5441d8c9be32beaa98888bd8c8e549255ec",
         "cells/eta_0.1__beta_0.5/seed_1/trace.jsonl":
             "9d18fcd568d290d080294c6ef4a7e41b92e3643065bfb53d1ff637b5d5437f14",
         "cells/eta_0.1__beta_0.8/seed_0/trace.jsonl":
-            "4bfc72c623cb45b02e4b7752f16bc83f7b7b5f9b5cb1083516caa5432c3d11f8",
+            "5d5603f0da2cfd1409a36fcff2d45bd295b4a71c5745d52171190cae3e2a0ac8",
         "cells/eta_0.1__beta_0.8/seed_1/trace.jsonl":
             "5ae48968cf6135b93cae1a03a18b9aabc1d568e6d5ac49ad0acd0a2df7c6fecd",
         "cells/eta_0.3__beta_0.5/seed_0/trace.jsonl":
-            "12c1cbb476b7f71b51bac67980ce72ea258e78e2603f99f2e28b0496523d3d3d",
+            "282d895950b3dd24f6aabdcf2268867f9f0938b3e4b62019d24d3918dd143230",
         "cells/eta_0.3__beta_0.5/seed_1/trace.jsonl":
             "06f4570db9b8df2a63e2dcd0f4cb95c3c4c419360132046d7562a3f393bd1be3",
         "cells/eta_0.3__beta_0.8/seed_0/trace.jsonl":
-            "15e05921d4b785b0250c946ac07ceea71ad64652b3227735dd2e10e4d1660824",
+            "a22c195c4a595f6fda5fcecc57ad969e62bf75a8106493cbb06a1212eb4d7703",
         "cells/eta_0.3__beta_0.8/seed_1/trace.jsonl":
-            "d33fe678d7d68ce5f41ad8d62405b41741b3c70fd3e9273ab9fe1da041a08047",
+            "8e7f40f3920ce290575d0dae7c2dfadb3dc26ab1531fdf650205f5129fb630fe",
         "sweep.csv":
-            "f30bbadd02ea3d8bdd80f5b0b1a9830a4695c934b8318732211fcffb83858d9e",
+            "ddf253dcec1ff36f23bdb688ef93c99f4ccce543f61050fcf7f4c4bf48217010",
     },
 }
 

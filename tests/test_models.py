@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
+import relfair
 from relfair.models import (
     ModelParams,
     ModelSpec,
@@ -11,6 +17,7 @@ from relfair.models import (
     loss_and_grad,
     raw_scores,
     save_checkpoint,
+    sigmoid,
 )
 
 ALL_SPECS = [
@@ -89,6 +96,56 @@ class TestInit:
     def test_mlp_widths_are_taken_as_given_or_rejected(self, hidden_dims):
         with pytest.raises(ValueError, match="hidden_dims"):
             ModelSpec(kind="mlp", input_dim=3, hidden_dims=hidden_dims)
+
+
+class TestSigmoid:
+    def test_saturates_exactly_without_warnings(self):
+        x = np.array([800.0, -800.0, 1e308, -1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = sigmoid(x)
+        assert y.tolist() == [1.0, 0.0, 1.0, 0.0]
+
+    def test_matches_scipy_expit_within_4_ulp(self):
+        from scipy.special import expit
+
+        x = np.linspace(-40.0, 40.0, 160_001)
+        ours, ref = sigmoid(x), expit(x)
+        assert np.all(np.abs(ours - ref) <= 4 * np.spacing(ref))
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+    def test_every_forward_pass_applies_it(self, spec):
+        rng = np.random.default_rng(4)
+        params = init_params(spec)
+        X = rng.normal(scale=3.0, size=(13, spec.input_dim))
+        y = (rng.uniform(size=13) > 0.5).astype(float)
+        want = sigmoid(raw_scores(params, spec, X)).tobytes()
+        seen = []
+
+        def extra(yhat):
+            seen.append(yhat.tobytes())
+            return np.zeros(13)
+
+        loss_and_grad(params, spec, X, y, extra_grad_on_yhat=extra)
+        assert forward(params, spec, X).tobytes() == want
+        assert forward_loss(params, spec, X, y)[0].tobytes() == want
+        assert seen == [want]
+
+    def test_library_runs_without_scipy(self):
+        code = (
+            "import sys\n"
+            "import relfair, relfair.cli\n"
+            "from relfair.synthetic import SyntheticSpec\n"
+            "relfair.synthetic.generate(SyntheticSpec(n=50))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(relfair.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        ).stdout
+        assert out == "[]\n"
 
 
 class TestForward:

@@ -385,18 +385,27 @@ class TestTrace:
         res.trace.write(path)
         assert path.read_text() == res.trace.to_jsonl()
 
+    RECORD = EpochRecord(
+        epoch=0,
+        cls_loss=1.0,
+        penalty_total=0.0,
+        per_feature=(0.0, 0.0),
+        lam=(1.0, 0.0),
+        eval_accuracy=0.5,
+        eval_delta_eo=None,
+        eval_delta_dp=None,
+        eval_objective=1.0,
+    )
+
     def test_simplex_guard(self):
         trace = TrainTrace()
-        bad = EpochRecord(
-            epoch=0,
-            cls_loss=1.0,
-            penalty_total=0.0,
-            per_feature=(0.0, 0.0),
-            lam=(0.9, 0.3),
-            eval_accuracy=0.5,
-            eval_delta_eo=None,
-            eval_delta_dp=None,
-            eval_objective=1.0,
-        )
         with pytest.raises(TrainingDivergedError):
-            trace.append(bad)
+            trace.append(dataclasses.replace(self.RECORD, lam=(0.9, 0.3)))
+
+    def test_simplex_guard_uses_the_solver_tolerance(self):
+        # -1e-11 is past weights.on_simplex's -1e-12, though the sum is 1
+        trace = TrainTrace()
+        trace.append(self.RECORD)
+        with pytest.raises(TrainingDivergedError, match="left the simplex"):
+            trace.append(dataclasses.replace(self.RECORD, lam=(1.0 + 1e-11, -1e-11)))
+        assert len(trace.records) == 1
