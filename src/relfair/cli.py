@@ -181,6 +181,7 @@ def _write_report(out_dir, stem, payload, reports):
     Returns the two paths and the table.
     """
     table = format_comparison_table(reports)
+    os.makedirs(out_dir, exist_ok=True)
     paths = [os.path.join(out_dir, f"{stem}.json"), os.path.join(out_dir, f"{stem}.txt")]
     _write_json(paths[0], payload)
     with open(paths[1], "w") as fh:
@@ -234,16 +235,19 @@ def _outcome(fn, *args):
 def _run_cells(args, exp, seeds, cells, keep_checkpoint=False):
     """One job per cell and seed; a cell is ``(variant, TrainConfig, subdir)``.
 
-    Loads the dataset, creates the output directory and runs the jobs cell
-    by cell, seed by seed, each in ``<out_dir>/<subdir>/seed_<k>``.  Returns
-    the output directory, the files the jobs wrote and, per cell, one
+    Loads the dataset and runs the jobs cell by cell, seed by seed, each in
+    ``<out_dir>/<subdir>/seed_<k>``.  A job creates its directory when it has
+    something to write, so a run whose every job fails first leaves no output
+    directory behind; a directory that already existed is left as it was.
+    Returns the output directory, the files the jobs wrote and, per cell, one
     outcome per seed: the job's metrics row or the exception it raised.
     """
     if args.workers < 1:
         raise ValueError(f"--workers: must be at least 1, got {args.workers}")
     raw = load_from_config(exp.dataset, data_dir=args.data_dir)
     out_dir = args.output_dir or exp.output_dir
-    os.makedirs(out_dir, exist_ok=True)
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise ValueError(f"output directory {out_dir} exists and is not a directory")
     jobs = [
         (raw, exp, variant, cfg, seed,
          os.path.join(out_dir, subdir, f"seed_{seed}"), keep_checkpoint)
@@ -336,6 +340,7 @@ def cmd_sweep(args):
                                    row["accuracy"], row["delta_eo"], row["delta_dp"]))
 
     table_rows.sort()
+    os.makedirs(out_dir, exist_ok=True)  # every cell may have failed
     sweep_path = os.path.join(out_dir, "sweep.csv")
     with open(sweep_path, "w") as fh:
         fh.write("eta,beta,seed,accuracy,delta_eo,delta_dp\n")

@@ -429,6 +429,7 @@ class _Encoder:
                 target = np.array(targets, dtype=np.intp)[dataset.columns[f.name]]
                 hit = np.flatnonzero(target >= 0)
                 X[hit, target[hit]] = 1.0
+        X.flags.writeable = False  # encoded splits are read, never written
 
         label = next(f.name for f in self.schema if f.role == "label")
         sensitive = next((f.name for f in self.schema if f.role == "sensitive"), None)

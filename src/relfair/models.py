@@ -8,6 +8,19 @@ path. ``loss_and_grad`` accepts an extra upstream gradient on that score,
 given as a function of the score it computes, which is how the regularizer
 injects its pull without the model code knowing about fairness at all.
 ``forward_loss`` is the same forward pass and loss without the backward pass.
+
+Layout: a ``ModelParams`` packs its weights and biases, in ``arrays()``
+order, into one C-contiguous float64 vector ``flat`` when it is built, and
+keeps each array as a view into it.  Gradients come back in the same layout,
+so the optimizer updates every parameter with one vector expression.
+
+Row blocks: ``raw_scores``, and through it ``forward`` and ``forward_loss``,
+run the layers over a whole split in blocks of ``FORWARD_BLOCK_ROWS`` rows.
+The hidden activations of a whole split (10000 x 64 float64 is 5 MB) fall
+out of cache, and a block's stay in it.  Rows are independent, so only the
+raw scores are blocked, and the sigmoid, the clip and the summed loss still
+run on the whole vector; no sum changes order.  ``loss_and_grad`` needs its
+mini-batch's activations for the backward pass and forwards it in one go.
 """
 
 from __future__ import annotations
@@ -18,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PROB_EPS = 1e-7  # clamp for probabilities before logs
+FORWARD_BLOCK_ROWS = 1024  # rows per block of a whole-split forward
 
 MODEL_KINDS = ("lr", "svm", "mlp")
 _CHECKPOINT_VERSION = 1
@@ -58,16 +72,30 @@ class ModelSpec:
 
 @dataclass
 class ModelParams:
-    """Per-layer weights and biases; the last layer maps to a single output."""
+    """Per-layer weights and biases; the last layer maps to a single output.
+
+    Construction copies the given arrays into one new vector ``flat`` and
+    replaces them with views into it, in ``arrays()`` order.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        arrays = self.arrays()
+        self.flat = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
+        views, start = [], 0
+        for a in arrays:
+            views.append(self.flat[start : start + a.size].reshape(a.shape))
+            start += a.size
+        self.weights, self.biases = views[0::2], views[1::2]
+
+    def __reduce__(self):  # pickle and deepcopy rebuild the layout too
+        return ModelParams, (self.weights, self.biases)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return ModelParams(weights=self.weights, biases=self.biases)
 
     def arrays(self) -> list[np.ndarray]:
         out = []
@@ -76,7 +104,7 @@ class ModelParams:
         return out
 
     def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self.arrays())
+        return bool(np.isfinite(self.flat).all())
 
 
 def init_params(spec: ModelSpec) -> ModelParams:
@@ -124,11 +152,23 @@ def _forward_cache(params: ModelParams, spec: ModelSpec, X: np.ndarray):
     return raw, acts
 
 
+def _blocked_raw(params: ModelParams, spec: ModelSpec, X: np.ndarray) -> np.ndarray:
+    """``_forward_cache(...)[0]`` of a whole split, in row blocks.
+
+    No block has one row unless X does: numpy hands a one-row product to
+    gemv or dot, which round unlike the gemm or gemv of a taller block.
+    """
+    n = X.shape[0]
+    raw = np.empty(n)
+    edges = [0, *range(FORWARD_BLOCK_ROWS, n - 1, FORWARD_BLOCK_ROWS), n]
+    for start, stop in zip(edges, edges[1:]):
+        raw[start:stop], _ = _forward_cache(params, spec, X[start:stop])
+    return raw
+
+
 def raw_scores(params: ModelParams, spec: ModelSpec, X) -> np.ndarray:
     """Pre-sigmoid output: the logit for LR/MLP, the margin for the SVM."""
-    X = _check_input(spec, X)
-    raw, _ = _forward_cache(params, spec, X)
-    return raw
+    return _blocked_raw(params, spec, _check_input(spec, X))
 
 
 def forward(params: ModelParams, spec: ModelSpec, X) -> np.ndarray:
@@ -163,7 +203,7 @@ def forward_loss(params: ModelParams, spec: ModelSpec, X, y) -> tuple[np.ndarray
     """``(forward(...), loss_and_grad(...)[0])`` from one forward pass, no backward."""
     X = _check_input(spec, X)
     y = _check_labels(X, y)
-    raw, _ = _forward_cache(params, spec, X)
+    raw = _blocked_raw(params, spec, X)
     yhat = sigmoid(raw)
     loss, _ = _cls_loss(spec, raw, yhat, y)
     return yhat, loss

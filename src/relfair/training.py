@@ -13,12 +13,21 @@ Pretraining runs the same pass on the classification loss alone.  Each pass
 checks the loss at every step and the parameters once, at its end.  Batch
 order and parameter init are fully determined by the seed.
 
+Every Adam step updates the whole model at once: the parameters, their
+gradient and Adam's two moments are each one flat vector laid out as
+``ModelParams.flat``, so a step is five vector expressions whatever the
+number of layers.
+
 Bookkeeping forwards each split once per epoch with ``forward_loss`` (no
 backward pass): the training-split predictions serve both the lambda refresh
 and the trace's ``cls_loss``, the evaluation-split predictions serve the
-accuracy, the evaluation objective and the fairness callback.  The loop sees
-features and labels only; the evaluation fairness metrics, which need the
-sensitive column, come from a callback that ``train_variant`` builds.
+accuracy, the evaluation objective and the fairness callback.  These
+whole-split forwards run the layers in row blocks (``relfair.models``): the
+hidden activations of a 10000-row split, 10000 x 64 floats, fall out of
+cache, and a block's stay in it.  The scores and losses are bit-identical to
+one unblocked pass.  The loop sees features and labels only; the evaluation
+fairness metrics, which need the sensitive column, come from a callback that
+``train_variant`` builds.
 
 Model selection: among epochs whose evaluation-split penalty is no worse than
 110% of the final epoch's penalty, the checkpoint with the best evaluation
@@ -156,22 +165,24 @@ class TrainTrace:
 
 
 class Adam:
-    def __init__(self, arrays, lr):
+    """Adam on one parameter vector (a ``ModelParams.flat``), updated in place."""
+
+    def __init__(self, theta, lr):
         self.lr = lr
-        self.m = [np.zeros_like(a) for a in arrays]
-        self.v = [np.zeros_like(a) for a in arrays]
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
         self.t = 0
 
-    def step(self, arrays, grads):
+    def step(self, theta, grad):
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         scale = self.lr * np.sqrt(1 - b2**self.t) / (1 - b1**self.t)
-        for a, g, m, v in zip(arrays, grads, self.m, self.v):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            a -= scale * m / (np.sqrt(v) + ADAM_EPS)
+        m, v = self.m, self.v
+        m *= b1
+        m += (1 - b1) * grad
+        v *= b2
+        v += (1 - b2) * grad * grad
+        theta -= scale * m / (np.sqrt(v) + ADAM_EPS)
 
 
 def _adam_pass(spec, params, opt, train, cfg, rng, where, extra_for=None):
@@ -190,7 +201,7 @@ def _adam_pass(spec, params, opt, train, cfg, rng, where, extra_for=None):
         loss, grads = loss_and_grad(params, spec, Xb, train.y[idx], extra_grad_on_yhat=extra)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss at {where}")
-        opt.step(params.arrays(), grads.arrays())
+        opt.step(params.flat, grads.flat)
     if not params.all_finite():
         raise TrainingDivergedError(f"non-finite parameters at {where}")
 
@@ -209,7 +220,7 @@ def pretrain(spec, params, train, evaluation, cfg):
     if cfg.pretrain_epochs == 0:
         return params
     rng = np.random.default_rng([cfg.seed, 1])
-    opt = Adam(params.arrays(), cfg.learning_rate)
+    opt = Adam(params.flat, cfg.learning_rate)
     best_eval = np.inf
     stall = 0
     for epoch in range(cfg.pretrain_epochs):
@@ -285,7 +296,7 @@ def train_fairrf(spec, params, train, evaluation, related, cfg, *,
 
     lam = related.lambda0 if related is not None else np.zeros(0)
     rng = np.random.default_rng([cfg.seed, 2])
-    opt = Adam(params.arrays(), cfg.learning_rate)
+    opt = Adam(params.flat, cfg.learning_rate)
     trace = TrainTrace()
     history = []  # (eval_accuracy, eval_penalty, params snapshot)
     best_obj = np.inf

@@ -21,7 +21,7 @@ from relfair.training import Adam
 PARAMETERS = {
     split: ("dataset", "seed"),
     resolve_related: ("schema", "encoded", "names"),
-    Adam: ("arrays", "lr"),
+    Adam: ("theta", "lr"),
     accuracy: ("yhat", "y"),
     thresholded: ("yhat",),
 }

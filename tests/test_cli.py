@@ -286,6 +286,7 @@ def test_beta_too_small_for_the_scores_is_named(workspace, tmp_path, capsys):
         r"error: beta 1e-12 is too small next to the scores \(largest \|score\| [0-9.]+\)",
         capsys.readouterr().err,
     )
+    assert not (tmp_path / "o").exists()
 
 
 def recording_pool(sizes):

@@ -304,6 +304,20 @@ class TestEncode:
         assert enc.y.tolist() == [1, 0, 1, 0]
         assert enc.s.tolist() == [0, 1, 0, 1]
 
+    def test_encoded_matrices_are_read_only(self, tmp_path):
+        path = write_csv(
+            tmp_path,
+            """
+            color,height,outcome,group
+            red,0,yes,a
+            blue,10,no,b
+            """,
+        )
+        ds = load_csv(path, TOY_SCHEMA, label_positive="yes")
+        for enc in encode(ds, [ds]):
+            with pytest.raises(ValueError, match="read-only"):
+                enc.X[0, 0] = 1.0
+
     def test_train_stats_mean_zero_std_one(self, tmp_path):
         rng = np.random.default_rng(0)
         lines = ["color,height,outcome,group"]

@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -8,6 +9,8 @@ import pytest
 
 import relfair
 from relfair.models import (
+    FORWARD_BLOCK_ROWS,
+    PROB_EPS,
     ModelParams,
     ModelSpec,
     forward,
@@ -146,6 +149,86 @@ class TestSigmoid:
             env={**os.environ, "PYTHONPATH": path},
         ).stdout
         assert out == "[]\n"
+
+
+def _params_by(source, tmp_path):
+    """A ModelParams of the (64, 32) MLP as ``source`` builds it."""
+    spec = ModelSpec(kind="mlp", input_dim=5, hidden_dims=(64, 32), seed=1)
+    params = init_params(spec)
+    if source == "copy":
+        return params.copy()
+    if source == "load_checkpoint":
+        save_checkpoint(tmp_path / "m.npz", params, spec)
+        return load_checkpoint(tmp_path / "m.npz")[0]
+    if source == "loss_and_grad":
+        rng = np.random.default_rng(0)
+        X, y = rng.normal(size=(9, 5)), (rng.uniform(size=9) > 0.5).astype(float)
+        return loss_and_grad(params, spec, X, y)[1]
+    if source == "pickle":
+        return pickle.loads(pickle.dumps(params))
+    return params
+
+
+class TestLayout:
+    """Every ModelParams holds its arrays as views into one flat vector."""
+
+    @pytest.mark.parametrize(
+        "source", ["init_params", "copy", "load_checkpoint", "loss_and_grad", "pickle"]
+    )
+    def test_arrays_are_views_into_one_vector(self, source, tmp_path):
+        params = _params_by(source, tmp_path)
+        flat = params.flat
+        assert flat.dtype == np.float64 and flat.flags.c_contiguous
+        assert flat.shape == (sum(a.size for a in params.arrays()),)
+        assert np.array_equal(flat, np.concatenate([a.ravel() for a in params.arrays()]))
+        for a in params.arrays():
+            assert np.shares_memory(a, flat)
+
+    def test_copy_owns_its_vector(self):
+        params = init_params(ALL_SPECS[2])
+        copy = params.copy()
+        assert not np.shares_memory(copy.flat, params.flat)
+        copy.flat[:] = 0.0
+        assert np.all(params.weights[0] != 0.0)
+
+
+def _unblocked(params, spec, X, y):
+    """``(raw, yhat, loss)`` of one pass over all of X, written out in full."""
+    h = X
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = h @ w + b
+        h = np.maximum(z, 0.0) if i < len(params.weights) - 1 else z[:, 0]
+    yhat = 1.0 / (1.0 + np.exp(-h))
+    if spec.kind == "svm":
+        loss = float(np.maximum(0.0, 1.0 - (2.0 * y - 1.0) * h).sum())
+    else:
+        yc = np.clip(yhat, PROB_EPS, 1.0 - PROB_EPS)
+        loss = float(-(y * np.log(yc) + (1.0 - y) * np.log(1.0 - yc)).sum())
+    return h, yhat, loss
+
+
+class TestRowBlocks:
+    """Whole-split forwards run in row blocks and equal one pass bit for bit."""
+
+    B = FORWARD_BLOCK_ROWS
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 17])
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(kind="lr", input_dim=12, seed=4),
+        ModelSpec(kind="svm", input_dim=12, seed=4),
+        ModelSpec(kind="mlp", input_dim=5, hidden_dims=(64, 32), seed=4),
+    ], ids=lambda spec: spec.kind)
+    def test_equal_to_one_unblocked_pass(self, spec, n):
+        rng = np.random.default_rng(n)
+        params = init_params(spec)
+        X = rng.normal(size=(n, spec.input_dim))
+        y = (rng.uniform(size=n) > 0.5).astype(float)
+        raw, yhat, loss = _unblocked(params, spec, X, y)
+        assert np.array_equal(raw_scores(params, spec, X), raw)
+        assert np.array_equal(forward(params, spec, X), yhat)
+        got_yhat, got_loss = forward_loss(params, spec, X, y)
+        assert np.array_equal(got_yhat, yhat)
+        assert got_loss == loss
 
 
 class TestForward:

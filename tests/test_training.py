@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from relfair.data import split
-from relfair.models import init_params
+from relfair.models import ModelParams, ModelSpec, init_params
 from relfair.synthetic import SyntheticSpec, generate, related_features
 from relfair.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     TRACE_FIELDS,
     Adam,
     EpochRecord,
@@ -74,13 +77,45 @@ class TestTrainConfig:
         assert (cfg.batch_size, cfg.seed) == (32, 3)
 
 
+def textbook_adam(arrays, grad_steps, lr):
+    """Adam as written per parameter array, each array with its own moments."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    m = [np.zeros_like(a) for a in arrays]
+    v = [np.zeros_like(a) for a in arrays]
+    for t, grads in enumerate(grad_steps, start=1):
+        scale = lr * np.sqrt(1 - b2**t) / (1 - b1**t)
+        for a, g, m_a, v_a in zip(arrays, grads, m, v):
+            m_a *= b1
+            m_a += (1 - b1) * g
+            v_a *= b2
+            v_a += (1 - b2) * g * g
+            a -= scale * m_a / (np.sqrt(v_a) + ADAM_EPS)
+
+
 class TestAdam:
     def test_minimizes_quadratic(self):
-        x = [np.array([10.0])]
+        x = np.array([10.0])
         opt = Adam(x, lr=0.1)
         for _ in range(500):
-            opt.step(x, [2 * (x[0] - 3.0)])
-        assert x[0][0] == pytest.approx(3.0, abs=1e-3)
+            opt.step(x, 2 * (x - 3.0))
+        assert x[0] == pytest.approx(3.0, abs=1e-3)
+
+    def test_one_vector_step_equals_the_per_array_update(self):
+        spec = ModelSpec(kind="mlp", input_dim=5, hidden_dims=(64, 32), seed=0)
+        params, reference = init_params(spec), init_params(spec)
+        rng = np.random.default_rng(0)
+        grad_steps = [
+            [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=a.shape)
+             for a in params.arrays()]
+            for _ in range(300)
+        ]
+        opt = Adam(params.flat, lr=0.01)
+        for grads in grad_steps:
+            opt.step(params.flat, ModelParams(grads[0::2], grads[1::2]).flat)
+        textbook_adam(reference.arrays(), grad_steps, lr=0.01)
+        assert opt.t == 300
+        for fused, per_array in zip(params.arrays(), reference.arrays()):
+            assert np.array_equal(fused, per_array)
 
 
 class TestPretrain:
@@ -260,10 +295,10 @@ class TestDivergence:
         steps_per_pass = -(-n_train // BASE_CFG.batch_size)
         step = Adam.step
 
-        def poisoning_step(self, arrays, grads):
-            step(self, arrays, grads)
+        def poisoning_step(self, theta, grad):
+            step(self, theta, grad)
             if self.t == steps_per_pass:
-                arrays[0][0, 0] = np.inf
+                theta[0] = np.inf
 
         monkeypatch.setattr(Adam, "step", poisoning_step)
         prefix = "pretrain " if stage == "pretrain" else ""
