@@ -463,19 +463,9 @@ def resolve_related(schema, encoded, names):
     schema = _check_schema(schema)
     if not names:
         raise ValueError("related feature list is empty")
-    by_name = {f.name: f for f in schema}
+    check_related_names(names, schema, "related features")
     groups = []
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise ValueError(f"related feature {name!r} is named twice")
-        f = by_name.get(name)
-        if f is None:
-            raise ValueError(f"related feature {name!r} not in schema")
-        if f.role != "input":
-            raise ValueError(
-                f"related feature {name!r} has role {f.role!r}; only input "
-                "features may be regularized"
-            )
+    for name in names:
         cols = tuple(encoded.column_map[name])
         if not cols:
             raise ValueError(
@@ -545,10 +535,15 @@ def check_list(values, key, where, kind, noun):
 
 def check_related_names(related, schema, where):
     """Return ``related`` if its names are distinct input columns of ``schema``."""
-    inputs = {f.name for f in schema if f.role == "input"}
+    roles = {f.name: f.role for f in schema}
     for i, name in enumerate(related):
-        if name not in inputs:
-            raise ValueError(f"{where}: related feature {name!r} is not an input column")
+        if name not in roles:
+            raise ValueError(f"{where}: related feature {name!r} is not in the schema")
+        if roles[name] != "input":
+            raise ValueError(
+                f"{where}: related feature {name!r} has role {roles[name]!r}; only "
+                "input features may be regularized"
+            )
         if name in related[:i]:
             raise ValueError(f"{where}: related feature {name!r} is named twice")
     return related

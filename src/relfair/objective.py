@@ -17,20 +17,25 @@ import numpy as np
 from relfair.weights import on_simplex
 
 
-def _matrix(X):
+def _checked(X, related, lam, yhat):
+    """The penalty's arguments as float arrays, checked against each other."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-d feature matrix, got shape {X.shape}")
-    return X
-
-
-def _check_lambda(lam, k):
     lam = np.asarray(lam, dtype=float)
-    if lam.shape != (k,):
-        raise ValueError(f"lambda has shape {lam.shape}, expected ({k},)")
+    if lam.shape != (related.k,):
+        raise ValueError(f"lambda has shape {lam.shape}, expected ({related.k},)")
     if not on_simplex(lam):
         raise ValueError("lambda must lie on the probability simplex")
-    return lam
+    yhat = np.asarray(yhat, dtype=float)
+    if yhat.shape != (X.shape[0],):
+        raise ValueError("yhat length must match the number of rows")
+    return X, lam, yhat
+
+
+def _centered(X, cols):
+    block = X[:, list(cols)]
+    return block - block.mean(axis=0)
 
 
 def related_penalty(X, related, lam, yhat):
@@ -40,30 +45,21 @@ def related_penalty(X, related, lam, yhat):
     correlation scores of feature j's encoded columns against ``yhat`` and
     ``total = sum_j lam[j] * per_feature[j]``.
     """
-    X = _matrix(X)
-    lam = _check_lambda(lam, related.k)
-    yhat = np.asarray(yhat, dtype=float)
-    if yhat.shape != (X.shape[0],):
-        raise ValueError("yhat length must match the number of rows")
+    X, lam, yhat = _checked(X, related, lam, yhat)
     per_feature = np.empty(related.k)
     for j, cols in enumerate(related.column_groups):
-        block = X[:, list(cols)]
-        centered = block - block.mean(axis=0)
-        per_feature[j] = np.abs(centered.T @ yhat).sum()
+        per_feature[j] = np.abs(_centered(X, cols).T @ yhat).sum()
     return float(lam @ per_feature), per_feature
 
 
 def penalty_grad_yhat(X, related, lam, yhat):
     """Gradient of the weighted penalty with respect to the predictions."""
-    X = _matrix(X)
-    lam = _check_lambda(lam, related.k)
-    yhat = np.asarray(yhat, dtype=float)
+    X, lam, yhat = _checked(X, related, lam, yhat)
     grad = np.zeros_like(yhat)
     for j, cols in enumerate(related.column_groups):
         if lam[j] == 0.0:
             continue
-        block = X[:, list(cols)]
-        centered = block - block.mean(axis=0)
+        centered = _centered(X, cols)
         signs = np.sign(centered.T @ yhat)
         grad += lam[j] * (centered @ signs)
     return grad

@@ -404,32 +404,25 @@ class TrainResult:
         )
 
 
-def _input_names(schema):
-    return [f.name for f in schema if f.role == "input"]
-
-
 def _variant_related_names(variant, schema, related_names, rng):
     """Which feature names the variant regularizes (None = no penalty)."""
-    inputs = _input_names(schema)
+    inputs = [f.name for f in schema if f.role == "input"]
     if variant in ("vanilla", "remove_related"):
         return None
-    if variant in ("fairrf", "fixed_lambda"):
+    if variant in ("fairrf", "fixed_lambda", "top1"):
         return list(related_names)
     if variant == "constrain_all":
         return inputs
     if variant == "random_related":
         k = min(len(related_names), len(inputs))
         return list(rng.choice(inputs, size=k, replace=False))
-    if variant == "noisy":
-        names = list(related_names)
-        outside = [n for n in inputs if n not in names]
-        if not outside:
-            raise ValueError("noisy variant needs at least one non-related input")
-        names[int(rng.integers(len(names)))] = str(rng.choice(outside))
-        return names
-    if variant == "constrain_s":
-        return []  # the group column itself, handled specially
-    raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    # noisy: one related feature swapped for a random non-related input
+    names = list(related_names)
+    outside = [n for n in inputs if n not in names]
+    if not outside:
+        raise ValueError("noisy variant needs at least one non-related input")
+    names[int(rng.integers(len(names)))] = str(rng.choice(outside))
+    return names
 
 
 def encode_splits(variant, splits, related_names):
@@ -456,26 +449,24 @@ def train_variant(
     hidden_dims=None,
     allow_sensitive_in_training=False,
 ):
-    """Train one baseline/method variant on pre-split raw data."""
+    """Train one baseline/method variant on pre-split raw data.
+
+    A variant only chooses what the fair loop regularizes.  Every variant
+    encodes the splits once, pretrains one model and runs ``train_fairrf``
+    from it.  ``top1`` runs the fair loop once per related feature, each time
+    from the same pretrained parameters, and keeps the run with the smallest
+    evaluation ``delta_dp`` (the first on a tie).
+    """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-
-    if variant == "top1":
-        if not any(f.role == "sensitive" for f in eval_raw.schema):
-            raise ValueError("top1 selects by evaluation fairness and needs "
-                             "the sensitive attribute on the eval split")
-        best = None
-        for name in related_names:
-            candidate = train_variant(
-                "fairrf", train_raw, eval_raw, test_raw, [name],
-                model_kind, cfg, hidden_dims=hidden_dims,
-            )
-            yhat_eval = candidate.predictions("eval")
-            dp = delta_dp(yhat_eval, candidate.encoded_eval.s)
-            if best is None or dp < best[0]:
-                best = (dp, candidate)
-        best[1].variant = "top1"
-        return best[1]
+    if variant == "top1" and not any(f.role == "sensitive" for f in eval_raw.schema):
+        raise ValueError("top1 selects by evaluation fairness and needs "
+                         "the sensitive attribute on the eval split")
+    if variant == "constrain_s" and not allow_sensitive_in_training:
+        raise ValueError(
+            "constrain_s trains against the sensitive attribute; pass "
+            "allow_sensitive_in_training=True to opt in"
+        )
 
     rng = np.random.default_rng([cfg.seed, 3])
     enc_train, enc_eval, enc_test = encode_splits(
@@ -487,40 +478,49 @@ def train_variant(
         hidden_dims=hidden_dims,
         seed=cfg.seed,
     )
-    params = init_params(spec)
 
-    # each variant only chooses what the shared pretrain + fair loop regularize
-    names = _variant_related_names(variant, train_raw.schema, related_names, rng)
+    # the related sets to regularize, one fair-loop run each
     reg_train = reg_eval = None  # None: the penalty reads the model inputs
     learn_lambda = variant != "fixed_lambda"
-    if names is None:
-        cfg = dataclasses.replace(cfg, eta=0.0)
-        related = None
-    elif variant == "constrain_s":
-        if not allow_sensitive_in_training:
-            raise ValueError(
-                "constrain_s trains against the sensitive attribute; pass "
-                "allow_sensitive_in_training=True to opt in"
-            )
+    if variant == "constrain_s":
         if enc_train.s is None or enc_eval.s is None:
             raise ValueError("constrain_s requires the sensitive attribute")
-        related = RelatedFeatureSet(features=("__sensitive__",), column_groups=((0,),))
+        penalties = [RelatedFeatureSet(features=("__sensitive__",), column_groups=((0,),))]
         reg_train = enc_train.s.astype(float)[:, None]
         reg_eval = enc_eval.s.astype(float)[:, None]
         learn_lambda = False  # its one weight stays exactly 1.0
     else:
-        related = resolve_related(train_raw.schema, enc_train, names)
+        names = _variant_related_names(variant, train_raw.schema, related_names, rng)
+        if names is None:
+            cfg = dataclasses.replace(cfg, eta=0.0)
+            penalties = [None]
+        else:
+            related = resolve_related(train_raw.schema, enc_train, names)
+            penalties = [related]
+            if variant == "top1":  # one run per related feature alone
+                penalties = [
+                    RelatedFeatureSet(features=(name,), column_groups=(cols,))
+                    for name, cols in zip(related.features, related.column_groups)
+                ]
 
     train_view = enc_train.train_view()
     eval_view = enc_eval.train_view()
-    params = pretrain(spec, params, train_view, eval_view, cfg)
-    params, trace = train_fairrf(
-        spec, params, train_view, eval_view, related, cfg, learn_lambda=learn_lambda,
-        reg_train=reg_train, reg_eval=reg_eval, fairness=_eval_fairness(enc_eval),
-    )
-    return TrainResult(
-        variant, spec, params, trace, enc_train, enc_eval, enc_test, related
-    )
+    pretrained = pretrain(spec, init_params(spec), train_view, eval_view, cfg)
+    fairness = _eval_fairness(enc_eval)
+    results = []
+    for related in penalties:
+        params, trace = train_fairrf(
+            spec, pretrained, train_view, eval_view, related, cfg,
+            learn_lambda=learn_lambda, reg_train=reg_train, reg_eval=reg_eval,
+            fairness=fairness,
+        )
+        results.append(TrainResult(
+            variant, spec, params, trace, enc_train, enc_eval, enc_test, related
+        ))
+    if variant != "top1":
+        return results[0]
+    # min keeps the first of equally fair runs
+    return min(results, key=lambda r: delta_dp(r.predictions("eval"), enc_eval.s))
 
 
 # ---------------------------------------------------------------------------

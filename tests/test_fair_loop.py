@@ -9,7 +9,11 @@ none.
 Sensitive column: ``pretrain`` and ``train_fairrf`` receive ``TrainView``s,
 and the evaluation fairness metrics reach the trace through a callback, so
 no read of ``.s`` happens inside them for any variant that does not train on
-the group by design (``constrain_s``) or select by it (``top1``).
+the group by design (``constrain_s``).  ``top1`` selects by the group, but
+outside them.
+
+Every variant encodes its splits once and pretrains once; ``top1`` runs only
+the fair loop once per related feature.
 """
 
 import dataclasses
@@ -119,7 +123,7 @@ def _guarded(fn):
 
 
 @pytest.mark.parametrize(
-    "variant", [v for v in training.VARIANTS if v not in ("constrain_s", "top1")]
+    "variant", [v for v in training.VARIANTS if v != "constrain_s"]
 )
 def test_training_never_reads_the_sensitive_column(monkeypatch, variant):
     monkeypatch.setattr(training, "pretrain", _guarded(training.pretrain))
@@ -132,3 +136,35 @@ def test_training_never_reads_the_sensitive_column(monkeypatch, variant):
         assert record.eval_delta_dp is not None
         assert record.eval_delta_eo is not None
     assert np.all(np.isfinite(result.predictions("eval")))
+
+
+def test_top1_encodes_once_and_pretrains_once(monkeypatch):
+    seen = {"encode": 0, "pretrain": 0}
+
+    def counting(name):
+        fn = getattr(training, name)
+
+        def wrapper(*args, **kwargs):
+            seen[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in seen:
+        monkeypatch.setattr(training, name, counting(name))
+    assert len(RELATED) > 1
+    train_raw, eval_raw, test_raw = split(RAW, seed=2)
+    train_variant("top1", train_raw, eval_raw, test_raw, RELATED, "lr", CFG)
+    assert seen == {"encode": 1, "pretrain": 1}
+
+
+@pytest.mark.parametrize("kind", ["lr", "mlp"])
+def test_top1_equals_fairrf_on_its_chosen_feature(kind):
+    hidden = (8, 4) if kind == "mlp" else None
+    splits = split(RAW, seed=2)
+    top1 = train_variant("top1", *splits, RELATED, kind, CFG, hidden_dims=hidden)
+    alone = train_variant("fairrf", *splits, list(top1.regularized), kind, CFG,
+                          hidden_dims=hidden)
+    assert top1.variant == "top1" and len(top1.regularized) == 1
+    assert top1.trace.to_jsonl() == alone.trace.to_jsonl()
+    assert top1.params.flat.tobytes() == alone.params.flat.tobytes()

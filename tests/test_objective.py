@@ -152,6 +152,15 @@ class TestPenaltyGrad:
         assert grad == pytest.approx(np.sign(c @ yhat) * c)
 
 
+@pytest.mark.parametrize("fn", [related_penalty, penalty_grad_yhat])
+@pytest.mark.parametrize("shape", [(10, 2), (10, 1), (9,)])
+def test_yhat_of_the_wrong_shape_is_rejected(fn, shape):
+    X = np.random.default_rng(7).normal(size=(10, 3))
+    related = make_related([(0,), (1, 2)])
+    with pytest.raises(ValueError, match="yhat length must match the number of rows"):
+        fn(X, related, [0.5, 0.5], np.full(shape, 0.5))
+
+
 class TestTotalObjective:
     def test_eta_zero(self):
         cfg = TrainConfig(eta=0.0, beta=0.5)
