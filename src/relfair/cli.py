@@ -46,7 +46,7 @@ from relfair.models import (
     load_checkpoint,
     save_checkpoint,
 )
-from relfair.training import VARIANTS, TrainConfig, encode_splits, run_single
+from relfair.training import VARIANTS, TrainConfig, encode_splits, run_seed
 
 # the seed comes from the experiment's seed list, never from its train block
 TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed")
@@ -194,13 +194,30 @@ def _write_report(out_dir, stem, payload, reports):
 
 
 def _seed_job(payload):
-    """One seed of ``variant`` under ``cfg``; the rest comes from ``exp``."""
-    raw, exp, variant, cfg, seed, run_dir, keep_checkpoint = payload
-    result, metrics = run_single(
-        raw, exp.related, variant, exp.model, cfg, seed,
+    """One seed of several cells; the rest comes from ``exp``.
+
+    Writes each cell's files as soon as it is trained and keeps only its
+    metrics row.  Returns one outcome per cell, in cell order: the metrics
+    row and the files written, or the exception the cell raised.
+    """
+    raw, exp, cells, seed, out_dir, keep_checkpoint = payload
+    outcomes = [None] * len(cells)
+    runs = run_seed(
+        raw, exp.related, [(variant, cfg) for variant, cfg, _ in cells], exp.model, seed,
         hidden_dims=exp.hidden_dims,
         allow_sensitive_in_training=exp.allow_sensitive_in_training,
     )
+    for index, result in runs:
+        if not isinstance(result, Exception):
+            run_dir = os.path.join(out_dir, cells[index][2], f"seed_{seed}")
+            result = _outcome(_write_cell, result, seed, run_dir, keep_checkpoint)
+        outcomes[index] = result
+    return outcomes
+
+
+def _write_cell(result, seed, run_dir, keep_checkpoint):
+    """Measure one trained cell and write its trace (and checkpoint)."""
+    metrics = result.test_metrics(seed)
     os.makedirs(run_dir, exist_ok=True)
     files = [os.path.join(run_dir, "trace.jsonl")]
     result.trace.write(files[0])
@@ -229,18 +246,24 @@ def _outcome(fn, *args):
     try:
         return fn(*args)
     except Exception as exc:  # a failed job is an outcome; callers decide
-        return exc
+        # only the message is reported; the frames of a traceback would keep
+        # the job's data alive
+        return exc.with_traceback(None)
 
 
 def _run_cells(args, exp, seeds, cells, keep_checkpoint=False):
-    """One job per cell and seed; a cell is ``(variant, TrainConfig, subdir)``.
+    """Run every cell under every seed; a cell is ``(variant, TrainConfig, subdir)``.
 
-    Loads the dataset and runs the jobs cell by cell, seed by seed, each in
-    ``<out_dir>/<subdir>/seed_<k>``.  A job creates its directory when it has
-    something to write, so a run whose every job fails first leaves no output
-    directory behind; a directory that already existed is left as it was.
-    Returns the output directory, the files the jobs wrote and, per cell, one
-    outcome per seed: the job's metrics row or the exception it raised.
+    Loads the dataset once and runs one job per seed, which splits, encodes
+    and pretrains once for all the cells that can share them.  With fewer
+    seeds than ``--workers``, each seed's cells are cut into ⌈workers /
+    seeds⌉ jobs (never more jobs than cells), so that no worker sits idle.
+    A cell's files go to ``<out_dir>/<subdir>/seed_<k>``.  A job creates a
+    directory when it has something to write, so a run whose every cell
+    fails first leaves no output directory behind; a directory that already
+    existed is left as it was.  Returns the output directory, the files the
+    jobs wrote and, per cell, one outcome per seed: the metrics row or the
+    exception the cell raised.
     """
     if args.workers < 1:
         raise ValueError(f"--workers: must be at least 1, got {args.workers}")
@@ -248,20 +271,24 @@ def _run_cells(args, exp, seeds, cells, keep_checkpoint=False):
     out_dir = args.output_dir or exp.output_dir
     if os.path.exists(out_dir) and not os.path.isdir(out_dir):
         raise ValueError(f"output directory {out_dir} exists and is not a directory")
+    parts = min(len(cells), -(-args.workers // len(seeds)))
     jobs = [
-        (raw, exp, variant, cfg, seed,
-         os.path.join(out_dir, subdir, f"seed_{seed}"), keep_checkpoint)
-        for variant, cfg, subdir in cells
+        (raw, exp, cells[part * len(cells) // parts : (part + 1) * len(cells) // parts],
+         seed, out_dir, keep_checkpoint)
         for seed in seeds
+        for part in range(parts)
     ]
-    outcomes = _run_jobs(jobs, args.workers)
-    files = [p for o in outcomes if not isinstance(o, Exception) for p in o[1]]
-    rows = iter(o if isinstance(o, Exception) else o[0] for o in outcomes)
-    return out_dir, files, [[next(rows) for _ in seeds] for _ in cells]
+    flat = []  # seed by seed, each seed's cells in order
+    for job, outcome in zip(jobs, _run_jobs(jobs, args.workers)):
+        # a job that failed as a whole fails each of its cells
+        flat += [outcome] * len(job[2]) if isinstance(outcome, Exception) else outcome
+    files = [p for o in flat if not isinstance(o, Exception) for p in o[1]]
+    rows = [o if isinstance(o, Exception) else o[0] for o in flat]
+    return out_dir, files, [rows[c :: len(cells)] for c in range(len(cells))]
 
 
 def _reports(cells, outcomes):
-    """One report per cell's variant; raises the first failed job, in job order."""
+    """One report per cell's variant; raises the first failure, in cell order."""
     reports = {}
     for (variant, _, _), rows in zip(cells, outcomes):
         for row in rows:

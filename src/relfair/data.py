@@ -13,6 +13,7 @@ training code receives a :class:`TrainView`, which has no ``s`` field at all.
 import collections.abc
 import csv
 import dataclasses
+import gc
 import importlib.resources
 import os
 
@@ -299,8 +300,21 @@ def load_csv(
     schema = _check_schema(schema)
     if not os.path.exists(path):
         raise FileNotFoundError(f"dataset file not found: {path}")
-    missing_tokens = set(missing_tokens)
+    # The per-row lists hold strings only, so no cycle can form among them,
+    # yet every few hundred new lists set off a collection that walks the
+    # lists kept so far.  They die with _read_csv's frame, before the
+    # collector is back.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _read_csv(path, schema, label_positive, sensitive_positive,
+                         set(missing_tokens))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
+
+def _read_csv(path, schema, label_positive, sensitive_positive, missing_tokens):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:

@@ -26,6 +26,7 @@ mini-batch's activations for the backward pass and forwards it in one go.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,10 +86,15 @@ class ModelParams:
     def __post_init__(self):
         arrays = self.arrays()
         self.flat = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
+        self._view_layers([a.shape for a in arrays])
+
+    def _view_layers(self, shapes):
+        """Point ``weights`` and ``biases`` at consecutive pieces of ``flat``."""
         views, start = [], 0
-        for a in arrays:
-            views.append(self.flat[start : start + a.size].reshape(a.shape))
-            start += a.size
+        for shape in shapes:
+            size = math.prod(shape)
+            views.append(self.flat[start : start + size].reshape(shape))
+            start += size
         self.weights, self.biases = views[0::2], views[1::2]
 
     def __reduce__(self):  # pickle and deepcopy rebuild the layout too
@@ -96,6 +102,13 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams(weights=self.weights, biases=self.biases)
+
+    def empty_like(self) -> "ModelParams":
+        """Uninitialized parameters of the same layout, made without a copy."""
+        out = object.__new__(ModelParams)
+        out.flat = np.empty_like(self.flat)
+        out._view_layers([a.shape for a in self.arrays()])
+        return out
 
     def arrays(self) -> list[np.ndarray]:
         out = []
@@ -251,15 +264,14 @@ def loss_and_grad(
             d_yhat = d_yhat + extra
         d_raw = d_yhat * yhat * (1.0 - yhat)
 
-    grads_w = [np.empty(0)] * len(params.weights)
-    grads_b = [np.empty(0)] * len(params.biases)
+    grads = params.empty_like()  # each layer's gradient goes straight into its view
     delta = d_raw[:, None]
     for i in range(len(params.weights) - 1, -1, -1):
-        grads_w[i] = acts[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        np.matmul(acts[i].T, delta, out=grads.weights[i])
+        delta.sum(axis=0, out=grads.biases[i])
         if i > 0:
             delta = (delta @ params.weights[i].T) * (acts[i] > 0.0)
-    return loss, ModelParams(weights=grads_w, biases=grads_b)
+    return loss, grads
 
 
 def save_checkpoint(path, params: ModelParams, spec: ModelSpec) -> None:

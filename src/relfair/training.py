@@ -27,7 +27,7 @@ hidden activations of a 10000-row split, 10000 x 64 floats, fall out of
 cache, and a block's stay in it.  The scores and losses are bit-identical to
 one unblocked pass.  The loop sees features and labels only; the evaluation
 fairness metrics, which need the sensitive column, come from a callback that
-``train_variant`` builds.
+``train_cells`` builds.
 
 Model selection: among epochs whose evaluation-split penalty is no worse than
 110% of the final epoch's penalty, the checkpoint with the best evaluation
@@ -437,26 +437,8 @@ def encode_splits(variant, splits, related_names):
     return encode(train, others)
 
 
-def train_variant(
-    variant,
-    train_raw,
-    eval_raw,
-    test_raw,
-    related_names,
-    model_kind,
-    cfg,
-    *,
-    hidden_dims=None,
-    allow_sensitive_in_training=False,
-):
-    """Train one baseline/method variant on pre-split raw data.
-
-    A variant only chooses what the fair loop regularizes.  Every variant
-    encodes the splits once, pretrains one model and runs ``train_fairrf``
-    from it.  ``top1`` runs the fair loop once per related feature, each time
-    from the same pretrained parameters, and keeps the run with the smallest
-    evaluation ``delta_dp`` (the first on a tie).
-    """
+def _check_cell(variant, eval_raw, allow_sensitive_in_training):
+    """The checks a variant passes before anything is encoded for it."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if variant == "top1" and not any(f.role == "sensitive" for f in eval_raw.schema):
@@ -468,16 +450,15 @@ def train_variant(
             "allow_sensitive_in_training=True to opt in"
         )
 
+
+def _train_cell(variant, cfg, raw_schema, encoded, spec, pretrained, related_names):
+    """The fair loop of one cell on its group's encoded splits.
+
+    ``pretrained`` maps the fields ``pretrain`` reads to its parameters and
+    gains an entry the first time a key is met.
+    """
+    enc_train, enc_eval, enc_test = encoded
     rng = np.random.default_rng([cfg.seed, 3])
-    enc_train, enc_eval, enc_test = encode_splits(
-        variant, (train_raw, eval_raw, test_raw), related_names
-    )
-    spec = ModelSpec(
-        kind=model_kind,
-        input_dim=enc_train.n_columns,
-        hidden_dims=hidden_dims,
-        seed=cfg.seed,
-    )
 
     # the related sets to regularize, one fair-loop run each
     reg_train = reg_eval = None  # None: the penalty reads the model inputs
@@ -490,12 +471,12 @@ def train_variant(
         reg_eval = enc_eval.s.astype(float)[:, None]
         learn_lambda = False  # its one weight stays exactly 1.0
     else:
-        names = _variant_related_names(variant, train_raw.schema, related_names, rng)
+        names = _variant_related_names(variant, raw_schema, related_names, rng)
         if names is None:
             cfg = dataclasses.replace(cfg, eta=0.0)
             penalties = [None]
         else:
-            related = resolve_related(train_raw.schema, enc_train, names)
+            related = resolve_related(raw_schema, enc_train, names)
             penalties = [related]
             if variant == "top1":  # one run per related feature alone
                 penalties = [
@@ -505,12 +486,14 @@ def train_variant(
 
     train_view = enc_train.train_view()
     eval_view = enc_eval.train_view()
-    pretrained = pretrain(spec, init_params(spec), train_view, eval_view, cfg)
+    key = (spec, cfg.seed, cfg.learning_rate, cfg.pretrain_epochs, cfg.batch_size)
+    if key not in pretrained:
+        pretrained[key] = pretrain(spec, init_params(spec), train_view, eval_view, cfg)
     fairness = _eval_fairness(enc_eval)
     results = []
     for related in penalties:
         params, trace = train_fairrf(
-            spec, pretrained, train_view, eval_view, related, cfg,
+            spec, pretrained[key], train_view, eval_view, related, cfg,
             learn_lambda=learn_lambda, reg_train=reg_train, reg_eval=reg_eval,
             fairness=fairness,
         )
@@ -523,8 +506,92 @@ def train_variant(
     return min(results, key=lambda r: delta_dp(r.predictions("eval"), enc_eval.s))
 
 
+def train_cells(cells, train_raw, eval_raw, test_raw, related_names, model_kind, *,
+                hidden_dims=None, allow_sensitive_in_training=False):
+    """Train ``(variant, cfg)`` cells on one split, sharing what they share.
+
+    A variant only chooses what the fair loop regularizes.  The cells are
+    grouped by encoding (``remove_related`` drops the related features,
+    every other variant encodes all inputs), and a group is encoded once,
+    when its first cell has passed its checks.  Within a group, ``pretrain``
+    runs once per model spec, ``seed``, ``learning_rate``,
+    ``pretrain_epochs`` and ``batch_size``, the only fields it reads; every
+    cell then runs ``train_fairrf`` from those parameters.  ``top1`` runs
+    the fair loop once per related feature and keeps the run with the
+    smallest evaluation ``delta_dp`` (the first on a tie).
+
+    Yields ``(index into cells, TrainResult or the exception the cell
+    raised)`` one cell at a time, group by group.  Only one group's encoding
+    is held at a time, as long as the caller keeps no result past its turn.
+    """
+    splits = (train_raw, eval_raw, test_raw)
+    groups = {}
+    for index, (variant, _) in enumerate(cells):
+        groups.setdefault(variant == "remove_related", []).append(index)
+    for indices in groups.values():
+        # drop the last group's encoding, which its last outcome holds too
+        encoded = outcome = None
+        pretrained = {}
+        for index in indices:
+            variant, cfg = cells[index]
+            try:
+                _check_cell(variant, eval_raw, allow_sensitive_in_training)
+                if encoded is None:
+                    encoded = encode_splits(variant, splits, related_names)
+                spec = ModelSpec(kind=model_kind, input_dim=encoded[0].n_columns,
+                                 hidden_dims=hidden_dims, seed=cfg.seed)
+                outcome = _train_cell(variant, cfg, train_raw.schema, encoded, spec,
+                                      pretrained, related_names)
+            except Exception as exc:  # a failed cell is an outcome; callers decide
+                # the frames of a traceback would keep an encoding alive
+                outcome = exc.with_traceback(None)
+            yield index, outcome
+
+
+def _one(outcomes):
+    """The result of a one-cell run; raises what the cell raised."""
+    ((_, outcome),) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def train_variant(
+    variant,
+    train_raw,
+    eval_raw,
+    test_raw,
+    related_names,
+    model_kind,
+    cfg,
+    *,
+    hidden_dims=None,
+    allow_sensitive_in_training=False,
+):
+    """Train one baseline/method variant on pre-split raw data: ``train_cells``
+    of one cell."""
+    return _one(train_cells(
+        [(variant, cfg)], train_raw, eval_raw, test_raw, related_names, model_kind,
+        hidden_dims=hidden_dims, allow_sensitive_in_training=allow_sensitive_in_training,
+    ))
+
+
 # ---------------------------------------------------------------------------
 # seeded experiment runs
+
+
+def run_seed(raw, related_names, cells, model_kind, seed, *, hidden_dims=None,
+             allow_sensitive_in_training=False):
+    """One seed of every ``(variant, cfg)`` cell: split once, then ``train_cells``.
+
+    Every cell's ``cfg.seed`` is replaced by ``seed``.  Yields what
+    ``train_cells`` yields.
+    """
+    cells = [(variant, dataclasses.replace(cfg, seed=seed)) for variant, cfg in cells]
+    yield from train_cells(
+        cells, *split(raw, seed=seed), related_names, model_kind,
+        hidden_dims=hidden_dims, allow_sensitive_in_training=allow_sensitive_in_training,
+    )
 
 
 def run_single(
@@ -539,15 +606,11 @@ def run_single(
     allow_sensitive_in_training=False,
 ):
     """One seed: re-split, train the variant, measure the test split."""
-    run_cfg = dataclasses.replace(cfg, seed=seed)
-    train_raw, eval_raw, test_raw = split(raw, seed=seed)
-    result = train_variant(
-        variant, train_raw, eval_raw, test_raw, related_names,
-        model_kind, run_cfg, hidden_dims=hidden_dims,
-        allow_sensitive_in_training=allow_sensitive_in_training,
-    )
-    metrics = result.test_metrics(seed)
-    return result, metrics
+    result = _one(run_seed(
+        raw, related_names, [(variant, cfg)], model_kind, seed,
+        hidden_dims=hidden_dims, allow_sensitive_in_training=allow_sensitive_in_training,
+    ))
+    return result, result.test_metrics(seed)
 
 
 def run_seeds(raw, related_names, variant, model_kind, cfg, seeds, **kwargs):

@@ -6,11 +6,12 @@ import os
 import pathlib
 import re
 import textwrap
+import weakref
 
 import pytest
 import yaml
 
-from relfair import cli
+from relfair import cli, training
 from relfair.cli import TRAIN_KEYS, main, parse_experiment_config
 from relfair.synthetic import SyntheticSpec, generate, write_csv
 from relfair.training import VARIANTS, TrainConfig
@@ -289,8 +290,9 @@ def test_beta_too_small_for_the_scores_is_named(workspace, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def recording_pool(sizes):
-    """A ProcessPoolExecutor stand-in that runs jobs in-process and records its size."""
+def recording_pool(sizes, jobs=None):
+    """A ProcessPoolExecutor stand-in that runs jobs in-process and records its
+    size and, when given ``jobs``, the arguments of every job submitted."""
 
     class Pool:
         def __init__(self, max_workers):
@@ -303,6 +305,8 @@ def recording_pool(sizes):
             return False
 
         def submit(self, fn, *args):
+            if jobs is not None:
+                jobs.append(args)
             future = concurrent.futures.Future()
             try:
                 future.set_result(fn(*args))
@@ -328,6 +332,138 @@ def test_pool_never_outnumbers_the_jobs(workspace, tmp_path, monkeypatch,
     )
     assert code == 0
     assert sizes == pool_sizes
+
+
+@pytest.mark.parametrize(
+    "workers, seeds, cells_per_job",
+    [("2", "0", [2, 2]), ("3", "0", [1, 1, 2]), ("1000", "0", [1] * 4),
+     ("3", "0,1", [2, 2, 2, 2]), ("2", "0,1", [4, 4])],
+    ids=["two-workers-one-seed", "uneven-parts", "a-cell-per-job",
+         "ceil-of-workers-per-seed", "a-job-per-seed"],
+)
+def test_seeds_cut_into_jobs_for_idle_workers(workspace, tmp_path, monkeypatch,
+                                               workers, seeds, cells_per_job):
+    # fewer seeds than workers: each seed's cells go out as ceil(workers / seeds)
+    # jobs, never more jobs than cells
+    sizes, jobs = [], []
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                        recording_pool(sizes, jobs))
+    code = run_cli(
+        "sweep", "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
+        "--output-dir", str(tmp_path / "o"), "--seeds", seeds, "--workers", workers,
+        "--eta-grid", "0.1,0.3", "--beta-grid", "0.5,0.8",
+    )
+    assert code == 0
+    assert sizes == [min(int(workers), len(cells_per_job))]
+    assert [len(job[2]) for (job,) in jobs] == cells_per_job
+
+
+def counting(monkeypatch, module, names):
+    """Count the calls of ``module.<name>`` for each name, in the returned dict."""
+    seen = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapper(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            seen[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "argv, shared, cells",
+    [(("compare", "--variants", "vanilla,fairrf,remove_related"), 4, 6),
+     (("sweep", "--eta-grid", "0.1,0.3", "--beta-grid", "0.5,0.8"), 2, 8)],
+    ids=["compare", "sweep"],
+)
+def test_a_seed_job_encodes_and_pretrains_once_per_encoding(workspace, tmp_path,
+                                                            monkeypatch, argv, shared,
+                                                            cells):
+    # compare: vanilla and fairrf share an encoding, remove_related has its own,
+    # so 2 of each per seed (6 one-cell jobs did 6); sweep: 4 cells share one
+    # per seed (8 one-cell jobs did 8)
+    seen = counting(monkeypatch, training, ("encode", "pretrain", "train_fairrf"))
+    command, *extra = argv
+    assert run_cli(
+        command, "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
+        "--output-dir", str(tmp_path / "o"), "--seeds", "0,1", "--workers", "1", *extra,
+    ) == 0
+    assert seen == {"encode": shared, "pretrain": shared, "train_fairrf": cells}
+
+
+def _unmeasurable(result, seed):
+    raise ValueError("cannot measure")
+
+
+@pytest.mark.parametrize("fails", ["in-the-fair-loop", "when-measured"])
+def test_a_seed_job_holds_one_encoding_at_a_time(workspace, tmp_path, monkeypatch, fails):
+    # each cell's result is written and dropped, and a failed cell keeps no
+    # data alive, before the next group is encoded
+    doc = yaml.safe_load((workspace / "exp.yaml").read_text())
+    doc["dataset"] = str(workspace / "dataset.yaml")
+    if fails == "in-the-fair-loop":
+        doc["train"]["beta"] = 1.0e-12  # fairrf fails; vanilla and remove_related do not
+    else:
+        monkeypatch.setattr(training.TrainResult, "test_metrics", _unmeasurable)
+    exp = tmp_path / "exp.yaml"
+    exp.write_text(yaml.safe_dump(doc))
+    encode = training.encode
+    earlier = []  # a weak reference to each encoded training split
+    alive = []  # how many of them were alive at each encode
+
+    def checked_encode(train, others):
+        alive.append(sum(ref() is not None for ref in earlier))
+        encoded = encode(train, others)
+        earlier.append(weakref.ref(encoded[0]))
+        return encoded
+
+    monkeypatch.setattr(training, "encode", checked_encode)
+    assert run_cli(
+        "compare", "-c", str(exp), "--data-dir", str(workspace),
+        "--output-dir", str(tmp_path / "o"), "--seeds", "0,1",
+        "--variants", "vanilla,remove_related,fairrf",
+    ) == 1
+    assert alive == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_failed_cell_leaves_its_seed_mates_running(workspace, tmp_path, workers):
+    # at --workers 1 both cells are one job: the tiny beta fails in the fair
+    # loop, after the shared encode and pretrain, and the other cell goes on
+    out = tmp_path / "sweep"
+    code = run_cli(
+        "sweep", "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
+        "--output-dir", str(out), "--seeds", "0", "--workers", workers,
+        "--eta-grid", "0.3", "--beta-grid", "1e-12,0.5",
+    )
+    assert code == 0
+    failures = json.loads((out / "failures.json").read_text())
+    assert [(f["eta"], f["beta"], f["seed"]) for f in failures] == [(0.3, 1e-12, 0)]
+    assert "too small" in failures[0]["error"]
+    rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [["0.3", "0.5", "0"]]
+
+
+def test_a_failed_seed_job_fails_each_of_its_cells(workspace, tmp_path, monkeypatch):
+    run_seed = cli.run_seed
+
+    def failing_on_seed_1(raw, related, cells, model, seed, **kwargs):
+        if seed == 1:
+            raise RuntimeError("seed 1 cannot be split")
+        return run_seed(raw, related, cells, model, seed, **kwargs)
+
+    monkeypatch.setattr(cli, "run_seed", failing_on_seed_1)
+    out = tmp_path / "sweep"
+    assert run_cli(
+        "sweep", "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
+        "--output-dir", str(out), "--seeds", "0,1", "--eta-grid", "0.1,0.3",
+    ) == 0
+    failures = json.loads((out / "failures.json").read_text())
+    assert [(f["eta"], f["seed"], f["error"]) for f in failures] == [
+        (0.1, 1, "seed 1 cannot be split"), (0.3, 1, "seed 1 cannot be split"),
+    ]
+    rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [["0.1", "0.5", "0"], ["0.3", "0.5", "0"]]
 
 
 class TestTrain:

@@ -230,6 +230,33 @@ class TestRowBlocks:
         assert np.array_equal(got_yhat, yhat)
         assert got_loss == loss
 
+    # One unblocked pass over the 12513 x 102 LR input differs in the last bit
+    # between one and two OpenBLAS threads; the blocked one must not.
+    THREADS_CODE = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from relfair.models import ModelSpec, forward, init_params\n"
+        "for spec, n in ((ModelSpec(kind='lr', input_dim=102, seed=3), 12513),\n"
+        "                (ModelSpec(kind='mlp', input_dim=5, hidden_dims=(64, 32), seed=3),"
+        " 6000)):\n"
+        "    X = np.random.default_rng(1).normal(size=(n, spec.input_dim))\n"
+        "    print(hashlib.sha256(forward(init_params(spec), spec, X).tobytes()).hexdigest())\n"
+    )
+
+    def test_scores_do_not_depend_on_blas_threads(self):
+        src = os.path.dirname(os.path.dirname(relfair.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        digests = []
+        for threads in ("1", "2"):
+            blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+            env = {**os.environ, "PYTHONPATH": path, **dict.fromkeys(blas, threads)}
+            digests.append(subprocess.run(
+                [sys.executable, "-c", self.THREADS_CODE], capture_output=True, text=True,
+                check=True, env=env,
+            ).stdout)
+        assert len(digests[0].split()) == 2
+        assert digests[0] == digests[1]
+
 
 class TestForward:
     def test_zero_params_give_half(self):

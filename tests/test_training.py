@@ -1,8 +1,10 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
 
+from relfair import training
 from relfair.data import split
 from relfair.models import ModelParams, ModelSpec, init_params
 from relfair.synthetic import SyntheticSpec, generate, related_features
@@ -17,6 +19,7 @@ from relfair.training import (
     TrainTrace,
     TrainingDivergedError,
     pretrain,
+    run_seed,
     run_seeds,
     run_single,
     train_fairrf,
@@ -161,6 +164,17 @@ class TestPretrain:
         b = pretrain(spec, params, view, ev, BASE_CFG)
         for x, y in zip(a.arrays(), b.arrays()):
             assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("field, value", [
+        ("eta", 0.0), ("beta", 7.0), ("max_epochs", 1), ("early_stop_patience", 1),
+    ])
+    def test_reads_none_of_the_fair_loop_fields(self, field, value):
+        # the cells of a seed job share one pretrain on exactly this premise
+        spec, params, view, ev = self._setup(BASE_CFG)
+        other = dataclasses.replace(BASE_CFG, **{field: value})
+        a = pretrain(spec, params, view, ev, BASE_CFG)
+        b = pretrain(spec, params, view, ev, other)
+        assert a.flat.tobytes() == b.flat.tobytes()
 
     def test_nan_aborts_with_diagnostics(self):
         cfg = BASE_CFG
@@ -382,6 +396,55 @@ class TestVariants:
         )
         assert res.spec.hidden_dims == (16, 8)
         assert 0.5 < m.accuracy <= 1.0
+
+
+class TestRunSeed:
+    CFG = dataclasses.replace(BASE_CFG, max_epochs=4, pretrain_epochs=2)
+    CELLS = [
+        ("fairrf", CFG),
+        ("constrain_s", CFG),  # fails its check: no opt-in
+        ("remove_related", CFG),
+        ("vanilla", CFG),
+        ("fairrf", dataclasses.replace(CFG, eta=0.1, beta=0.8)),
+        ("fairrf", dataclasses.replace(CFG, beta=1e-12)),  # fails in the fair loop
+    ]
+
+    def test_each_cell_equals_its_one_cell_run(self):
+        outcomes = list(run_seed(RAW, RELATED, self.CELLS, "lr", 1))
+        # group by group: every variant but remove_related shares an encoding
+        assert [index for index, _ in outcomes] == [0, 1, 3, 4, 5, 2]
+        for index, result in outcomes:
+            variant, cfg = self.CELLS[index]
+            if isinstance(result, Exception):
+                with pytest.raises(type(result)) as alone:
+                    run_single(RAW, RELATED, variant, "lr", cfg, seed=1)
+                assert str(alone.value) == str(result)
+                continue
+            alone, _ = run_single(RAW, RELATED, variant, "lr", cfg, seed=1)
+            assert result.trace.to_jsonl() == alone.trace.to_jsonl()
+            assert result.params.flat.tobytes() == alone.params.flat.tobytes()
+        assert sum(isinstance(r, Exception) for _, r in outcomes) == 2
+
+    def test_holds_one_encoding_at_a_time(self, monkeypatch):
+        # the last cell of the first group fails after encoding: its exception
+        # must not keep that encoding alive either
+        encode = training.encode
+        earlier = []  # a weak reference to each encoded training split
+        alive = []  # how many of them were alive at each encode
+
+        def checked_encode(train, others):
+            alive.append(sum(ref() is not None for ref in earlier))
+            encoded = encode(train, others)
+            earlier.append(weakref.ref(encoded[0]))
+            return encoded
+
+        monkeypatch.setattr(training, "encode", checked_encode)
+        outcomes = [
+            result if isinstance(result, Exception) else None
+            for _, result in run_seed(RAW, RELATED, self.CELLS, "lr", 1)
+        ]
+        assert alive == [0, 0]
+        assert sum(o is not None for o in outcomes) == 2
 
 
 class TestRunSeeds:
