@@ -23,13 +23,23 @@ def _as_array(v, name):
     return arr
 
 
+def _as_scores(yhat, metric_name):
+    """``yhat`` as a 1-d float array; a NaN or inf entry is an error."""
+    yhat = _as_array(yhat, "yhat")
+    finite = np.isfinite(yhat)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"{metric_name}: yhat[{i}] is {yhat[i]}, not a finite score")
+    return yhat
+
+
 def thresholded(yhat):
     """Hard 0/1 predictions from probabilities: 1 at 0.5 and above."""
     return (np.asarray(yhat, dtype=float) >= 0.5).astype(float)
 
 
 def accuracy(yhat, y):
-    yhat = _as_array(yhat, "yhat")
+    yhat = _as_scores(yhat, "accuracy")
     y = _as_array(y, "y")
     if len(yhat) == 0:
         raise ValueError("accuracy of an empty sample is undefined")
@@ -58,7 +68,7 @@ def _group_gap(yhat, s, mask, metric_name):
 
 def delta_dp(yhat, s):
     """Demographic-parity gap: |E[yhat | S=i] - E[yhat | S=j]|, max over pairs."""
-    yhat = _as_array(yhat, "yhat")
+    yhat = _as_scores(yhat, "delta_dp")
     if len(yhat) != len(s):
         raise ValueError("yhat and s must have equal length")
     return _group_gap(yhat, s, np.ones(len(yhat), dtype=bool), "delta_dp")
@@ -66,7 +76,7 @@ def delta_dp(yhat, s):
 
 def delta_eo(yhat, y, s):
     """Equal-opportunity gap: the delta_dp gap restricted to y=1 rows."""
-    yhat = _as_array(yhat, "yhat")
+    yhat = _as_scores(yhat, "delta_eo")
     y = _as_array(y, "y")
     if not (len(yhat) == len(y) == len(s)):
         raise ValueError("yhat, y and s must have equal length")

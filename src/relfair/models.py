@@ -17,10 +17,20 @@ so the optimizer updates every parameter with one vector expression.
 Row blocks: ``raw_scores``, and through it ``forward`` and ``forward_loss``,
 run the layers over a whole split in blocks of ``FORWARD_BLOCK_ROWS`` rows.
 The hidden activations of a whole split (10000 x 64 float64 is 5 MB) fall
-out of cache, and a block's stay in it.  Rows are independent, so only the
-raw scores are blocked, and the sigmoid, the clip and the summed loss still
-run on the whole vector; no sum changes order.  ``loss_and_grad`` needs its
-mini-batch's activations for the backward pass and forwards it in one go.
+out of cache, and a block's stay in it.  Each call allocates one buffer per
+layer, as tall as the tallest block, and every block computes in place in
+its leading rows: the product, then the bias and the ReLU on the same array,
+the same ufuncs in the same order as ``np.maximum(h @ w + b, 0.0)``, so
+every bit stays.  Fresh arrays cost more than the arithmetic: three per
+hidden layer and block, 512 KB each when 64 wide, each mapped in and out
+again by the allocator, so a 10000-row (64, 32) MLP forward took about 1,370
+minor page faults, against about 160 with one buffer set.  The buffers live
+in the call's frame; nothing is kept between calls.  Rows are independent,
+so only the raw scores are blocked, and the sigmoid, the clip and the summed
+loss still run on the whole vector; no sum changes order.  ``loss_and_grad``
+needs its mini-batch's activations for the backward pass and forwards it in
+one go, with the same in-place bias and ReLU; its backward multiplies the
+ReLU mask into ``delta @ W.T`` in place.
 """
 
 from __future__ import annotations
@@ -150,38 +160,45 @@ def _check_input(spec: ModelSpec, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _forward_cache(params: ModelParams, spec: ModelSpec, X: np.ndarray):
-    """Returns (raw output scores, list of post-activation layer inputs)."""
+def _forward_cache(params: ModelParams, X: np.ndarray, out=None):
+    """Returns (raw output scores, list of post-activation layer inputs).
+
+    Layer i computes in place in ``out[i]``, a (rows of X, width of layer i)
+    array, or in one new array when ``out`` is None.
+    """
     acts = [X]
-    h = X
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w + b
+        z = np.matmul(acts[-1], w, out=None if out is None else out[i])
+        np.add(z, b, out=z)
         if i < last:
-            h = np.maximum(z, 0.0)
-            acts.append(h)
-        else:
-            raw = z[:, 0]
-    return raw, acts
+            np.maximum(z, 0.0, out=z)
+            acts.append(z)
+    return z[:, 0], acts
 
 
-def _blocked_raw(params: ModelParams, spec: ModelSpec, X: np.ndarray) -> np.ndarray:
+def _blocked_raw(params: ModelParams, X: np.ndarray) -> np.ndarray:
     """``_forward_cache(...)[0]`` of a whole split, in row blocks.
 
     No block has one row unless X does: numpy hands a one-row product to
-    gemv or dot, which round unlike the gemm or gemv of a taller block.
+    gemv or dot, which round unlike the gemm or gemv of a taller block.  So
+    a block has at most FORWARD_BLOCK_ROWS + 1 rows, and every block runs in
+    leading rows of the same per-layer buffers of that height.
     """
     n = X.shape[0]
     raw = np.empty(n)
+    rows = min(n, FORWARD_BLOCK_ROWS + 1)
+    bufs = [np.empty((rows, w.shape[1])) for w in params.weights]
     edges = [0, *range(FORWARD_BLOCK_ROWS, n - 1, FORWARD_BLOCK_ROWS), n]
     for start, stop in zip(edges, edges[1:]):
-        raw[start:stop], _ = _forward_cache(params, spec, X[start:stop])
+        block = [buf[: stop - start] for buf in bufs]
+        raw[start:stop], _ = _forward_cache(params, X[start:stop], block)
     return raw
 
 
 def raw_scores(params: ModelParams, spec: ModelSpec, X) -> np.ndarray:
     """Pre-sigmoid output: the logit for LR/MLP, the margin for the SVM."""
-    return _blocked_raw(params, spec, _check_input(spec, X))
+    return _blocked_raw(params, _check_input(spec, X))
 
 
 def forward(params: ModelParams, spec: ModelSpec, X) -> np.ndarray:
@@ -216,7 +233,7 @@ def forward_loss(params: ModelParams, spec: ModelSpec, X, y) -> tuple[np.ndarray
     """``(forward(...), loss_and_grad(...)[0])`` from one forward pass, no backward."""
     X = _check_input(spec, X)
     y = _check_labels(X, y)
-    raw = _blocked_raw(params, spec, X)
+    raw = _blocked_raw(params, X)
     yhat = sigmoid(raw)
     loss, _ = _cls_loss(spec, raw, yhat, y)
     return yhat, loss
@@ -243,7 +260,7 @@ def loss_and_grad(
     X = _check_input(spec, X)
     y = _check_labels(X, y)
 
-    raw, acts = _forward_cache(params, spec, X)
+    raw, acts = _forward_cache(params, X)
     yhat = sigmoid(raw)
     extra = None
     if extra_grad_on_yhat is not None:
@@ -270,7 +287,8 @@ def loss_and_grad(
         np.matmul(acts[i].T, delta, out=grads.weights[i])
         delta.sum(axis=0, out=grads.biases[i])
         if i > 0:
-            delta = (delta @ params.weights[i].T) * (acts[i] > 0.0)
+            delta = delta @ params.weights[i].T
+            np.multiply(delta, acts[i] > 0.0, out=delta)  # the ReLU mask
     return loss, grads
 
 
@@ -304,6 +322,11 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelSpec]:
             hidden_dims=tuple(meta["hidden_dims"]),
             seed=meta["seed"],
         )
-        weights = [data[f"w{i}"] for i in range(meta["n_layers"])]
-        biases = [data[f"b{i}"] for i in range(meta["n_layers"])]
+        n = meta["n_layers"]
+        arrays = {name: data[name] for i in range(n) for name in (f"w{i}", f"b{i}")}
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise ValueError(f"checkpoint {path}: {name} holds a NaN or inf parameter")
+    weights = [arrays[f"w{i}"] for i in range(n)]
+    biases = [arrays[f"b{i}"] for i in range(n)]
     return ModelParams(weights=weights, biases=biases), spec

@@ -8,6 +8,7 @@ import re
 import textwrap
 import weakref
 
+import numpy as np
 import pytest
 import yaml
 
@@ -801,3 +802,24 @@ class TestEvaluate:
         )
         assert code == 1
         assert "input columns" in capsys.readouterr().err
+
+    def test_non_finite_checkpoint_is_refused(self, workspace, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli(
+            "train", "-c", str(workspace / "exp.yaml"),
+            "--data-dir", str(workspace), "--output-dir", str(out), "--seeds", "0",
+        ) == 0
+        path = out / "seed_0" / "checkpoint.npz"
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["w0"].flat[0] = np.nan  # every score of this model would be NaN
+        np.savez(path, **arrays)
+        capsys.readouterr()
+        code = run_cli(
+            "evaluate", "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
+            "--checkpoint", str(path), "--seed", "0",
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "w0 holds a NaN or inf parameter" in captured.err
+        assert captured.out == ""

@@ -155,6 +155,26 @@ class TestHardVariants:
         assert thresholded(yhat).tolist() == [0.0, 1.0, 1.0]
 
 
+class TestNonFiniteScores:
+    """A NaN or inf score is an error naming the metric and the first bad row."""
+
+    def test_delta_dp(self):
+        with pytest.raises(ValueError, match=r"delta_dp: yhat\[1\] is nan"):
+            delta_dp([0.1, np.nan, 0.2], [0, 1, 1])
+
+    def test_delta_eo(self):
+        with pytest.raises(ValueError, match=r"delta_eo: yhat\[1\] is nan"):
+            delta_eo([0.3, np.nan], [1, 1], [0, 1])
+
+    def test_accuracy(self):
+        with pytest.raises(ValueError, match=r"accuracy: yhat\[0\] is nan"):
+            accuracy([np.nan, 0.9], [0, 1])
+
+    def test_inf_names_the_first_bad_row(self):
+        with pytest.raises(ValueError, match=r"delta_dp: yhat\[2\] is -inf"):
+            delta_dp([0.1, 0.4, -np.inf, np.nan], [0, 1, 1, 0])
+
+
 class TestAggregate:
     def test_single_seed_no_std(self):
         rep = aggregate([SeedResult(0, 0.8, 0.1, 0.2)])

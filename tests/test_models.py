@@ -2,6 +2,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -230,6 +231,20 @@ class TestRowBlocks:
         assert np.array_equal(got_yhat, yhat)
         assert got_loss == loss
 
+    def test_a_whole_split_forward_reuses_one_set_of_block_buffers(self):
+        spec = ModelSpec(kind="mlp", input_dim=5, hidden_dims=(64, 32), seed=4)
+        params = init_params(spec)
+        X = np.random.default_rng(0).normal(size=(20000, 5))
+        raw_scores(params, spec, X)  # warm-up: nothing first-call-only is counted
+        tracemalloc.start()
+        try:
+            raw_scores(params, spec, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one_set = (self.B + 1) * (64 + 32 + 1) * 8  # one block-high array per layer
+        assert peak - X.shape[0] * 8 <= 1.25 * one_set
+
     # One unblocked pass over the 12513 x 102 LR input differs in the last bit
     # between one and two OpenBLAS threads; the blocked one must not.
     THREADS_CODE = (
@@ -406,6 +421,65 @@ class TestLossAndGrad:
         assert max(losses[1:]) <= losses[0] + 1e-9
 
 
+def _written_out_loss_and_grad(params, spec, X, y, extra_grad_on_yhat):
+    """``loss_and_grad`` of one batch, a fresh array for every op, grads flat."""
+    acts, h = [X], X
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = h @ w + b
+        if i < len(params.weights) - 1:
+            h = np.maximum(z, 0.0)
+            acts.append(h)
+        else:
+            raw = z[:, 0]
+    yhat = 1.0 / (1.0 + np.exp(-raw))
+    extra = None if extra_grad_on_yhat is None else extra_grad_on_yhat(yhat)
+    if spec.kind == "svm":
+        t = 2.0 * y - 1.0
+        margin_loss = np.maximum(0.0, 1.0 - t * raw)
+        loss = float(margin_loss.sum())
+        d_raw = -t * (margin_loss > 0.0)
+        if extra is not None:
+            d_raw = d_raw + extra * yhat * (1.0 - yhat)
+    else:
+        yc = np.clip(yhat, PROB_EPS, 1.0 - PROB_EPS)
+        loss = float(-(y * np.log(yc) + (1.0 - y) * np.log(1.0 - yc)).sum())
+        d_yhat = (yc - y) / (yc * (1.0 - yc))
+        if extra is not None:
+            d_yhat = d_yhat + extra
+        d_raw = d_yhat * yhat * (1.0 - yhat)
+    grads, delta = [], d_raw[:, None]
+    for i in range(len(params.weights) - 1, -1, -1):
+        grads[:0] = [acts[i].T @ delta, delta.sum(axis=0)]
+        if i > 0:
+            delta = (delta @ params.weights[i].T) * (acts[i] > 0.0)
+    return loss, np.concatenate([g.ravel() for g in grads])
+
+
+class TestInPlaceBackward:
+    """``loss_and_grad`` equals a backward pass written out with fresh arrays."""
+
+    @pytest.mark.parametrize("n", [1, 128, 257])
+    @pytest.mark.parametrize("with_extra", [False, True])
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(kind="lr", input_dim=12, seed=6),
+        ModelSpec(kind="svm", input_dim=12, seed=6),
+        ModelSpec(kind="mlp", input_dim=5, hidden_dims=(64, 32), seed=6),
+    ], ids=lambda spec: spec.kind)
+    def test_bit_equal_to_the_written_out_backward(self, spec, with_extra, n):
+        rng = np.random.default_rng(n)
+        params = init_params(spec)
+        params.flat += rng.normal(scale=0.2, size=params.flat.shape)  # biases off zero
+        X = rng.normal(size=(n, spec.input_dim))
+        y = (rng.uniform(size=n) > 0.5).astype(float)
+        extra = (lambda yhat: np.sin(7.0 * yhat) - 0.3) if with_extra else None
+        loss, grads = loss_and_grad(params, spec, X, y, extra_grad_on_yhat=extra)
+        want_loss, want_flat = _written_out_loss_and_grad(params, spec, X, y, extra)
+        assert loss == want_loss
+        assert grads.flat.tobytes() == want_flat.tobytes()
+        if spec.kind == "mlp":  # some first-layer ReLUs are off, so the mask acts
+            assert np.any(X @ params.weights[0] + params.biases[0] < 0.0)
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         for spec in ALL_SPECS:
@@ -432,4 +506,17 @@ class TestCheckpoint:
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez(path, **arrays)
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["w0", "b1"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameter_is_rejected_by_name(self, tmp_path, name, bad):
+        spec = ALL_SPECS[2]
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, init_params(spec), spec)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays[name].flat[-1] = bad
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=f"{name} holds a NaN or inf"):
             load_checkpoint(path)
