@@ -46,7 +46,7 @@ from relfair.models import (
     load_checkpoint,
     save_checkpoint,
 )
-from relfair.training import VARIANTS, TrainConfig, encode_splits, run_seed
+from relfair.training import TrainConfig, check_variant, encode_splits, run_seed
 
 # the seed comes from the experiment's seed list, never from its train block
 TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed")
@@ -68,10 +68,14 @@ class ExperimentConfig:
 EXPERIMENT_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
-def _check_variant(variant, where):
-    if variant not in VARIANTS:
-        raise ValueError(f"{where}: unknown variant {variant!r}; expected one of {VARIANTS}")
-    return variant
+def _check_train_values(train, key, values, where):
+    """``values`` if ``train`` takes each one as its ``key``; errors name ``where``."""
+    for value in values:
+        try:
+            dataclasses.replace(train, **{key: value})
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    return values
 
 
 def _check_distinct(values, what, where):
@@ -95,7 +99,7 @@ def parse_experiment_config(doc, where="experiment config", config_dir="."):
     else:
         dataset = builtin_config(dataset_ref)
 
-    variant = _check_variant(str(doc["variant"]), where)
+    variant = check_variant(str(doc["variant"]), where)
     model = str(doc["model"])
     if model not in MODEL_KINDS:
         raise ValueError(f"{where}: unknown model {model!r}; expected one of {MODEL_KINDS}")
@@ -113,9 +117,6 @@ def parse_experiment_config(doc, where="experiment config", config_dir="."):
         raise ValueError(f"{where}: no related features given (and none in the dataset config)")
     check_related_names(related, dataset.schema, where)
 
-    seeds = check_list(doc["seeds"], "seeds", where, numbers.Integral, "integers")
-    _check_distinct(seeds, "seeds", where)
-
     allow_sensitive = doc.get("allow_sensitive_in_training", False)
     if not isinstance(allow_sensitive, bool):
         raise ValueError(
@@ -129,6 +130,9 @@ def parse_experiment_config(doc, where="experiment config", config_dir="."):
         train = TrainConfig(**train_doc)
     except ValueError as exc:
         raise ValueError(f"{where}: train: {exc}") from None
+    seeds = check_list(doc["seeds"], "seeds", where, numbers.Integral, "integers")
+    _check_distinct(seeds, "seeds", where)
+    _check_train_values(train, "seed", seeds, f"{where}: seeds")
 
     return ExperimentConfig(
         dataset=dataset,
@@ -314,7 +318,8 @@ def _parse_list(text, parse, what, flag):
 
 
 def _parse_seeds(args, exp):
-    return _parse_list(args.seeds, int, "seeds", "--seeds") or exp.seeds
+    seeds = _parse_list(args.seeds, int, "seeds", "--seeds")
+    return _check_train_values(exp.train, "seed", seeds, "--seeds") if seeds else exp.seeds
 
 
 def _grid(text, exp, key, flag):
@@ -322,12 +327,7 @@ def _grid(text, exp, key, flag):
     values = _parse_list(text, float, f"{key} values", flag) or [getattr(exp.train, key)]
     # cell directories are named by {v:g}, so distinct values may collide
     _check_distinct([f"{v:g}" for v in values], f"{key} values as named in cells", flag)
-    for value in values:
-        try:
-            dataclasses.replace(exp.train, **{key: value})
-        except ValueError as exc:
-            raise ValueError(f"{flag}: {exc}") from None
-    return values
+    return _check_train_values(exp.train, key, values, flag)
 
 
 def cmd_train(args):
@@ -390,7 +390,7 @@ def cmd_compare(args):
     exp = load_experiment_config(args.config)
     seeds = _parse_seeds(args, exp)
     variants = _parse_list(args.variants, str.strip, "variants", "--variants")
-    cells = [(_check_variant(v, "--variants"), exp.train, v) for v in variants]
+    cells = [(check_variant(v, "--variants"), exp.train, v) for v in variants]
     out_dir, files, outcomes = _run_cells(args, exp, seeds, cells)
     reports = _reports(cells, outcomes)
     paths, table = _write_report(
@@ -403,9 +403,10 @@ def cmd_compare(args):
 
 def cmd_evaluate(args):
     exp = load_experiment_config(args.config)
+    seed = args.seed if args.seed is not None else exp.seeds[0]
+    _check_train_values(exp.train, "seed", [seed], "--seed")
     params, spec = load_checkpoint(args.checkpoint)
     raw = load_from_config(exp.dataset, data_dir=args.data_dir)
-    seed = args.seed if args.seed is not None else exp.seeds[0]
 
     encoded = dict(zip(
         ("train", "eval", "test"),

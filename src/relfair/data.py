@@ -180,6 +180,9 @@ class RelatedFeatureSet:
             raise ValueError("related feature set must name at least one feature")
         if len(self.column_groups) != self.k:
             raise ValueError("features and column_groups must align")
+        groups = self.column_groups  # flat: each related column, and its feature
+        object.__setattr__(self, "columns", np.array([c for g in groups for c in g], dtype=int))
+        object.__setattr__(self, "owner", np.repeat(np.arange(self.k), [len(g) for g in groups]))
 
     @property
     def k(self):
@@ -371,12 +374,13 @@ def split(dataset, seed=0):
     """Deterministic shuffled partition with sizes proportional to SPLIT_RATIOS."""
     ratios = SPLIT_RATIOS
     n = dataset.n
-    if n < len(ratios):
-        raise ValueError(f"cannot split {n} rows into {len(ratios)} parts")
-    order = np.random.default_rng(seed).permutation(n)
     total = sum(ratios)
     bounds = [int(round(n * sum(ratios[: i + 1]) / total)) for i in range(len(ratios))]
     bounds[-1] = n
+    sizes = tuple(np.diff([0, *bounds]).tolist())
+    if 0 in sizes:
+        raise ValueError(f"cannot split {n} rows into non-empty parts: sizes {sizes}")
+    order = np.random.default_rng(seed).permutation(n)
     parts = []
     start = 0
     for stop in bounds:

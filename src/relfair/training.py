@@ -108,8 +108,9 @@ class TrainConfig:
             raise ValueError("beta must be > 0")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if self.pretrain_epochs < 0:
-            raise ValueError("pretrain_epochs must be >= 0")
+        for field in ("pretrain_epochs", "seed"):
+            if getattr(self, field) < 0:
+                raise ValueError(f"{field} must be >= 0")
         for field in ("max_epochs", "batch_size", "early_stop_patience"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be >= 1")
@@ -437,10 +438,17 @@ def encode_splits(variant, splits, related_names):
     return encode(train, others)
 
 
+def check_variant(variant, where=None):
+    """``variant`` if it is one of VARIANTS; ``where``, if given, leads the error."""
+    if variant not in VARIANTS:
+        lead = f"{where}: " if where else ""
+        raise ValueError(f"{lead}unknown variant {variant!r}; expected one of {VARIANTS}")
+    return variant
+
+
 def _check_cell(variant, eval_raw, allow_sensitive_in_training):
     """The checks a variant passes before anything is encoded for it."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    check_variant(variant)
     if variant == "top1" and not any(f.role == "sensitive" for f in eval_raw.schema):
         raise ValueError("top1 selects by evaluation fairness and needs "
                          "the sensitive attribute on the eval split")

@@ -1,8 +1,9 @@
 """The per-column correlation score, as the objective tests define it.
 
-``relfair.objective`` computes all related columns' scores in one matrix
-product; ``tests/test_objective.py`` compares it against this one-column
-definition, and ``tests/test_stats.py`` pins the definition itself.
+``relfair.objective`` gathers all related columns into one block and scores
+them in one reduction against the centered predictions;
+``tests/test_objective.py`` compares it against this one-column definition,
+and ``tests/test_stats.py`` pins the definition itself.
 """
 
 import numpy as np

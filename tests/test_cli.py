@@ -11,6 +11,7 @@ import weakref
 import numpy as np
 import pytest
 import yaml
+from _fresh_python import run_python
 
 from relfair import cli, training
 from relfair.cli import TRAIN_KEYS, main, parse_experiment_config
@@ -121,6 +122,16 @@ class TestExperimentConfigParsing:
             parse_experiment_config(dict(self.DOC, seeds=[]))
         with pytest.raises(ValueError, match="duplicate"):
             parse_experiment_config(dict(self.DOC, seeds=[1, 1]))
+
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match="experiment config: seeds: seed must be >= 0"):
+            parse_experiment_config(dict(self.DOC, seeds=[0, -1]))
+
+    def test_unknown_variant_message_is_the_library_one(self):
+        with pytest.raises(ValueError) as lib:
+            training.check_variant("magic")
+        with pytest.raises(ValueError, match=re.escape(f"experiment config: {lib.value}")):
+            parse_experiment_config(dict(self.DOC, variant="magic"))
 
     def test_related_must_exist(self):
         with pytest.raises(ValueError, match="fnlwgt"):
@@ -621,7 +632,7 @@ class TestCompare:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert "magic" in err and "--variants" in err
+        assert f"error: --variants: unknown variant 'magic'; expected one of {VARIANTS}" in err
 
 
 # sha256 of every file a command's manifest declares, and of the manifest
@@ -636,13 +647,13 @@ PINNED_ARTIFACTS = {
         "report.txt":
             "dd3bf5ffdb503c82921073958bf9748475f897ab97249100aa30cc8f1e19be0b",
         "seed_0/checkpoint.npz":
-            "5c957e19555768a27e84c262c7ad2e5a3be79b93927ca1d0a40013af798b53af",
+            "fd9d0f782578b551c898701a73cdc3b8ae0252a7e35b71fe0af466880a542379",
         "seed_0/trace.jsonl":
-            "282d895950b3dd24f6aabdcf2268867f9f0938b3e4b62019d24d3918dd143230",
+            "7d89aa10c4afea174a60800cc612be7e0b3bbab8608a33fe1103d19d899aa7b7",
         "seed_1/checkpoint.npz":
             "99a5f748eba2025328a195c4c977742314734ed8eb592d748b83af19b5f7160f",
         "seed_1/trace.jsonl":
-            "06f4570db9b8df2a63e2dcd0f4cb95c3c4c419360132046d7562a3f393bd1be3",
+            "52f949399198c3a198c7abc6dc2bbae54a92d5e6b3ec3c4052004327e6c095f8",
     },
     "compare": {
         "manifest.json":
@@ -652,9 +663,9 @@ PINNED_ARTIFACTS = {
         "comparison.txt":
             "3d7059ea86b7b623c07375ada988193947a63879a6f5e3400de843e19245ff86",
         "fairrf/seed_0/trace.jsonl":
-            "282d895950b3dd24f6aabdcf2268867f9f0938b3e4b62019d24d3918dd143230",
+            "7d89aa10c4afea174a60800cc612be7e0b3bbab8608a33fe1103d19d899aa7b7",
         "fairrf/seed_1/trace.jsonl":
-            "06f4570db9b8df2a63e2dcd0f4cb95c3c4c419360132046d7562a3f393bd1be3",
+            "52f949399198c3a198c7abc6dc2bbae54a92d5e6b3ec3c4052004327e6c095f8",
         "remove_related/seed_0/trace.jsonl":
             "9c4ccf458f3745fa792702758d8b330bb3622b76f0df5a7cc810c96612b77bdf",
         "remove_related/seed_1/trace.jsonl":
@@ -668,23 +679,23 @@ PINNED_ARTIFACTS = {
         "manifest.json":
             "34479881f67dfb6450bc5768335aeff6781a455051dc6f27dc10fcbafbbac3f6",
         "cells/eta_0.1__beta_0.5/seed_0/trace.jsonl":
-            "7237479445a4e0ee502082a5e3d5a5441d8c9be32beaa98888bd8c8e549255ec",
+            "ef6334375711ce77b0a47c6a7f1b4a8b9bc250f402273837aee34c51c6c80912",
         "cells/eta_0.1__beta_0.5/seed_1/trace.jsonl":
-            "9d18fcd568d290d080294c6ef4a7e41b92e3643065bfb53d1ff637b5d5437f14",
+            "20c1408de618fd97fbb496942fa2db44b6eee10053370de278e49d5d6d34205b",
         "cells/eta_0.1__beta_0.8/seed_0/trace.jsonl":
-            "5d5603f0da2cfd1409a36fcff2d45bd295b4a71c5745d52171190cae3e2a0ac8",
+            "ea00164fb39ab51a8cd76c86adec3ae791f2d2430b6860831ac4fdb76b8fdc29",
         "cells/eta_0.1__beta_0.8/seed_1/trace.jsonl":
-            "5ae48968cf6135b93cae1a03a18b9aabc1d568e6d5ac49ad0acd0a2df7c6fecd",
+            "a19fde693819cecdbeb7a8c2bbcb64053ef573632be23e9019a0b6c57f72e6ed",
         "cells/eta_0.3__beta_0.5/seed_0/trace.jsonl":
-            "282d895950b3dd24f6aabdcf2268867f9f0938b3e4b62019d24d3918dd143230",
+            "7d89aa10c4afea174a60800cc612be7e0b3bbab8608a33fe1103d19d899aa7b7",
         "cells/eta_0.3__beta_0.5/seed_1/trace.jsonl":
-            "06f4570db9b8df2a63e2dcd0f4cb95c3c4c419360132046d7562a3f393bd1be3",
+            "52f949399198c3a198c7abc6dc2bbae54a92d5e6b3ec3c4052004327e6c095f8",
         "cells/eta_0.3__beta_0.8/seed_0/trace.jsonl":
-            "a22c195c4a595f6fda5fcecc57ad969e62bf75a8106493cbb06a1212eb4d7703",
+            "8d3ddb6bb4b9c04f473a337693c6abe0891f20cf46f93fe232b6c360682e2d78",
         "cells/eta_0.3__beta_0.8/seed_1/trace.jsonl":
-            "8e7f40f3920ce290575d0dae7c2dfadb3dc26ab1531fdf650205f5129fb630fe",
+            "418f26b5e28e1841d87a2cd5b756e2180a09aa5113b7da4074832207680b97cf",
         "sweep.csv":
-            "ddf253dcec1ff36f23bdb688ef93c99f4ccce543f61050fcf7f4c4bf48217010",
+            "474ddbeabb396459ec420b02206c046f1098564ed23dc9b9ff184de8d4726fb8",
     },
 }
 
@@ -695,6 +706,15 @@ PINNED_COMMANDS = {
 }
 
 
+def _artifacts(out):
+    """Every artifact a run lists, by path; the manifest without its metadata."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    body = {k: v for k, v in manifest.items() if k != "metadata"}
+    blobs = {"manifest.json": json.dumps(body, sort_keys=True).encode()}
+    blobs.update({rel: (out / rel).read_bytes() for rel in manifest["files"]})
+    return blobs
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_COMMANDS))
 def test_artifacts_are_pinned(workspace, tmp_path, name):
     command, *extra = PINNED_COMMANDS[name]
@@ -703,12 +723,25 @@ def test_artifacts_are_pinned(workspace, tmp_path, name):
         command, "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
         "--output-dir", str(out), "--seeds", "0,1", *extra,
     ) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    body = {k: v for k, v in manifest.items() if k != "metadata"}
-    blobs = {"manifest.json": json.dumps(body, sort_keys=True).encode()}
-    blobs.update({rel: (out / rel).read_bytes() for rel in manifest["files"]})
     assert {rel: hashlib.sha256(blob).hexdigest()
-            for rel, blob in blobs.items()} == PINNED_ARTIFACTS[name]
+            for rel, blob in _artifacts(out).items()} == PINNED_ARTIFACTS[name]
+
+
+def test_compare_does_not_depend_on_blas_threads(workspace, tmp_path):
+    write_csv(generate(SyntheticSpec(n=26000, seed=0)), tmp_path / "synth.csv")
+    (tmp_path / "dataset.yaml").write_text((workspace / "dataset.yaml").read_text())
+    exp = yaml.safe_load((workspace / "exp.yaml").read_text())
+    exp["train"].update(max_epochs=2, pretrain_epochs=1, batch_size=256)
+    (tmp_path / "exp.yaml").write_text(yaml.safe_dump(exp))
+    runs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads_{threads}"
+        run_python(["-m", "relfair.cli", "compare", "-c", str(tmp_path / "exp.yaml"),
+                    "--data-dir", str(tmp_path), "--output-dir", str(out),
+                    "--variants", "fairrf"], threads)
+        runs.append(_artifacts(out))
+    assert "fairrf/seed_0/trace.jsonl" in runs[0]
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -742,6 +775,7 @@ def test_failed_job_fails_the_command(workspace, tmp_path, capsys, argv, workers
         (("sweep", "--eta-grid", "0.1,x"), "--eta-grid"),
         (("sweep", "--beta-grid", "0.5,"), "--beta-grid"),
         # values TrainConfig rejects
+        (("train", "--seeds", "0,-1"), "--seeds"),
         (("sweep", "--eta-grid", "-1"), "--eta-grid"),
         (("sweep", "--beta-grid", "0"), "--beta-grid"),
         (("sweep", "--eta-grid", "nan"), "--eta-grid"),
@@ -750,8 +784,8 @@ def test_failed_job_fails_the_command(workspace, tmp_path, capsys, argv, workers
     ],
     ids=["seeds-repeated", "seeds-empty", "variants-repeated", "eta-repeated",
          "beta-repeated", "eta-cell-names", "beta-cell-names", "seeds-unparsed",
-         "eta-unparsed", "beta-unparsed", "eta-negative", "beta-zero", "eta-nan",
-         "workers-zero", "workers-negative"],
+         "eta-unparsed", "beta-unparsed", "seeds-negative", "eta-negative", "beta-zero",
+         "eta-nan", "workers-zero", "workers-negative"],
 )
 def test_overrides_checked_like_yaml(workspace, tmp_path, capsys, argv, flag):
     command, *override = argv
@@ -782,6 +816,14 @@ class TestEvaluate:
         payload = json.loads(capsys.readouterr().out)
         assert {"accuracy", "delta_eo", "delta_dp"} <= set(payload)
         assert payload["split"] == "test"
+
+    def test_negative_seed_is_named(self, workspace, tmp_path, capsys):
+        code = run_cli(
+            "evaluate", "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
+            "--checkpoint", str(tmp_path / "checkpoint.npz"), "--seed", "-1",
+        )
+        assert code == 1
+        assert "error: --seed: seed must be >= 0" in capsys.readouterr().err
 
     def test_dimension_mismatch_is_explained(self, workspace, tmp_path, capsys):
         out = tmp_path / "run"

@@ -283,6 +283,14 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(self._dataset(2), seed=0)
 
+    @pytest.mark.parametrize("n, sizes", [(1, (0, 1, 0)), (3, (2, 0, 1))])
+    def test_an_empty_part_is_rejected_by_its_sizes(self, n, sizes):
+        with pytest.raises(ValueError, match=re.escape(f"sizes {sizes}")):
+            split(self._dataset(n), seed=0)
+
+    def test_smallest_split_has_a_row_in_every_part(self):
+        assert [p.n for p in split(self._dataset(4), seed=0)] == [2, 1, 1]
+
 
 class TestEncode:
     def test_one_hot_and_zscore(self, tmp_path):

@@ -1,14 +1,11 @@
-import os
 import pickle
-import subprocess
-import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from _fresh_python import run_python
 
-import relfair
 from relfair.models import (
     FORWARD_BLOCK_ROWS,
     PROB_EPS,
@@ -143,13 +140,7 @@ class TestSigmoid:
             "relfair.synthetic.generate(SyntheticSpec(n=50))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
-        src = os.path.dirname(os.path.dirname(relfair.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": path},
-        ).stdout
-        assert out == "[]\n"
+        assert run_python(["-c", code]) == "[]\n"
 
 
 def _params_by(source, tmp_path):
@@ -259,16 +250,7 @@ class TestRowBlocks:
     )
 
     def test_scores_do_not_depend_on_blas_threads(self):
-        src = os.path.dirname(os.path.dirname(relfair.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        digests = []
-        for threads in ("1", "2"):
-            blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-            env = {**os.environ, "PYTHONPATH": path, **dict.fromkeys(blas, threads)}
-            digests.append(subprocess.run(
-                [sys.executable, "-c", self.THREADS_CODE], capture_output=True, text=True,
-                check=True, env=env,
-            ).stdout)
+        digests = [run_python(["-c", self.THREADS_CODE], threads) for threads in (1, 2)]
         assert len(digests[0].split()) == 2
         assert digests[0] == digests[1]
 

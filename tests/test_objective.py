@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from _correlation_oracle import correlation_score
+from _fresh_python import run_python
 
 from relfair.data import RelatedFeatureSet
 from relfair.objective import penalty_grad_yhat, related_penalty, total_objective
@@ -134,6 +135,22 @@ class TestPenaltyGrad:
                 fd = (t_up - t_down) / (2 * h)
                 assert abs(fd - grad[i]) / max(1.0, abs(fd)) < 1e-4
 
+    def test_matches_definition(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            n, d = int(rng.integers(4, 30)), int(rng.integers(2, 9))
+            X, yhat = rng.normal(size=(n, d)), rng.uniform(size=n)
+            cuts = np.sort(rng.choice(np.arange(1, d), size=min(2, d - 1), replace=False))
+            groups = [tuple(g) for g in np.split(rng.permutation(d), cuts)]
+            lam = rng.dirichlet(np.ones(len(groups)))
+            expected = np.zeros(n)
+            for weight, cols in zip(lam, groups):
+                for c in cols:
+                    centered = X[:, c] - X[:, c].mean()
+                    expected += weight * np.sign(centered @ yhat) * centered
+            grad = penalty_grad_yhat(X, make_related(groups), lam, yhat)
+            assert grad == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
     def test_zero_covariance_gives_zero_gradient(self):
         # yhat orthogonal to the centered column -> at the kink, subgradient 0
         X = np.array([[1.0], [2.0], [3.0]])
@@ -188,3 +205,28 @@ class TestTotalObjective:
         cfg = TrainConfig(eta=1.0, beta=0.5)
         with pytest.raises(ValueError):
             total_objective(float("nan"), 0.0, np.array([1.0]), cfg)
+
+
+# The per-feature products of an earlier implementation went through BLAS and
+# gave different last bits at 1 and 2 OpenBLAS threads on this input.
+THREADS_CODE = (
+    "import hashlib\n"
+    "import numpy as np\n"
+    "from relfair.data import RelatedFeatureSet\n"
+    "from relfair.objective import penalty_grad_yhat, related_penalty\n"
+    "rng = np.random.default_rng(1)\n"
+    "X, yhat = rng.normal(size=(12513, 102)), rng.uniform(size=12513)\n"
+    "groups = ((0,), tuple(range(1, 7)), tuple(range(7, 14)), tuple(range(14, 102)))\n"
+    "related = RelatedFeatureSet(('a', 'b', 'c', 'd'), groups)\n"
+    "lam = np.array([0.1, 0.2, 0.3, 0.4])\n"
+    "total, per = related_penalty(X, related, lam, yhat)\n"
+    "grad = penalty_grad_yhat(X, related, lam, yhat)\n"
+    "for arr in (np.append(per, total), grad):\n"
+    "    print(hashlib.sha256(arr.tobytes()).hexdigest())\n"
+)
+
+
+def test_penalty_does_not_depend_on_blas_threads():
+    digests = [run_python(["-c", THREADS_CODE], threads) for threads in (1, 2)]
+    assert len(digests[0].split()) == 2
+    assert digests[0] == digests[1]

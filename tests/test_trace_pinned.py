@@ -36,23 +36,23 @@ CFG = TrainConfig(
 
 PINNED = {
     ("fairrf", "lr"): (
-        "c100cf3bbf44f5ecd1c5de26bc8579691d62d92b6ebd36b3e636ed3a585ce01c",
-        "3e465de6868192f58c5248bdb51e06ab302aac926caa23c58f3b40cf551e5666",
+        "0ef8143d7b779f12a91677eae39e002f4e416b2ca9bfad8be190ad4201a68074",
+        "0b0e94ebba20dc0e9aaf2ef185272fa25400ebbc6c4da0ca78f86d772d744d3c",
     ),
     ("fairrf", "svm"): (
-        "1325f364a5af704369f61e1fc4a3526145aaef531b9d0f8edd628f5e20a3d8a2",
-        "86c0d7b2af8eb8079bc0918009db5d4ebe7d0f098b11fe43716a3ac777ce8a50",
+        "62b749187f2e809a35f5ac8de966407c4c409466978223f9c60cabd707ecfc5f",
+        "2d99c5f2e4aad776d11ad0e6d25ee3ad64adc8e293de48fe23cd870a4029aeb5",
     ),
     ("fairrf", "mlp"): (
-        "07fc87bf017b658705307b810c52c0fcddf1e0ab428542b0fba6058fd1f0c659",
-        "f48a95296326ea96d49f7269e73afdd9b602f8f356277e820cca313c8a70586d",
+        "36a7ff40c70c348e6e57e073d9d88330d45748a5fba7803e8876ae963ba422f3",
+        "6c7995d1f65dca6035a1dbe19a906071fc73770a12aaef28f218d33e00f1ae17",
     ),
     ("vanilla", "mlp"): (
         "7b72fa2612ecd7ea2b9da7a4d9cdfd26c88bd817373caaa36922d9d5c44ce737",
         "269616d436189ab1d110efc07698f659f02b98d1170decb09d8c9b512cbe23f7",
     ),
     ("constrain_s", "lr"): (
-        "643fed174ca73d05f7499759db9e70a9907d5fe0221512e4167dbdb62fb47589",
+        "741c5aa2736dce8f6a9d83613731b2fc3db79f22d471f62c1c44690baba10867",
         "7dfc4b38fe553903f7da6c205d2fd44f8c0ca85629e0cc21743587906e8a7b75",
     ),
 }
@@ -79,8 +79,8 @@ def test_trace_and_params_are_pinned(variant, kind):
 
 
 PINNED_ONE_HOT = (
-    "0197aeb02cb253f0cbf4e612ca32e4376b8788cb472d3a4f3cfba086fb7e4421",
-    "49900499cf8a2578aa6892bfdca96afa14e857eed80cf6f2c1c8d75bab196f57",
+    "cc11911ac893019610deef5f049f22fd65bb9cd82258697334ca0c26e6e859bd",
+    "25fbc2a693f511857a4c2dff7ad8b3fbe09cf6cd9521468d6223fc8fcf1729b6",
 )
 BINS = {"proxy_a": (-1.0, 0.0, 1.0), "proxy_b": (-0.5, 0.5)}  # category edges
 

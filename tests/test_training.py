@@ -68,6 +68,7 @@ class TestTrainConfig:
             {"seed": True},
             {"eta": "0.3"},
             {"learning_rate": True},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
