@@ -3,9 +3,10 @@
 Subcommands: ``train`` (one variant, several seeds), ``sweep`` (eta x beta
 grid), ``compare`` (several variants under shared seeds) and ``evaluate``
 (metrics for an existing checkpoint).  Every run directory gets a
-``manifest.json`` declaring the files written; timestamps live only in the
-manifest's metadata block so re-running a config reproduces every other
-payload byte for byte.
+``manifest.json`` declaring the files written; timestamps and the
+environment (Python and numpy versions, the BLAS thread variables, the CPU
+count and ``--workers``) live only in the manifest's metadata block so
+re-running a config reproduces every other payload byte for byte.
 
 The default data directory comes from the RELFAIR_DATA_DIR environment
 variable (falling back to the working directory); ``--data-dir`` overrides.
@@ -18,8 +19,10 @@ import datetime
 import json
 import numbers
 import os
+import platform
 import sys
 
+import numpy as np
 import yaml
 
 from relfair.data import (
@@ -47,6 +50,9 @@ from relfair.models import (
     save_checkpoint,
 )
 from relfair.training import TrainConfig, check_variant, encode_splits, run_seed
+
+# recorded as set, or null, in every manifest's metadata
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # the seed comes from the experiment's seed list, never from its train block
 TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed")
@@ -173,6 +179,13 @@ def _write_manifest(out_dir, args, seeds, paths, **metadata):
             "config": args.config,
             "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "seeds": list(seeds),
+            "environment": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                **{name: os.environ.get(name) for name in THREAD_VARIABLES},
+                "cpu_count": os.cpu_count(),
+                "workers": args.workers,
+            },
             **metadata,
         },
     }

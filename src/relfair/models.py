@@ -27,10 +27,18 @@ again by the allocator, so a 10000-row (64, 32) MLP forward took about 1,370
 minor page faults, against about 160 with one buffer set.  The buffers live
 in the call's frame; nothing is kept between calls.  Rows are independent,
 so only the raw scores are blocked, and the sigmoid, the clip and the summed
-loss still run on the whole vector; no sum changes order.  ``loss_and_grad``
-needs its mini-batch's activations for the backward pass and forwards it in
-one go, with the same in-place bias and ReLU; its backward multiplies the
-ReLU mask into ``delta @ W.T`` in place.
+loss still run on the whole vector; no sum changes order.
+
+Mini-batches: ``loss_and_grad`` forwards its batch in one go, with the same
+in-place bias and ReLU, and keeps the activations for the backward pass.  It
+computes in a ``Workspace``: a buffer for each layer's output, for each
+hidden layer's backward ``delta`` and ReLU mask, and one gradient
+``ModelParams``; a batch of m rows uses their leading m rows.  A call without
+a workspace makes its own.  A training pass makes one and hands it to every
+step, so a step allocates no array as large as a layer; the returned
+gradient is then the workspace's, and the next call overwrites it.  The
+one-wide output layer's ``delta @ W.T`` is an ``np.multiply``: the same
+products, without a gemm call.
 """
 
 from __future__ import annotations
@@ -160,16 +168,21 @@ def _check_input(spec: ModelSpec, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _forward_cache(params: ModelParams, X: np.ndarray, out=None):
+def _layer_buffers(params: ModelParams, rows: int) -> list[np.ndarray]:
+    """One uninitialized (rows, width of layer i) array per layer."""
+    return [np.empty((rows, w.shape[1])) for w in params.weights]
+
+
+def _forward_cache(params: ModelParams, X: np.ndarray, out):
     """Returns (raw output scores, list of post-activation layer inputs).
 
     Layer i computes in place in ``out[i]``, a (rows of X, width of layer i)
-    array, or in one new array when ``out`` is None.
+    array.
     """
     acts = [X]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = np.matmul(acts[-1], w, out=None if out is None else out[i])
+        z = np.matmul(acts[-1], w, out=out[i])
         np.add(z, b, out=z)
         if i < last:
             np.maximum(z, 0.0, out=z)
@@ -188,7 +201,7 @@ def _blocked_raw(params: ModelParams, X: np.ndarray) -> np.ndarray:
     n = X.shape[0]
     raw = np.empty(n)
     rows = min(n, FORWARD_BLOCK_ROWS + 1)
-    bufs = [np.empty((rows, w.shape[1])) for w in params.weights]
+    bufs = _layer_buffers(params, rows)
     edges = [0, *range(FORWARD_BLOCK_ROWS, n - 1, FORWARD_BLOCK_ROWS), n]
     for start, stop in zip(edges, edges[1:]):
         block = [buf[: stop - start] for buf in bufs]
@@ -239,12 +252,31 @@ def forward_loss(params: ModelParams, spec: ModelSpec, X, y) -> tuple[np.ndarray
     return yhat, loss
 
 
+class Workspace:
+    """The buffers of ``loss_and_grad`` for batches of up to ``rows`` rows.
+
+    One per layer for its output, one per hidden layer for the backward
+    ``delta`` and one for its ReLU mask, and one gradient of the layout of
+    ``params``.  A batch of m rows uses the leading m rows of each.
+    """
+
+    def __init__(self, params: ModelParams, rows: int):
+        self.rows = rows
+        self.layers = _layer_buffers(params, rows)
+        hidden = [w.shape[0] for w in params.weights[1:]]
+        self.deltas = [np.empty((rows, h)) for h in hidden]
+        self.masks = [np.empty((rows, h), dtype=bool) for h in hidden]
+        self.grads = params.empty_like()
+
+
 def loss_and_grad(
     params: ModelParams,
     spec: ModelSpec,
     X,
     y,
     extra_grad_on_yhat=None,
+    *,
+    workspace: Workspace | None = None,
 ) -> tuple[float, ModelParams]:
     """Classification loss and its parameter gradient.
 
@@ -256,11 +288,21 @@ def loss_and_grad(
     pass of its own.  The returned loss is the classification term only (sum
     over rows): binary cross entropy for LR/MLP, hinge on the margins for the
     SVM.
+
+    ``workspace`` is None, and the call computes in a ``Workspace`` of its
+    own, or a ``Workspace`` of this layout with at least as many rows as X.
+    Then the returned gradient is a view of that workspace, and the next
+    call with it overwrites it.
     """
     X = _check_input(spec, X)
     y = _check_labels(X, y)
+    n = X.shape[0]
+    if workspace is None:
+        workspace = Workspace(params, n)
+    elif n > workspace.rows:
+        raise ValueError(f"a workspace of {workspace.rows} rows cannot hold {n} rows")
 
-    raw, acts = _forward_cache(params, X)
+    raw, acts = _forward_cache(params, X, [buf[:n] for buf in workspace.layers])
     yhat = sigmoid(raw)
     extra = None
     if extra_grad_on_yhat is not None:
@@ -281,14 +323,19 @@ def loss_and_grad(
             d_yhat = d_yhat + extra
         d_raw = d_yhat * yhat * (1.0 - yhat)
 
-    grads = params.empty_like()  # each layer's gradient goes straight into its view
+    grads = workspace.grads  # each layer's gradient goes straight into its view
     delta = d_raw[:, None]
     for i in range(len(params.weights) - 1, -1, -1):
         np.matmul(acts[i].T, delta, out=grads.weights[i])
         delta.sum(axis=0, out=grads.biases[i])
         if i > 0:
-            delta = delta @ params.weights[i].T
-            np.multiply(delta, acts[i] > 0.0, out=delta)  # the ReLU mask
+            w, back = params.weights[i], workspace.deltas[i - 1][:n]
+            if w.shape[1] == 1:  # delta @ w.T over one column: one product each
+                np.multiply(delta, w.T, out=back)
+            else:
+                np.matmul(delta, w.T, out=back)
+            mask = np.greater(acts[i], 0.0, out=workspace.masks[i - 1][:n])
+            delta = np.multiply(back, mask, out=back)  # the ReLU mask
     return loss, grads
 
 

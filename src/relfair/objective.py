@@ -9,6 +9,11 @@ centered predictions in one einsum and add the scores per feature with
 ``np.bincount``.  No sum over rows goes through BLAS, so neither depends on
 the BLAS thread count.
 
+The public functions check their arguments on every call.  The training
+loop's theta-phase calls ``_penalty_grad``, the same gradient without the
+checks: it checks its matrices once per run, and lambda where it is set
+(``weights.solve_lambda`` and the fair loop's refresh), not on every step.
+
 The penalty is piecewise linear in the predictions, so its gradient is exact
 between kinks; at a kink (zero covariance) we take subgradient 0.
 
@@ -59,6 +64,11 @@ def related_penalty(X, related, lam, yhat):
 def penalty_grad_yhat(X, related, lam, yhat):
     """Gradient of the weighted penalty with respect to the predictions."""
     X, lam, yhat = _checked(X, related, lam, yhat)
+    return _penalty_grad(X, related, lam, yhat)
+
+
+def _penalty_grad(X, related, lam, yhat):
+    """``penalty_grad_yhat`` of arguments its caller has already checked."""
     block, scores = _scores(X, related, yhat)
     w = lam[related.owner] * np.sign(scores)
     # d/dyhat of sum_c w_c x_c . (yhat - mean yhat) is sum_c w_c (x_c - mean x_c)

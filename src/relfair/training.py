@@ -16,7 +16,18 @@ order and parameter init are fully determined by the seed.
 Every Adam step updates the whole model at once: the parameters, their
 gradient and Adam's two moments are each one flat vector laid out as
 ``ModelParams.flat``, so a step is five vector expressions whatever the
-number of layers.
+number of layers.  ``Adam`` evaluates them in two scratch vectors it keeps.
+
+Each pass makes its buffers once, in its own frame: the batch's features and
+labels, gathered with ``take`` into the leading rows of two arrays, and a
+``models.Workspace`` for the forward, the backward and the gradient.  The
+gradient ``loss_and_grad`` returns is a view of that workspace, so the step
+consumes it before the next batch overwrites it.  A step makes the same
+ufunc calls in the same order as one with fresh arrays, so every bit stays.
+The penalized pass calls the penalty gradient without its argument checks:
+``train_fairrf`` checks the regularized matrices once, and lambda where it is
+set, by ``solve_lambda`` and again right after each refresh, before any step
+uses it.
 
 Bookkeeping forwards each split once per epoch with ``forward_loss`` (no
 backward pass): the training-split predictions serve both the lambda refresh
@@ -56,8 +67,15 @@ from relfair.metrics import (
     delta_dp,
     delta_eo,
 )
-from relfair.models import ModelSpec, forward, forward_loss, init_params, loss_and_grad
-from relfair.objective import penalty_grad_yhat, related_penalty, total_objective
+from relfair.models import (
+    ModelSpec,
+    Workspace,
+    forward,
+    forward_loss,
+    init_params,
+    loss_and_grad,
+)
+from relfair.objective import _penalty_grad, related_penalty, total_objective
 from relfair.weights import on_simplex, solve_lambda
 
 VARIANTS = (
@@ -136,16 +154,19 @@ class EpochRecord:
 TRACE_FIELDS = tuple(f.name for f in dataclasses.fields(EpochRecord))
 
 
+def _check_lambda(lam, epoch):
+    """Raises ``TrainingDivergedError`` naming ``epoch`` if lambda left the simplex."""
+    lam = np.asarray(lam, dtype=float)
+    if len(lam) and not on_simplex(lam):
+        raise TrainingDivergedError(f"epoch {epoch}: lambda left the simplex: {lam}")
+
+
 @dataclasses.dataclass
 class TrainTrace:
     records: list = dataclasses.field(default_factory=list)
 
     def append(self, record):
-        lam = np.asarray(record.lam, dtype=float)
-        if len(lam) and not on_simplex(lam):
-            raise TrainingDivergedError(
-                f"epoch {record.epoch}: lambda left the simplex: {lam}"
-            )
+        _check_lambda(record.lam, record.epoch)
         self.records.append(record)
 
     def to_jsonl(self):
@@ -166,40 +187,62 @@ class TrainTrace:
 
 
 class Adam:
-    """Adam on one parameter vector (a ``ModelParams.flat``), updated in place."""
+    """Adam on one parameter vector (a ``ModelParams.flat``), updated in place.
+
+    A step evaluates its five vector expressions ufunc by ufunc, in the
+    order written, in two scratch vectors kept from step to step.
+    """
 
     def __init__(self, theta, lr):
         self.lr = lr
         self.m = np.zeros_like(theta)
         self.v = np.zeros_like(theta)
+        self._scratch = (np.empty_like(theta), np.empty_like(theta))
         self.t = 0
 
     def step(self, theta, grad):
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         scale = self.lr * np.sqrt(1 - b2**self.t) / (1 - b1**self.t)
-        m, v = self.m, self.v
+        m, v, (a, b) = self.m, self.v, self._scratch
         m *= b1
-        m += (1 - b1) * grad
+        m += np.multiply(1 - b1, grad, out=a)
         v *= b2
-        v += (1 - b2) * grad * grad
-        theta -= scale * m / (np.sqrt(v) + ADAM_EPS)
+        v += np.multiply(np.multiply(1 - b2, grad, out=a), grad, out=a)
+        np.multiply(scale, m, out=a)
+        np.add(np.sqrt(v, out=b), ADAM_EPS, out=b)
+        theta -= np.divide(a, b, out=a)
 
 
-def _adam_pass(spec, params, opt, train, cfg, rng, where, extra_for=None):
+def _adam_pass(spec, params, opt, train, cfg, rng, where, penalty=None):
     """One shuffled pass of mini-batch Adam steps over ``train``, in place.
 
-    ``extra_for(idx, Xb)`` gives a batch's ``extra_grad_on_yhat`` for
-    ``loss_and_grad`` (None: the classification loss alone).  The loss is
-    checked at every step and the parameters once, after the last step;
-    ``where`` names the epoch in either error.
+    ``penalty`` is None, for the classification loss alone, or
+    ``(reg, related, lam)``: each batch's ``extra_grad_on_yhat`` is then
+    ``cfg.eta`` times the penalty gradient on the batch's rows of ``reg``
+    (None: of the batch's model inputs), which the caller has checked.  The
+    batch, the step's layers and its gradient live in buffers made once, at
+    the start of the pass.  The loss is checked at every step and the
+    parameters once, after the last step; ``where`` names the epoch in
+    either error.
     """
     order = rng.permutation(train.n)
+    rows = min(cfg.batch_size, train.n)
+    X_buf = np.empty((rows, train.X.shape[1]), dtype=train.X.dtype)
+    y_buf = np.empty(rows, dtype=train.y.dtype)
+    workspace = Workspace(params, rows)
     for start in range(0, train.n, cfg.batch_size):
         idx = order[start : start + cfg.batch_size]
-        Xb = train.X[idx]
-        extra = None if extra_for is None else extra_for(idx, Xb)
-        loss, grads = loss_and_grad(params, spec, Xb, train.y[idx], extra_grad_on_yhat=extra)
+        # idx is in range, and mode="clip" lets take write straight into out
+        Xb = train.X.take(idx, axis=0, out=X_buf[: len(idx)], mode="clip")
+        yb = train.y.take(idx, out=y_buf[: len(idx)], mode="clip")
+        extra = None
+        if penalty is not None:
+            reg, related, lam = penalty
+            reg_b = Xb if reg is None else reg[idx]
+            extra = lambda yhat_b: cfg.eta * _penalty_grad(reg_b, related, lam, yhat_b)
+        loss, grads = loss_and_grad(params, spec, Xb, yb, extra_grad_on_yhat=extra,
+                                    workspace=workspace)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss at {where}")
         opt.step(params.flat, grads.flat)
@@ -286,14 +329,14 @@ def train_fairrf(spec, params, train, evaluation, related, cfg, *,
     params = params.copy()
     if related is None and cfg.eta != 0:
         raise ValueError("a related feature set is required unless eta=0")
-    if reg_train is None:
-        reg_train = train.X
-    if reg_eval is None:
-        reg_eval = evaluation.X
-    if len(reg_train) != train.n or len(reg_eval) != evaluation.n:
-        raise ValueError("regularized-column matrices must align with the splits")
+    # checked once here: the theta-phase gradient makes no checks of its own
+    reg_train = np.asarray(train.X if reg_train is None else reg_train, dtype=float)
+    reg_eval = np.asarray(evaluation.X if reg_eval is None else reg_eval, dtype=float)
+    if (reg_train.ndim != 2 or reg_eval.ndim != 2
+            or len(reg_train) != train.n or len(reg_eval) != evaluation.n):
+        raise ValueError("regularized-column matrices must be 2-d and align with the splits")
     penalized = related is not None and cfg.eta > 0
-    reg_is_input = reg_train is train.X  # then a batch's Xb is its reg rows
+    batch_reg = None if reg_train is train.X else reg_train  # None: a batch's Xb
 
     lam = related.lambda0 if related is not None else np.zeros(0)
     rng = np.random.default_rng([cfg.seed, 2])
@@ -303,23 +346,19 @@ def train_fairrf(spec, params, train, evaluation, related, cfg, *,
     best_obj = np.inf
     stall = 0
 
-    extra_for = None
-    if penalized:
-        def extra_for(idx, Xb):  # reads the lam of the current epoch
-            reg_b = Xb if reg_is_input else reg_train[idx]
-            return lambda yhat_b: cfg.eta * penalty_grad_yhat(reg_b, related, lam, yhat_b)
-
     for epoch in range(cfg.max_epochs):
         # (a) theta phase: one full pass per lambda refresh
-        _adam_pass(spec, params, opt, train, cfg, rng, f"epoch {epoch}", extra_for)
+        penalty = (batch_reg, related, lam) if penalized else None
+        _adam_pass(spec, params, opt, train, cfg, rng, f"epoch {epoch}", penalty)
 
         # (b) lambda refresh: exact minimizer given the current model; the
         # same forward of the training split gives the trace's cls_loss
         yhat_train, cls_loss = forward_loss(params, spec, train.X, train.y)
         if related is not None:
             _, per_feature = related_penalty(reg_train, related, lam, yhat_train)
-            if learn_lambda:
+            if learn_lambda:  # checked here, before any step or score uses it
                 lam = solve_lambda(cfg.eta * per_feature, cfg.beta).lam
+                _check_lambda(lam, epoch)
         else:
             per_feature = np.zeros(0)
 

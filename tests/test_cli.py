@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pathlib
+import platform
 import re
 import textwrap
 import weakref
@@ -725,6 +726,30 @@ def test_artifacts_are_pinned(workspace, tmp_path, name):
     ) == 0
     assert {rel: hashlib.sha256(blob).hexdigest()
             for rel, blob in _artifacts(out).items()} == PINNED_ARTIFACTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COMMANDS))
+def test_manifest_metadata_records_the_environment(workspace, tmp_path, monkeypatch, name):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    command, *extra = PINNED_COMMANDS[name]
+    out = tmp_path / name
+    assert run_cli(
+        command, "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
+        "--output-dir", str(out), "--seeds", "0", "--workers", "2", *extra,
+    ) == 0
+    metadata = json.loads((out / "manifest.json").read_text())["metadata"]
+    assert metadata["command"] == command
+    assert metadata["environment"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "2",
+        "MKL_NUM_THREADS": None,
+        "cpu_count": os.cpu_count(),
+        "workers": 2,
+    }
 
 
 def test_compare_does_not_depend_on_blas_threads(workspace, tmp_path):

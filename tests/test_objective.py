@@ -4,7 +4,12 @@ from _correlation_oracle import correlation_score
 from _fresh_python import run_python
 
 from relfair.data import RelatedFeatureSet
-from relfair.objective import penalty_grad_yhat, related_penalty, total_objective
+from relfair.objective import (
+    _penalty_grad,
+    penalty_grad_yhat,
+    related_penalty,
+    total_objective,
+)
 from relfair.training import TrainConfig
 
 
@@ -167,6 +172,21 @@ class TestPenaltyGrad:
         grad = penalty_grad_yhat(X, related, [1.0, 0.0], yhat)
         c = X[:, 0] - X[:, 0].mean()
         assert grad == pytest.approx(np.sign(c @ yhat) * c)
+
+
+@pytest.mark.parametrize("groups, lam", [
+    ([(0,)], [1.0]),
+    ([(0,), (1, 2)], [0.3, 0.7]),
+    ([(3,), (0, 1, 2)], [0.0, 1.0]),
+])
+@pytest.mark.parametrize("n", [1, 2, 128])
+def test_unchecked_kernel_equals_the_public_gradient(groups, lam, n):
+    # the theta-phase calls the kernel on arguments the loop has checked
+    rng = np.random.default_rng(n)
+    X, yhat = rng.normal(size=(n, 4)), rng.uniform(size=n)
+    related, lam = make_related(groups), np.array(lam)
+    want = penalty_grad_yhat(X, related, lam, yhat)
+    assert _penalty_grad(X, related, lam, yhat).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("fn", [related_penalty, penalty_grad_yhat])

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from relfair import training
-from relfair.data import split
-from relfair.models import ModelParams, ModelSpec, init_params
+from relfair.data import RelatedFeatureSet, TrainView, split
+from relfair.models import ModelParams, ModelSpec, init_params, loss_and_grad
+from relfair.objective import penalty_grad_yhat
 from relfair.synthetic import SyntheticSpec, generate, related_features
 from relfair.training import (
     ADAM_BETA1,
@@ -18,6 +19,7 @@ from relfair.training import (
     TrainConfig,
     TrainTrace,
     TrainingDivergedError,
+    _adam_pass,
     pretrain,
     run_seed,
     run_seeds,
@@ -120,6 +122,112 @@ class TestAdam:
         assert opt.t == 300
         for fused, per_array in zip(params.arrays(), reference.arrays()):
             assert np.array_equal(fused, per_array)
+
+
+def reference_pass(spec, params, m, v, t, train, cfg, rng, penalty, lr):
+    """``_adam_pass`` as written with a fresh array for every op; returns t.
+
+    Each batch is gathered by fancy indexing, ``loss_and_grad`` runs without
+    a workspace, the penalty gradient is the checked public one and the Adam
+    update is its five expressions on (params.flat, m, v).
+    """
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    order = rng.permutation(train.n)
+    for start in range(0, train.n, cfg.batch_size):
+        idx = order[start : start + cfg.batch_size]
+        Xb = train.X[idx]
+        extra = None
+        if penalty is not None:
+            reg, related, lam = penalty
+            reg_b = Xb if reg is None else reg[idx]
+            extra = lambda yhat: cfg.eta * penalty_grad_yhat(reg_b, related, lam, yhat)
+        _, grads = loss_and_grad(params, spec, Xb, train.y[idx], extra_grad_on_yhat=extra)
+        g, theta = grads.flat, params.flat
+        t += 1
+        scale = lr * np.sqrt(1 - b2**t) / (1 - b1**t)
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        theta -= scale * m / (np.sqrt(v) + ADAM_EPS)
+    return t
+
+
+class TestAdamPass:
+    """A pass in its per-pass buffers moves no bit against the written-out pass."""
+
+    BATCH = 16
+
+    @pytest.mark.parametrize("n", [10, 50, 49], ids=["n<batch", "short-last", "one-row-last"])
+    @pytest.mark.parametrize("penalty", ["none", "inputs", "group-column"])
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(kind="lr", input_dim=6, seed=2),
+        ModelSpec(kind="svm", input_dim=6, seed=2),
+        ModelSpec(kind="mlp", input_dim=6, hidden_dims=(16, 8), seed=2),
+    ], ids=lambda spec: spec.kind)
+    def test_bit_equal_to_the_reference_pass(self, spec, penalty, n):
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 6))
+        y = (rng.uniform(size=n) > 0.5).astype(float)
+        train = TrainView(X=X, y=y)
+        if penalty == "inputs":  # a one-column and a two-column feature
+            related = RelatedFeatureSet(("a", "b"), ((1,), (2, 3)))
+            pen = (None, related, np.array([0.3, 0.7]))
+        elif penalty == "group-column":  # the constrain_s shape: reg is not X
+            related = RelatedFeatureSet(("__sensitive__",), ((0,),))
+            s = (rng.uniform(size=n) > 0.5).astype(float)[:, None]
+            pen = (s, related, related.lambda0)
+        else:
+            pen = None
+        cfg = TrainConfig(eta=0.5, learning_rate=0.05, batch_size=self.BATCH)
+        params = init_params(spec)
+        params.flat += rng.normal(scale=0.2, size=params.flat.shape)  # biases off zero
+        reference = params.copy()
+        opt = Adam(params.flat, cfg.learning_rate)
+        m, v, t = np.zeros_like(reference.flat), np.zeros_like(reference.flat), 0
+        rng_pass, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+        for epoch in range(3):  # later passes start from moved moments
+            _adam_pass(spec, params, opt, train, cfg, rng_pass, f"epoch {epoch}", pen)
+            t = reference_pass(spec, reference, m, v, t, train, cfg, rng_ref, pen,
+                               cfg.learning_rate)
+            assert params.flat.tobytes() == reference.flat.tobytes()
+            assert opt.m.tobytes() == m.tobytes()
+            assert opt.v.tobytes() == v.tobytes()
+        assert opt.t == t == 3 * -(-n // self.BATCH)
+
+
+def test_lambda_is_checked_where_the_fair_loop_sets_it(monkeypatch):
+    # the theta-phase gradient skips the lambda check, so the refresh makes it
+    train_raw, eval_raw, test_raw = splits()
+    from relfair.data import encode, resolve_related
+
+    enc_train, enc_eval, _ = encode(train_raw, [eval_raw, test_raw])
+    related = resolve_related(train_raw.schema, enc_train, RELATED)
+    spec = ModelSpec(kind="lr", input_dim=enc_train.n_columns, seed=0)
+    solve_lambda, refreshes = training.solve_lambda, []
+
+    def off_simplex_at_epoch_1(scores, beta):
+        refreshes.append(scores)
+        solution = solve_lambda(scores, beta)
+        if len(refreshes) == 2:
+            return dataclasses.replace(solution, lam=solution.lam * 1.5)
+        return solution
+
+    steps = []
+
+    def counting_loss_and_grad(*args, **kwargs):
+        steps.append(args[2].shape[0])
+        return loss_and_grad(*args, **kwargs)
+
+    monkeypatch.setattr(training, "solve_lambda", off_simplex_at_epoch_1)
+    monkeypatch.setattr(training, "loss_and_grad", counting_loss_and_grad)
+    train, evaluation = enc_train.train_view(), enc_eval.train_view()
+    with pytest.raises(TrainingDivergedError, match="epoch 1: lambda left the simplex"):
+        train_fairrf(spec, init_params(spec), train, evaluation, related, BASE_CFG)
+    # two full passes, epochs 0 and 1, and no step with the bad lambda
+    assert len(refreshes) == 2
+    assert len(steps) == 2 * -(-train.n // BASE_CFG.batch_size)
+    assert sum(steps) == 2 * train.n
 
 
 class TestPretrain:
