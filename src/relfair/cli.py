@@ -45,17 +45,17 @@ from relfair.metrics import (
 from relfair.models import (
     MODEL_KINDS,
     check_hidden_dims,
+    check_seed,
     forward,
     load_checkpoint,
     save_checkpoint,
 )
-from relfair.training import TrainConfig, check_variant, encode_splits, run_seed
+from relfair.training import TrainConfig, check_variant, encode_splits, train_cells
 
 # recorded as set, or null, in every manifest's metadata
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# the seed comes from the experiment's seed list, never from its train block
-TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed")
+TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,11 +74,11 @@ class ExperimentConfig:
 EXPERIMENT_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
-def _check_train_values(train, key, values, where):
-    """``values`` if ``train`` takes each one as its ``key``; errors name ``where``."""
+def _check_each(values, check, where):
+    """``values`` if ``check`` takes each one; its errors lead with ``where``."""
     for value in values:
         try:
-            dataclasses.replace(train, **{key: value})
+            check(value)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
     return values
@@ -138,7 +138,7 @@ def parse_experiment_config(doc, where="experiment config", config_dir="."):
         raise ValueError(f"{where}: train: {exc}") from None
     seeds = check_list(doc["seeds"], "seeds", where, numbers.Integral, "integers")
     _check_distinct(seeds, "seeds", where)
-    _check_train_values(train, "seed", seeds, f"{where}: seeds")
+    _check_each(seeds, check_seed, f"{where}: seeds")
 
     return ExperimentConfig(
         dataset=dataset,
@@ -219,22 +219,22 @@ def _seed_job(payload):
     """
     raw, exp, cells, seed, out_dir, keep_checkpoint = payload
     outcomes = [None] * len(cells)
-    runs = run_seed(
-        raw, exp.related, [(variant, cfg) for variant, cfg, _ in cells], exp.model, seed,
-        hidden_dims=exp.hidden_dims,
+    runs = train_cells(
+        [(variant, cfg) for variant, cfg, _ in cells], *split(raw, seed=seed),
+        exp.related, exp.model, seed=seed, hidden_dims=exp.hidden_dims,
         allow_sensitive_in_training=exp.allow_sensitive_in_training,
     )
     for index, result in runs:
         if not isinstance(result, Exception):
             run_dir = os.path.join(out_dir, cells[index][2], f"seed_{seed}")
-            result = _outcome(_write_cell, result, seed, run_dir, keep_checkpoint)
+            result = _outcome(_write_cell, result, run_dir, keep_checkpoint)
         outcomes[index] = result
     return outcomes
 
 
-def _write_cell(result, seed, run_dir, keep_checkpoint):
+def _write_cell(result, run_dir, keep_checkpoint):
     """Measure one trained cell and write its trace (and checkpoint)."""
-    metrics = result.test_metrics(seed)
+    metrics = result.test_metrics()
     os.makedirs(run_dir, exist_ok=True)
     files = [os.path.join(run_dir, "trace.jsonl")]
     result.trace.write(files[0])
@@ -332,7 +332,7 @@ def _parse_list(text, parse, what, flag):
 
 def _parse_seeds(args, exp):
     seeds = _parse_list(args.seeds, int, "seeds", "--seeds")
-    return _check_train_values(exp.train, "seed", seeds, "--seeds") if seeds else exp.seeds
+    return _check_each(seeds, check_seed, "--seeds") if seeds else exp.seeds
 
 
 def _grid(text, exp, key, flag):
@@ -340,7 +340,7 @@ def _grid(text, exp, key, flag):
     values = _parse_list(text, float, f"{key} values", flag) or [getattr(exp.train, key)]
     # cell directories are named by {v:g}, so distinct values may collide
     _check_distinct([f"{v:g}" for v in values], f"{key} values as named in cells", flag)
-    return _check_train_values(exp.train, key, values, flag)
+    return _check_each(values, lambda v: dataclasses.replace(exp.train, **{key: v}), flag)
 
 
 def cmd_train(args):
@@ -416,27 +416,26 @@ def cmd_compare(args):
 
 def cmd_evaluate(args):
     exp = load_experiment_config(args.config)
-    seed = args.seed if args.seed is not None else exp.seeds[0]
-    _check_train_values(exp.train, "seed", [seed], "--seed")
     params, spec = load_checkpoint(args.checkpoint)
     raw = load_from_config(exp.dataset, data_dir=args.data_dir)
 
+    # the split the checkpoint was trained on
     encoded = dict(zip(
         ("train", "eval", "test"),
-        encode_splits(exp.variant, split(raw, seed=seed), exp.related),
+        encode_splits(exp.variant, split(raw, seed=spec.seed), exp.related),
     ))
     enc = encoded[args.split]
     if spec.input_dim != enc.n_columns:
         raise ValueError(
             f"checkpoint expects {spec.input_dim} input columns but the "
             f"{args.split} split encodes to {enc.n_columns}; check that the "
-            "config and split seed match the training run"
+            "config matches the training run"
         )
     yhat = forward(params, spec, enc.X)
     payload = {
         "checkpoint": args.checkpoint,
         "split": args.split,
-        "seed": seed,
+        "seed": spec.seed,
         "accuracy": accuracy(yhat, enc.y),
     }
     if enc.s is not None:
@@ -486,9 +485,8 @@ def build_parser():
 
     p_eval = sub.add_parser("evaluate", parents=[data],
                             help="metrics for an existing checkpoint")
-    p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--seed", type=int, default=None,
-                        help="split seed (default: first configured seed)")
+    p_eval.add_argument("--checkpoint", required=True,
+                        help="a checkpoint written by train; its seed picks the split")
     p_eval.add_argument("--split", choices=("train", "eval", "test"), default="test")
     p_eval.set_defaults(func=cmd_evaluate)
     return parser

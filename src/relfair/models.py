@@ -31,20 +31,22 @@ loss still run on the whole vector; no sum changes order.
 
 Mini-batches: ``loss_and_grad`` forwards its batch in one go, with the same
 in-place bias and ReLU, and keeps the activations for the backward pass.  It
-computes in a ``Workspace``: a buffer for each layer's output, for each
-hidden layer's backward ``delta`` and ReLU mask, and one gradient
-``ModelParams``; a batch of m rows uses their leading m rows.  A call without
-a workspace makes its own.  A training pass makes one and hands it to every
-step, so a step allocates no array as large as a layer; the returned
-gradient is then the workspace's, and the next call overwrites it.  The
-one-wide output layer's ``delta @ W.T`` is an ``np.multiply``: the same
-products, without a gemm call.
+computes in a ``Workspace``: a buffer for each layer's output and for each
+hidden layer's backward ``delta``, and one gradient ``ModelParams``; a batch
+of m rows uses their leading m rows.  Each ReLU mask (0.0 or 1.0) overwrites
+its activation once that is spent.  A call without a workspace makes its
+own.  A training pass makes one and hands it to every step, so a step
+allocates no array as large as a layer; the returned gradient is then the
+workspace's, and the next call overwrites it.  The one-wide output layer's
+``delta @ W.T`` is an ``np.multiply``: the same products, without a gemm
+call.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,8 +71,20 @@ def check_hidden_dims(kind, hidden_dims):
     return hidden_dims
 
 
+def check_seed(seed):
+    """``seed`` as an int if it is an integer >= 0; a numpy integer counts, a bool not."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
+    """A model's shape and its run's one seed (split, init, batch order and
+    variant sampling), which the checkpoint stores."""
+
     kind: str
     input_dim: int
     hidden_dims: tuple[int, ...] | None = None
@@ -82,6 +96,7 @@ class ModelSpec:
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
         object.__setattr__(self, "hidden_dims", check_hidden_dims(self.kind, self.hidden_dims))
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
     @property
     def layer_dims(self) -> list[tuple[int, int]]:
@@ -256,16 +271,14 @@ class Workspace:
     """The buffers of ``loss_and_grad`` for batches of up to ``rows`` rows.
 
     One per layer for its output, one per hidden layer for the backward
-    ``delta`` and one for its ReLU mask, and one gradient of the layout of
-    ``params``.  A batch of m rows uses the leading m rows of each.
+    ``delta``, and one gradient of the layout of ``params``.  A batch of m
+    rows uses the leading m rows of each.
     """
 
     def __init__(self, params: ModelParams, rows: int):
         self.rows = rows
         self.layers = _layer_buffers(params, rows)
-        hidden = [w.shape[0] for w in params.weights[1:]]
-        self.deltas = [np.empty((rows, h)) for h in hidden]
-        self.masks = [np.empty((rows, h), dtype=bool) for h in hidden]
+        self.deltas = [np.empty((rows, w.shape[0])) for w in params.weights[1:]]
         self.grads = params.empty_like()
 
 
@@ -334,8 +347,9 @@ def loss_and_grad(
                 np.multiply(delta, w.T, out=back)
             else:
                 np.matmul(delta, w.T, out=back)
-            mask = np.greater(acts[i], 0.0, out=workspace.masks[i - 1][:n])
-            delta = np.multiply(back, mask, out=back)  # the ReLU mask
+            # the ReLU mask, written over its activation, which is spent now
+            mask = np.greater(acts[i], 0.0, out=acts[i], casting="unsafe")
+            delta = np.multiply(back, mask, out=back)
     return loss, grads
 
 
@@ -363,12 +377,15 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelSpec]:
             raise ValueError(
                 f"unsupported checkpoint version {meta.get('format_version')}"
             )
-        spec = ModelSpec(
-            kind=meta["kind"],
-            input_dim=meta["input_dim"],
-            hidden_dims=tuple(meta["hidden_dims"]),
-            seed=meta["seed"],
-        )
+        try:
+            spec = ModelSpec(
+                kind=meta["kind"],
+                input_dim=meta["input_dim"],
+                hidden_dims=tuple(meta["hidden_dims"]),
+                seed=meta["seed"],
+            )
+        except ValueError as exc:
+            raise ValueError(f"checkpoint {path}: {exc}") from None
         n = meta["n_layers"]
         arrays = {name: data[name] for i in range(n) for name in (f"w{i}", f"b{i}")}
     for name, a in arrays.items():

@@ -10,8 +10,9 @@ fixed, the feature weights are refreshed in closed form:
 ``lambda = solve_lambda(eta * R, beta)`` with R measured on the full training
 split, which is the exact minimizer of the lambda-part of the objective.
 Pretraining runs the same pass on the classification loss alone.  Each pass
-checks the loss at every step and the parameters once, at its end.  Batch
-order and parameter init are fully determined by the seed.
+checks the loss at every step and the parameters once, at its end.  A run
+has one seed, ``ModelSpec.seed``, which its checkpoint stores: it draws the
+split (the caller's), the init, the batch order and a variant's sampling.
 
 Every Adam step updates the whole model at once: the parameters, their
 gradient and Adam's two moments are each one flat vector laid out as
@@ -108,7 +109,6 @@ class TrainConfig:
     pretrain_epochs: int = 10
     max_epochs: int = 100
     batch_size: int = 256
-    seed: int = 0
     early_stop_patience: int = 5
 
     def __post_init__(self):
@@ -126,9 +126,8 @@ class TrainConfig:
             raise ValueError("beta must be > 0")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        for field in ("pretrain_epochs", "seed"):
-            if getattr(self, field) < 0:
-                raise ValueError(f"{field} must be >= 0")
+        if self.pretrain_epochs < 0:
+            raise ValueError("pretrain_epochs must be >= 0")
         for field in ("max_epochs", "batch_size", "early_stop_patience"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be >= 1")
@@ -263,7 +262,7 @@ def pretrain(spec, params, train, evaluation, cfg):
     params = params.copy()
     if cfg.pretrain_epochs == 0:
         return params
-    rng = np.random.default_rng([cfg.seed, 1])
+    rng = np.random.default_rng([spec.seed, 1])
     opt = Adam(params.flat, cfg.learning_rate)
     best_eval = np.inf
     stall = 0
@@ -339,7 +338,13 @@ def train_fairrf(spec, params, train, evaluation, related, cfg, *,
     batch_reg = None if reg_train is train.X else reg_train  # None: a batch's Xb
 
     lam = related.lambda0 if related is not None else np.zeros(0)
-    rng = np.random.default_rng([cfg.seed, 2])
+
+    def per_feature(reg, yhat):  # each related feature's score of yhat
+        if related is None:
+            return np.zeros(0)
+        return related_penalty(reg, related, lam, yhat)[1]
+
+    rng = np.random.default_rng([spec.seed, 2])
     opt = Adam(params.flat, cfg.learning_rate)
     trace = TrainTrace()
     history = []  # (eval_accuracy, eval_penalty, params snapshot)
@@ -354,21 +359,15 @@ def train_fairrf(spec, params, train, evaluation, related, cfg, *,
         # (b) lambda refresh: exact minimizer given the current model; the
         # same forward of the training split gives the trace's cls_loss
         yhat_train, cls_loss = forward_loss(params, spec, train.X, train.y)
-        if related is not None:
-            _, per_feature = related_penalty(reg_train, related, lam, yhat_train)
-            if learn_lambda:  # checked here, before any step or score uses it
-                lam = solve_lambda(cfg.eta * per_feature, cfg.beta).lam
-                _check_lambda(lam, epoch)
-        else:
-            per_feature = np.zeros(0)
+        scores = per_feature(reg_train, yhat_train)
+        if related is not None and learn_lambda:  # checked before any step uses it
+            lam = solve_lambda(cfg.eta * scores, cfg.beta).lam
+            _check_lambda(lam, epoch)
 
         # (c) bookkeeping on one forward of the evaluation split
-        penalty_total = float(lam @ per_feature)
+        penalty_total = float(lam @ scores)
         yhat_eval, eval_cls = forward_loss(params, spec, evaluation.X, evaluation.y)
-        if related is not None:
-            eval_penalty, _ = related_penalty(reg_eval, related, lam, yhat_eval)
-        else:
-            eval_penalty = 0.0
+        eval_penalty = float(lam @ per_feature(reg_eval, yhat_eval))
         eval_obj = total_objective(eval_cls, eval_penalty, lam, cfg)
         eval_acc = accuracy(yhat_eval, evaluation.y)
         eo, dp = fairness(yhat_eval) if fairness is not None else (None, None)
@@ -377,7 +376,7 @@ def train_fairrf(spec, params, train, evaluation, related, cfg, *,
                 epoch=epoch,
                 cls_loss=cls_loss,
                 penalty_total=penalty_total,
-                per_feature=tuple(float(v) for v in per_feature),
+                per_feature=tuple(float(v) for v in scores),
                 lam=tuple(float(v) for v in lam),
                 eval_accuracy=eval_acc,
                 eval_delta_eo=eo,
@@ -431,13 +430,13 @@ class TrainResult:
         enc = getattr(self, f"encoded_{which}")
         return forward(self.params, self.spec, enc.X)
 
-    def test_metrics(self, seed):
+    def test_metrics(self):
         enc = self.encoded_test
         yhat = self.predictions("test")
         if enc.s is None:
             raise ValueError("test split carries no sensitive attribute")
         return SeedResult(
-            seed=seed,
+            seed=self.spec.seed,
             accuracy=accuracy(yhat, enc.y),
             delta_eo=delta_eo(yhat, enc.y, enc.s),
             delta_dp=delta_dp(yhat, enc.s),
@@ -505,7 +504,7 @@ def _train_cell(variant, cfg, raw_schema, encoded, spec, pretrained, related_nam
     gains an entry the first time a key is met.
     """
     enc_train, enc_eval, enc_test = encoded
-    rng = np.random.default_rng([cfg.seed, 3])
+    rng = np.random.default_rng([spec.seed, 3])
 
     # the related sets to regularize, one fair-loop run each
     reg_train = reg_eval = None  # None: the penalty reads the model inputs
@@ -533,7 +532,7 @@ def _train_cell(variant, cfg, raw_schema, encoded, spec, pretrained, related_nam
 
     train_view = enc_train.train_view()
     eval_view = enc_eval.train_view()
-    key = (spec, cfg.seed, cfg.learning_rate, cfg.pretrain_epochs, cfg.batch_size)
+    key = (spec, cfg.learning_rate, cfg.pretrain_epochs, cfg.batch_size)
     if key not in pretrained:
         pretrained[key] = pretrain(spec, init_params(spec), train_view, eval_view, cfg)
     fairness = _eval_fairness(enc_eval)
@@ -554,18 +553,19 @@ def _train_cell(variant, cfg, raw_schema, encoded, spec, pretrained, related_nam
 
 
 def train_cells(cells, train_raw, eval_raw, test_raw, related_names, model_kind, *,
-                hidden_dims=None, allow_sensitive_in_training=False):
+                seed=0, hidden_dims=None, allow_sensitive_in_training=False):
     """Train ``(variant, cfg)`` cells on one split, sharing what they share.
 
-    A variant only chooses what the fair loop regularizes.  The cells are
-    grouped by encoding (``remove_related`` drops the related features,
-    every other variant encodes all inputs), and a group is encoded once,
-    when its first cell has passed its checks.  Within a group, ``pretrain``
-    runs once per model spec, ``seed``, ``learning_rate``,
-    ``pretrain_epochs`` and ``batch_size``, the only fields it reads; every
-    cell then runs ``train_fairrf`` from those parameters.  ``top1`` runs
-    the fair loop once per related feature and keeps the run with the
-    smallest evaluation ``delta_dp`` (the first on a tie).
+    ``seed`` is the run's, the one the split was drawn with, and every
+    ``ModelSpec`` carries it.  A variant only chooses what the fair loop
+    regularizes.  The cells are grouped by encoding (``remove_related`` drops
+    the related features, every other variant encodes all inputs), and a
+    group is encoded once, when its first cell has passed its checks.  Within
+    a group, ``pretrain`` runs once per model spec (seed included),
+    ``learning_rate``, ``pretrain_epochs`` and ``batch_size``, the only fields
+    it reads; every cell then runs ``train_fairrf`` from those parameters.
+    ``top1`` runs the fair loop once per related feature and keeps the run
+    with the smallest evaluation ``delta_dp`` (the first on a tie).
 
     Yields ``(index into cells, TrainResult or the exception the cell
     raised)`` one cell at a time, group by group.  Only one group's encoding
@@ -586,21 +586,13 @@ def train_cells(cells, train_raw, eval_raw, test_raw, related_names, model_kind,
                 if encoded is None:
                     encoded = encode_splits(variant, splits, related_names)
                 spec = ModelSpec(kind=model_kind, input_dim=encoded[0].n_columns,
-                                 hidden_dims=hidden_dims, seed=cfg.seed)
+                                 hidden_dims=hidden_dims, seed=seed)
                 outcome = _train_cell(variant, cfg, train_raw.schema, encoded, spec,
                                       pretrained, related_names)
             except Exception as exc:  # a failed cell is an outcome; callers decide
                 # the frames of a traceback would keep an encoding alive
                 outcome = exc.with_traceback(None)
             yield index, outcome
-
-
-def _one(outcomes):
-    """The result of a one-cell run; raises what the cell raised."""
-    ((_, outcome),) = outcomes
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
 
 
 def train_variant(
@@ -612,33 +604,23 @@ def train_variant(
     model_kind,
     cfg,
     *,
+    seed=0,
     hidden_dims=None,
     allow_sensitive_in_training=False,
 ):
     """Train one baseline/method variant on pre-split raw data: ``train_cells``
-    of one cell."""
-    return _one(train_cells(
-        [(variant, cfg)], train_raw, eval_raw, test_raw, related_names, model_kind,
+    of one cell; raises what the cell raised."""
+    ((_, outcome),) = train_cells(
+        [(variant, cfg)], train_raw, eval_raw, test_raw, related_names, model_kind, seed=seed,
         hidden_dims=hidden_dims, allow_sensitive_in_training=allow_sensitive_in_training,
-    ))
+    )
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 # ---------------------------------------------------------------------------
 # seeded experiment runs
-
-
-def run_seed(raw, related_names, cells, model_kind, seed, *, hidden_dims=None,
-             allow_sensitive_in_training=False):
-    """One seed of every ``(variant, cfg)`` cell: split once, then ``train_cells``.
-
-    Every cell's ``cfg.seed`` is replaced by ``seed``.  Yields what
-    ``train_cells`` yields.
-    """
-    cells = [(variant, dataclasses.replace(cfg, seed=seed)) for variant, cfg in cells]
-    yield from train_cells(
-        cells, *split(raw, seed=seed), related_names, model_kind,
-        hidden_dims=hidden_dims, allow_sensitive_in_training=allow_sensitive_in_training,
-    )
 
 
 def run_single(
@@ -652,12 +634,12 @@ def run_single(
     hidden_dims=None,
     allow_sensitive_in_training=False,
 ):
-    """One seed: re-split, train the variant, measure the test split."""
-    result = _one(run_seed(
-        raw, related_names, [(variant, cfg)], model_kind, seed,
+    """One seed: split, train the variant, measure the test split."""
+    result = train_variant(
+        variant, *split(raw, seed=seed), related_names, model_kind, cfg, seed=seed,
         hidden_dims=hidden_dims, allow_sensitive_in_training=allow_sensitive_in_training,
-    ))
-    return result, result.test_metrics(seed)
+    )
+    return result, result.test_metrics()
 
 
 def run_seeds(raw, related_names, variant, model_kind, cfg, seeds, **kwargs):

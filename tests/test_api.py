@@ -14,8 +14,9 @@ import pytest
 from relfair.cli import ExperimentConfig
 from relfair.data import RelatedFeatureSet, resolve_related, split
 from relfair.metrics import accuracy, thresholded
+from relfair.models import ModelSpec
 from relfair.synthetic import SyntheticSpec
-from relfair.training import Adam
+from relfair.training import Adam, TrainConfig, train_cells, train_variant
 
 
 PARAMETERS = {
@@ -24,11 +25,26 @@ PARAMETERS = {
     Adam: ("theta", "lr"),
     accuracy: ("yhat", "y"),
     thresholded: ("yhat",),
+    # the seed is the run's, and the run starts here
+    train_variant: (
+        "variant", "train_raw", "eval_raw", "test_raw", "related_names", "model_kind",
+        "cfg", "seed", "hidden_dims", "allow_sensitive_in_training",
+    ),
+    train_cells: (
+        "cells", "train_raw", "eval_raw", "test_raw", "related_names", "model_kind",
+        "seed", "hidden_dims", "allow_sensitive_in_training",
+    ),
 }
 
 FIELDS = {
     SyntheticSpec: ("n", "label_echo", "seed"),
     RelatedFeatureSet: ("features", "column_groups"),
+    # exactly the train: block; the seed lives in ModelSpec and its checkpoint
+    TrainConfig: (
+        "eta", "beta", "learning_rate", "pretrain_epochs", "max_epochs", "batch_size",
+        "early_stop_patience",
+    ),
+    ModelSpec: ("kind", "input_dim", "hidden_dims", "seed"),
     ExperimentConfig: (
         "dataset", "variant", "model", "hidden_dims", "related", "seeds",
         "output_dir", "allow_sensitive_in_training", "train",

@@ -404,7 +404,7 @@ def test_a_seed_job_encodes_and_pretrains_once_per_encoding(workspace, tmp_path,
     assert seen == {"encode": shared, "pretrain": shared, "train_fairrf": cells}
 
 
-def _unmeasurable(result, seed):
+def _unmeasurable(result):
     raise ValueError("cannot measure")
 
 
@@ -458,14 +458,14 @@ def test_a_failed_cell_leaves_its_seed_mates_running(workspace, tmp_path, worker
 
 
 def test_a_failed_seed_job_fails_each_of_its_cells(workspace, tmp_path, monkeypatch):
-    run_seed = cli.run_seed
+    split = cli.split
 
-    def failing_on_seed_1(raw, related, cells, model, seed, **kwargs):
+    def failing_on_seed_1(raw, seed):
         if seed == 1:
             raise RuntimeError("seed 1 cannot be split")
-        return run_seed(raw, related, cells, model, seed, **kwargs)
+        return split(raw, seed=seed)
 
-    monkeypatch.setattr(cli, "run_seed", failing_on_seed_1)
+    monkeypatch.setattr(cli, "split", failing_on_seed_1)
     out = tmp_path / "sweep"
     assert run_cli(
         "sweep", "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
@@ -835,20 +835,49 @@ class TestEvaluate:
             "evaluate", "-c", str(workspace / "exp.yaml"),
             "--data-dir", str(workspace),
             "--checkpoint", str(out / "seed_0" / "checkpoint.npz"),
-            "--seed", "0",
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert {"accuracy", "delta_eo", "delta_dp"} <= set(payload)
         assert payload["split"] == "test"
 
+    def test_each_checkpoint_scores_the_split_it_was_trained_on(
+            self, workspace, tmp_path, capsys):
+        # the split seed is the checkpoint's, so no flag can pick another split
+        out = tmp_path / "run"
+        assert run_cli(
+            "train", "-c", str(workspace / "exp.yaml"),
+            "--data-dir", str(workspace), "--output-dir", str(out), "--seeds", "0,1",
+        ) == 0
+        report = json.loads((out / "report.json").read_text())
+        for row in report["per_seed"]:
+            capsys.readouterr()
+            assert run_cli(
+                "evaluate", "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
+                "--checkpoint", str(out / f"seed_{row['seed']}" / "checkpoint.npz"),
+            ) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert {k: payload[k] for k in row} == row
+
     def test_negative_seed_is_named(self, workspace, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli(
+            "train", "-c", str(workspace / "exp.yaml"),
+            "--data-dir", str(workspace), "--output-dir", str(out), "--seeds", "0",
+        ) == 0
+        path = out / "seed_0" / "checkpoint.npz"
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        arrays["meta"] = np.frombuffer(json.dumps({**meta, "seed": -1}).encode(), np.uint8)
+        np.savez(path, **arrays)
+        capsys.readouterr()
         code = run_cli(
             "evaluate", "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
-            "--checkpoint", str(tmp_path / "checkpoint.npz"), "--seed", "-1",
+            "--checkpoint", str(path),
         )
         assert code == 1
-        assert "error: --seed: seed must be >= 0" in capsys.readouterr().err
+        assert f"error: checkpoint {path}: seed must be >= 0" in capsys.readouterr().err
 
     def test_dimension_mismatch_is_explained(self, workspace, tmp_path, capsys):
         out = tmp_path / "run"
@@ -865,7 +894,7 @@ class TestEvaluate:
         capsys.readouterr()
         code = run_cli(
             "evaluate", "-c", str(exp), "--data-dir", str(workspace),
-            "--checkpoint", str(out / "seed_0" / "checkpoint.npz"), "--seed", "0",
+            "--checkpoint", str(out / "seed_0" / "checkpoint.npz"),
         )
         assert code == 1
         assert "input columns" in capsys.readouterr().err
@@ -884,7 +913,7 @@ class TestEvaluate:
         capsys.readouterr()
         code = run_cli(
             "evaluate", "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
-            "--checkpoint", str(path), "--seed", "0",
+            "--checkpoint", str(path),
         )
         assert code == 1
         captured = capsys.readouterr()

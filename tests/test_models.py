@@ -98,6 +98,17 @@ class TestInit:
         with pytest.raises(ValueError, match="hidden_dims"):
             ModelSpec(kind="mlp", input_dim=3, hidden_dims=hidden_dims)
 
+    @pytest.mark.parametrize("seed", [True, -1, 1.5], ids=["bool", "negative", "float"])
+    def test_seed_is_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be"):
+            ModelSpec(kind="lr", input_dim=3, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self, tmp_path):
+        spec = ModelSpec(kind="lr", input_dim=3, seed=np.uint8(3))
+        assert spec.seed == 3 and type(spec.seed) is int
+        save_checkpoint(tmp_path / "m.npz", init_params(spec), spec)  # JSON takes it
+        assert load_checkpoint(tmp_path / "m.npz")[1] == spec
+
 
 class TestSigmoid:
     def test_saturates_exactly_without_warnings(self):

@@ -21,9 +21,9 @@ from relfair.training import (
     TrainingDivergedError,
     _adam_pass,
     pretrain,
-    run_seed,
     run_seeds,
     run_single,
+    train_cells,
     train_fairrf,
     train_variant,
 )
@@ -52,7 +52,7 @@ class TestTrainConfig:
         assert cfg.learning_rate == 0.001
         assert [f.name for f in dataclasses.fields(TrainConfig)] == [
             "eta", "beta", "learning_rate", "pretrain_epochs", "max_epochs",
-            "batch_size", "seed", "early_stop_patience",
+            "batch_size", "early_stop_patience",
         ]
 
     @pytest.mark.parametrize(
@@ -67,10 +67,10 @@ class TestTrainConfig:
             {"early_stop_patience": 0},
             {"batch_size": 1.5},
             {"max_epochs": 2.0},
-            {"seed": True},
+            {"pretrain_epochs": True},
             {"eta": "0.3"},
             {"learning_rate": True},
-            {"seed": -1},
+            {"beta": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -79,8 +79,8 @@ class TestTrainConfig:
             TrainConfig(**kwargs)
 
     def test_numpy_numbers_accepted(self):
-        cfg = TrainConfig(eta=np.float32(0.5), batch_size=np.int64(32), seed=np.uint8(3))
-        assert (cfg.batch_size, cfg.seed) == (32, 3)
+        cfg = TrainConfig(eta=np.float32(0.5), batch_size=np.int64(32))
+        assert cfg.batch_size == 32
 
 
 def textbook_adam(arrays, grad_steps, lr):
@@ -231,14 +231,14 @@ def test_lambda_is_checked_where_the_fair_loop_sets_it(monkeypatch):
 
 
 class TestPretrain:
-    def _setup(self, cfg):
+    def _setup(self):
         from relfair.models import ModelSpec
 
         train_raw, eval_raw, test_raw = splits()
         from relfair.data import encode
 
         enc_train, enc_eval, _ = encode(train_raw, [eval_raw, test_raw])
-        spec = ModelSpec(kind="lr", input_dim=enc_train.n_columns, seed=cfg.seed)
+        spec = ModelSpec(kind="lr", input_dim=enc_train.n_columns, seed=0)
         return spec, init_params(spec), enc_train.train_view(), enc_eval
 
     def test_separable_data_learned(self):
@@ -261,14 +261,14 @@ class TestPretrain:
 
     def test_zero_epochs_is_noop(self):
         cfg = dataclasses.replace(BASE_CFG, pretrain_epochs=0)
-        spec, params, view, ev = self._setup(cfg)
+        spec, params, view, ev = self._setup()
         out = pretrain(spec, params, view, ev, cfg)
         for a, b in zip(params.arrays(), out.arrays()):
             assert np.array_equal(a, b)
         assert out is not params  # defensive copy, caller's params untouched
 
     def test_deterministic(self):
-        spec, params, view, ev = self._setup(BASE_CFG)
+        spec, params, view, ev = self._setup()
         a = pretrain(spec, params, view, ev, BASE_CFG)
         b = pretrain(spec, params, view, ev, BASE_CFG)
         for x, y in zip(a.arrays(), b.arrays()):
@@ -279,7 +279,7 @@ class TestPretrain:
     ])
     def test_reads_none_of_the_fair_loop_fields(self, field, value):
         # the cells of a seed job share one pretrain on exactly this premise
-        spec, params, view, ev = self._setup(BASE_CFG)
+        spec, params, view, ev = self._setup()
         other = dataclasses.replace(BASE_CFG, **{field: value})
         a = pretrain(spec, params, view, ev, BASE_CFG)
         b = pretrain(spec, params, view, ev, other)
@@ -287,7 +287,7 @@ class TestPretrain:
 
     def test_nan_aborts_with_diagnostics(self):
         cfg = BASE_CFG
-        spec, params, view, ev = self._setup(cfg)
+        spec, params, view, ev = self._setup()
         bad = np.array(view.X, copy=True)
         bad[0, 0] = np.inf
         from relfair.data import TrainView
@@ -519,7 +519,7 @@ class TestRunSeed:
     ]
 
     def test_each_cell_equals_its_one_cell_run(self):
-        outcomes = list(run_seed(RAW, RELATED, self.CELLS, "lr", 1))
+        outcomes = list(train_cells(self.CELLS, *splits(seed=1), RELATED, "lr", seed=1))
         # group by group: every variant but remove_related shares an encoding
         assert [index for index, _ in outcomes] == [0, 1, 3, 4, 5, 2]
         for index, result in outcomes:
@@ -550,7 +550,7 @@ class TestRunSeed:
         monkeypatch.setattr(training, "encode", checked_encode)
         outcomes = [
             result if isinstance(result, Exception) else None
-            for _, result in run_seed(RAW, RELATED, self.CELLS, "lr", 1)
+            for _, result in train_cells(self.CELLS, *splits(seed=1), RELATED, "lr", seed=1)
         ]
         assert alive == [0, 0]
         assert sum(o is not None for o in outcomes) == 2
