@@ -1,9 +1,15 @@
+import csv
+import io
+import itertools
 import re
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import _csv_oracle
+from relfair import data
 from relfair.data import (
     Dataset,
     FeatureSchema,
@@ -188,6 +194,31 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="group"):
             load_csv(path, TOY_SCHEMA, label_positive="yes")
 
+    def test_schema_column_named_twice_in_header(self, tmp_path):
+        path = write_csv(tmp_path, "color,height,outcome,group,color\nred,1,yes,a,blue\n")
+        with pytest.raises(
+            ValueError,
+            match=f"^{re.escape(str(path))}: header names column 'color' more than once$",
+        ):
+            load_csv(path, TOY_SCHEMA, label_positive="yes")
+
+    @pytest.mark.parametrize(
+        "lines, line",
+        [(["{long},height,outcome,group"], 1),
+         (["color,height,outcome,group", "red,1,yes,a", "{long},1,yes,a"], 3),
+         (["color,height,outcome,group", "red,1,yes,a,7", "{long},1,yes,a"], None)],
+        ids=["header", "row", "malformed_record_first"],
+    )
+    def test_csv_module_error_names_file_and_line(self, tmp_path, lines, line):
+        limit = csv.field_size_limit()
+        text = "\n".join(lines).replace("{long}", "r" * (limit + 1)) + "\n"
+        path = write_csv(tmp_path, text)
+        # a malformed record read before the unreadable one is named first
+        want = (f"line {line}: field larger than field limit ({limit})" if line
+                else "line 2 has 5 fields, expected 4")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {want}')}$"):
+            load_csv(path, TOY_SCHEMA, label_positive="yes")
+
     def test_extra_file_columns_ignored(self, tmp_path):
         path = write_csv(
             tmp_path,
@@ -236,9 +267,192 @@ class TestLoadCsv:
         ):
             load_csv(path, TOY_SCHEMA, label_positive="yes")
 
+    def test_peak_memory_is_one_block_plus_the_result(self, tmp_path, monkeypatch):
+        # raising=False: the bound, not a missing name, is what a whole-file
+        # reader fails on
+        monkeypatch.setattr(data, "READ_BLOCK_ROWS", 256, raising=False)
+        names = [f"c{j}" for j in range(6)]
+        schema = tuple(FeatureSchema(n, "categorical") for n in names) + (
+            FeatureSchema("x", "continuous"),
+            FeatureSchema("y", "categorical", role="label"),
+        )
+        rng = np.random.default_rng(0)
+        path = tmp_path / "wide.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([*names, "x", "y"])
+            for i in range(12_000):
+                writer.writerow([f"value-{rng.integers(3)}-{'x' * 24}" for _ in names]
+                                + [f"{rng.normal():.6f}", "01"[i % 2]])
+
+        tracemalloc.start()
+        try:
+            with open(path, newline="") as fh:
+                reader = csv.reader(fh)
+                block = list(zip(*itertools.islice(reader, 256)))
+                block_bytes = tracemalloc.get_traced_memory()[1]
+            del block
+            tracemalloc.reset_peak()
+            ds = load_csv(path, schema)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = sum(col.nbytes for col in ds.columns.values())
+        # the whole file's cells take about 40 blocks
+        assert peak < 2 * block_bytes + 4 * result
+
     def test_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv", TOY_SCHEMA)
+
+
+# The block reader of load_csv against the row-wise reference reader.
+ORACLE_SCHEMA = (
+    FeatureSchema("color", "categorical"),
+    FeatureSchema("height", "continuous"),
+    FeatureSchema("shape", "categorical"),
+    FeatureSchema("weight", "continuous"),
+    FeatureSchema("outcome", "categorical", role="label"),
+    FeatureSchema("group", "categorical", role="sensitive"),
+)
+HEADER = ("shape", "note", "height", "outcome", "color", "weight", "group")
+ORACLE_MISSING = ("?", "", "-1", "nan")  # "-1" and "nan" parse as numbers
+PADS = ("", "", " ", "  ", "\t", "\xa0", "\x1c")  # strip() drops \x1c, float() does not
+CHOICES = {
+    "color": ("red", "blue", "dark, red", '"quoted"'),
+    "shape": ("round", "square", "tall\nthin"),
+    "outcome": ("yes", "no"),
+    "group": ("a", "b", "c"),
+    "note": ("x", "y, z"),
+}
+
+
+def random_rows(rng, n):
+    """n valid records of HEADER, some cells missing, most padded."""
+    rows = []
+    for _ in range(n):
+        cell = {k: str(rng.choice(v)) for k, v in CHOICES.items()}
+        for name in ("height", "weight"):
+            cell[name] = str(rng.choice(
+                [repr(float(rng.normal())), str(int(rng.integers(-5, 50))), "1e2", "-1.0"]
+            ))
+        for name in ("color", "shape", "height", "weight", "outcome", "group"):
+            if rng.random() < 0.05:
+                cell[name] = str(rng.choice(ORACLE_MISSING))
+        rows.append([rng.choice(PADS) + cell[h] + rng.choice(PADS) for h in HEADER])
+    return rows
+
+
+def write_rows(path, rows, rng):
+    """Write HEADER and rows with blank lines between some; each row's line number.
+
+    Line numbers count records, as the loader's messages do: a blank line
+    is a record, and a quoted newline is not a new one.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(HEADER)
+    lines, record = [], 2
+    for row in rows:
+        while rng.random() < 0.25:
+            buf.write("\n")
+            record += 1
+        writer.writerow(row)
+        lines.append(record)
+        record += 1
+    path.write_text(buf.getvalue())
+    return lines
+
+
+def outcome(read, path, **kwargs):
+    """What a reader makes of a file: the Dataset's bytes, or its error message."""
+    try:
+        ds = read(path, ORACLE_SCHEMA, missing_tokens=ORACLE_MISSING, **kwargs)
+    except ValueError as exc:
+        return "error", str(exc)
+    columns = [(k, c.dtype.str, c.tobytes()) for k, c in ds.columns.items()]
+    return "ok", columns, ds.vocab, ds.n_dropped, type(ds.n_dropped)
+
+
+def both_readers(path, **kwargs):
+    new = outcome(load_csv, path, **kwargs)
+    assert new == outcome(_csv_oracle.read_csv, path, **kwargs)
+    return new
+
+
+def clean(row):
+    """row with every schema cell present, so that the row is kept."""
+    return [
+        cell if h == "note" or cell.strip() not in ORACLE_MISSING else "7"
+        for h, cell in zip(HEADER, row)
+    ]
+
+
+def put(row, **cells):
+    return [cells.get(h, cell) for h, cell in zip(HEADER, row)]
+
+
+class TestBlockReader:
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(data, "READ_BLOCK_ROWS", 3)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_same_dataset_as_the_row_wise_reader(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        path = tmp_path / "r.csv"
+        write_rows(path, random_rows(rng, int(rng.integers(10, 40))), rng)
+        kwargs = {"label_positive": "yes",
+                  "sensitive_positive": "b" if seed % 2 else None}
+        assert both_readers(path, **kwargs)[0] == "ok"
+
+    def test_same_dataset_at_the_real_block_size(self, tmp_path, monkeypatch):
+        monkeypatch.undo()
+        rng = np.random.default_rng(99)
+        path = tmp_path / "r.csv"
+        write_rows(path, random_rows(rng, 2 * data.READ_BLOCK_ROWS + 5), rng)
+        assert both_readers(path, label_positive="yes")[0] == "ok"
+
+    @pytest.mark.parametrize("at", [1, 16], ids=["first_block", "later_block"])
+    @pytest.mark.parametrize(
+        "fault, want",
+        [
+            ("bad_number", "line {0}: cannot parse 'tall' as number for column 'height'"),
+            ("bad_number_on_dropped_row", None),
+            ("field_count_after_bad_number", "{path}: line {2} has 8 fields, expected 7"),
+            ("inf", "line {0}: non-finite value 'inf' in continuous column 'weight'"),
+            ("missing_token_spelled_otherwise", "line {0}: non-finite value 'NaN' in "
+             "continuous column 'weight'"),
+            ("third_label_value", "line {0}: column 'outcome' value 'maybe' is neither "
+             "the declared positive value 'yes' nor 'no', the one other value a "
+             "binary label may take"),
+        ],
+    )
+    def test_same_error_as_the_row_wise_reader(self, tmp_path, fault, want, at):
+        rng = np.random.default_rng(at)
+        rows = [clean(row) for row in random_rows(rng, 30)]
+        rows[0] = put(rows[0], outcome="no")  # the label's other value comes first
+        if fault == "bad_number":
+            rows[at] = put(rows[at], height=" tall ")
+        elif fault == "bad_number_on_dropped_row":
+            rows[at] = put(rows[at], height="tall", group="?")
+        elif fault == "field_count_after_bad_number":
+            rows[at] = put(rows[at], height="tall")
+            rows[at + 2] = rows[at + 2] + ["extra"]
+        elif fault == "inf":
+            rows[at] = put(rows[at], weight="inf")
+        elif fault == "missing_token_spelled_otherwise":
+            rows[at - 1] = put(rows[at - 1], weight="nan")  # dropped
+            rows[at] = put(rows[at], weight="NaN")
+        elif fault == "third_label_value":
+            rows[at] = put(rows[at], outcome="maybe")
+        path = tmp_path / "f.csv"
+        lines = write_rows(path, rows, rng)
+        got = both_readers(path, label_positive="yes")
+        if want is None:
+            assert got[0] == "ok"
+        else:
+            assert got == ("error", want.format(*lines[at:], path=path))
 
 
 class TestSplit:
