@@ -271,10 +271,12 @@ def _outcome(fn, *args):
 def _run_cells(args, exp, seeds, cells, keep_checkpoint=False):
     """Run every cell under every seed; a cell is ``(variant, TrainConfig, subdir)``.
 
-    Loads the dataset once and runs one job per seed, which splits, encodes
-    and pretrains once for all the cells that can share them.  With fewer
-    seeds than ``--workers``, each seed's cells are cut into ⌈workers /
-    seeds⌉ jobs (never more jobs than cells), so that no worker sits idle.
+    Refuses a dataset without a sensitive column, whose cells could not be
+    measured, before loading it.  Loads the dataset once and runs one job
+    per seed, which splits, encodes and pretrains once for all the cells
+    that can share them.  With fewer seeds than ``--workers``, each seed's
+    cells are cut into ⌈workers / seeds⌉ jobs (never more jobs than cells),
+    so that no worker sits idle.
     A cell's files go to ``<out_dir>/<subdir>/seed_<k>``.  A job creates a
     directory when it has something to write, so a run whose every cell
     fails first leaves no output directory behind; a directory that already
@@ -284,6 +286,11 @@ def _run_cells(args, exp, seeds, cells, keep_checkpoint=False):
     """
     if args.workers < 1:
         raise ValueError(f"--workers: must be at least 1, got {args.workers}")
+    if not any(f.role == "sensitive" for f in exp.dataset.schema):
+        raise ValueError(
+            f"{args.config}: dataset {exp.dataset.name!r} has no 'sensitive' column; "
+            "train, compare and sweep report delta_eo and delta_dp, which need one"
+        )
     raw = load_from_config(exp.dataset, data_dir=args.data_dir)
     out_dir = args.output_dir or exp.output_dir
     if os.path.exists(out_dir) and not os.path.isdir(out_dir):

@@ -21,7 +21,9 @@ rows with a missing cell are dropped before the next block is read.  A bad
 cell on a kept row is remembered and raised once the whole file is read, so
 errors come in the order of a row-wise read: a malformed record anywhere,
 then a file with no usable rows, then each column's first bad cell in schema
-order.  A bad cell on a dropped row is no error.
+order.  A bad cell on a dropped row is no error.  The reader counts records,
+and an error message finds the file line its record starts on by re-reading
+the file up to that record.
 """
 
 import collections.abc
@@ -214,6 +216,7 @@ class RelatedFeatureSet:
 
 
 READ_BLOCK_ROWS = 4096  # records held as raw cells at once while loading
+ENCODING = "utf-8-sig"  # UTF-8, with or without a byte-order mark
 
 
 def _parses_as_float(raw):
@@ -256,7 +259,7 @@ class _CodedColumn:
         if self.raw.missing_codes:
             drop |= np.isin(self.block, self.raw.missing_codes)
 
-    def keep(self, kept, lines):
+    def keep(self, kept, records):
         narrow = np.min_scalar_type(len(self.raw))  # a byte per cell, as a rule
         self.parts.append(self.block[kept].astype(narrow))
         self.block = None
@@ -289,7 +292,7 @@ class _NumberColumn:
             [float(t) for t in missing_tokens if _parses_as_float(t)]
         )
         self.parts = []  # per block, the values of its kept rows
-        # (line, stripped cell) of the first kept cell that is no number, or not finite
+        # (record, stripped cell) of the first kept cell that is no number, or not finite
         self.first_unparsed = self.first_non_finite = None
 
     def read(self, cells, drop):
@@ -321,39 +324,40 @@ class _NumberColumn:
                 unparsed[i] = cell
         return values, unparsed
 
-    def keep(self, kept, lines):
+    def keep(self, kept, records):
         cells, values, unparsed = self.block
         self.block = None
         if self.first_unparsed is None:
             i = next((i for i in unparsed if kept[i]), None)
             if i is not None:
-                self.first_unparsed = lines[i], unparsed[i]
+                self.first_unparsed = records[i], unparsed[i]
         values = values[kept]
         finite = np.isfinite(values)
         if self.first_non_finite is None and not finite.all():
             i = np.flatnonzero(kept)[np.argmin(finite)]
-            self.first_non_finite = lines[i], cells[i].strip()
+            self.first_non_finite = records[i], cells[i].strip()
         self.parts.append(values)
 
-    def finish(self):
+    def finish(self, path):
         if self.first_unparsed:
-            line, raw = self.first_unparsed
+            record, raw = self.first_unparsed
             raise ValueError(
-                f"line {line}: cannot parse {raw!r} as number for column {self.name!r}"
+                f"line {_line_of(path, record)}: cannot parse {raw!r} as number for "
+                f"column {self.name!r}"
             )
         if self.first_non_finite:
-            line, raw = self.first_non_finite
+            record, raw = self.first_non_finite
             raise ValueError(
-                f"line {line}: non-finite value {raw!r} in continuous column "
-                f"{self.name!r}"
+                f"line {_line_of(path, record)}: non-finite value {raw!r} in continuous "
+                f"column {self.name!r}"
             )
         return np.concatenate(self.parts)
 
 
-def _first_bad(stripped, codes, lines, ok):
-    """(line, value) of the first kept cell failing ``ok``; the caller knows one does."""
+def _first_bad(stripped, codes, records, ok):
+    """(record, value) of the first kept cell failing ``ok``; the caller knows one does."""
     i = int(np.argmax(np.array([not ok(s) for s in stripped])[codes]))
-    return lines[i], stripped[codes[i]]
+    return records[i], stripped[codes[i]]
 
 
 def _sorted_codes(stripped, codes, values):
@@ -378,7 +382,7 @@ def _check_occurs(path, name, values, positive):
         )
 
 
-def _label_column(column, positive, name, lines, path):
+def _label_column(column, positive, name, records, path):
     """1 for ``positive`` and 0 for the one other value the label may take.
 
     Without a declared positive value the cells must read "0" or "1".  A
@@ -388,39 +392,56 @@ def _label_column(column, positive, name, lines, path):
     stripped, codes, values = column.finish()
     if positive is None:
         if not set(values) <= {"0", "1"}:
-            line, raw = _first_bad(stripped, codes, lines, {"0", "1"}.__contains__)
+            record, raw = _first_bad(stripped, codes, records, {"0", "1"}.__contains__)
             raise ValueError(
-                f"line {line}: column {name!r} value {raw!r} is not binary and "
-                "no positive value was declared"
+                f"line {_line_of(path, record)}: column {name!r} value {raw!r} is not "
+                "binary and no positive value was declared"
             )
         positive = "1"
     else:
         _check_occurs(path, name, values, positive)
         if len(values) > 2:
-            _, other = _first_bad(stripped, codes, lines, {positive}.__contains__)
-            line, raw = _first_bad(stripped, codes, lines, {positive, other}.__contains__)
+            _, other = _first_bad(stripped, codes, records, {positive}.__contains__)
+            record, raw = _first_bad(stripped, codes, records, {positive, other}.__contains__)
             raise ValueError(
-                f"line {line}: column {name!r} value {raw!r} is neither the "
-                f"declared positive value {positive!r} nor {other!r}, the one "
-                "other value a binary label may take"
+                f"line {_line_of(path, record)}: column {name!r} value {raw!r} is "
+                f"neither the declared positive value {positive!r} nor {other!r}, the "
+                "one other value a binary label may take"
             )
     return _indicator(stripped, codes, positive)
 
 
-def _full_rows(rows, lines, width, path):
-    """The non-blank records of a block and their lines; another width is an error."""
-    for line, row in zip(lines, rows):
+def _line_of(path, record):
+    """The file line on which ``record`` starts, the header being record 1.
+
+    The reader numbers records, not lines: a quoted cell may hold a newline,
+    and asking the csv reader for its line after each record would slow
+    every block.  So an error message re-reads the file up to its record.
+    """
+    with open(path, newline="", encoding=ENCODING) as fh:
+        reader = csv.reader(fh)
+        for _ in itertools.islice(reader, record - 1):
+            pass
+        return reader.line_num + 1
+
+
+def _full_rows(rows, records, width, path):
+    """The non-blank records of a block and their numbers; another width is an error."""
+    for record, row in zip(records, rows):
         if row and len(row) != width:
-            raise ValueError(f"{path}: line {line} has {len(row)} fields, expected {width}")
+            raise ValueError(
+                f"{path}: line {_line_of(path, record)} has {len(row)} fields, "
+                f"expected {width}"
+            )
     full = [i for i, row in enumerate(rows) if row]
-    return [rows[i] for i in full], lines[full]
+    return [rows[i] for i in full], records[full]
 
 
 def _blocks(reader, path, width):
-    """(line numbers, cells by file column) of each block of records.
+    """(record numbers, cells by file column) of each block of records.
 
-    A line number counts records, the header being line 1.  A block reads
-    READ_BLOCK_ROWS records; blank ones are skipped.
+    Records are numbered from the header's 1, blank ones included.  A block
+    reads READ_BLOCK_ROWS records; blank ones are skipped.
     """
     first = 2
     while True:
@@ -430,15 +451,16 @@ def _blocks(reader, path, width):
         except csv.Error as e:
             # the records before the unreadable one may hold an earlier error
             _full_rows(rows, np.arange(first, first + len(rows)), width, path)
-            raise ValueError(f"{path}: line {reader.line_num}: {e}") from None
+            line = _line_of(path, first + len(rows))
+            raise ValueError(f"{path}: line {line}: {e}") from None
         if not rows:
             return
-        lines = np.arange(first, first + len(rows))
+        records = np.arange(first, first + len(rows))
         first += len(rows)
         if set(map(len, rows)) != {width}:
-            rows, lines = _full_rows(rows, lines, width, path)
+            rows, records = _full_rows(rows, records, width, path)
         if rows:
-            yield lines, list(zip(*rows))
+            yield records, list(zip(*rows))
 
 
 def load_csv(
@@ -458,8 +480,9 @@ def load_csv(
     ``label_positive`` it must read "0"/"1".
     Sensitive values are mapped to integer group codes: 0/1 against
     ``sensitive_positive`` when given (it must occur in the column),
-    otherwise codes assigned by sorted distinct value.  Errors name the
-    offending line and column.
+    otherwise codes assigned by sorted distinct value.  The file is read as
+    UTF-8, a byte-order mark allowed.  Errors name the offending column and
+    the file line on which the offending record starts.
     """
     schema = _check_schema(schema)
     if not os.path.exists(path):
@@ -473,20 +496,22 @@ def load_csv(
     try:
         return _read_csv(path, schema, label_positive, sensitive_positive,
                          set(missing_tokens))
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text: {e.reason}") from None
     finally:
         if gc_was_enabled:
             gc.enable()
 
 
 def _read_csv(path, schema, label_positive, sensitive_positive, missing_tokens):
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding=ENCODING) as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         except csv.Error as e:
-            raise ValueError(f"{path}: line {reader.line_num}: {e}") from None
+            raise ValueError(f"{path}: line 1: {e}") from None
         for f in schema:
             if f.name not in header:
                 raise ValueError(f"{path}: column {f.name!r} missing from header")
@@ -501,28 +526,28 @@ def _read_csv(path, schema, label_positive, sensitive_positive, missing_tokens):
             for f in schema
         ]
 
-        kept_lines, n_dropped = [], 0
-        for lines, cells in _blocks(reader, path, len(header)):
-            drop = np.zeros(len(lines), dtype=bool)
+        kept_records, n_dropped = [], 0
+        for records, cells in _blocks(reader, path, len(header)):
+            drop = np.zeros(len(records), dtype=bool)
             for column, p in zip(columns, positions):
                 column.read(cells[p], drop)
             del cells  # the columns now hold the block; none keeps it past keep()
             kept = ~drop
             for column in columns:
-                column.keep(kept, lines)
-            kept_lines.append(lines[kept])
+                column.keep(kept, records)
+            kept_records.append(records[kept])
             n_dropped += int(drop.sum())
 
-    if not sum(map(len, kept_lines)):
+    if not sum(map(len, kept_records)):
         raise ValueError(f"{path}: no usable rows after dropping missing values")
-    lines = np.concatenate(kept_lines)
+    records = np.concatenate(kept_records)
 
     out, vocab = {}, {}
     for f, column in zip(schema, columns):
         if f.role == "label":
-            col = _label_column(column, label_positive, f.name, lines, path)
+            col = _label_column(column, label_positive, f.name, records, path)
         elif isinstance(column, _NumberColumn):
-            col = column.finish()
+            col = column.finish(path)
         else:
             stripped, codes, values = column.finish()
             if f.role == "sensitive" and sensitive_positive is not None:

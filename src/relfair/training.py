@@ -412,34 +412,31 @@ def train_fairrf(spec, params, train, evaluation, related, cfg, *,
 
 @dataclasses.dataclass
 class TrainResult:
+    """One trained cell: its model, its trace, and the test split's predictions,
+    labels and group codes (``test_s`` is None without a sensitive column)."""
+
     variant: str
     spec: ModelSpec
     params: object
     trace: TrainTrace
-    encoded_train: object
-    encoded_eval: object
-    encoded_test: object
     related: object  # RelatedFeatureSet or None
+    test_yhat: np.ndarray
+    test_y: np.ndarray
+    test_s: object
 
     @property
     def regularized(self):
         """Names actually regularized (empty for penalty-free variants)."""
         return () if self.related is None else self.related.features
 
-    def predictions(self, which="test"):
-        enc = getattr(self, f"encoded_{which}")
-        return forward(self.params, self.spec, enc.X)
-
     def test_metrics(self):
-        enc = self.encoded_test
-        yhat = self.predictions("test")
-        if enc.s is None:
+        if self.test_s is None:
             raise ValueError("test split carries no sensitive attribute")
         return SeedResult(
             seed=self.spec.seed,
-            accuracy=accuracy(yhat, enc.y),
-            delta_eo=delta_eo(yhat, enc.y, enc.s),
-            delta_dp=delta_dp(yhat, enc.s),
+            accuracy=accuracy(self.test_yhat, self.test_y),
+            delta_eo=delta_eo(self.test_yhat, self.test_y, self.test_s),
+            delta_dp=delta_dp(self.test_yhat, self.test_s),
         )
 
 
@@ -498,7 +495,7 @@ def _check_cell(variant, eval_raw, allow_sensitive_in_training):
 
 
 def _train_cell(variant, cfg, raw_schema, encoded, spec, pretrained, related_names):
-    """The fair loop of one cell on its group's encoded splits.
+    """The ``TrainResult`` of one cell's fair loop on its group's encoded splits.
 
     ``pretrained`` maps the fields ``pretrain`` reads to its parameters and
     gains an entry the first time a key is met.
@@ -536,20 +533,21 @@ def _train_cell(variant, cfg, raw_schema, encoded, spec, pretrained, related_nam
     if key not in pretrained:
         pretrained[key] = pretrain(spec, init_params(spec), train_view, eval_view, cfg)
     fairness = _eval_fairness(enc_eval)
-    results = []
+    runs = []
     for related in penalties:
         params, trace = train_fairrf(
             spec, pretrained[key], train_view, eval_view, related, cfg,
             learn_lambda=learn_lambda, reg_train=reg_train, reg_eval=reg_eval,
             fairness=fairness,
         )
-        results.append(TrainResult(
-            variant, spec, params, trace, enc_train, enc_eval, enc_test, related
-        ))
-    if variant != "top1":
-        return results[0]
-    # min keeps the first of equally fair runs
-    return min(results, key=lambda r: delta_dp(r.predictions("eval"), enc_eval.s))
+        runs.append((params, trace, related))
+    params, trace, related = runs[0]
+    if variant == "top1":  # min keeps the first of equally fair runs
+        params, trace, related = min(
+            runs, key=lambda run: delta_dp(forward(run[0], spec, enc_eval.X), enc_eval.s)
+        )
+    return TrainResult(variant, spec, params, trace, related,
+                       forward(params, spec, enc_test.X), enc_test.y, enc_test.s)
 
 
 def train_cells(cells, train_raw, eval_raw, test_raw, related_names, model_kind, *,
@@ -569,15 +567,14 @@ def train_cells(cells, train_raw, eval_raw, test_raw, related_names, model_kind,
 
     Yields ``(index into cells, TrainResult or the exception the cell
     raised)`` one cell at a time, group by group.  Only one group's encoding
-    is held at a time, as long as the caller keeps no result past its turn.
+    is held at a time, and none once the generator is exhausted.
     """
     splits = (train_raw, eval_raw, test_raw)
     groups = {}
     for index, (variant, _) in enumerate(cells):
         groups.setdefault(variant == "remove_related", []).append(index)
     for indices in groups.values():
-        # drop the last group's encoding, which its last outcome holds too
-        encoded = outcome = None
+        encoded = None  # the last group's encoding goes before this one is made
         pretrained = {}
         for index in indices:
             variant, cfg = cells[index]

@@ -4,8 +4,9 @@
 through its distinct raw cells.  This reader keeps every record, strips each
 picked cell and codes each whole column once; ``tests/test_data.py``
 requires both to build the same Dataset, bytes and dtypes included, and to
-raise the same message for a bad file.  It does not reject a header that
-names a schema column twice, and lets the csv module's own errors through.
+raise the same message for a bad file, naming the file line on which the
+bad record starts.  It does not reject a header that names a schema column
+twice, and lets the csv module's own errors through.
 """
 
 import csv
@@ -101,7 +102,7 @@ def read_csv(path, schema, *, label_positive=None, sensitive_positive=None,
              missing_tokens=DEFAULT_MISSING_TOKENS):
     """The Dataset :func:`relfair.data.load_csv` should build from ``path``."""
     missing_tokens = set(missing_tokens)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -114,7 +115,9 @@ def read_csv(path, schema, *, label_positive=None, sensitive_positive=None,
 
         records, lines = [], []
         n_dropped = 0
-        for line_no, cells in enumerate(reader, start=2):
+        next_line = reader.line_num + 1  # the file line the next record starts on
+        for cells in reader:
+            line_no, next_line = next_line, reader.line_num + 1
             if not cells:
                 continue
             if len(cells) != len(header):

@@ -16,7 +16,7 @@ from relfair.data import RelatedFeatureSet, resolve_related, split
 from relfair.metrics import accuracy, thresholded
 from relfair.models import ModelSpec
 from relfair.synthetic import SyntheticSpec
-from relfair.training import Adam, TrainConfig, train_cells, train_variant
+from relfair.training import Adam, TrainConfig, TrainResult, train_cells, train_variant
 
 
 PARAMETERS = {
@@ -45,6 +45,10 @@ FIELDS = {
         "early_stop_patience",
     ),
     ModelSpec: ("kind", "input_dim", "hidden_dims", "seed"),
+    # a trained cell keeps no encoded split: its test row comes from these
+    TrainResult: (
+        "variant", "spec", "params", "trace", "related", "test_yhat", "test_y", "test_s",
+    ),
     ExperimentConfig: (
         "dataset", "variant", "model", "hidden_dims", "related", "seeds",
         "output_dir", "allow_sensitive_in_training", "train",

@@ -479,6 +479,50 @@ def test_a_failed_seed_job_fails_each_of_its_cells(workspace, tmp_path, monkeypa
     assert [row.split(",")[:3] for row in rows] == [["0.1", "0.5", "0"], ["0.3", "0.5", "0"]]
 
 
+def no_sensitive_config(workspace, tmp_path):
+    """The workspace experiment on a dataset config without a sensitive: block."""
+    dataset = tmp_path / "no_sensitive.yaml"
+    dataset.write_text("\n".join(
+        line for line in (workspace / "dataset.yaml").read_text().splitlines()
+        if not line.startswith("sensitive:")
+    ).replace("csv: synth.csv", f"csv: {workspace / 'synth.csv'}"))
+    exp = tmp_path / "exp.yaml"
+    exp.write_text((workspace / "exp.yaml").read_text().replace(
+        "dataset: dataset.yaml", f"dataset: {dataset}"))
+    return exp
+
+
+@pytest.mark.parametrize("command", ["train", "compare", "sweep"])
+def test_a_dataset_without_a_sensitive_column_is_refused_before_loading(
+        workspace, tmp_path, monkeypatch, capsys, command):
+    exp = no_sensitive_config(workspace, tmp_path)
+    seen = counting(monkeypatch, cli, ("load_from_config",))
+    seen.update(counting(monkeypatch, training, ("encode", "pretrain")))
+    out = tmp_path / "o"
+    assert run_cli(command, "-c", str(exp), "--output-dir", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {exp}: dataset 'synth' has no 'sensitive' column; train, compare "
+        "and sweep report delta_eo and delta_dp, which need one\n"
+    )
+    assert seen == {"load_from_config": 0, "encode": 0, "pretrain": 0}
+    assert not out.exists()
+
+
+def test_evaluate_takes_a_dataset_without_a_sensitive_column(workspace, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli(
+        "train", "-c", str(workspace / "exp.yaml"),
+        "--data-dir", str(workspace), "--output-dir", str(out), "--seeds", "0",
+    ) == 0
+    capsys.readouterr()
+    assert run_cli(
+        "evaluate", "-c", str(no_sensitive_config(workspace, tmp_path)),
+        "--checkpoint", str(out / "seed_0" / "checkpoint.npz"),
+    ) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"accuracy", "checkpoint", "seed", "split"}
+
+
 class TestTrain:
     def test_writes_all_artifacts(self, workspace, tmp_path, capsys):
         out = tmp_path / "run"

@@ -189,6 +189,40 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=r"line 5: column 'outcome' value 'maybe'"):
             load_csv(path, TOY_SCHEMA, label_positive="yes")
 
+    @pytest.mark.parametrize(
+        "row, want",
+        [("blue,tall,no,b", "line 5: cannot parse 'tall' as number for column 'height'"),
+         ("blue,2.0,no", "{path}: line 5 has 3 fields, expected 4"),
+         ("blue,2.0,maybe,b", "line 5: column 'outcome' value 'maybe' is neither the "
+          "declared positive value 'yes' nor 'no', the one other value a binary label "
+          "may take")],
+        ids=["bad_number", "field_count", "third_label_value"],
+    )
+    def test_lines_are_file_lines_after_a_multi_line_cell(self, tmp_path, row, want):
+        # the first record spans lines 2 and 3, so the fourth record is on line 5
+        path = write_csv(tmp_path, f'color,height,outcome,group\n"dark\nred",1.5,yes,a\n'
+                                   f"red,2.5,no,a\n{row}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(want.format(path=path))}$"):
+            load_csv(path, TOY_SCHEMA, label_positive="yes")
+
+    def test_a_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        text = "color,height,outcome,group\ngrün,1.5,yes,a\nred,2.0,no,b\n".encode()
+        loaded = []
+        for name, prefix in (("plain.csv", b""), ("bom.csv", b"\xef\xbb\xbf")):
+            (tmp_path / name).write_bytes(prefix + text)
+            ds = load_csv(tmp_path / name, TOY_SCHEMA, label_positive="yes")
+            loaded.append(([(k, c.dtype.str, c.tobytes()) for k, c in ds.columns.items()],
+                           ds.vocab, ds.n_dropped))
+        assert loaded[0] == loaded[1]
+        assert loaded[1][1] == {"color": ("grün", "red")}
+
+    def test_a_byte_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("color,height,outcome,group\ngrün,1.5,yes,a\n".encode("latin-1"))
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}: not UTF-8 text: invalid start byte$"):
+            load_csv(path, TOY_SCHEMA, label_positive="yes")
+
     def test_schema_column_missing_from_header(self, tmp_path):
         path = write_csv(tmp_path, "color,height,outcome\nred,1,yes\n")
         with pytest.raises(ValueError, match="group"):
@@ -217,6 +251,15 @@ class TestLoadCsv:
         want = (f"line {line}: field larger than field limit ({limit})" if line
                 else "line 2 has 5 fields, expected 4")
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {want}')}$"):
+            load_csv(path, TOY_SCHEMA, label_positive="yes")
+
+    def test_csv_module_error_names_the_line_its_record_starts_on(self, tmp_path):
+        # the unreadable record spans lines 4 and 5, and its long cell is on line 5
+        limit = csv.field_size_limit()
+        path = write_csv(tmp_path, f'color,height,outcome,group\n"dark\nred",1,yes,a\n'
+                                   f'"x\n{"r" * (limit + 1)}",1,yes,a\n')
+        want = f"{path}: line 4: field larger than field limit ({limit})"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             load_csv(path, TOY_SCHEMA, label_positive="yes")
 
     def test_extra_file_columns_ignored(self, tmp_path):
@@ -346,21 +389,26 @@ def random_rows(rng, n):
 def write_rows(path, rows, rng):
     """Write HEADER and rows with blank lines between some; each row's line number.
 
-    Line numbers count records, as the loader's messages do: a blank line
-    is a record, and a quoted newline is not a new one.
+    A row's line is the file line it starts on, as the loader's messages
+    name it: one more than the newlines before it, those of quoted cells
+    included.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(HEADER)
-    lines, record = [], 2
+    starts = []  # each row's offset in the text
     for row in rows:
         while rng.random() < 0.25:
             buf.write("\n")
-            record += 1
+        starts.append(buf.tell())
         writer.writerow(row)
-        lines.append(record)
-        record += 1
-    path.write_text(buf.getvalue())
+    text = buf.getvalue()
+    path.write_text(text, encoding="utf-8")
+    lines, line, previous = [], 1, 0
+    for start in starts:
+        line += text.count("\n", previous, start)
+        lines.append(line)
+        previous = start
     return lines
 
 

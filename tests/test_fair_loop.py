@@ -135,7 +135,7 @@ def test_training_never_reads_the_sensitive_column(monkeypatch, variant):
     for record in result.trace.records:
         assert record.eval_delta_dp is not None
         assert record.eval_delta_eo is not None
-    assert np.all(np.isfinite(result.predictions("eval")))
+    assert np.all(np.isfinite(result.test_yhat))
 
 
 def test_top1_encodes_once_and_pretrains_once(monkeypatch):

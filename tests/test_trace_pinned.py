@@ -105,6 +105,6 @@ def test_one_hot_trace_and_params_are_pinned():
         "fairrf", train_raw, eval_raw, test_raw, related_features(SPEC), "lr", CFG,
         seed=SEED,
     )
-    assert result.encoded_train.column_map["proxy_a"] == range(2, 6)
+    assert result.related.column_groups[result.related.features.index("proxy_a")] == (2, 3, 4, 5)
     trace = hashlib.sha256(result.trace.to_jsonl().encode()).hexdigest()
     assert (trace, _params_digest(result.params)) == PINNED_ONE_HOT

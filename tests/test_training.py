@@ -1,11 +1,12 @@
 import dataclasses
+import gc
 import weakref
 
 import numpy as np
 import pytest
 
 from relfair import training
-from relfair.data import RelatedFeatureSet, TrainView, split
+from relfair.data import Dataset, EncodedDataset, RelatedFeatureSet, TrainView, split
 from relfair.models import ModelParams, ModelSpec, init_params, loss_and_grad
 from relfair.objective import penalty_grad_yhat
 from relfair.synthetic import SyntheticSpec, generate, related_features
@@ -295,6 +296,48 @@ class TestPretrain:
         with pytest.raises(TrainingDivergedError), np.errstate(invalid="ignore"):
             pretrain(spec, params, TrainView(X=bad, y=view.y), ev, cfg)
 
+    def test_stops_once_the_evaluation_loss_stalls(self, monkeypatch):
+        # steps too small to move the eval loss by MIN_IMPROVEMENT: the first
+        # epoch sets the best loss, and PRETRAIN_PATIENCE more stall
+        forward_loss = training.forward_loss
+        epochs = []  # pretrain forwards the evaluation split once per epoch
+
+        def counting(*args):
+            epochs.append(None)
+            return forward_loss(*args)
+
+        monkeypatch.setattr(training, "forward_loss", counting)
+        spec, params, view, ev = self._setup()
+        cfg = dataclasses.replace(BASE_CFG, learning_rate=1e-12, pretrain_epochs=10)
+        pretrain(spec, params, view, ev, cfg)
+        assert len(epochs) == training.PRETRAIN_PATIENCE + 1
+
+    def test_non_finite_evaluation_loss_names_the_epoch(self):
+        spec, params, view, ev = self._setup()
+        X = np.array(ev.X, copy=True)
+        X[0, 0] = np.nan
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^non-finite loss at pretrain epoch 0 \(eval\)$"):
+            pretrain(spec, params, view, TrainView(X=X, y=ev.y), BASE_CFG)
+
+
+class TestEvalFairness:
+    Y = np.array([0.0, 1.0, 0.0, 0.0])
+    YHAT = np.array([0.2, 0.9, 0.4, 0.6])
+
+    @pytest.mark.parametrize(
+        "s, want",
+        [(None, (None, None)),
+         ([0, 0, 0, 0], (None, None)),  # one group: neither gap is defined
+         ([0, 0, 1, 1], (None, 0.05))],  # group 1 has no positive label: no EO gap
+        ids=["no_sensitive_column", "one_group", "no_positive_in_a_group"],
+    )
+    def test_an_unsupported_metric_is_none(self, s, want):
+        evaluation = EncodedDataset(X=np.zeros((4, 1)), y=self.Y,
+                                    s=None if s is None else np.array(s), column_map={})
+        eo, dp = training._eval_fairness(evaluation)(self.YHAT)
+        assert (eo, None if dp is None else round(dp, 12)) == want
+
 
 class TestTrainFairrf:
     def test_deterministic_trace_and_params(self):
@@ -441,7 +484,7 @@ class TestVariants:
         full = train_variant("vanilla", tr, ev, te, RELATED, "lr", BASE_CFG)
         removed = train_variant("remove_related", tr, ev, te, RELATED, "lr", BASE_CFG)
         n_related_cols = sum(
-            len(full.encoded_train.column_map[n]) for n in RELATED
+            len(training.encode(tr)[0].column_map[n]) for n in RELATED
         )
         assert (
             removed.spec.input_dim == full.spec.input_dim - n_related_cols
@@ -478,6 +521,22 @@ class TestVariants:
         assert len(res.regularized) == len(RELATED)
         overlap = set(res.regularized) & set(RELATED)
         assert len(overlap) == len(RELATED) - 1
+
+    def test_noisy_needs_a_non_related_input(self):
+        tr, ev, te = splits()
+        inputs = [f.name for f in RAW.schema if f.role == "input"]
+        with pytest.raises(ValueError, match="^noisy variant needs at least one non-related"):
+            train_variant("noisy", tr, ev, te, inputs, "lr", BASE_CFG)
+
+    def test_top1_needs_the_sensitive_column(self, monkeypatch):
+        def without_group(d):
+            schema = tuple(f for f in d.schema if f.role != "sensitive")
+            columns = {f.name: d.columns[f.name] for f in schema}
+            return Dataset(columns=columns, schema=schema, vocab=d.vocab)
+
+        monkeypatch.setattr(training, "encode", None)  # refused before any encoding
+        with pytest.raises(ValueError, match="^top1 selects by evaluation fairness"):
+            train_variant("top1", *map(without_group, splits()), RELATED, "lr", BASE_CFG)
 
     def test_constrain_all_regularizes_every_input(self):
         tr, ev, te = splits()
@@ -554,6 +613,25 @@ class TestRunSeed:
         ]
         assert alive == [0, 0]
         assert sum(o is not None for o in outcomes) == 2
+
+    def test_results_hold_no_encoding(self, monkeypatch):
+        # once the cells are trained, every encoded split and its matrix is
+        # garbage while each result and each failure is still held
+        encode = training.encode
+        made = []  # a weak reference to each encoded split and its matrix
+
+        def recording_encode(train, others):
+            encoded = encode(train, others)
+            made.extend(weakref.ref(x) for enc in encoded for x in (enc, enc.X))
+            return encoded
+
+        monkeypatch.setattr(training, "encode", recording_encode)
+        cells = [*self.CELLS, ("top1", self.CFG)]
+        outcomes = list(train_cells(cells, *splits(seed=1), RELATED, "lr", seed=1))
+        gc.collect()
+        assert len(made) == 2 * 3 * 2  # two encodings of three splits
+        assert [ref() for ref in made] == [None] * len(made)
+        assert sum(isinstance(r, training.TrainResult) for _, r in outcomes) == 5
 
 
 class TestRunSeeds:
