@@ -18,7 +18,6 @@ from relfair import (
     generate,
     related_features,
     run_seeds,
-    run_single,
 )
 
 CFG = TrainConfig(
@@ -47,13 +46,11 @@ def main():
     cfg = dataclasses.replace(CFG, eta=args.eta)
     print(f"n={args.n}, related features: {related}, eta={args.eta}")
 
-    rows = {}
-    for variant in ("vanilla", "fairrf"):
-        rows[variant], _ = run_seeds(raw, related, variant, "lr", cfg, args.seeds)
+    (van, _), (fair, fair_results) = run_seeds(
+        raw, related, [("vanilla", cfg), ("fairrf", cfg)], "lr", args.seeds)
     print()
-    print(format_comparison_table(rows))
+    print(format_comparison_table({"vanilla": van, "fairrf": fair}))
 
-    van, fair = rows["vanilla"], rows["fairrf"]
     print()
     print(f"demographic-parity gap shrank by "
           f"{1.0 - fair.delta_dp / van.delta_dp:.0%} for "
@@ -63,8 +60,7 @@ def main():
         print()
         print("final per-feature weights (the echo column tracks the label,"
               " not the group, so it should lose):")
-        for seed in args.seeds:
-            result, _ = run_single(raw, related, "fairrf", "lr", cfg, seed)
+        for seed, result in zip(args.seeds, fair_results):
             lam = dict(zip(result.related.features, result.trace.final_lambda))
             pretty = ", ".join(f"{k}={v:.2f}" for k, v in lam.items())
             print(f"  seed {seed}: {pretty}")

@@ -50,7 +50,7 @@ from relfair.models import (
     load_checkpoint,
     save_checkpoint,
 )
-from relfair.training import TrainConfig, check_variant, encode_splits, train_cells
+from relfair.training import TrainConfig, check_variant, encode_splits, run_single
 
 # recorded as set, or null, in every manifest's metadata
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -213,23 +213,21 @@ def _write_report(out_dir, stem, payload, reports):
 def _seed_job(payload):
     """One seed of several cells; the rest comes from ``exp``.
 
-    Writes each cell's files as soon as it is trained and keeps only its
-    metrics row.  Returns one outcome per cell, in cell order: the metrics
-    row and the files written, or the exception the cell raised.
+    Trains the cells with ``run_single``, then writes each trained cell's
+    files and keeps its metrics row.  Returns one outcome per cell, in cell
+    order: the metrics row and the files written, or the exception the cell
+    raised.
     """
     raw, exp, cells, seed, out_dir, keep_checkpoint = payload
-    outcomes = [None] * len(cells)
-    runs = train_cells(
-        [(variant, cfg) for variant, cfg, _ in cells], *split(raw, seed=seed),
-        exp.related, exp.model, seed=seed, hidden_dims=exp.hidden_dims,
-        allow_sensitive_in_training=exp.allow_sensitive_in_training,
+    results = run_single(
+        raw, exp.related, [(variant, cfg) for variant, cfg, _ in cells], exp.model, seed,
+        hidden_dims=exp.hidden_dims, allow_sensitive_in_training=exp.allow_sensitive_in_training,
     )
-    for index, result in runs:
-        if not isinstance(result, Exception):
-            run_dir = os.path.join(out_dir, cells[index][2], f"seed_{seed}")
-            result = _outcome(_write_cell, result, run_dir, keep_checkpoint)
-        outcomes[index] = result
-    return outcomes
+    return [
+        result if isinstance(result, Exception) else _outcome(
+            _write_cell, result, os.path.join(out_dir, subdir, f"seed_{seed}"), keep_checkpoint)
+        for (_, _, subdir), result in zip(cells, results)
+    ]
 
 
 def _write_cell(result, run_dir, keep_checkpoint):

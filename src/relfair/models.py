@@ -371,12 +371,35 @@ def save_checkpoint(path, params: ModelParams, spec: ModelSpec) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelSpec]:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        if meta.get("format_version") != _CHECKPOINT_VERSION:
-            raise ValueError(
-                f"unsupported checkpoint version {meta.get('format_version')}"
-            )
+    """The parameters and spec that ``save_checkpoint`` wrote to ``path``.
+
+    A malformed file raises ``ValueError`` naming ``path`` and the fault: a
+    file that is not an .npz archive, a missing array or meta entry, or a
+    layer whose shape is not the spec's.  Pickled data is never loaded.
+    """
+    def fault(message):
+        return ValueError(f"checkpoint {path}: {message}")
+
+    try:
+        data = np.load(path)
+    except (ValueError, EOFError):  # neither .npy nor .npz; an empty file is an EOF
+        raise fault("not an .npz archive") from None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise fault("not an .npz archive")
+    with data:
+        def array(name):
+            if name not in data.files:
+                raise fault(f"no array {name!r} in the archive")
+            return data[name]
+
+        meta_bytes = bytes(array("meta"))
+        try:
+            meta = json.loads(meta_bytes.decode())
+            version = meta.get("format_version")
+        except (ValueError, AttributeError):  # not UTF-8, not JSON, or not an object
+            raise fault("meta is not a JSON object") from None
+        if version != _CHECKPOINT_VERSION:
+            raise fault(f"unsupported checkpoint version {version}")
         try:
             spec = ModelSpec(
                 kind=meta["kind"],
@@ -384,13 +407,21 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelSpec]:
                 hidden_dims=tuple(meta["hidden_dims"]),
                 seed=meta["seed"],
             )
+            n = meta["n_layers"]
+        except KeyError as exc:
+            raise fault(f"meta has no {exc}") from None
         except ValueError as exc:
-            raise ValueError(f"checkpoint {path}: {exc}") from None
-        n = meta["n_layers"]
-        arrays = {name: data[name] for i in range(n) for name in (f"w{i}", f"b{i}")}
+            raise fault(exc) from None
+        arrays = {name: array(name) for i in range(n) for name in (f"w{i}", f"b{i}")}
+    if n != len(spec.layer_dims):
+        raise fault(f"{n} layers stored, but the spec has {len(spec.layer_dims)}")
+    for i, (fan_in, fan_out) in enumerate(spec.layer_dims):
+        for name, shape in ((f"w{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))):
+            if arrays[name].shape != shape:
+                raise fault(f"{name} has shape {arrays[name].shape}, the spec gives {shape}")
     for name, a in arrays.items():
         if not np.isfinite(a).all():
-            raise ValueError(f"checkpoint {path}: {name} holds a NaN or inf parameter")
+            raise fault(f"{name} holds a NaN or inf parameter")
     weights = [arrays[f"w{i}"] for i in range(n)]
     biases = [arrays[f"b{i}"] for i in range(n)]
     return ModelParams(weights=weights, biases=biases), spec

@@ -620,32 +620,27 @@ def train_variant(
 # seeded experiment runs
 
 
-def run_single(
-    raw,
-    related_names,
-    variant,
-    model_kind,
-    cfg,
-    seed,
-    *,
-    hidden_dims=None,
-    allow_sensitive_in_training=False,
-):
-    """One seed: split, train the variant, measure the test split."""
-    result = train_variant(
-        variant, *split(raw, seed=seed), related_names, model_kind, cfg, seed=seed,
+def run_single(raw, related_names, cells, model_kind, seed, *, hidden_dims=None,
+               allow_sensitive_in_training=False):
+    """One seed: split with ``seed``, then ``train_cells`` on the ``(variant, cfg)``
+    cells.  Returns each cell's ``TrainResult`` or exception, in cell order."""
+    outcomes = dict(train_cells(
+        cells, *split(raw, seed=seed), related_names, model_kind, seed=seed,
         hidden_dims=hidden_dims, allow_sensitive_in_training=allow_sensitive_in_training,
-    )
-    return result, result.test_metrics()
+    ))
+    return [outcomes[index] for index in range(len(cells))]
 
 
-def run_seeds(raw, related_names, variant, model_kind, cfg, seeds, **kwargs):
-    """Independent runs over seeds; returns (FairnessReport, per-seed results)."""
-    results, metrics = [], []
+def run_seeds(raw, related_names, cells, model_kind, seeds, *, hidden_dims=None,
+              allow_sensitive_in_training=False):
+    """``run_single`` per seed; raises the first failure before the next seed.
+    Returns one ``(FairnessReport, per-seed TrainResults)`` per cell, in cell order."""
+    rows = [[] for _ in cells]  # per cell, each seed's (result, metrics)
     for seed in seeds:
-        result, m = run_single(
-            raw, related_names, variant, model_kind, cfg, seed, **kwargs
-        )
-        results.append(result)
-        metrics.append(m)
-    return aggregate(metrics), results
+        outcomes = run_single(raw, related_names, cells, model_kind, seed, hidden_dims=hidden_dims,
+                              allow_sensitive_in_training=allow_sensitive_in_training)
+        for row, outcome in zip(rows, outcomes):
+            if isinstance(outcome, Exception):
+                raise outcome
+            row.append((outcome, outcome.test_metrics()))
+    return [(aggregate([m for _, m in row]), [r for r, _ in row]) for row in rows]

@@ -257,8 +257,8 @@ def test_criterion_4_synthetic_bias_mitigation():
     t0 = time.perf_counter()
     raw = generate(SyntheticSpec(n=1500, seed=0))
     related = related_features(SyntheticSpec(n=1500, seed=0))
-    vanilla, _ = run_seeds(raw, related, "vanilla", "lr", SYNTH_CFG, SEEDS)
-    fair, _ = run_seeds(raw, related, "fairrf", "lr", SYNTH_CFG, SEEDS)
+    (vanilla, _), (fair, _) = run_seeds(
+        raw, related, [("vanilla", SYNTH_CFG), ("fairrf", SYNTH_CFG)], "lr", SEEDS)
     elapsed = time.perf_counter() - t0
 
     reduction = 1.0 - fair.delta_dp / vanilla.delta_dp
@@ -285,8 +285,8 @@ def test_criterion_5_census_mlp_reproduction(adult_data):
     cfg = TrainConfig(eta=0.3, beta=0.5)
 
     t0 = time.perf_counter()
-    vanilla, _ = run_seeds(raw, related, "vanilla", "mlp", cfg, SEEDS)
-    fair, _ = run_seeds(raw, related, "fairrf", "mlp", cfg, SEEDS)
+    (vanilla, _), (fair, _) = run_seeds(
+        raw, related, [("vanilla", cfg), ("fairrf", cfg)], "mlp", SEEDS)
     elapsed = time.perf_counter() - t0
 
     acc_ok = (
@@ -322,7 +322,7 @@ def test_criterion_6_census_eta_sweep_trend(adult_data):
     dps, accs = [], []
     for eta in etas:
         cfg = TrainConfig(eta=eta, beta=0.5)
-        report, _ = run_seeds(raw, related, "fairrf", "mlp", cfg, seeds)
+        ((report, _),) = run_seeds(raw, related, [("fairrf", cfg)], "mlp", seeds)
         dps.append(report.delta_dp)
         accs.append(report.accuracy)
     elapsed = time.perf_counter() - t0
@@ -349,7 +349,7 @@ def test_criterion_7_echo_feature_gets_smaller_weight():
 
     wins = 0
     for seed in SEEDS:
-        result, _ = run_single(raw, related, "fairrf", "lr", SYNTH_CFG, seed)
+        (result,) = run_single(raw, related, [("fairrf", SYNTH_CFG)], "lr", seed)
         lam = dict(zip(result.related.features, result.trace.final_lambda))
         if lam["echo"] < max(lam["proxy_a"], lam["proxy_b"]):
             wins += 1
@@ -374,8 +374,8 @@ def test_criterion_8_census_lr_backbone(adult_data):
     cfg = TrainConfig(eta=0.4, beta=0.4)
 
     t0 = time.perf_counter()
-    vanilla, _ = run_seeds(raw, related, "vanilla", "lr", cfg, SEEDS)
-    fair, _ = run_seeds(raw, related, "fairrf", "lr", cfg, SEEDS)
+    (vanilla, _), (fair, _) = run_seeds(
+        raw, related, [("vanilla", cfg), ("fairrf", cfg)], "lr", SEEDS)
     elapsed = time.perf_counter() - t0
 
     if vanilla.delta_eo <= 0.0:

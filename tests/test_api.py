@@ -16,7 +16,15 @@ from relfair.data import RelatedFeatureSet, resolve_related, split
 from relfair.metrics import accuracy, thresholded
 from relfair.models import ModelSpec
 from relfair.synthetic import SyntheticSpec
-from relfair.training import Adam, TrainConfig, TrainResult, train_cells, train_variant
+from relfair.training import (
+    Adam,
+    TrainConfig,
+    TrainResult,
+    run_seeds,
+    run_single,
+    train_cells,
+    train_variant,
+)
 
 
 PARAMETERS = {
@@ -33,6 +41,15 @@ PARAMETERS = {
     train_cells: (
         "cells", "train_raw", "eval_raw", "test_raw", "related_names", "model_kind",
         "seed", "hidden_dims", "allow_sensitive_in_training",
+    ),
+    # one seed's cells, then those cells over seeds
+    run_single: (
+        "raw", "related_names", "cells", "model_kind", "seed", "hidden_dims",
+        "allow_sensitive_in_training",
+    ),
+    run_seeds: (
+        "raw", "related_names", "cells", "model_kind", "seeds", "hidden_dims",
+        "allow_sensitive_in_training",
     ),
 }
 

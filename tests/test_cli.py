@@ -404,14 +404,27 @@ def test_a_seed_job_encodes_and_pretrains_once_per_encoding(workspace, tmp_path,
     assert seen == {"encode": shared, "pretrain": shared, "train_fairrf": cells}
 
 
+def test_a_seed_job_is_one_library_run_single_call(workspace, tmp_path, monkeypatch):
+    # the CLI trains each seed through the library's per-seed runner
+    assert cli.run_single is training.run_single
+    seen = counting(monkeypatch, cli, ("run_single",))
+    assert run_cli(
+        "compare", "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
+        "--output-dir", str(tmp_path / "o"), "--seeds", "0,1", "--workers", "1",
+        "--variants", "vanilla,fairrf,remove_related",
+    ) == 0
+    assert seen == {"run_single": 2}
+
+
 def _unmeasurable(result):
     raise ValueError("cannot measure")
 
 
 @pytest.mark.parametrize("fails", ["in-the-fair-loop", "when-measured"])
 def test_a_seed_job_holds_one_encoding_at_a_time(workspace, tmp_path, monkeypatch, fails):
-    # each cell's result is written and dropped, and a failed cell keeps no
-    # data alive, before the next group is encoded
+    # a seed's results are held until all its cells are trained, but a result
+    # keeps no encoding and a failed cell keeps no data alive, so none is
+    # alive when the next group is encoded
     doc = yaml.safe_load((workspace / "exp.yaml").read_text())
     doc["dataset"] = str(workspace / "dataset.yaml")
     if fails == "in-the-fair-loop":
@@ -458,14 +471,14 @@ def test_a_failed_cell_leaves_its_seed_mates_running(workspace, tmp_path, worker
 
 
 def test_a_failed_seed_job_fails_each_of_its_cells(workspace, tmp_path, monkeypatch):
-    split = cli.split
+    split = training.split
 
     def failing_on_seed_1(raw, seed):
         if seed == 1:
             raise RuntimeError("seed 1 cannot be split")
         return split(raw, seed=seed)
 
-    monkeypatch.setattr(cli, "split", failing_on_seed_1)
+    monkeypatch.setattr(training, "split", failing_on_seed_1)
     out = tmp_path / "sweep"
     assert run_cli(
         "sweep", "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
@@ -479,17 +492,22 @@ def test_a_failed_seed_job_fails_each_of_its_cells(workspace, tmp_path, monkeypa
     assert [row.split(",")[:3] for row in rows] == [["0.1", "0.5", "0"], ["0.3", "0.5", "0"]]
 
 
-def no_sensitive_config(workspace, tmp_path):
-    """The workspace experiment on a dataset config without a sensitive: block."""
-    dataset = tmp_path / "no_sensitive.yaml"
-    dataset.write_text("\n".join(
-        line for line in (workspace / "dataset.yaml").read_text().splitlines()
-        if not line.startswith("sensitive:")
-    ).replace("csv: synth.csv", f"csv: {workspace / 'synth.csv'}"))
+def dataset_variant(workspace, tmp_path, edit, csv=None):
+    """The workspace experiment on its dataset config as ``edit`` rewrites it,
+    reading ``csv`` (default: the workspace CSV)."""
+    dataset = tmp_path / "dataset.yaml"
+    dataset.write_text(edit((workspace / "dataset.yaml").read_text()).replace(
+        "csv: synth.csv", f"csv: {csv or workspace / 'synth.csv'}"))
     exp = tmp_path / "exp.yaml"
     exp.write_text((workspace / "exp.yaml").read_text().replace(
         "dataset: dataset.yaml", f"dataset: {dataset}"))
     return exp
+
+
+def no_sensitive_config(workspace, tmp_path):
+    """The workspace experiment on a dataset config without a sensitive: block."""
+    return dataset_variant(workspace, tmp_path, lambda text: "\n".join(
+        line for line in text.splitlines() if not line.startswith("sensitive:")))
 
 
 @pytest.mark.parametrize("command", ["train", "compare", "sweep"])
@@ -521,6 +539,47 @@ def test_evaluate_takes_a_dataset_without_a_sensitive_column(workspace, tmp_path
     ) == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"accuracy", "checkpoint", "seed", "split"}
+
+
+def test_a_related_feature_constant_on_the_training_split_is_named(workspace, tmp_path,
+                                                                   capsys):
+    # 'region' holds one value on every row, so it encodes to no column
+    lines = (workspace / "synth.csv").read_text().splitlines()
+    (tmp_path / "region.csv").write_text(
+        "\n".join([lines[0] + ",region", *(line + ",north" for line in lines[1:])]) + "\n")
+    exp = dataset_variant(workspace, tmp_path, lambda text: text.replace(
+        "label:", "  - {name: region, kind: categorical}\nlabel:").replace(
+        "related: [proxy_a, proxy_b]", "related: [proxy_a, region]"),
+        csv=tmp_path / "region.csv")
+    message = ("related feature 'region' has no encoded columns "
+               "(constant on the training split)")
+    assert run_cli("compare", "-c", str(exp), "--output-dir", str(tmp_path / "c")) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # sweep records the failure of each cell and seed; none trains
+    assert run_cli("sweep", "-c", str(exp), "--output-dir", str(tmp_path / "s")) == 1
+    failures = json.loads((tmp_path / "s" / "failures.json").read_text())
+    assert [(f["seed"], f["error"]) for f in failures] == [(0, message), (1, message)]
+
+
+def test_an_output_dir_that_is_a_file_is_refused(workspace, tmp_path, capsys):
+    path = tmp_path / "o"
+    path.write_text("kept\n")
+    assert run_cli(
+        "train", "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
+        "--output-dir", str(path),
+    ) == 1
+    assert capsys.readouterr().err == (
+        f"error: output directory {path} exists and is not a directory\n")
+    assert path.read_text() == "kept\n"
+
+
+def test_no_related_features_in_either_config_is_refused(workspace, tmp_path, capsys):
+    exp = dataset_variant(workspace, tmp_path, lambda text: text.replace(
+        "related: [proxy_a, proxy_b]", "related: []"))
+    assert run_cli("train", "-c", str(exp), "--output-dir", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == (
+        f"error: {exp}: no related features given (and none in the dataset config)\n")
+    assert not (tmp_path / "o").exists()
 
 
 class TestTrain:

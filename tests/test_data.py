@@ -278,6 +278,11 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="no usable rows"):
             load_csv(path, TOY_SCHEMA, label_positive="yes")
 
+    def test_an_empty_file_is_named(self, tmp_path):
+        path = write_csv(tmp_path, "")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: empty file")):
+            load_csv(path, TOY_SCHEMA, label_positive="yes")
+
     def test_nonbinary_label_without_mapping(self, tmp_path):
         path = write_csv(tmp_path, "color,height,outcome,group\nred,1,yes,a\n")
         with pytest.raises(ValueError, match="outcome"):

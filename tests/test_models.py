@@ -1,4 +1,6 @@
+import json
 import pickle
+import re
 import tracemalloc
 import warnings
 
@@ -499,6 +501,66 @@ class TestCheckpoint:
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez(path, **arrays)
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _rewritten(path, change):
+        """Save an mlp checkpoint at ``path``, then rewrite its arrays with ``change``."""
+        spec = ALL_SPECS[2]
+        save_checkpoint(path, init_params(spec), spec)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        change(arrays)
+        np.savez(path, **arrays)
+        return path
+
+    def test_an_archive_without_meta_is_named(self, tmp_path):
+        path = self._rewritten(tmp_path / "m.npz", lambda arrays: arrays.pop("meta"))
+        with pytest.raises(ValueError, match=re.escape(
+                f"checkpoint {path}: no array 'meta' in the archive")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("meta, fault", [
+        (b"\xff", "meta is not a JSON object"),
+        (b"[1]", "meta is not a JSON object"),
+        (json.dumps({"format_version": 1}).encode(), "meta has no 'kind'"),
+    ], ids=["not-utf8", "not-an-object", "no-kind"])
+    def test_a_meta_without_the_spec_is_named(self, tmp_path, meta, fault):
+        def replaced(arrays):
+            arrays["meta"] = np.frombuffer(meta, np.uint8)
+
+        path = self._rewritten(tmp_path / "m.npz", replaced)
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint {path}: {fault}")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("n_layers, fault", [
+        (4, "no array 'w3' in the archive"), (2, "2 layers stored, but the spec has 3"),
+    ], ids=["more", "fewer"])
+    def test_a_layer_count_that_is_not_the_spec_is_named(self, tmp_path, n_layers, fault):
+        def relayered(arrays):
+            meta = json.loads(bytes(arrays["meta"]).decode())
+            arrays["meta"] = np.frombuffer(
+                json.dumps({**meta, "n_layers": n_layers}).encode(), np.uint8)
+
+        path = self._rewritten(tmp_path / "m.npz", relayered)
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint {path}: {fault}")):
+            load_checkpoint(path)
+
+    def test_a_shape_the_spec_does_not_give_is_named(self, tmp_path):
+        def narrower(arrays):
+            arrays["w1"] = arrays["w1"][:, :3]
+
+        path = self._rewritten(tmp_path / "m.npz", narrower)  # the spec's w1 is 8 x 4
+        with pytest.raises(ValueError, match=re.escape(
+                f"checkpoint {path}: w1 has shape (8, 3), the spec gives (8, 4)")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("content", [b"not a checkpoint\n", b""], ids=["text", "empty"])
+    def test_a_file_that_is_not_an_archive_is_named(self, tmp_path, content):
+        path = tmp_path / "m.npz"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=re.escape(
+                f"checkpoint {path}: not an .npz archive")):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("name", ["w0", "b1"])

@@ -47,6 +47,13 @@ def splits(seed=0):
     return split(RAW, seed=seed)
 
 
+def without_group(d):
+    """``d`` without its sensitive column."""
+    schema = tuple(f for f in d.schema if f.role != "sensitive")
+    return Dataset(columns={f.name: d.columns[f.name] for f in schema}, schema=schema,
+                   vocab=d.vocab)
+
+
 class TestTrainConfig:
     def test_defaults_valid(self):
         cfg = TrainConfig()
@@ -341,15 +348,15 @@ class TestEvalFairness:
 
 class TestTrainFairrf:
     def test_deterministic_trace_and_params(self):
-        a_res, a_m = run_single(RAW, RELATED, "fairrf", "lr", BASE_CFG, seed=3)
-        b_res, b_m = run_single(RAW, RELATED, "fairrf", "lr", BASE_CFG, seed=3)
+        ((a_m, (a_res,)),) = run_seeds(RAW, RELATED, [("fairrf", BASE_CFG)], "lr", [3])
+        ((b_m, (b_res,)),) = run_seeds(RAW, RELATED, [("fairrf", BASE_CFG)], "lr", [3])
         assert a_res.trace.to_jsonl() == b_res.trace.to_jsonl()
         assert a_m == b_m
         for x, y in zip(a_res.params.arrays(), b_res.params.arrays()):
             assert np.array_equal(x, y)
 
     def test_lambda_on_simplex_every_epoch(self):
-        res, _ = run_single(RAW, RELATED, "fairrf", "lr", BASE_CFG, seed=0)
+        (res,) = run_single(RAW, RELATED, [("fairrf", BASE_CFG)], "lr", 0)
         for rec in res.trace.records:
             lam = np.array(rec.lam)
             assert np.all(lam >= 0)
@@ -357,7 +364,7 @@ class TestTrainFairrf:
 
     def test_lambda_refresh_never_increases_its_objective(self):
         # each refresh is the exact minimizer of sum lam*eta*R + beta*|lam|^2
-        res, _ = run_single(RAW, RELATED, "fairrf", "lr", BASE_CFG, seed=1)
+        (res,) = run_single(RAW, RELATED, [("fairrf", BASE_CFG)], "lr", 1)
         recs = res.trace.records
         for prev, cur in zip(recs, recs[1:]):
             r = np.array(cur.per_feature)  # measured before the refresh
@@ -381,8 +388,8 @@ class TestTrainFairrf:
             assert np.array_equal(a, b)
 
     def test_reduces_disparity_on_biased_data(self):
-        _, mv = run_single(RAW, RELATED, "vanilla", "lr", BASE_CFG, seed=0)
-        _, mf = run_single(RAW, RELATED, "fairrf", "lr", BASE_CFG, seed=0)
+        (mv, _), (mf, _) = run_seeds(
+            RAW, RELATED, [("vanilla", BASE_CFG), ("fairrf", BASE_CFG)], "lr", [0])
         assert mf.delta_dp < mv.delta_dp
         assert mf.delta_eo < mv.delta_eo
 
@@ -496,14 +503,12 @@ class TestVariants:
             train_variant("constrain_s", tr, ev, te, RELATED, "lr", BASE_CFG)
 
     def test_constrain_s_improves_fairness(self):
-        _, mv = run_single(RAW, RELATED, "vanilla", "lr", BASE_CFG, seed=0)
-        _, mc = run_single(
+        (mv, _), (mc, _) = run_seeds(
             RAW,
             RELATED,
-            "constrain_s",
+            [("vanilla", BASE_CFG), ("constrain_s", BASE_CFG)],
             "lr",
-            BASE_CFG,
-            seed=0,
+            [0],
             allow_sensitive_in_training=True,
         )
         assert mc.delta_dp < mv.delta_dp
@@ -529,14 +534,15 @@ class TestVariants:
             train_variant("noisy", tr, ev, te, inputs, "lr", BASE_CFG)
 
     def test_top1_needs_the_sensitive_column(self, monkeypatch):
-        def without_group(d):
-            schema = tuple(f for f in d.schema if f.role != "sensitive")
-            columns = {f.name: d.columns[f.name] for f in schema}
-            return Dataset(columns=columns, schema=schema, vocab=d.vocab)
-
         monkeypatch.setattr(training, "encode", None)  # refused before any encoding
         with pytest.raises(ValueError, match="^top1 selects by evaluation fairness"):
             train_variant("top1", *map(without_group, splits()), RELATED, "lr", BASE_CFG)
+
+    def test_constrain_s_needs_the_sensitive_column(self):
+        # opted in, but the splits carry no group column to regularize
+        with pytest.raises(ValueError, match="^constrain_s requires the sensitive attribute$"):
+            train_variant("constrain_s", *map(without_group, splits()), RELATED, "lr",
+                          BASE_CFG, allow_sensitive_in_training=True)
 
     def test_constrain_all_regularizes_every_input(self):
         tr, ev, te = splits()
@@ -559,8 +565,8 @@ class TestVariants:
 
     def test_mlp_backbone_runs(self):
         cfg = dataclasses.replace(BASE_CFG, max_epochs=5, pretrain_epochs=2)
-        res, m = run_single(
-            RAW, RELATED, "fairrf", "mlp", cfg, seed=0, hidden_dims=(16, 8)
+        ((m, (res,)),) = run_seeds(
+            RAW, RELATED, [("fairrf", cfg)], "mlp", [0], hidden_dims=(16, 8)
         )
         assert res.spec.hidden_dims == (16, 8)
         assert 0.5 < m.accuracy <= 1.0
@@ -585,13 +591,21 @@ class TestRunSeed:
             variant, cfg = self.CELLS[index]
             if isinstance(result, Exception):
                 with pytest.raises(type(result)) as alone:
-                    run_single(RAW, RELATED, variant, "lr", cfg, seed=1)
+                    run_seeds(RAW, RELATED, [(variant, cfg)], "lr", [1])
                 assert str(alone.value) == str(result)
                 continue
-            alone, _ = run_single(RAW, RELATED, variant, "lr", cfg, seed=1)
+            (alone,) = run_single(RAW, RELATED, [(variant, cfg)], "lr", 1)
             assert result.trace.to_jsonl() == alone.trace.to_jsonl()
             assert result.params.flat.tobytes() == alone.params.flat.tobytes()
         assert sum(isinstance(r, Exception) for _, r in outcomes) == 2
+
+    def test_run_single_returns_each_outcome_in_cell_order(self):
+        outcomes = run_single(RAW, RELATED, self.CELLS, "lr", 1)
+        assert [isinstance(o, Exception) for o in outcomes] == [
+            False, True, False, False, False, True]
+        assert [o.variant for o in outcomes if not isinstance(o, Exception)] == [
+            "fairrf", "remove_related", "vanilla", "fairrf"]
+        assert "allow_sensitive_in_training" in str(outcomes[1])
 
     def test_holds_one_encoding_at_a_time(self, monkeypatch):
         # the last cell of the first group fails after encoding: its exception
@@ -637,23 +651,68 @@ class TestRunSeed:
 class TestRunSeeds:
     def test_aggregates_over_seeds(self):
         cfg = dataclasses.replace(BASE_CFG, max_epochs=6, pretrain_epochs=2)
-        report, results = run_seeds(RAW, RELATED, "fairrf", "lr", cfg, seeds=[0, 1])
+        ((report, results),) = run_seeds(RAW, RELATED, [("fairrf", cfg)], "lr", seeds=[0, 1])
         assert len(results) == 2
         assert len(report.per_seed) == 2
         assert report.accuracy_std is not None
 
     def test_seed_controls_split_and_init(self):
         cfg = dataclasses.replace(BASE_CFG, max_epochs=4, pretrain_epochs=1)
-        _, m0 = run_single(RAW, RELATED, "fairrf", "lr", cfg, seed=0)
-        _, m1 = run_single(RAW, RELATED, "fairrf", "lr", cfg, seed=1)
+        ((m0, _),) = run_seeds(RAW, RELATED, [("fairrf", cfg)], "lr", [0])
+        ((m1, _),) = run_seeds(RAW, RELATED, [("fairrf", cfg)], "lr", [1])
         assert m0 != m1
+
+    CFG = dataclasses.replace(BASE_CFG, max_epochs=4, pretrain_epochs=2)
+
+    def test_variants_share_each_seeds_pretraining(self, monkeypatch):
+        cells = [("vanilla", self.CFG), ("fairrf", self.CFG)]
+        pretrain = training.pretrain
+        pretrained = []  # the seed of each pretrain call
+
+        def recorded(spec, *args):
+            pretrained.append(spec.seed)
+            return pretrain(spec, *args)
+
+        monkeypatch.setattr(training, "pretrain", recorded)
+        both = run_seeds(RAW, RELATED, cells, "lr", [0, 1])
+        assert pretrained == [0, 1]
+        for cell, (report, results) in zip(cells, both):
+            ((alone, alone_results),) = run_seeds(RAW, RELATED, [cell], "lr", [0, 1])
+            assert report == alone
+            assert [r.variant for r in results] == [cell[0]] * 2
+            assert ([r.trace.to_jsonl() for r in results]
+                    == [r.trace.to_jsonl() for r in alone_results])
+
+    def test_raises_the_first_failure_before_the_next_seed(self, monkeypatch):
+        cells = [("vanilla", self.CFG), ("constrain_s", self.CFG), ("magic", self.CFG)]
+        original = training.run_single
+        started = []  # the seed of each run_single call
+
+        def recorded(raw, related_names, cells, model_kind, seed, **kwargs):
+            started.append(seed)
+            return original(raw, related_names, cells, model_kind, seed, **kwargs)
+
+        monkeypatch.setattr(training, "run_single", recorded)
+        with pytest.raises(ValueError, match="allow_sensitive_in_training=True"):
+            run_seeds(RAW, RELATED, cells, "lr", [0, 1, 2])
+        assert started == [0]
+
+    def test_a_test_split_without_groups_cannot_be_measured(self):
+        # the cell trains, but its report needs the sensitive column
+        raw = without_group(RAW)
+        (result,) = run_single(raw, RELATED, [("fairrf", self.CFG)], "lr", 0)
+        assert result.test_s is None
+        with pytest.raises(ValueError, match="^test split carries no sensitive attribute$"):
+            result.test_metrics()
+        with pytest.raises(ValueError, match="^test split carries no sensitive attribute$"):
+            run_seeds(raw, RELATED, [("fairrf", self.CFG)], "lr", [0, 1])
 
 
 class TestTrace:
     def test_jsonl_round_trip_with_fixed_fields(self):
         import json
 
-        res, _ = run_single(RAW, RELATED, "fairrf", "lr", BASE_CFG, seed=0)
+        (res,) = run_single(RAW, RELATED, [("fairrf", BASE_CFG)], "lr", 0)
         lines = res.trace.to_jsonl().strip().splitlines()
         assert len(lines) == len(res.trace.records)
         assert TRACE_FIELDS == (
@@ -665,7 +724,7 @@ class TestTrace:
             assert set(row) == set(TRACE_FIELDS)
 
     def test_write(self, tmp_path):
-        res, _ = run_single(RAW, RELATED, "fairrf", "lr", BASE_CFG, seed=0)
+        (res,) = run_single(RAW, RELATED, [("fairrf", BASE_CFG)], "lr", 0)
         path = tmp_path / "trace.jsonl"
         res.trace.write(path)
         assert path.read_text() == res.trace.to_jsonl()
