@@ -24,15 +24,29 @@ then a file with no usable rows, then each column's first bad cell in schema
 order.  A bad cell on a dropped row is no error.  The reader counts records,
 and an error message finds the file line its record starts on by re-reading
 the file up to that record.
+
+:func:`load_from_config` parses each CSV once: it keeps the loaded columns in
+``.<csv name>.relfair.npz`` beside the CSV, under a SHA-256 key of the CSV's
+bytes and of everything it passes to the parse.  A file under another key,
+or one that cannot be read back into a :class:`Dataset`, is a miss: the CSV
+is parsed again and the file replaced.  The key of a miss hashes the very
+bytes that were parsed, so a CSV rewritten during a load is parsed afresh by
+the next one.  :func:`load_csv` itself never writes a file.
 """
 
 import collections.abc
+import contextlib
 import csv
 import dataclasses
 import gc
+import hashlib
 import importlib.resources
+import io
 import itertools
+import json
 import os
+import tempfile
+import zipfile
 
 import numpy as np
 import yaml
@@ -99,6 +113,11 @@ class Dataset:
             col = np.asarray(self.columns[f.name], dtype=float if continuous else None)
             if col.ndim != 1:
                 raise ValueError(f"column {f.name!r}: expected a 1-D array")
+            if continuous and not np.isfinite(col).all():
+                i = int(np.argmin(np.isfinite(col)))
+                raise ValueError(
+                    f"column {f.name!r}: non-finite value {col[i].item()} in row {i}"
+                )
             if not continuous and not np.issubdtype(col.dtype, np.integer):
                 raise ValueError(
                     f"column {f.name!r}: expected integer codes, got {col.dtype}"
@@ -485,8 +504,18 @@ def load_csv(
     the file line on which the offending record starts.
     """
     schema = _check_schema(schema)
+    _check_exists(path)
+    return _parse(path, open(path, newline="", encoding=ENCODING), schema,
+                  label_positive, sensitive_positive, missing_tokens)
+
+
+def _check_exists(path):
     if not os.path.exists(path):
         raise FileNotFoundError(f"dataset file not found: {path}")
+
+
+def _parse(path, fh, schema, label_positive, sensitive_positive, missing_tokens):
+    """load_csv's Dataset from ``fh``, the text of the file at ``path``; closes ``fh``."""
     # A block's row lists hold strings only, so no cycle can form among
     # them, yet they set off a collection every few hundred rows, which
     # walks the rows alive at the time: about 120 collections and 25 ms of
@@ -494,7 +523,7 @@ def load_csv(
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _read_csv(path, schema, label_positive, sensitive_positive,
+        return _read_csv(path, fh, schema, label_positive, sensitive_positive,
                          set(missing_tokens))
     except UnicodeDecodeError as e:
         raise ValueError(f"{path}: not UTF-8 text: {e.reason}") from None
@@ -503,8 +532,8 @@ def load_csv(
             gc.enable()
 
 
-def _read_csv(path, schema, label_positive, sensitive_positive, missing_tokens):
-    with open(path, newline="", encoding=ENCODING) as fh:
+def _read_csv(path, fh, schema, label_positive, sensitive_positive, missing_tokens):
+    with fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -559,6 +588,82 @@ def _read_csv(path, schema, label_positive, sensitive_positive, missing_tokens):
                     vocab[f.name] = tuple(values)
         out[f.name] = col
     return Dataset(columns=out, schema=schema, vocab=vocab, n_dropped=n_dropped)
+
+
+# ---------------------------------------------------------------------------
+# the parse cache of load_from_config
+
+_CACHE_VERSION = 1  # in every key: bump it when load_csv's output or the file layout changes
+_CACHE_SUFFIX = ".relfair.npz"
+
+
+def _cache_path(csv_path):
+    head, name = os.path.split(csv_path)
+    return os.path.join(head, f".{name}{_CACHE_SUFFIX}")
+
+
+def _key_hash(schema, label_positive, sensitive_positive, missing_tokens):
+    """A SHA-256 fed with all that the parse reads besides the CSV's bytes."""
+    fields = {
+        "version": _CACHE_VERSION,
+        "schema": [[f.name, f.kind, f.role] for f in schema],
+        "label_positive": label_positive,
+        "sensitive_positive": sensitive_positive,
+        "missing_tokens": sorted(set(missing_tokens)),
+    }
+    # a JSON object ends where its braces close, so the bytes that follow
+    # cannot make two field sets hash alike
+    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode())
+
+
+class _HashingReader(io.RawIOBase):
+    """A binary file that feeds every byte read from it to ``digest``."""
+
+    def __init__(self, fh, digest):
+        self.fh, self.digest = fh, digest
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        n = self.fh.readinto(buf)
+        self.digest.update(memoryview(buf)[:n])
+        return n
+
+
+def _read_cache(path, key, schema):
+    """The Dataset cached at ``path`` under ``key``, or None for any other file."""
+    try:
+        # np.load leaves a file it opened itself open when the zip is unreadable
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            meta = json.loads(npz["meta"].tobytes())
+            if not isinstance(meta, dict) or meta.get("key") != key:
+                return None
+            columns = {f.name: npz[f"col{i}"] for i, f in enumerate(schema)}
+        return Dataset(columns=columns, schema=schema, vocab=meta["vocab"],
+                       n_dropped=meta["n_dropped"])
+    # a missing, truncated or foreign file, or arrays Dataset refuses
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
+        return None
+
+
+def _write_cache(path, key, dataset):
+    """Replace ``path`` by ``dataset`` under ``key``; an OSError skips the cache."""
+    meta = json.dumps({"key": key, "vocab": dataset.vocab, "n_dropped": dataset.n_dropped})
+    arrays = {f"col{i}": dataset.columns[f.name] for i, f in enumerate(dataset.schema)}
+    head, name = os.path.split(path)
+    tmp = None
+    try:
+        # named like a cache file, so that one a killed process leaves is ignored alike
+        fd, tmp = tempfile.mkstemp(prefix=name[: -len(_CACHE_SUFFIX)] + ".",
+                                   suffix=_CACHE_SUFFIX, dir=head)
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, meta=np.frombuffer(meta.encode(), np.uint8), **arrays)
+        os.replace(tmp, path)
+    except OSError:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -817,14 +922,29 @@ def builtin_config(name):
 
 
 def load_from_config(cfg, data_dir="."):
-    """Load the CSV a DatasetConfig points at (relative paths join data_dir)."""
+    """Load the CSV a DatasetConfig points at (relative paths join data_dir).
+
+    The Dataset equals ``load_csv``'s.  It comes from the cache file beside
+    the CSV when that file holds the parse of the CSV's current bytes under
+    ``cfg``; otherwise the CSV is parsed and the cache file replaced, unless
+    the directory cannot be written.  A failed parse writes nothing.
+    """
     path = cfg.csv
     if not os.path.isabs(path):
         path = os.path.join(data_dir, path)
-    return load_csv(
-        path,
-        cfg.schema,
-        label_positive=cfg.label_positive,
-        sensitive_positive=cfg.sensitive_positive,
-        missing_tokens=cfg.missing_tokens,
-    )
+    _check_exists(path)
+    args = (cfg.schema, cfg.label_positive, cfg.sensitive_positive, cfg.missing_tokens)
+    cache = _cache_path(path)
+    digest = _key_hash(*args)
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    dataset = _read_cache(cache, digest.hexdigest(), cfg.schema)
+    if dataset is None:
+        digest = _key_hash(*args)  # of the bytes parsed, which may differ from those hashed
+        with open(path, "rb", buffering=0) as raw:
+            text = io.TextIOWrapper(io.BufferedReader(_HashingReader(raw, digest)),
+                                    encoding=ENCODING, newline="")
+            dataset = _parse(path, text, *args)
+        _write_cache(cache, digest.hexdigest(), dataset)
+    return dataset

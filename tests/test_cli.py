@@ -504,16 +504,18 @@ def dataset_variant(workspace, tmp_path, edit, csv=None):
     return exp
 
 
-def no_sensitive_config(workspace, tmp_path):
+def no_sensitive_config(workspace, tmp_path, csv=None):
     """The workspace experiment on a dataset config without a sensitive: block."""
     return dataset_variant(workspace, tmp_path, lambda text: "\n".join(
-        line for line in text.splitlines() if not line.startswith("sensitive:")))
+        line for line in text.splitlines() if not line.startswith("sensitive:")), csv)
 
 
 @pytest.mark.parametrize("command", ["train", "compare", "sweep"])
 def test_a_dataset_without_a_sensitive_column_is_refused_before_loading(
         workspace, tmp_path, monkeypatch, capsys, command):
-    exp = no_sensitive_config(workspace, tmp_path)
+    csv = tmp_path / "synth.csv"
+    csv.write_bytes((workspace / "synth.csv").read_bytes())
+    exp = no_sensitive_config(workspace, tmp_path, csv)
     seen = counting(monkeypatch, cli, ("load_from_config",))
     seen.update(counting(monkeypatch, training, ("encode", "pretrain")))
     out = tmp_path / "o"
@@ -524,6 +526,7 @@ def test_a_dataset_without_a_sensitive_column_is_refused_before_loading(
     )
     assert seen == {"load_from_config": 0, "encode": 0, "pretrain": 0}
     assert not out.exists()
+    assert not list(tmp_path.glob(".*.relfair.npz"))  # no load wrote a cache
 
 
 def test_evaluate_takes_a_dataset_without_a_sensitive_column(workspace, tmp_path, capsys):

@@ -101,6 +101,16 @@ class TestDataset:
         with pytest.raises(ValueError, match=match):
             Dataset(columns=cols, schema=TOY_SCHEMA, vocab={"color": ("blue", "red")})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_a_non_finite_continuous_value_names_the_column_and_row(self, value, row):
+        cols = self._columns()
+        cols["height"][row] = value
+        with pytest.raises(
+            ValueError, match=f"^column 'height': non-finite value {value} in row {row}$"
+        ):
+            Dataset(columns=cols, schema=TOY_SCHEMA, vocab={"color": ("blue", "red")})
+
     @pytest.mark.parametrize("vocab", [{}, {"color": ("red", "blue")}])
     def test_bad_vocabulary_rejected(self, vocab):
         with pytest.raises(ValueError, match="vocabulary"):
@@ -417,14 +427,19 @@ def write_rows(path, rows, rng):
     return lines
 
 
+def contents(ds):
+    """A Dataset's columns (name, dtype, bytes), vocab and n_dropped, to compare."""
+    columns = [(k, c.dtype.str, c.tobytes()) for k, c in ds.columns.items()]
+    return columns, ds.vocab, ds.n_dropped, type(ds.n_dropped)
+
+
 def outcome(read, path, **kwargs):
     """What a reader makes of a file: the Dataset's bytes, or its error message."""
     try:
         ds = read(path, ORACLE_SCHEMA, missing_tokens=ORACLE_MISSING, **kwargs)
     except ValueError as exc:
         return "error", str(exc)
-    columns = [(k, c.dtype.str, c.tobytes()) for k, c in ds.columns.items()]
-    return "ok", columns, ds.vocab, ds.n_dropped, type(ds.n_dropped)
+    return "ok", *contents(ds)
 
 
 def both_readers(path, **kwargs):
@@ -876,3 +891,196 @@ class TestDatasetConfig:
     def test_builtin_unknown(self):
         with pytest.raises(ValueError):
             builtin_config("census2090")
+
+
+# The parse cache of load_from_config.
+CACHE_DOC = {
+    "name": "toy", "csv": "toy.csv",
+    "columns": [{"name": "color", "kind": "categorical"},
+                {"name": "height", "kind": "continuous"}],
+    "label": {"name": "outcome", "positive": "yes"},
+    "sensitive": {"name": "group"},
+    "related": ["height"],
+    "missing": ["?", ""],
+}
+CACHE_CSV = """\
+color,height,outcome,group
+red, 1.5,yes,a
+?,2.0,no,b
+-,2.5,no,b
+blue,,yes,a
+blue,3.0,no,b
+red,3.5,yes,b
+"""
+
+
+def cache_file(csv_path):
+    return csv_path.parent / f".{csv_path.name}.relfair.npz"
+
+
+def fresh(cfg, data_dir):
+    """load_csv's Dataset for what load_from_config(cfg, data_dir) reads."""
+    return load_csv(data_dir / cfg.csv, cfg.schema, label_positive=cfg.label_positive,
+                    sensitive_positive=cfg.sensitive_positive,
+                    missing_tokens=cfg.missing_tokens)
+
+
+def checked_load(cfg, data_dir):
+    """load_from_config's Dataset, once it is found equal to a fresh parse."""
+    got = load_from_config(cfg, data_dir=data_dir)
+    assert contents(got) == contents(fresh(cfg, data_dir))
+    return got
+
+
+def saved(path, save, *args, **kwargs):
+    """Write ``path`` with ``save`` (np.save or np.savez)."""
+    with open(path, "wb") as fh:
+        save(fh, *args, **kwargs)
+
+
+class TestLoadCache:
+    @pytest.fixture
+    def hits(self, monkeypatch):
+        """Per load_from_config call from here on, whether the cache served it."""
+        seen = []
+
+        def recorded(*args):
+            dataset = read_cache(*args)
+            seen.append(dataset is not None)
+            return dataset
+
+        read_cache = data._read_cache
+        monkeypatch.setattr(data, "_read_cache", recorded)
+        return seen
+
+    def toy(self, tmp_path, doc=CACHE_DOC, text=CACHE_CSV):
+        (tmp_path / "toy.csv").write_text(text)
+        return parse_dataset_config(doc)
+
+    def test_a_cached_load_equals_a_fresh_parse(self, tmp_path, hits):
+        cfg = self.toy(tmp_path)
+        first = load_from_config(cfg, data_dir=tmp_path)
+        assert cache_file(tmp_path / "toy.csv").is_file()
+        second = load_from_config(cfg, data_dir=tmp_path)
+        assert hits == [False, True]
+        want = fresh(cfg, tmp_path)
+        assert (want.n, want.n_dropped) == (4, 2)
+        assert contents(first) == contents(second) == contents(want)
+
+    def test_a_cached_synthetic_load_equals_a_fresh_parse(self, tmp_path, hits):
+        from relfair.synthetic import SyntheticSpec, generate, write_csv as write_synthetic
+
+        spec = SyntheticSpec(n=300, label_echo=True, seed=3)
+        write_synthetic(generate(spec), tmp_path / "synth.csv")
+        cfg = parse_dataset_config({
+            "name": "synth", "csv": "synth.csv",
+            "columns": [{"name": f.name, "kind": f.kind}
+                        for f in generate(spec).input_features()],
+            "label": {"name": "outcome", "positive": "1"},
+            "sensitive": {"name": "group", "positive": "1"},
+            "related": ["proxy_a"],
+        })
+        load_from_config(cfg, data_dir=tmp_path)
+        checked_load(cfg, tmp_path)
+        assert hits == [False, True]
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"text": CACHE_CSV + "blue,4.0,no,a\n"},
+            {"missing": ["?", "", "-"]},
+            {"label": {"name": "outcome", "positive": "no"}},
+            {"sensitive": {"name": "group", "positive": "b"}},
+            {"columns": CACHE_DOC["columns"][::-1]},
+            {"columns": [{"name": "color", "kind": "categorical"},
+                         {"name": "height", "kind": "categorical"}]},
+        ],
+        ids=["csv_bytes", "missing_tokens", "label_positive", "sensitive_positive",
+             "schema_order", "schema_kind"],
+    )
+    def test_changed_bytes_or_key_fields_are_parsed_again(self, tmp_path, hits, change):
+        load_from_config(self.toy(tmp_path), data_dir=tmp_path)
+        text = change.get("text", CACHE_CSV)
+        doc = {**CACHE_DOC, **{k: v for k, v in change.items() if k != "text"}}
+        cfg = self.toy(tmp_path, doc, text)
+        checked_load(cfg, tmp_path)
+        load_from_config(cfg, data_dir=tmp_path)  # the new key is cached in turn
+        assert hits == [False, False, True]
+
+    @staticmethod
+    def _resave(path, **columns):
+        """Write the cache file at ``path`` again with some columns replaced."""
+        with np.load(path) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+        saved(path, np.savez, **{**arrays, **columns})
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]),
+            lambda p: p.write_bytes(b""),
+            lambda p: p.write_text("color,height\n"),
+            lambda p: saved(p, np.savez, w0=np.ones(3)),
+            lambda p: saved(p, np.save, np.arange(3)),
+            lambda p: TestLoadCache._resave(p, col1=np.array([np.nan, 2.0, 3.0, 3.5])),
+            lambda p: TestLoadCache._resave(p, col0=np.array([0, 5, 1, 1], np.uint8)),
+            lambda p: TestLoadCache._resave(p, col1=np.array([1.0, 2.0])),
+        ],
+        ids=["truncated", "empty", "text", "foreign_npz", "npy", "nan_height",
+             "code_outside_vocab", "short_column"],
+    )
+    def test_a_broken_cache_file_is_parsed_again_and_replaced(self, tmp_path, hits,
+                                                              damage):
+        cfg = self.toy(tmp_path)
+        load_from_config(cfg, data_dir=tmp_path)
+        damage(cache_file(tmp_path / "toy.csv"))
+        checked_load(cfg, tmp_path)
+        load_from_config(cfg, data_dir=tmp_path)
+        assert hits == [False, False, True]
+
+    @pytest.mark.parametrize("step", ["tempfile.mkstemp", "numpy.savez", "os.replace"])
+    def test_a_failed_write_still_loads_and_leaves_no_file(self, tmp_path, monkeypatch,
+                                                           step):
+        def refuse(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        cfg = self.toy(tmp_path)
+        monkeypatch.setattr(step, refuse)
+        checked_load(cfg, tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["toy.csv"]
+
+    def test_a_malformed_csv_fails_with_its_line_on_every_load(self, tmp_path):
+        cfg = self.toy(tmp_path, text=CACHE_CSV + "blue,4.0,no\n")
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"line 8 has 3 fields, expected 4$"):
+                load_from_config(cfg, data_dir=tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["toy.csv"]
+
+    @pytest.mark.parametrize("then", ["as_rewritten", "restored"])
+    def test_a_csv_rewritten_during_a_load_is_parsed_again(self, tmp_path, hits,
+                                                           monkeypatch, then):
+        # Long enough that the parse has read only part of it when the first
+        # block is coded; the rewrite keeps every offset and changes colors.
+        old = "color,height,outcome,group\n" + "red,1.5,yes,a\nblue,2.0,no,b\n" * 2000
+        new = old.replace("red", "tan")
+        cfg = self.toy(tmp_path, text=old)
+        path = tmp_path / "toy.csv"
+        code = data._CodedColumn.read
+        rewritten = []
+
+        def rewrite_once(column, cells, drop):
+            if not rewritten:
+                path.write_text(new)  # in place: the open file reads on in the new bytes
+                rewritten.append(path)
+            return code(column, cells, drop)
+
+        monkeypatch.setattr(data, "READ_BLOCK_ROWS", 16)
+        monkeypatch.setattr(data._CodedColumn, "read", rewrite_once)
+        mixed = load_from_config(cfg, data_dir=tmp_path)
+        monkeypatch.setattr(data._CodedColumn, "read", code)
+        assert set(mixed.vocab["color"]) == {"blue", "red", "tan"}
+
+        if then == "restored":  # the old bytes' key must not find the mixed parse
+            path.write_text(old)
+        checked_load(cfg, tmp_path)
+        assert hits == [False, False]
