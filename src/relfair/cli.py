@@ -16,6 +16,7 @@ import argparse
 import concurrent.futures
 import dataclasses
 import datetime
+import gc
 import json
 import numbers
 import os
@@ -23,7 +24,6 @@ import platform
 import sys
 
 import numpy as np
-import yaml
 
 from relfair.data import (
     builtin_config,
@@ -32,6 +32,7 @@ from relfair.data import (
     check_related_names,
     load_dataset_config,
     load_from_config,
+    parse_yaml,
     split,
 )
 from relfair.metrics import (
@@ -155,7 +156,7 @@ def parse_experiment_config(doc, where="experiment config", config_dir="."):
 
 def load_experiment_config(path):
     with open(path) as fh:
-        doc = yaml.safe_load(fh)
+        doc = parse_yaml(fh)
     return parse_experiment_config(
         doc, where=str(path), config_dir=os.path.dirname(os.path.abspath(path))
     )
@@ -209,16 +210,27 @@ def _write_report(out_dir, stem, payload, reports):
 # ---------------------------------------------------------------------------
 # seed jobs (module level so worker processes can unpickle them)
 
+# ``(dataset, ExperimentConfig)`` shared by every seed job of the running
+# command: set once per pool worker by its initializer, and in this process
+# while its jobs run serially
+_shared = None
+
+
+def _share(context):
+    global _shared
+    _shared = context
+
 
 def _seed_job(payload):
-    """One seed of several cells; the rest comes from ``exp``.
+    """One seed of several cells; the dataset and the rest come from ``_shared``.
 
     Trains the cells with ``run_single``, then writes each trained cell's
     files and keeps its metrics row.  Returns one outcome per cell, in cell
     order: the metrics row and the files written, or the exception the cell
     raised.
     """
-    raw, exp, cells, seed, out_dir, keep_checkpoint = payload
+    raw, exp = _shared
+    cells, seed, out_dir, keep_checkpoint = payload
     results = run_single(
         raw, exp.related, [(variant, cfg) for variant, cfg, _ in cells], exp.model, seed,
         hidden_dims=exp.hidden_dims, allow_sensitive_in_training=exp.allow_sensitive_in_training,
@@ -242,19 +254,27 @@ def _write_cell(result, run_dir, keep_checkpoint):
     return dataclasses.asdict(metrics), files
 
 
-def _run_jobs(jobs, workers):
+def _run_jobs(context, jobs, workers):
     """Run seed jobs serially or on a pool of at most one process per job.
 
+    ``context`` is the ``_shared`` of every job.  It reaches each pool worker
+    once, through the pool's initializer: a forked worker inherits it, and a
+    spawned one unpickles it at start.  A job ships only its own payload.
     Returns one outcome per job, in job order: ``_seed_job``'s result or the
     exception it raised.  ``_seed_job`` is looked up at call time, so a
     wrapper installed on the module runs too.
     """
     workers = min(workers, len(jobs))
-    if workers <= 1:
-        return [_outcome(_seed_job, job) for job in jobs]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_seed_job, job) for job in jobs]
-        return [_outcome(future.result) for future in futures]
+    try:
+        if workers <= 1:
+            _share(context)
+            return [_outcome(_seed_job, job) for job in jobs]
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=_share, initargs=(context,)) as pool:
+            futures = [pool.submit(_seed_job, job) for job in jobs]
+            return [_outcome(future.result) for future in futures]
+    finally:
+        _share(None)
 
 
 def _outcome(fn, *args):
@@ -295,15 +315,15 @@ def _run_cells(args, exp, seeds, cells, keep_checkpoint=False):
         raise ValueError(f"output directory {out_dir} exists and is not a directory")
     parts = min(len(cells), -(-args.workers // len(seeds)))
     jobs = [
-        (raw, exp, cells[part * len(cells) // parts : (part + 1) * len(cells) // parts],
+        (cells[part * len(cells) // parts : (part + 1) * len(cells) // parts],
          seed, out_dir, keep_checkpoint)
         for seed in seeds
         for part in range(parts)
     ]
     flat = []  # seed by seed, each seed's cells in order
-    for job, outcome in zip(jobs, _run_jobs(jobs, args.workers)):
+    for job, outcome in zip(jobs, _run_jobs((raw, exp), jobs, args.workers)):
         # a job that failed as a whole fails each of its cells
-        flat += [outcome] * len(job[2]) if isinstance(outcome, Exception) else outcome
+        flat += [outcome] * len(job[0]) if isinstance(outcome, Exception) else outcome
     files = [p for o in flat if not isinstance(o, Exception) for p in o[1]]
     rows = [o if isinstance(o, Exception) else o[0] for o in flat]
     return out_dir, files, [rows[c :: len(cells)] for c in range(len(cells))]
@@ -506,5 +526,18 @@ def main(argv=None):
         return 1
 
 
+def entry():
+    """The ``relfair`` command: ``main`` as the whole life of a process.
+
+    ``gc.freeze()`` first moves every object alive after the imports, numpy's
+    and relfair's module graph among them, to the permanent generation.  The
+    collector then never walks them again: not in a forked pool worker, whose
+    pages it would copy, and not in the collections at interpreter exit.
+    In-process callers such as the tests call ``main`` instead.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

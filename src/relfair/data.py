@@ -905,9 +905,18 @@ def parse_dataset_config(doc, where="dataset config"):
     )
 
 
+# libyaml's parser when PyYAML was built with it; both build the same documents
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def parse_yaml(stream):
+    """The YAML document in ``stream``, a string or an open text file, safely loaded."""
+    return yaml.load(stream, Loader=_YAML_LOADER)
+
+
 def load_dataset_config(path):
     with open(path) as fh:
-        doc = yaml.safe_load(fh)
+        doc = parse_yaml(fh)
     return parse_dataset_config(doc, where=str(path))
 
 
@@ -918,7 +927,7 @@ def builtin_config(name):
         text = resource.read_text()
     except FileNotFoundError:
         raise ValueError(f"no builtin dataset config named {name!r}") from None
-    return parse_dataset_config(yaml.safe_load(text), where=f"builtin config {name!r}")
+    return parse_dataset_config(parse_yaml(text), where=f"builtin config {name!r}")
 
 
 def load_from_config(cfg, data_dir="."):

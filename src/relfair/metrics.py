@@ -48,22 +48,35 @@ def accuracy(yhat, y):
     return float(np.mean(thresholded(yhat) == y))
 
 
-def _group_gap(yhat, s, mask, metric_name):
-    s = np.asarray(s)
-    groups = np.unique(s)
+def group_rows(s, mask, metric_name):
+    """Row indices of each sensitive group among the ``mask`` rows (all rows
+    when ``mask`` is None), one array per group in sorted group order.
+
+    Raises MetricUndefinedError with fewer than two groups, or when a group
+    has no ``mask`` row.  ``np.unique`` is asked for the inverse: without
+    it, numpy 2 takes a hash path that imports ``numpy.ma`` on first use.
+    """
+    groups, codes = np.unique(np.asarray(s), return_inverse=True)
     if len(groups) < 2:
         raise MetricUndefinedError(
             f"{metric_name} needs at least two sensitive groups, got {len(groups)}"
         )
-    means = []
-    for g in groups:
-        sel = (s == g) & mask
-        if not np.any(sel):
+    rows = []
+    for k, g in enumerate(groups):
+        in_group = codes == k
+        rows.append(np.flatnonzero(in_group if mask is None else in_group & mask))
+        if not len(rows[-1]):
             raise MetricUndefinedError(
                 f"{metric_name} undefined: group {g} has no qualifying rows"
             )
-        means.append(float(yhat[sel].mean()))
-    return max(means) - min(means)  # == max pairwise absolute gap
+    return rows
+
+
+def group_gap(yhat, rows):
+    """Largest minus smallest mean of ``yhat`` over each group's ``rows``,
+    which is the largest pairwise absolute gap."""
+    means = [float(yhat[r].mean()) for r in rows]
+    return max(means) - min(means)
 
 
 def delta_dp(yhat, s):
@@ -71,7 +84,7 @@ def delta_dp(yhat, s):
     yhat = _as_scores(yhat, "delta_dp")
     if len(yhat) != len(s):
         raise ValueError("yhat and s must have equal length")
-    return _group_gap(yhat, s, np.ones(len(yhat), dtype=bool), "delta_dp")
+    return group_gap(yhat, group_rows(s, None, "delta_dp"))
 
 
 def delta_eo(yhat, y, s):
@@ -80,7 +93,7 @@ def delta_eo(yhat, y, s):
     y = _as_array(y, "y")
     if not (len(yhat) == len(y) == len(s)):
         raise ValueError("yhat, y and s must have equal length")
-    return _group_gap(yhat, s, y == 1.0, "delta_eo")
+    return group_gap(yhat, group_rows(s, y == 1.0, "delta_eo"))
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,11 @@ call.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import numbers
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -374,15 +376,19 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelSpec]:
     """The parameters and spec that ``save_checkpoint`` wrote to ``path``.
 
     A malformed file raises ``ValueError`` naming ``path`` and the fault: a
-    file that is not an .npz archive, a missing array or meta entry, or a
-    layer whose shape is not the spec's.  Pickled data is never loaded.
+    file that is not an .npz archive, a missing or damaged array or meta
+    entry, or a layer whose shape is not the spec's.  Pickled data is never
+    loaded.
     """
     def fault(message):
         return ValueError(f"checkpoint {path}: {message}")
 
-    try:
-        data = np.load(path)
-    except (ValueError, EOFError):  # neither .npy nor .npz; an empty file is an EOF
+    # read whole: np.load leaves a file it opened itself open on a cut zip
+    with open(path, "rb") as fh:
+        blob = io.BytesIO(fh.read())
+    try:  # an empty file is an EOF, a cut zip a BadZipFile
+        data = np.load(blob)
+    except (ValueError, EOFError, zipfile.BadZipFile):  # neither .npy nor .npz
         raise fault("not an .npz archive") from None
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise fault("not an .npz archive")
@@ -390,7 +396,10 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelSpec]:
         def array(name):
             if name not in data.files:
                 raise fault(f"no array {name!r} in the archive")
-            return data[name]
+            try:
+                return data[name]
+            except (ValueError, zipfile.BadZipFile) as exc:  # a bad header or CRC
+                raise fault(f"array {name!r} is unreadable: {exc}") from None
 
         meta_bytes = bytes(array("meta"))
         try:

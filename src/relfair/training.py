@@ -67,6 +67,8 @@ from relfair.metrics import (
     aggregate,
     delta_dp,
     delta_eo,
+    group_gap,
+    group_rows,
 )
 from relfair.models import (
     ModelSpec,
@@ -291,22 +293,26 @@ def _eval_fairness(evaluation):
     """Trace callback: soft ``(delta_eo, delta_dp)`` of evaluation predictions.
 
     Built outside the training loop from the evaluation split's labels and
-    group codes; a metric is None when the split cannot support it.
+    group codes, whose group rows it finds once; a metric is None when the
+    split cannot support it.  Equals ``delta_eo`` and ``delta_dp`` bit for
+    bit on the finite predictions the loop passes it.
     """
-    y, s = evaluation.y, evaluation.s
+    s = evaluation.s
+
+    def rows_or_none(mask, metric_name):
+        try:
+            return group_rows(s, mask, metric_name)
+        except MetricUndefinedError:
+            return None
+
+    if s is None:
+        per_metric = (None, None)
+    else:
+        y = np.asarray(evaluation.y, dtype=float)
+        per_metric = (rows_or_none(y == 1.0, "delta_eo"), rows_or_none(None, "delta_dp"))
 
     def measure(yhat):
-        if s is None:
-            return None, None
-        try:
-            eo = delta_eo(yhat, y, s)
-        except MetricUndefinedError:
-            eo = None
-        try:
-            dp = delta_dp(yhat, s)
-        except MetricUndefinedError:
-            dp = None
-        return eo, dp
+        return tuple(None if rows is None else group_gap(yhat, rows) for rows in per_metric)
 
     return measure
 

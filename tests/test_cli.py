@@ -8,6 +8,7 @@ import platform
 import re
 import textwrap
 import weakref
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
@@ -303,13 +304,18 @@ def test_beta_too_small_for_the_scores_is_named(workspace, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def recording_pool(sizes, jobs=None):
-    """A ProcessPoolExecutor stand-in that runs jobs in-process and records its
-    size and, when given ``jobs``, the arguments of every job submitted."""
+def recording_pool(sizes, jobs=None, shared=None):
+    """A ProcessPoolExecutor stand-in that runs its initializer and jobs
+    in-process and records its size and, when given ``jobs`` and ``shared``,
+    the arguments of every job submitted and of its initializer."""
 
     class Pool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             sizes.append(max_workers)
+            if shared is not None:
+                shared.append(initargs)
+            if initializer is not None:
+                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -368,7 +374,61 @@ def test_seeds_cut_into_jobs_for_idle_workers(workspace, tmp_path, monkeypatch,
     )
     assert code == 0
     assert sizes == [min(int(workers), len(cells_per_job))]
-    assert [len(job[2]) for (job,) in jobs] == cells_per_job
+    assert [len(job[0]) for (job,) in jobs] == cells_per_job
+
+
+def test_a_job_ships_its_cells_and_not_the_dataset(workspace, tmp_path, monkeypatch):
+    # the pool's initializer hands each worker the dataset once; the jobs
+    # carry their cells, seed, output directory and checkpoint flag
+    write_csv(generate(SyntheticSpec(n=10000, seed=0)), tmp_path / "synth.csv")
+    (tmp_path / "dataset.yaml").write_text((workspace / "dataset.yaml").read_text())
+    exp = yaml.safe_load((workspace / "exp.yaml").read_text())
+    exp["train"].update(max_epochs=1, pretrain_epochs=1, batch_size=1024)
+    (tmp_path / "exp.yaml").write_text(yaml.safe_dump(exp))
+    sizes, jobs, shared = [], [], []
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                        recording_pool(sizes, jobs, shared))
+    assert run_cli(
+        "sweep", "-c", str(tmp_path / "exp.yaml"), "--data-dir", str(tmp_path),
+        "--output-dir", str(tmp_path / "o"), "--seeds", "0,1", "--workers", "2",
+        "--eta-grid", "0.1,0.3",
+    ) == 0
+    ((context,),) = shared
+    assert len(ForkingPickler.dumps(context)) > 256 * 1024
+    assert len(jobs) == 2
+    assert all(len(ForkingPickler.dumps(job)) < 64 * 1024 for job in jobs)
+    assert cli._shared is None  # cleared when the jobs end
+
+
+def test_serial_jobs_share_the_dataset_while_they_run(workspace, tmp_path, monkeypatch):
+    seen = []
+    seed_job = cli._seed_job
+
+    def recording_seed_job(payload):
+        seen.append(cli._shared)
+        return seed_job(payload)
+
+    monkeypatch.setattr(cli, "_seed_job", recording_seed_job)
+    assert run_cli(
+        "train", "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
+        "--output-dir", str(tmp_path / "o"), "--seeds", "0,1", "--workers", "1",
+    ) == 0
+    assert len(seen) == 2 and seen[0] is seen[1]
+    raw, exp = seen[0]
+    assert raw.n == 400 and exp.variant == "fairrf"
+    assert cli._shared is None
+
+
+def test_the_console_script_freezes_the_heap_before_main():
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert 'relfair = "relfair.cli:entry"' in pyproject.read_text().splitlines()
+    code = (
+        "import gc\n"
+        "from relfair import cli\n"
+        "cli.main = gc.get_freeze_count\n"
+        "print(cli.entry() > 0)\n"
+    )
+    assert run_python(["-c", code]) == "True\n"
 
 
 def counting(monkeypatch, module, names):
@@ -834,6 +894,26 @@ def test_artifacts_are_pinned(workspace, tmp_path, name):
             for rel, blob in _artifacts(out).items()} == PINNED_ARTIFACTS[name]
 
 
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_pool_workers_write_the_pinned_sweep(workspace, tmp_path, method):
+    # the dataset reaches each worker through the pool's initializer:
+    # inherited under fork, pickled once per worker under spawn
+    command, *extra = PINNED_COMMANDS["sweep"]
+    out = tmp_path / command
+    code = (
+        "import multiprocessing, sys\n"
+        f"multiprocessing.set_start_method({method!r})\n"
+        "from relfair.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    run_python([
+        "-c", code, command, "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
+        "--output-dir", str(out), "--seeds", "0,1", "--workers", "2", *extra,
+    ])
+    assert {rel: hashlib.sha256(blob).hexdigest()
+            for rel, blob in _artifacts(out).items()} == PINNED_ARTIFACTS["sweep"]
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_COMMANDS))
 def test_manifest_metadata_records_the_environment(workspace, tmp_path, monkeypatch, name):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -1024,4 +1104,23 @@ class TestEvaluate:
         assert code == 1
         captured = capsys.readouterr()
         assert "w0 holds a NaN or inf parameter" in captured.err
+        assert captured.out == ""
+
+    def test_truncated_checkpoint_is_named(self, workspace, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli(
+            "train", "-c", str(workspace / "exp.yaml"),
+            "--data-dir", str(workspace), "--output-dir", str(out), "--seeds", "0",
+        ) == 0
+        path = out / "seed_0" / "checkpoint.npz"
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])
+        capsys.readouterr()
+        code = run_cli(
+            "evaluate", "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
+            "--checkpoint", str(path),
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: checkpoint {path}: not an .npz archive\n"
         assert captured.out == ""

@@ -1,4 +1,5 @@
 import csv
+import importlib.resources
 import io
 import itertools
 import re
@@ -7,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import yaml
 
 import _csv_oracle
 from relfair import data
@@ -887,6 +889,19 @@ class TestDatasetConfig:
         assert len(cfg.related) == 3
         input_names = {f.name for f in cfg.schema if f.role == "input"}
         assert set(cfg.related) <= input_names
+
+    @pytest.mark.parametrize("name", ["adult", "compas", "lsac"])
+    def test_builtin_configs_parse_alike_under_both_yaml_loaders(self, name, monkeypatch):
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML was built without libyaml")
+        assert data._YAML_LOADER is yaml.CSafeLoader
+        text = (importlib.resources.files("relfair") / "configs" / f"{name}.yaml").read_text()
+        docs = [yaml.load(text, Loader=yaml.CSafeLoader),
+                yaml.load(text, Loader=yaml.SafeLoader)]
+        assert docs[0] == docs[1]
+        cfg = builtin_config(name)
+        monkeypatch.setattr(data, "_YAML_LOADER", yaml.SafeLoader)
+        assert builtin_config(name) == cfg
 
     def test_builtin_unknown(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from _fresh_python import run_python
 
 from relfair.metrics import (
     FairnessReport,
@@ -138,6 +139,19 @@ class TestDeltaEO:
         y = np.array([1.0, 1.0, 0.0, 0.0])
         s = np.array([0, 1, 0, 1])
         assert delta_eo(yhat, y, s) == pytest.approx(0.8)
+
+
+def test_finding_groups_imports_no_masked_arrays():
+    # np.unique without return_inverse imports numpy.ma on its first call
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import relfair.cli\n"
+        "from relfair.metrics import delta_dp\n"
+        "delta_dp(np.array([0.2, 0.4, 0.6]), np.array([0, 1, 1]))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    assert run_python(["-c", code]) == "False\n"
 
 
 class TestHardVariants:

@@ -1,3 +1,4 @@
+import gc
 import json
 import pickle
 import re
@@ -561,6 +562,31 @@ class TestCheckpoint:
         path.write_bytes(content)
         with pytest.raises(ValueError, match=re.escape(
                 f"checkpoint {path}: not an .npz archive")):
+            load_checkpoint(path)
+
+    def test_a_truncated_archive_is_named_and_closed(self, tmp_path):
+        spec = ALL_SPECS[2]
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, init_params(spec), spec)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"checkpoint {path}: not an .npz archive")):
+                load_checkpoint(path)
+            gc.collect()  # a file left open warns when it is collected
+        assert [w for w in seen if issubclass(w.category, ResourceWarning)] == []
+
+    def test_a_damaged_array_is_named(self, tmp_path):
+        spec = ALL_SPECS[2]
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, init_params(spec), spec)
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF  # inside a stored array: its CRC no longer holds
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint {path}: array 'w1'")
+                           + r" is unreadable: Bad CRC-32"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("name", ["w0", "b1"])

@@ -7,6 +7,7 @@ import pytest
 
 from relfair import training
 from relfair.data import Dataset, EncodedDataset, RelatedFeatureSet, TrainView, split
+from relfair.metrics import MetricUndefinedError, delta_dp, delta_eo
 from relfair.models import ModelParams, ModelSpec, init_params, loss_and_grad
 from relfair.objective import penalty_grad_yhat
 from relfair.synthetic import SyntheticSpec, generate, related_features
@@ -344,6 +345,31 @@ class TestEvalFairness:
                                     s=None if s is None else np.array(s), column_map={})
         eo, dp = training._eval_fairness(evaluation)(self.YHAT)
         assert (eo, None if dp is None else round(dp, 12)) == want
+
+
+    @pytest.mark.parametrize(
+        "n_groups, positives_everywhere",
+        [(2, True), (3, True), (3, False)],
+        ids=["two_groups", "three_groups", "a_group_without_positives"],
+    )
+    def test_equals_the_public_metrics_bit_for_bit(self, n_groups, positives_everywhere):
+        rng = np.random.default_rng(5)
+        s = rng.integers(0, n_groups, 301)
+        y = (rng.random(301) < 0.4).astype(float)
+        if not positives_everywhere:
+            y[s == 1] = 0.0
+        evaluation = EncodedDataset(X=np.zeros((301, 1)), y=y, s=s, column_map={})
+        measure = training._eval_fairness(evaluation)
+        for _ in range(4):  # the group rows found once serve every call
+            yhat = rng.random(301)
+            eo, dp = measure(yhat)
+            assert dp.hex() == delta_dp(yhat, s).hex()
+            if positives_everywhere:
+                assert eo.hex() == delta_eo(yhat, y, s).hex()
+            else:
+                assert eo is None
+                with pytest.raises(MetricUndefinedError, match="group 1 has no qualifying"):
+                    delta_eo(yhat, y, s)
 
 
 class TestTrainFairrf:
