@@ -36,7 +36,7 @@ def main():
     for _ in range(args.trials):
         x, y, z = random_triple(rng, args.length)
         iv = propagate_bound(pearson(x, y), pearson(y, z))
-        widths.append(iv.width)
+        widths.append(iv.hi - iv.lo)
         if not iv.contains(pearson(x, z), slack=1e-9):
             violations += 1
     print(f"{args.trials} random triples, length {args.length}: "

@@ -36,7 +36,6 @@ from relfair.data import (
     split,
 )
 from relfair.metrics import (
-    SeedResult,
     accuracy,
     aggregate,
     delta_dp,
@@ -193,20 +192,6 @@ def _write_manifest(out_dir, args, seeds, paths, **metadata):
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
-def _write_report(out_dir, stem, payload, reports):
-    """``<stem>.json`` holds ``payload``, ``<stem>.txt`` the table of ``reports``.
-
-    Returns the two paths and the table.
-    """
-    table = format_comparison_table(reports)
-    os.makedirs(out_dir, exist_ok=True)
-    paths = [os.path.join(out_dir, f"{stem}.json"), os.path.join(out_dir, f"{stem}.txt")]
-    _write_json(paths[0], payload)
-    with open(paths[1], "w") as fh:
-        fh.write(table + "\n")
-    return paths, table
-
-
 # ---------------------------------------------------------------------------
 # seed jobs (module level so worker processes can unpickle them)
 
@@ -224,10 +209,9 @@ def _share(context):
 def _seed_job(payload):
     """One seed of several cells; the dataset and the rest come from ``_shared``.
 
-    Trains the cells with ``run_single``, then writes each trained cell's
-    files and keeps its metrics row.  Returns one outcome per cell, in cell
-    order: the metrics row and the files written, or the exception the cell
-    raised.
+    Trains the cells with ``run_single``, then measures each trained cell and
+    writes its files.  Returns one outcome per cell, in cell order: its
+    ``SeedResult`` and the files written, or the exception the cell raised.
     """
     raw, exp = _shared
     cells, seed, out_dir, keep_checkpoint = payload
@@ -243,7 +227,7 @@ def _seed_job(payload):
 
 
 def _write_cell(result, run_dir, keep_checkpoint):
-    """Measure one trained cell and write its trace (and checkpoint)."""
+    """One trained cell's ``SeedResult`` and the files of its trace (and checkpoint)."""
     metrics = result.test_metrics()
     os.makedirs(run_dir, exist_ok=True)
     files = [os.path.join(run_dir, "trace.jsonl")]
@@ -251,7 +235,7 @@ def _write_cell(result, run_dir, keep_checkpoint):
     if keep_checkpoint:
         files.append(os.path.join(run_dir, "checkpoint.npz"))
         save_checkpoint(files[1], result.params, result.spec)
-    return dataclasses.asdict(metrics), files
+    return metrics, files
 
 
 def _run_jobs(context, jobs, workers):
@@ -299,7 +283,7 @@ def _run_cells(args, exp, seeds, cells, keep_checkpoint=False):
     directory when it has something to write, so a run whose every cell
     fails first leaves no output directory behind; a directory that already
     existed is left as it was.  Returns the output directory, the files the
-    jobs wrote and, per cell, one outcome per seed: the metrics row or the
+    jobs wrote and, per cell, one outcome per seed: its ``SeedResult`` or the
     exception the cell raised.
     """
     if args.workers < 1:
@@ -325,18 +309,18 @@ def _run_cells(args, exp, seeds, cells, keep_checkpoint=False):
         # a job that failed as a whole fails each of its cells
         flat += [outcome] * len(job[0]) if isinstance(outcome, Exception) else outcome
     files = [p for o in flat if not isinstance(o, Exception) for p in o[1]]
-    rows = [o if isinstance(o, Exception) else o[0] for o in flat]
-    return out_dir, files, [rows[c :: len(cells)] for c in range(len(cells))]
+    results = [o if isinstance(o, Exception) else o[0] for o in flat]
+    return out_dir, files, [results[c :: len(cells)] for c in range(len(cells))]
 
 
 def _reports(cells, outcomes):
     """One report per cell's variant; raises the first failure, in cell order."""
     reports = {}
-    for (variant, _, _), rows in zip(cells, outcomes):
-        for row in rows:
-            if isinstance(row, Exception):
-                raise row
-        reports[variant] = aggregate([SeedResult(**row) for row in rows])
+    for (variant, _, _), results in zip(cells, outcomes):
+        for result in results:
+            if isinstance(result, Exception):
+                raise result
+        reports[variant] = aggregate(results)
     return reports
 
 
@@ -368,14 +352,37 @@ def _grid(text, exp, key, flag):
     return _check_each(values, lambda v: dataclasses.replace(exp.train, **{key: v}), flag)
 
 
-def cmd_train(args):
+def cmd_report(args):
+    """``train`` and ``compare``: every cell under every seed, then one report.
+
+    ``train`` runs the config's variant, keeps each seed's checkpoint and
+    writes that variant's report to ``report.json``.  ``compare`` runs each
+    ``--variants`` entry in a subdirectory of its name and writes every
+    variant's report to ``comparison.json``.  Both write the table beside it.
+    """
     exp = load_experiment_config(args.config)
     seeds = _parse_seeds(args, exp)
-    cells = [(exp.variant, exp.train, "")]
-    out_dir, files, outcomes = _run_cells(args, exp, seeds, cells, keep_checkpoint=True)
+    train = args.command == "train"
+    if train:
+        cells = [(exp.variant, exp.train, "")]
+    else:
+        variants = _parse_list(args.variants, str.strip, "variants", "--variants")
+        cells = [(check_variant(v, "--variants"), exp.train, v) for v in variants]
+    out_dir, files, outcomes = _run_cells(args, exp, seeds, cells, keep_checkpoint=train)
     reports = _reports(cells, outcomes)
-    paths, table = _write_report(out_dir, "report", reports[exp.variant].to_dict(), reports)
-    _write_manifest(out_dir, args, seeds, files + paths, variant=exp.variant)
+    if train:
+        stem, payload = "report", reports[exp.variant].to_dict()
+        metadata = {"variant": exp.variant}
+    else:
+        stem, payload = "comparison", {v: r.to_dict() for v, r in reports.items()}
+        metadata = {"variants": list(reports)}
+    table = format_comparison_table(reports)
+    os.makedirs(out_dir, exist_ok=True)
+    paths = [os.path.join(out_dir, f"{stem}.json"), os.path.join(out_dir, f"{stem}.txt")]
+    _write_json(paths[0], payload)
+    with open(paths[1], "w") as fh:
+        fh.write(table + "\n")
+    _write_manifest(out_dir, args, seeds, files + paths, **metadata)
     print(table)
     return 0
 
@@ -394,15 +401,15 @@ def cmd_sweep(args):
     out_dir, files, outcomes = _run_cells(args, exp, seeds, cells)
 
     table_rows, failures = [], []
-    for (_, cfg, _), rows in zip(cells, outcomes):
-        for seed, row in zip(seeds, rows):
-            if isinstance(row, Exception):  # record and keep sweeping
+    for (_, cfg, _), results in zip(cells, outcomes):
+        for seed, result in zip(seeds, results):
+            if isinstance(result, Exception):  # record and keep sweeping
                 failures.append(
-                    {"eta": cfg.eta, "beta": cfg.beta, "seed": seed, "error": str(row)}
+                    {"eta": cfg.eta, "beta": cfg.beta, "seed": seed, "error": str(result)}
                 )
             else:
                 table_rows.append((cfg.eta, cfg.beta, seed,
-                                   row["accuracy"], row["delta_eo"], row["delta_dp"]))
+                                   result.accuracy, result.delta_eo, result.delta_dp))
 
     table_rows.sort()
     os.makedirs(out_dir, exist_ok=True)  # every cell may have failed
@@ -422,21 +429,6 @@ def cmd_sweep(args):
                     eta_grid=etas, beta_grid=betas, n_failures=len(failures))
     print(f"sweep: {len(table_rows)} rows, {len(failures)} failed cells -> {sweep_path}")
     return 0 if table_rows else 1
-
-
-def cmd_compare(args):
-    exp = load_experiment_config(args.config)
-    seeds = _parse_seeds(args, exp)
-    variants = _parse_list(args.variants, str.strip, "variants", "--variants")
-    cells = [(check_variant(v, "--variants"), exp.train, v) for v in variants]
-    out_dir, files, outcomes = _run_cells(args, exp, seeds, cells)
-    reports = _reports(cells, outcomes)
-    paths, table = _write_report(
-        out_dir, "comparison", {v: r.to_dict() for v, r in reports.items()}, reports
-    )
-    _write_manifest(out_dir, args, seeds, files + paths, variants=list(variants))
-    print(table)
-    return 0
 
 
 def cmd_evaluate(args):
@@ -495,7 +487,7 @@ def build_parser():
 
     p_train = sub.add_parser("train", parents=[run],
                              help="train one variant over the configured seeds")
-    p_train.set_defaults(func=cmd_train)
+    p_train.set_defaults(func=cmd_report)
 
     p_sweep = sub.add_parser("sweep", parents=[run], help="grid sweep over eta and beta")
     p_sweep.add_argument("--eta-grid", default=None, help="comma-separated eta values")
@@ -506,7 +498,7 @@ def build_parser():
                            help="run several variants under shared seeds")
     p_cmp.add_argument("--variants", default="vanilla,fairrf",
                        help="comma-separated variant tags")
-    p_cmp.set_defaults(func=cmd_compare)
+    p_cmp.set_defaults(func=cmd_report)
 
     p_eval = sub.add_parser("evaluate", parents=[data],
                             help="metrics for an existing checkpoint")

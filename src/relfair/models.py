@@ -60,26 +60,33 @@ MODEL_KINDS = ("lr", "svm", "mlp")
 _CHECKPOINT_VERSION = 1
 
 
+def _check_int(value, name, low):
+    """``value`` as an int if it is an integer >= ``low``; a numpy integer counts, a bool not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return int(value)
+
+
 def check_hidden_dims(kind, hidden_dims):
-    """The hidden widths of a ``kind`` model; None gives an mlp (64, 32)."""
+    """The hidden widths of a ``kind`` model as ints; None gives an mlp (64, 32)."""
     if hidden_dims is None:
         return (64, 32) if kind == "mlp" else ()
-    hidden_dims = tuple(hidden_dims)
+    try:
+        hidden_dims = tuple(hidden_dims)
+    except TypeError:
+        raise ValueError(f"hidden_dims must be a list of widths, got {hidden_dims!r}") from None
     if kind != "mlp" and hidden_dims:
         raise ValueError(f"hidden_dims only apply to mlp, got {hidden_dims}")
-    if kind == "mlp" and not (hidden_dims and min(hidden_dims) >= 1):
-        raise ValueError(f"hidden_dims of an mlp must be one or more widths >= 1, "
-                         f"got {hidden_dims}")
-    return hidden_dims
+    if kind == "mlp" and not hidden_dims:
+        raise ValueError("hidden_dims of an mlp must be one or more widths >= 1, got ()")
+    return tuple(_check_int(width, "hidden_dims entry", 1) for width in hidden_dims)
 
 
 def check_seed(seed):
     """``seed`` as an int if it is an integer >= 0; a numpy integer counts, a bool not."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
-    return int(seed)
+    return _check_int(seed, "seed", 0)
 
 
 @dataclass(frozen=True)
@@ -95,8 +102,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"kind must be one of {MODEL_KINDS}, got {self.kind!r}")
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
+        object.__setattr__(self, "input_dim", _check_int(self.input_dim, "input_dim", 1))
         object.__setattr__(self, "hidden_dims", check_hidden_dims(self.kind, self.hidden_dims))
         object.__setattr__(self, "seed", check_seed(self.seed))
 
@@ -413,10 +419,10 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelSpec]:
             spec = ModelSpec(
                 kind=meta["kind"],
                 input_dim=meta["input_dim"],
-                hidden_dims=tuple(meta["hidden_dims"]),
+                hidden_dims=meta["hidden_dims"],
                 seed=meta["seed"],
             )
-            n = meta["n_layers"]
+            n = _check_int(meta["n_layers"], "n_layers", 1)
         except KeyError as exc:
             raise fault(f"meta has no {exc}") from None
         except ValueError as exc:

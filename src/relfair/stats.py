@@ -33,10 +33,6 @@ class CorrelationInterval:
                 "need -1 <= lo <= hi <= 1"
             )
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
     def contains(self, value: float, slack: float = 0.0) -> bool:
         return self.lo - slack <= value <= self.hi + slack
 

@@ -430,11 +430,6 @@ class TrainResult:
     test_y: np.ndarray
     test_s: object
 
-    @property
-    def regularized(self):
-        """Names actually regularized (empty for penalty-free variants)."""
-        return () if self.related is None else self.related.features
-
     def test_metrics(self):
         if self.test_s is None:
             raise ValueError("test split carries no sensitive attribute")
@@ -571,11 +566,11 @@ def train_cells(cells, train_raw, eval_raw, test_raw, related_names, model_kind,
     ``top1`` runs the fair loop once per related feature and keeps the run
     with the smallest evaluation ``delta_dp`` (the first on a tie).
 
-    Yields ``(index into cells, TrainResult or the exception the cell
-    raised)`` one cell at a time, group by group.  Only one group's encoding
-    is held at a time, and none once the generator is exhausted.
+    Returns each cell's ``TrainResult`` or the exception it raised, in cell
+    order.  Only one group's encoding is held at a time, and none on return.
     """
     splits = (train_raw, eval_raw, test_raw)
+    outcomes = [None] * len(cells)
     groups = {}
     for index, (variant, _) in enumerate(cells):
         groups.setdefault(variant == "remove_related", []).append(index)
@@ -590,12 +585,12 @@ def train_cells(cells, train_raw, eval_raw, test_raw, related_names, model_kind,
                     encoded = encode_splits(variant, splits, related_names)
                 spec = ModelSpec(kind=model_kind, input_dim=encoded[0].n_columns,
                                  hidden_dims=hidden_dims, seed=seed)
-                outcome = _train_cell(variant, cfg, train_raw.schema, encoded, spec,
-                                      pretrained, related_names)
+                outcomes[index] = _train_cell(variant, cfg, train_raw.schema, encoded, spec,
+                                              pretrained, related_names)
             except Exception as exc:  # a failed cell is an outcome; callers decide
                 # the frames of a traceback would keep an encoding alive
-                outcome = exc.with_traceback(None)
-            yield index, outcome
+                outcomes[index] = exc.with_traceback(None)
+    return outcomes
 
 
 def train_variant(
@@ -613,7 +608,7 @@ def train_variant(
 ):
     """Train one baseline/method variant on pre-split raw data: ``train_cells``
     of one cell; raises what the cell raised."""
-    ((_, outcome),) = train_cells(
+    (outcome,) = train_cells(
         [(variant, cfg)], train_raw, eval_raw, test_raw, related_names, model_kind, seed=seed,
         hidden_dims=hidden_dims, allow_sensitive_in_training=allow_sensitive_in_training,
     )
@@ -630,11 +625,10 @@ def run_single(raw, related_names, cells, model_kind, seed, *, hidden_dims=None,
                allow_sensitive_in_training=False):
     """One seed: split with ``seed``, then ``train_cells`` on the ``(variant, cfg)``
     cells.  Returns each cell's ``TrainResult`` or exception, in cell order."""
-    outcomes = dict(train_cells(
+    return train_cells(
         cells, *split(raw, seed=seed), related_names, model_kind, seed=seed,
         hidden_dims=hidden_dims, allow_sensitive_in_training=allow_sensitive_in_training,
-    ))
-    return [outcomes[index] for index in range(len(cells))]
+    )
 
 
 def run_seeds(raw, related_names, cells, model_kind, seeds, *, hidden_dims=None,

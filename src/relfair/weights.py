@@ -42,9 +42,6 @@ class LambdaSolution:
     v: float
     active_set: tuple[int, ...] = field(default=())
 
-    def objective(self, scores: np.ndarray, beta: float) -> float:
-        return float(scores @ self.lam + beta * self.lam @ self.lam)
-
 
 def solve_lambda(scores, beta: float) -> LambdaSolution:
     """Closed-form minimizer of the simplex-constrained weight subproblem.

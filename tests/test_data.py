@@ -15,6 +15,7 @@ from relfair import data
 from relfair.data import (
     Dataset,
     FeatureSchema,
+    RelatedFeatureSet,
     builtin_config,
     drop_features,
     encode,
@@ -65,6 +66,16 @@ class TestSchema:
         with pytest.raises(ValueError):
             Dataset(columns={"a": np.zeros(0)}, schema=(FeatureSchema("a", "continuous"),))
 
+    @pytest.mark.parametrize("schema, message", [
+        ((FeatureSchema("a", "continuous"), FeatureSchema("a", "categorical", role="label")),
+         "duplicate feature names in schema"),
+        ((*TOY_SCHEMA, FeatureSchema("region", "categorical", role="sensitive")),
+         "schema allows at most one sensitive feature"),
+    ], ids=["duplicate-name", "two-sensitive"])
+    def test_a_bad_schema_is_named(self, schema, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Dataset(columns={f.name: np.zeros(0) for f in schema}, schema=schema)
+
 
 class TestDataset:
     def _columns(self):
@@ -91,6 +102,7 @@ class TestDataset:
             ({"outcome": np.array([1.0, 0.0, 1.0])}, "integer"),
             ({"color": np.array([1, 0, 2])}, "vocabulary"),
             ({"color": np.array([1, -1, 1])}, "vocabulary"),
+            ({"height": np.zeros((3, 1))}, "^column 'height': expected a 1-D array$"),
         ],
     )
     def test_bad_columns_rejected(self, change, match):
@@ -786,6 +798,15 @@ class TestResolveRelated:
             resolve_related(ds.schema, enc, [])
 
 
+@pytest.mark.parametrize("features, column_groups, message", [
+    ((), (), "related feature set must name at least one feature"),
+    (("a", "b"), ((0,),), "features and column_groups must align"),
+], ids=["empty", "misaligned"])
+def test_a_related_feature_set_of_the_wrong_shape_is_named(features, column_groups, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RelatedFeatureSet(features=features, column_groups=column_groups)
+
+
 class TestDropFeatures:
     def test_drops_inputs(self, tmp_path):
         ds = toy_dataset(tmp_path)
@@ -799,6 +820,12 @@ class TestDropFeatures:
         ds = toy_dataset(tmp_path)
         with pytest.raises(ValueError):
             drop_features(ds, ["outcome"])
+
+    def test_an_unknown_feature_is_named(self, tmp_path):
+        ds = toy_dataset(tmp_path)
+        with pytest.raises(ValueError, match=re.escape(
+                "cannot drop unknown feature(s): ['size', 'weight']") + "$"):
+            drop_features(ds, ["weight", "color", "size"])
 
 
 class TestDatasetConfig:

@@ -163,8 +163,8 @@ def test_top1_equals_fairrf_on_its_chosen_feature(kind):
     hidden = (8, 4) if kind == "mlp" else None
     splits = split(RAW, seed=2)
     top1 = train_variant("top1", *splits, RELATED, kind, CFG, hidden_dims=hidden)
-    alone = train_variant("fairrf", *splits, list(top1.regularized), kind, CFG,
+    alone = train_variant("fairrf", *splits, list(top1.related.features), kind, CFG,
                           hidden_dims=hidden)
-    assert top1.variant == "top1" and len(top1.regularized) == 1
+    assert top1.variant == "top1" and len(top1.related.features) == 1
     assert top1.trace.to_jsonl() == alone.trace.to_jsonl()
     assert top1.params.flat.tobytes() == alone.params.flat.tobytes()

@@ -49,6 +49,17 @@ class TestAccuracy:
             accuracy([], [])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: accuracy([0.2, 0.7], [[0.0, 1.0]]), "y must be 1-d"),
+    (lambda: accuracy([0.2, 0.7], [1.0]), "yhat and y must have equal length"),
+    (lambda: delta_dp([0.2, 0.7], [0]), "yhat and s must have equal length"),
+    (lambda: delta_eo([0.2, 0.7], [1.0, 1.0], [0]), "yhat, y and s must have equal length"),
+], ids=["2-d-labels", "accuracy-lengths", "delta_dp-lengths", "delta_eo-lengths"])
+def test_misshapen_arguments_are_named(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestDeltaDP:
     def test_constant_predictions(self):
         s = np.array([0, 0, 1, 1])

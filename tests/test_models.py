@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import pickle
 import re
@@ -14,6 +15,7 @@ from relfair.models import (
     PROB_EPS,
     ModelParams,
     ModelSpec,
+    Workspace,
     forward,
     forward_loss,
     init_params,
@@ -96,10 +98,23 @@ class TestInit:
         assert ModelSpec(kind="mlp", input_dim=3).hidden_dims == (64, 32)
         assert ModelSpec(kind="lr", input_dim=3).hidden_dims == ()
 
-    @pytest.mark.parametrize("hidden_dims", [(), (0,), (-3,), (8, 0)])
+    @pytest.mark.parametrize("hidden_dims", [(), (0,), (-3,), (8, 0), (8, True), (8, 2.5)])
     def test_mlp_widths_are_taken_as_given_or_rejected(self, hidden_dims):
         with pytest.raises(ValueError, match="hidden_dims"):
             ModelSpec(kind="mlp", input_dim=3, hidden_dims=hidden_dims)
+
+    @pytest.mark.parametrize("input_dim", [True, 3.0, "3"], ids=["bool", "float", "str"])
+    def test_input_dim_is_an_integer(self, input_dim):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"input_dim must be an integer, got {input_dim!r}") + "$"):
+            ModelSpec(kind="lr", input_dim=input_dim)
+
+    def test_numpy_integer_widths_are_stored_as_ints(self, tmp_path):
+        spec = ModelSpec(kind="mlp", input_dim=np.int64(5),
+                         hidden_dims=(np.int64(8), np.int64(4)), seed=3)
+        assert [type(d) for d in (spec.input_dim, *spec.hidden_dims)] == [int, int, int]
+        save_checkpoint(tmp_path / "m.npz", init_params(spec), spec)  # JSON takes them
+        assert load_checkpoint(tmp_path / "m.npz")[1] == ALL_SPECS[2]
 
     @pytest.mark.parametrize("seed", [True, -1, 1.5], ids=["bool", "negative", "float"])
     def test_seed_is_a_non_negative_integer(self, seed):
@@ -305,6 +320,11 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(init_params(spec), spec, np.zeros((3, 5)))
 
+    def test_labels_of_the_wrong_shape_are_named(self):
+        spec = ModelSpec(kind="lr", input_dim=2, seed=0)
+        with pytest.raises(ValueError, match=r"^y must be \(3,\), got \(2,\)$"):
+            forward_loss(init_params(spec), spec, np.zeros((3, 2)), np.zeros(2))
+
 
 class TestLossAndGrad:
     def test_perfect_prediction_near_zero_loss(self):
@@ -347,6 +367,13 @@ class TestLossAndGrad:
         assert np.array_equal(seen[0], forward(params, spec, X))
         with pytest.raises(ValueError, match="one entry per row"):
             loss_and_grad(params, spec, X, y, extra_grad_on_yhat=lambda yhat: np.zeros(6))
+
+    def test_a_workspace_too_small_for_the_batch_is_named(self):
+        spec = ModelSpec(kind="lr", input_dim=2, seed=0)
+        params = init_params(spec)
+        with pytest.raises(ValueError, match="^a workspace of 2 rows cannot hold 3 rows$"):
+            loss_and_grad(params, spec, np.zeros((3, 2)), np.zeros(3),
+                          workspace=Workspace(params, 2))
 
     @pytest.mark.parametrize("kind", ["lr", "svm", "mlp"])
     @pytest.mark.parametrize("with_extra", [False, True])
@@ -476,6 +503,13 @@ class TestInPlaceBackward:
             assert np.any(X @ params.weights[0] + params.biases[0] < 0.0)
 
 
+def _npy_bytes():
+    """A one-array .npy file, which ``np.load`` reads as an array, not an archive."""
+    buf = io.BytesIO()
+    np.save(buf, np.zeros(3))
+    return buf.getvalue()
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         for spec in ALL_SPECS:
@@ -547,6 +581,21 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(f"checkpoint {path}: {fault}")):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field, value, fault", [
+        ("input_dim", "5", "input_dim must be an integer, got '5'"),
+        ("input_dim", 5.0, "input_dim must be an integer, got 5.0"),
+        ("n_layers", "3", "n_layers must be an integer, got '3'"),
+        ("hidden_dims", 5, "hidden_dims must be a list of widths, got 5"),
+    ], ids=["input_dim-str", "input_dim-float", "n_layers-str", "hidden_dims-int"])
+    def test_a_meta_field_of_the_wrong_type_is_named(self, tmp_path, field, value, fault):
+        def retyped(arrays):
+            meta = json.loads(bytes(arrays["meta"]).decode())
+            arrays["meta"] = np.frombuffer(json.dumps({**meta, field: value}).encode(), np.uint8)
+
+        path = self._rewritten(tmp_path / "m.npz", retyped)
+        with pytest.raises(ValueError, match="^" + re.escape(f"checkpoint {path}: {fault}") + "$"):
+            load_checkpoint(path)
+
     def test_a_shape_the_spec_does_not_give_is_named(self, tmp_path):
         def narrower(arrays):
             arrays["w1"] = arrays["w1"][:, :3]
@@ -556,7 +605,8 @@ class TestCheckpoint:
                 f"checkpoint {path}: w1 has shape (8, 3), the spec gives (8, 4)")):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("content", [b"not a checkpoint\n", b""], ids=["text", "empty"])
+    @pytest.mark.parametrize("content", [b"not a checkpoint\n", b"", _npy_bytes()],
+                             ids=["text", "empty", "npy"])
     def test_a_file_that_is_not_an_archive_is_named(self, tmp_path, content):
         path = tmp_path / "m.npz"
         path.write_bytes(content)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from _correlation_oracle import correlation_score
@@ -112,6 +114,14 @@ class TestRelatedPenalty:
         related = make_related([(0,), (1,)])
         with pytest.raises(ValueError):
             related_penalty(X, related, [0.5, 0.5], np.zeros(5))
+
+    @pytest.mark.parametrize("X, lam, message", [
+        (np.zeros(4), [0.5, 0.5], "expected a 2-d feature matrix, got shape (4,)"),
+        (np.zeros((4, 2)), [1.0], "lambda has shape (1,), expected (2,)"),
+    ], ids=["1-d-features", "lambda-length"])
+    def test_misshapen_arguments_are_named(self, X, lam, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            related_penalty(X, make_related([(0,), (1,)]), lam, np.zeros(4))
 
 
 class TestPenaltyGrad:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,10 @@ class TestPearson:
             pearson([1, 2], [1, 2, 3])
         with pytest.raises(ValueError):
             pearson([1], [2])
+
+    def test_a_matrix_is_named(self):
+        with pytest.raises(ValueError, match=r"^x must be 1-D, got shape \(2, 2\)$"):
+            pearson([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0])
 
 
 class TestCorrelationScore:
@@ -171,6 +176,16 @@ class TestFairnessBound:
     def test_empty_alphas_rejected(self):
         with pytest.raises(ValueError):
             fairness_bound([], 0.1)
+
+    @pytest.mark.parametrize("alphas, delta, message", [
+        ([0.2, 2.0], 0.1, "all alphas must lie in [0, pi/2]"),
+        ([-0.1], 0.1, "all alphas must lie in [0, pi/2]"),
+        ([0.2], -0.1, "delta must lie in [0, pi/2]"),
+        ([0.2], 2.0, "delta must lie in [0, pi/2]"),
+    ], ids=["alpha-above", "alpha-below", "delta-below", "delta-above"])
+    def test_an_angle_out_of_range_is_named(self, alphas, delta, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            fairness_bound(alphas, delta)
 
 
 class TestCorrelationInterval:

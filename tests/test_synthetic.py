@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relfair.data import encode, load_csv, split
+from relfair.data import Dataset, FeatureSchema, encode, load_csv, split
 from relfair.stats import pearson
 from relfair.synthetic import (
     SyntheticSpec,
@@ -80,6 +80,25 @@ class TestCsvRoundTrip:
         assert back.columns["outcome"].tolist() == ds.columns["outcome"].tolist()
         assert back.columns["group"].tolist() == ds.columns["group"].tolist()
         assert np.allclose(back.columns["proxy_a"], ds.columns["proxy_a"])
+
+    def test_a_categorical_input_round_trips(self, tmp_path):
+        toy = (
+            FeatureSchema("color", "categorical"),
+            FeatureSchema("height", "continuous"),
+            FeatureSchema("outcome", "categorical", role="label"),
+            FeatureSchema("group", "categorical", role="sensitive"),
+        )
+        ds = Dataset(
+            columns={"color": np.array([1, 0, 2, 1]), "height": [1.5, 2.0, 2.5, 3.0],
+                     "outcome": np.array([1, 0, 1, 0]), "group": np.array([0, 1, 0, 1])},
+            schema=toy, vocab={"color": ("blue", "green", "red")},
+        )
+        path = tmp_path / "toy.csv"
+        write_csv(ds, path)
+        assert path.read_text().splitlines()[:2] == ["color,height,outcome,group",
+                                                     "green,1.5,1,0"]
+        back = load_csv(path, toy, label_positive="1", sensitive_positive="1")
+        assert list(back.rows) == list(ds.rows)
 
     def test_pipeline_compatibility(self):
         ds = generate(SyntheticSpec(n=300, seed=8))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from relfair import training
-from relfair.data import Dataset, EncodedDataset, RelatedFeatureSet, TrainView, split
+from relfair.data import Dataset, EncodedDataset, RelatedFeatureSet, TrainView, encode, split
 from relfair.metrics import MetricUndefinedError, delta_dp, delta_eo
 from relfair.models import ModelParams, ModelSpec, init_params, loss_and_grad
 from relfair.objective import penalty_grad_yhat
@@ -446,6 +446,19 @@ class TestTrainFairrf:
                 BASE_CFG,
             )
 
+    @pytest.mark.parametrize("override", [
+        {"reg_train": np.zeros(3)}, {"reg_eval": np.zeros((2, 1))},
+    ], ids=["1-d", "misaligned"])
+    def test_regularized_matrices_must_align_with_the_splits(self, override):
+        tr, ev, te = splits()
+        enc_train, enc_eval, _ = encode(tr, [ev, te])
+        spec = ModelSpec(kind="lr", input_dim=enc_train.n_columns, seed=0)
+        with pytest.raises(ValueError, match="^regularized-column matrices must be 2-d "
+                                             "and align with the splits$"):
+            train_fairrf(spec, init_params(spec), enc_train.train_view(),
+                         enc_eval.train_view(), None, dataclasses.replace(BASE_CFG, eta=0.0),
+                         **override)
+
 
 class TestDivergence:
     """A diverging run stops with ``TrainingDivergedError`` naming its epoch.
@@ -543,14 +556,14 @@ class TestVariants:
         tr, ev, te = splits()
         res = train_variant("random_related", tr, ev, te, RELATED, "lr", BASE_CFG)
         inputs = {f.name for f in RAW.schema if f.role == "input"}
-        assert len(res.regularized) == len(RELATED)
-        assert set(res.regularized) <= inputs
+        assert len(res.related.features) == len(RELATED)
+        assert set(res.related.features) <= inputs
 
     def test_noisy_replaces_exactly_one(self):
         tr, ev, te = splits()
         res = train_variant("noisy", tr, ev, te, RELATED, "lr", BASE_CFG)
-        assert len(res.regularized) == len(RELATED)
-        overlap = set(res.regularized) & set(RELATED)
+        assert len(res.related.features) == len(RELATED)
+        overlap = set(res.related.features) & set(RELATED)
         assert len(overlap) == len(RELATED) - 1
 
     def test_noisy_needs_a_non_related_input(self):
@@ -574,15 +587,15 @@ class TestVariants:
         tr, ev, te = splits()
         res = train_variant("constrain_all", tr, ev, te, RELATED, "lr", BASE_CFG)
         inputs = [f.name for f in RAW.schema if f.role == "input"]
-        assert sorted(res.regularized) == sorted(inputs)
+        assert sorted(res.related.features) == sorted(inputs)
 
     def test_top1_selects_single_feature(self):
         cfg = dataclasses.replace(BASE_CFG, max_epochs=6, pretrain_epochs=2)
         tr, ev, te = splits()
         res = train_variant("top1", tr, ev, te, RELATED, "lr", cfg)
         assert res.variant == "top1"
-        assert len(res.regularized) == 1
-        assert res.regularized[0] in RELATED
+        assert len(res.related.features) == 1
+        assert res.related.features[0] in RELATED
 
     def test_unknown_variant(self):
         tr, ev, te = splits()
@@ -610,11 +623,8 @@ class TestRunSeed:
     ]
 
     def test_each_cell_equals_its_one_cell_run(self):
-        outcomes = list(train_cells(self.CELLS, *splits(seed=1), RELATED, "lr", seed=1))
-        # group by group: every variant but remove_related shares an encoding
-        assert [index for index, _ in outcomes] == [0, 1, 3, 4, 5, 2]
-        for index, result in outcomes:
-            variant, cfg = self.CELLS[index]
+        outcomes = train_cells(self.CELLS, *splits(seed=1), RELATED, "lr", seed=1)
+        for (variant, cfg), result in zip(self.CELLS, outcomes, strict=True):
             if isinstance(result, Exception):
                 with pytest.raises(type(result)) as alone:
                     run_seeds(RAW, RELATED, [(variant, cfg)], "lr", [1])
@@ -623,7 +633,7 @@ class TestRunSeed:
             (alone,) = run_single(RAW, RELATED, [(variant, cfg)], "lr", 1)
             assert result.trace.to_jsonl() == alone.trace.to_jsonl()
             assert result.params.flat.tobytes() == alone.params.flat.tobytes()
-        assert sum(isinstance(r, Exception) for _, r in outcomes) == 2
+        assert sum(isinstance(r, Exception) for r in outcomes) == 2
 
     def test_run_single_returns_each_outcome_in_cell_order(self):
         outcomes = run_single(RAW, RELATED, self.CELLS, "lr", 1)
@@ -647,12 +657,9 @@ class TestRunSeed:
             return encoded
 
         monkeypatch.setattr(training, "encode", checked_encode)
-        outcomes = [
-            result if isinstance(result, Exception) else None
-            for _, result in train_cells(self.CELLS, *splits(seed=1), RELATED, "lr", seed=1)
-        ]
+        outcomes = train_cells(self.CELLS, *splits(seed=1), RELATED, "lr", seed=1)
         assert alive == [0, 0]
-        assert sum(o is not None for o in outcomes) == 2
+        assert sum(isinstance(o, Exception) for o in outcomes) == 2
 
     def test_results_hold_no_encoding(self, monkeypatch):
         # once the cells are trained, every encoded split and its matrix is
@@ -667,11 +674,11 @@ class TestRunSeed:
 
         monkeypatch.setattr(training, "encode", recording_encode)
         cells = [*self.CELLS, ("top1", self.CFG)]
-        outcomes = list(train_cells(cells, *splits(seed=1), RELATED, "lr", seed=1))
+        outcomes = train_cells(cells, *splits(seed=1), RELATED, "lr", seed=1)
         gc.collect()
         assert len(made) == 2 * 3 * 2  # two encodings of three splits
         assert [ref() for ref in made] == [None] * len(made)
-        assert sum(isinstance(r, training.TrainResult) for _, r in outcomes) == 5
+        assert sum(isinstance(r, training.TrainResult) for r in outcomes) == 5
 
 
 class TestRunSeeds:

@@ -91,7 +91,7 @@ class TestSolveLambda:
             sol = solve_lambda(scores, beta)
             ref = qp_oracle(scores, beta, method="enumerate")
             obj_ref = float(scores @ ref + beta * ref @ ref)
-            assert sol.objective(np.asarray(scores), beta) <= obj_ref + 1e-8
+            assert float(scores @ sol.lam + beta * sol.lam @ sol.lam) <= obj_ref + 1e-8
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(10)
