@@ -49,23 +49,24 @@ def main():
               file=sys.stderr)
         return 1
 
-    cfg_path = os.path.join(tempfile.mkdtemp(prefix="census-demo-"), "exp.yaml")
-    with open(cfg_path, "w", encoding="utf-8") as fh:
-        fh.write(EXPERIMENT.format(model=args.model, out=args.output_dir))
+    with tempfile.TemporaryDirectory(prefix="census-demo-") as tmp:
+        cfg_path = os.path.join(tmp, "exp.yaml")
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            fh.write(EXPERIMENT.format(model=args.model, out=args.output_dir))
 
-    common = ["-c", cfg_path, "--data-dir", args.data_dir,
-              "--workers", str(args.workers)]
-    print(f"== train ({args.model}, eta=0.3, beta=0.5) ==")
-    rc = cli_main(["train", *common])
-    if rc != 0:
-        return rc
-    print()
-    print(f"== compare ({args.variants}) ==")
-    rc = cli_main([
-        "compare", *common,
-        "--output-dir", os.path.join(args.output_dir, "comparison"),
-        "--variants", args.variants,
-    ])
+        common = ["-c", cfg_path, "--data-dir", args.data_dir,
+                  "--workers", str(args.workers)]
+        print(f"== train ({args.model}, eta=0.3, beta=0.5) ==")
+        rc = cli_main(["train", *common])
+        if rc != 0:
+            return rc
+        print()
+        print(f"== compare ({args.variants}) ==")
+        rc = cli_main([
+            "compare", *common,
+            "--output-dir", os.path.join(args.output_dir, "comparison"),
+            "--variants", args.variants,
+        ])
     print()
     print(f"artifacts under {args.output_dir}/ -- see manifest.json in each "
           f"directory for the full list, report.txt for the human-readable "

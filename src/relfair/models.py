@@ -11,42 +11,72 @@ injects its pull without the model code knowing about fairness at all.
 
 Layout: a ``ModelParams`` packs its weights and biases, in ``arrays()``
 order, into one C-contiguous float64 vector ``flat`` when it is built, and
-keeps each array as a view into it.  Gradients come back in the same layout,
-so the optimizer updates every parameter with one vector expression.
+keeps each array as a view into it.  Each bias follows its weights, so layer
+i is also the one ``(fan_in + 1, fan_out)`` view ``stacked[i]``, the weights
+with the bias as their last row.  Gradients come back in the same layout, so
+the optimizer updates every parameter with one vector expression.
+
+Bias fold: where an MLP folds (``_folds``), X and each hidden layer's
+output live in buffers with a trailing column of ones, so a hidden layer is
+one product ``[h, 1] @ stacked[i]`` in place of a product and a broadcast
+add, and a step's backward gets the weight and bias gradients from one
+``[h, 1].T @ delta`` in place of a product and a column sum.  The bits stay
+those of the separate add and sum only where BLAS sums each dot product in
+one pass, in order, with the bias (or the ones) last.  That is a property
+of the BLAS kernel, so the fold is kept to the shapes where it was checked
+bit for bit: OpenBLAS 0.3.31 on an AVX-512 Xeon, at 1, 2 and 4 threads,
+kept every bit when a folded layer's width was a multiple of 8 and its dot
+products had at most ``FOLD_MAX_TERMS`` (256) terms.  At other widths the
+kernel's edge tiles round otherwise, and it splits a dot product of more
+than 384 terms into partial sums, the bias in the last.  So an MLP folds
+only if each hidden layer has 2 to 255 inputs and a width that is a
+multiple of 8, and ``loss_and_grad`` folds only over 2 to 256 rows, since a
+bias gradient is a dot product over the rows.  A one-row input never folds,
+nor does the one-wide output layer, LR or the SVM: numpy hands those
+products to gemv.  The tests check folding and unfolding shapes bit for
+bit (``TestInPlaceBackward``, ``TestRowBlocks``), and CI runs them at one
+BLAS thread and at the runner's count; a BLAS that sums otherwise fails
+them, and ``_folds`` must then shrink.  The fold took
+a 128-row step of the (64, 32) MLP on 5 inputs from about 137 to 120 us,
+and its 10000-row ``forward_loss`` from 2.5 to 2.0 ms (one BLAS thread,
+2-core Xeon).  On 102 inputs the copy of X beside the ones costs a
+whole-split forward more than the adds it saves: 5.9 to 6.5 ms.
 
 Row blocks: ``raw_scores``, and through it ``forward`` and ``forward_loss``,
 run the layers over a whole split in blocks of ``FORWARD_BLOCK_ROWS`` rows.
 The hidden activations of a whole split (10000 x 64 float64 is 5 MB) fall
-out of cache, and a block's stay in it.  Each call allocates one buffer per
-layer, as tall as the tallest block, and every block computes in place in
-its leading rows: the product, then the bias and the ReLU on the same array,
-the same ufuncs in the same order as ``np.maximum(h @ w + b, 0.0)``, so
-every bit stays.  Fresh arrays cost more than the arithmetic: three per
-hidden layer and block, 512 KB each when 64 wide, each mapped in and out
-again by the allocator, so a 10000-row (64, 32) MLP forward took about 1,370
-minor page faults, against about 160 with one buffer set.  The buffers live
-in the call's frame; nothing is kept between calls.  Rows are independent,
-so only the raw scores are blocked, and the sigmoid, the clip and the summed
-loss still run on the whole vector; no sum changes order.
+out of cache, and a block's stay in it.  Each call allocates the buffers of
+``_layer_buffers`` once, as tall as the tallest block, and every block
+computes in place in their leading rows: each layer's product (folded or
+followed by the bias add) and its ReLU on the same array.  Fresh
+arrays cost more than the arithmetic: three per hidden layer and block,
+512 KB each when 64 wide, each mapped in and out again by the allocator, so
+a 10000-row (64, 32) MLP forward took about 1,370 minor page faults, against
+about 160 with one buffer set.  The buffers live in the call's frame;
+nothing is kept between calls.  Rows are independent, so only the raw
+scores are blocked, and the sigmoid, the clip and the summed loss still run
+on the whole vector; no sum changes order.
 
-Mini-batches: ``loss_and_grad`` forwards its batch in one go, with the same
-in-place bias and ReLU, and keeps the activations for the backward pass.  It
-computes in a ``Workspace``: a buffer for each layer's output and for each
-hidden layer's backward ``delta``, and one gradient ``ModelParams``; a batch
-of m rows uses their leading m rows.  Each ReLU mask (0.0 or 1.0) overwrites
-its activation once that is spent.  A call without a workspace makes its
-own.  A training pass makes one and hands it to every step, so a step
-allocates no array as large as a layer; the returned gradient is then the
-workspace's, and the next call overwrites it.  The one-wide output layer's
-``delta @ W.T`` is an ``np.multiply``: the same products, without a gemm
-call.
+Mini-batches: ``loss_and_grad`` forwards its batch in one go, in the same
+buffers, and keeps the activations for the backward pass.  It computes in a
+``Workspace``: the forward's buffers, one per hidden layer for the backward
+``delta``, and one gradient ``ModelParams``; a batch of m rows uses their
+leading m rows.  Each ReLU mask (0.0 or 1.0) overwrites its activation once
+that is spent.  A ``delta`` buffer is as wide as the activation buffer, so
+the mask multiplies whole contiguous rows; where the MLP folds, its column
+beside the ones stays zero and is never read.  numpy runs an elementwise
+ufunc over a strided view row by row, which took 11 us for a 128 x 64 ReLU
+against 3 us whole.  A call without a workspace makes its own.  A training
+pass makes one and hands it to every step, so a step allocates no array as
+large as a layer; the returned gradient is then the workspace's, and the
+next call overwrites it.  The one-wide output layer's ``delta @ W.T`` is an
+``np.multiply``: the same products, without a gemm call.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import math
 import numbers
 import zipfile
 from dataclasses import dataclass, field
@@ -117,26 +147,32 @@ class ModelParams:
     """Per-layer weights and biases; the last layer maps to a single output.
 
     Construction copies the given arrays into one new vector ``flat`` and
-    replaces them with views into it, in ``arrays()`` order.
+    replaces them with views into it, in ``arrays()`` order.  ``stacked[i]``
+    is layer i's ``(fan_in + 1, fan_out)`` view ``[weights[i]; biases[i]]``.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     flat: np.ndarray = field(init=False, repr=False, compare=False)
+    stacked: list[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arrays = self.arrays()
-        self.flat = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
-        self._view_layers([a.shape for a in arrays])
+        for w, b in zip(self.weights, self.biases):
+            if np.ndim(w) != 2 or np.shape(b) != np.shape(w)[1:]:
+                raise ValueError(f"a layer needs weights (fan_in, fan_out) and biases "
+                                 f"(fan_out,), got {np.shape(w)} and {np.shape(b)}")
+        self.flat = np.concatenate([np.ravel(a) for a in self.arrays()], dtype=float)
+        self._view_layers([np.shape(w) for w in self.weights])
 
     def _view_layers(self, shapes):
-        """Point ``weights`` and ``biases`` at consecutive pieces of ``flat``."""
-        views, start = [], 0
-        for shape in shapes:
-            size = math.prod(shape)
-            views.append(self.flat[start : start + size].reshape(shape))
+        """Point ``stacked``, ``weights`` and ``biases`` at consecutive pieces of ``flat``."""
+        self.stacked, start = [], 0
+        for fan_in, fan_out in shapes:
+            size = (fan_in + 1) * fan_out
+            self.stacked.append(self.flat[start : start + size].reshape(fan_in + 1, fan_out))
             start += size
-        self.weights, self.biases = views[0::2], views[1::2]
+        self.weights = [wb[:-1] for wb in self.stacked]
+        self.biases = [wb[-1] for wb in self.stacked]
 
     def __reduce__(self):  # pickle and deepcopy rebuild the layout too
         return ModelParams, (self.weights, self.biases)
@@ -148,7 +184,7 @@ class ModelParams:
         """Uninitialized parameters of the same layout, made without a copy."""
         out = object.__new__(ModelParams)
         out.flat = np.empty_like(self.flat)
-        out._view_layers([a.shape for a in self.arrays()])
+        out._view_layers([w.shape for w in self.weights])
         return out
 
     def arrays(self) -> list[np.ndarray]:
@@ -191,25 +227,68 @@ def _check_input(spec: ModelSpec, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _layer_buffers(params: ModelParams, rows: int) -> list[np.ndarray]:
-    """One uninitialized (rows, width of layer i) array per layer."""
-    return [np.empty((rows, w.shape[1])) for w in params.weights]
+FOLD_MAX_TERMS = 256  # the longest dot product a bias fold may make
 
 
-def _forward_cache(params: ModelParams, X: np.ndarray, out):
+def _folds(params: ModelParams) -> bool:
+    """Whether an MLP's hidden layers fold their biases into their products.
+
+    Only where the fold keeps every bit (see the module docstring): each
+    hidden layer has 2 to ``FOLD_MAX_TERMS - 1`` inputs and a width that is
+    a multiple of 8.
+    """
+    hidden = [w.shape for w in params.weights[:-1]]
+    return bool(hidden) and all(
+        1 < fan_in < FOLD_MAX_TERMS and fan_out % 8 == 0 for fan_in, fan_out in hidden
+    )
+
+
+def _layer_buffers(params: ModelParams, rows: int, fold: bool):
+    """``(x, hidden, out)``, the arrays a forward over up to ``rows`` rows computes in.
+
+    ``hidden`` has one array per hidden layer for its output, and ``out`` is
+    (rows, 1) for the raw scores.  With ``fold``, ``x`` is an array for X,
+    and X and each hidden layer's output sit beside a column of ones;
+    without, ``x`` is None.
+    """
+    ones = 1 if fold else 0
+    hidden = [np.empty((rows, w.shape[1] + ones)) for w in params.weights[:-1]]
+    x = None
+    if fold:
+        x = np.empty((rows, params.weights[0].shape[0] + 1))
+        for buf in [x, *hidden]:
+            buf[:, -1] = 1.0
+    return x, hidden, np.empty((rows, 1))
+
+
+def _forward_cache(params: ModelParams, X: np.ndarray, bufs, fold: bool):
     """Returns (raw output scores, list of post-activation layer inputs).
 
-    Layer i computes in place in ``out[i]``, a (rows of X, width of layer i)
-    array.
+    The forward runs in the leading rows of ``bufs``, the ``_layer_buffers``
+    of at least as many rows as X.  With ``fold`` each hidden layer folds
+    its bias (see the module docstring), and its ReLU runs over its ones
+    too, which stay ones.
     """
+    n = X.shape[0]
+    x, hidden, out = bufs
     acts = [X]
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = np.matmul(acts[-1], w, out=out[i])
-        np.add(z, b, out=z)
-        if i < last:
-            np.maximum(z, 0.0, out=z)
-            acts.append(z)
+    if fold:
+        a = x[:n]  # the layer's input beside its ones
+        np.copyto(a[:, :-1], X)
+    for i, (w, h) in enumerate(zip(params.weights, hidden)):
+        h = h[:n]
+        z = h[:, : w.shape[1]]
+        if fold:
+            np.matmul(a, params.stacked[i], out=z)
+        else:
+            np.matmul(acts[-1], w, out=z)
+            np.add(z, params.biases[i], out=z)
+        np.maximum(h, 0.0, out=h)
+        acts.append(z)
+        a = h
+    z = out[:n]
+    np.matmul(acts[-1], params.weights[-1], out=z)
+    np.add(z, params.biases[-1], out=z)
     return z[:, 0], acts
 
 
@@ -223,12 +302,11 @@ def _blocked_raw(params: ModelParams, X: np.ndarray) -> np.ndarray:
     """
     n = X.shape[0]
     raw = np.empty(n)
-    rows = min(n, FORWARD_BLOCK_ROWS + 1)
-    bufs = _layer_buffers(params, rows)
+    fold = _folds(params) and n > 1
+    bufs = _layer_buffers(params, min(n, FORWARD_BLOCK_ROWS + 1), fold)
     edges = [0, *range(FORWARD_BLOCK_ROWS, n - 1, FORWARD_BLOCK_ROWS), n]
     for start, stop in zip(edges, edges[1:]):
-        block = [buf[: stop - start] for buf in bufs]
-        raw[start:stop], _ = _forward_cache(params, X[start:stop], block)
+        raw[start:stop], _ = _forward_cache(params, X[start:stop], bufs, fold)
     return raw
 
 
@@ -278,15 +356,17 @@ def forward_loss(params: ModelParams, spec: ModelSpec, X, y) -> tuple[np.ndarray
 class Workspace:
     """The buffers of ``loss_and_grad`` for batches of up to ``rows`` rows.
 
-    One per layer for its output, one per hidden layer for the backward
-    ``delta``, and one gradient of the layout of ``params``.  A batch of m
-    rows uses the leading m rows of each.
+    The forward's ``_layer_buffers``, one per hidden layer for the backward
+    ``delta`` (as wide as that layer's buffer), and one gradient of the
+    layout of ``params``.  A batch of m rows uses the leading m rows of
+    each.
     """
 
     def __init__(self, params: ModelParams, rows: int):
         self.rows = rows
-        self.layers = _layer_buffers(params, rows)
-        self.deltas = [np.empty((rows, w.shape[0])) for w in params.weights[1:]]
+        self.folds = _folds(params)
+        self.layers = _layer_buffers(params, rows, self.folds)
+        self.deltas = [np.zeros(h.shape) for h in self.layers[1]]
         self.grads = params.empty_like()
 
 
@@ -323,7 +403,9 @@ def loss_and_grad(
     elif n > workspace.rows:
         raise ValueError(f"a workspace of {workspace.rows} rows cannot hold {n} rows")
 
-    raw, acts = _forward_cache(params, X, [buf[:n] for buf in workspace.layers])
+    # the bias row of a folded gradient is a dot product over the n rows
+    fold = workspace.folds and 1 < n <= FOLD_MAX_TERMS
+    raw, acts = _forward_cache(params, X, workspace.layers, fold)
     yhat = sigmoid(raw)
     extra = None
     if extra_grad_on_yhat is not None:
@@ -346,18 +428,26 @@ def loss_and_grad(
 
     grads = workspace.grads  # each layer's gradient goes straight into its view
     delta = d_raw[:, None]
-    for i in range(len(params.weights) - 1, -1, -1):
-        np.matmul(acts[i].T, delta, out=grads.weights[i])
-        delta.sum(axis=0, out=grads.biases[i])
+    x, hidden, _ = workspace.layers
+    ins = [x, *hidden]  # each layer's input buffer, beside its ones where the MLP folds
+    last = len(params.weights) - 1
+    for i in range(last, -1, -1):
+        if fold and i < last:  # [acts, 1].T @ delta: the weight and bias rows at once
+            np.matmul(ins[i][:n].T, delta, out=grads.stacked[i])
+        else:
+            np.matmul(acts[i].T, delta, out=grads.weights[i])
+            delta.sum(axis=0, out=grads.biases[i])
         if i > 0:
-            w, back = params.weights[i], workspace.deltas[i - 1][:n]
+            w, h, back = params.weights[i], ins[i][:n], workspace.deltas[i - 1][:n]
+            d = back[:, : w.shape[0]]  # back's column beside the ones stays zero
             if w.shape[1] == 1:  # delta @ w.T over one column: one product each
-                np.multiply(delta, w.T, out=back)
+                np.multiply(delta, w.T, out=d)
             else:
-                np.matmul(delta, w.T, out=back)
+                np.matmul(delta, w.T, out=d)
             # the ReLU mask, written over its activation, which is spent now
-            mask = np.greater(acts[i], 0.0, out=acts[i], casting="unsafe")
-            delta = np.multiply(back, mask, out=back)
+            mask = np.greater(h, 0.0, out=h, casting="unsafe")
+            np.multiply(back, mask, out=back)
+            delta = d
     return loss, grads
 
 

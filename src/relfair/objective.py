@@ -4,15 +4,17 @@ Total loss is ``L_cls + eta * sum_j lambda_j R_j + beta * ||lambda||^2`` where
 R_j is the correlation score of related feature j against the predictions.  A
 categorical related feature spans several encoded columns; its columns share
 one lambda_j and their scores add.  The penalty and its gradient gather the
-related columns of X once, as one block, score every column against the
-centered predictions in one einsum and add the scores per feature with
+related columns of X once per call, as one block, score every column against
+the centered predictions in one einsum and add the scores per feature with
 ``np.bincount``.  No sum over rows goes through BLAS, so neither depends on
 the BLAS thread count.
 
 The public functions check their arguments on every call.  The training
-loop's theta-phase calls ``_penalty_grad``, the same gradient without the
-checks: it checks its matrices once per run, and lambda where it is set
-(``weights.solve_lambda`` and the fair loop's refresh), not on every step.
+loop's theta-phase calls ``_block_grad``, the same gradient without the
+checks, on the related block of each batch and with lambda mapped to the
+block's columns once per pass: the loop checks its matrices once per run,
+and lambda where it is set (``weights.solve_lambda`` and the fair loop's
+refresh), not on every step.
 
 The penalty is piecewise linear in the predictions, so its gradient is exact
 between kinks; at a kink (zero covariance) we take subgradient 0.
@@ -42,10 +44,10 @@ def _checked(X, related, lam, yhat):
     return X, lam, yhat
 
 
-def _scores(X, related, yhat):
-    """The related block of ``X`` and each column's signed score against ``yhat``."""
-    block = X[:, related.columns]
-    return block, np.einsum("ij,i->j", block, yhat - yhat.mean())
+def _scores(block, yhat):
+    """Each column's signed score against ``yhat``: the mean is taken as
+    ``np.mean`` takes it, a sum over the rows divided by their count."""
+    return np.einsum("ij,i->j", block, yhat - np.add.reduce(yhat) / len(yhat))
 
 
 def related_penalty(X, related, lam, yhat):
@@ -56,7 +58,7 @@ def related_penalty(X, related, lam, yhat):
     ``total = sum_j lam[j] * per_feature[j]``.
     """
     X, lam, yhat = _checked(X, related, lam, yhat)
-    _, scores = _scores(X, related, yhat)
+    scores = _scores(X[:, related.columns], yhat)
     per_feature = np.bincount(related.owner, np.abs(scores), minlength=related.k)
     return float(lam @ per_feature), per_feature
 
@@ -64,15 +66,18 @@ def related_penalty(X, related, lam, yhat):
 def penalty_grad_yhat(X, related, lam, yhat):
     """Gradient of the weighted penalty with respect to the predictions."""
     X, lam, yhat = _checked(X, related, lam, yhat)
-    return _penalty_grad(X, related, lam, yhat)
+    return _block_grad(X[:, related.columns], lam[related.owner], yhat)
 
 
-def _penalty_grad(X, related, lam, yhat):
-    """``penalty_grad_yhat`` of arguments its caller has already checked."""
-    block, scores = _scores(X, related, yhat)
-    w = lam[related.owner] * np.sign(scores)
+def _block_grad(block, col_lam, yhat):
+    """The penalty gradient from the related block and each column's lambda.
+
+    ``block`` is F-ordered, as ``X[:, related.columns]`` makes it: its sums
+    over rows round in that memory order.
+    """
+    w = col_lam * np.sign(_scores(block, yhat))
     # d/dyhat of sum_c w_c x_c . (yhat - mean yhat) is sum_c w_c (x_c - mean x_c)
-    return np.einsum("ij,j->i", block, w) - block.mean(axis=0) @ w
+    return np.einsum("ij,j->i", block, w) - (np.add.reduce(block, axis=0) / len(yhat)) @ w
 
 
 def total_objective(cls_loss, penalty_total, lam, cfg):

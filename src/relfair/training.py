@@ -23,12 +23,18 @@ Each pass makes its buffers once, in its own frame: the batch's features and
 labels, gathered with ``take`` into the leading rows of two arrays, and a
 ``models.Workspace`` for the forward, the backward and the gradient.  The
 gradient ``loss_and_grad`` returns is a view of that workspace, so the step
-consumes it before the next batch overwrites it.  A step makes the same
-ufunc calls in the same order as one with fresh arrays, so every bit stays.
+consumes it before the next batch overwrites it.  A step rounds every value
+as one with fresh arrays does, so every bit stays.
+
 The penalized pass calls the penalty gradient without its argument checks:
 ``train_fairrf`` checks the regularized matrices once, and lambda where it is
 set, by ``solve_lambda`` and again right after each refresh, before any step
-uses it.
+uses it.  A pass maps lambda to the related columns once, and each step
+gathers its batch's related columns from the batch it has just gathered,
+which is still in cache.  Taking them instead from a block of the related
+columns gathered once per run was slower on adult-shaped data: there the
+block (14 of 102 columns over 27k rows) is 3 MB, and a batch's scattered
+reads of it missed cache.
 
 Bookkeeping forwards each split once per epoch with ``forward_loss`` (no
 backward pass): the training-split predictions serve both the lambda refresh
@@ -78,7 +84,7 @@ from relfair.models import (
     init_params,
     loss_and_grad,
 )
-from relfair.objective import _penalty_grad, related_penalty, total_objective
+from relfair.objective import _block_grad, related_penalty, total_objective
 from relfair.weights import on_simplex, solve_lambda
 
 VARIANTS = (
@@ -223,15 +229,18 @@ def _adam_pass(spec, params, opt, train, cfg, rng, where, penalty=None):
     ``cfg.eta`` times the penalty gradient on the batch's rows of ``reg``
     (None: of the batch's model inputs), which the caller has checked.  The
     batch, the step's layers and its gradient live in buffers made once, at
-    the start of the pass.  The loss is checked at every step and the
-    parameters once, after the last step; ``where`` names the epoch in
-    either error.
+    the start of the pass, and lambda is mapped to the related columns once.
+    The loss is checked at every step and the parameters once, after the last
+    step; ``where`` names the epoch in either error.
     """
     order = rng.permutation(train.n)
     rows = min(cfg.batch_size, train.n)
     X_buf = np.empty((rows, train.X.shape[1]), dtype=train.X.dtype)
     y_buf = np.empty(rows, dtype=train.y.dtype)
     workspace = Workspace(params, rows)
+    if penalty is not None:
+        reg, related, lam = penalty
+        col_lam = lam[related.owner]
     for start in range(0, train.n, cfg.batch_size):
         idx = order[start : start + cfg.batch_size]
         # idx is in range, and mode="clip" lets take write straight into out
@@ -239,9 +248,8 @@ def _adam_pass(spec, params, opt, train, cfg, rng, where, penalty=None):
         yb = train.y.take(idx, out=y_buf[: len(idx)], mode="clip")
         extra = None
         if penalty is not None:
-            reg, related, lam = penalty
-            reg_b = Xb if reg is None else reg[idx]
-            extra = lambda yhat_b: cfg.eta * _penalty_grad(reg_b, related, lam, yhat_b)
+            block_b = (Xb if reg is None else reg[idx])[:, related.columns]
+            extra = lambda yhat_b: cfg.eta * _block_grad(block_b, col_lam, yhat_b)
         loss, grads = loss_and_grad(params, spec, Xb, yb, extra_grad_on_yhat=extra,
                                     workspace=workspace)
         if not np.isfinite(loss):

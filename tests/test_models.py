@@ -1,3 +1,4 @@
+import copy
 import gc
 import io
 import json
@@ -16,6 +17,7 @@ from relfair.models import (
     ModelParams,
     ModelSpec,
     Workspace,
+    _folds,
     forward,
     forward_loss,
     init_params,
@@ -187,6 +189,10 @@ def _params_by(source, tmp_path):
         return loss_and_grad(params, spec, X, y)[1]
     if source == "pickle":
         return pickle.loads(pickle.dumps(params))
+    if source == "deepcopy":
+        return copy.deepcopy(params)
+    if source == "empty_like":
+        return params.empty_like()
     return params
 
 
@@ -205,12 +211,64 @@ class TestLayout:
         for a in params.arrays():
             assert np.shares_memory(a, flat)
 
+    @pytest.mark.parametrize("source", [
+        "init_params", "copy", "empty_like", "pickle", "deepcopy", "load_checkpoint",
+        "loss_and_grad",
+    ])
+    def test_stacked_layers_are_views_into_the_vector(self, source, tmp_path):
+        params = _params_by(source, tmp_path)
+        start = 0
+        for w, b, wb in zip(params.weights, params.biases, params.stacked):
+            assert wb.shape == (w.shape[0] + 1, w.shape[1])
+            assert np.shares_memory(wb, params.flat)
+            values = np.arange(wb.size, dtype=float).reshape(wb.shape) + start
+            wb[...] = values  # writes through to the weights, the biases and flat
+            assert np.array_equal(w, values[:-1]) and np.array_equal(b, values[-1])
+            assert np.array_equal(params.flat[start : start + wb.size], values.ravel())
+            start += wb.size
+        assert start == params.flat.size
+
+    @pytest.mark.parametrize("w, b", [((2, 3), (2,)), ((6,), (1,)), ((2, 3), (1, 3))])
+    def test_a_layer_whose_bias_does_not_fit_is_named(self, w, b):
+        with pytest.raises(ValueError, match=re.escape(
+                f"biases (fan_out,), got {w} and {b}")):
+            ModelParams(weights=[np.zeros(w)], biases=[np.zeros(b)])
+
     def test_copy_owns_its_vector(self):
         params = init_params(ALL_SPECS[2])
         copy = params.copy()
         assert not np.shares_memory(copy.flat, params.flat)
         copy.flat[:] = 0.0
         assert np.all(params.weights[0] != 0.0)
+
+
+# MLPs of more shapes than (5 -> 64, 32) for the tests of the bias fold:
+# (inputs, hidden widths) -> whether ``_folds`` folds them
+OTHER_MLPS = {
+    (5, (8,)): True, (5, (16, 8, 4)): False, (1, (64, 32)): False,
+    (102, (64, 32)): True, (5, (16, 1)): False, (255, (248, 8)): True,
+}
+# a hidden layer wider than 512, and more inputs than a fold may have
+WIDE_MLPS = {(5, (64, 600)): True, (600, (64, 32)): False}
+
+
+def _mlps(shapes, seed):
+    return [
+        pytest.param(ModelSpec(kind="mlp", input_dim=d, hidden_dims=h, seed=seed),
+                     id=f"mlp{d}-" + "x".join(map(str, h)))
+        for d, h in shapes
+    ]
+
+
+def _other_mlps(seed):
+    return _mlps(OTHER_MLPS, seed)
+
+
+@pytest.mark.parametrize("shape", [*OTHER_MLPS, *WIDE_MLPS])
+def test_the_bit_tests_cover_folding_and_unfolding_shapes(shape):
+    d, h = shape
+    params = init_params(ModelSpec(kind="mlp", input_dim=d, hidden_dims=h))
+    assert _folds(params) == {**OTHER_MLPS, **WIDE_MLPS}[shape]
 
 
 def _unblocked(params, spec, X, y):
@@ -233,15 +291,28 @@ class TestRowBlocks:
 
     B = FORWARD_BLOCK_ROWS
 
-    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 17])
+    @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B + 17])
     @pytest.mark.parametrize("spec", [
         ModelSpec(kind="lr", input_dim=12, seed=4),
         ModelSpec(kind="svm", input_dim=12, seed=4),
         ModelSpec(kind="mlp", input_dim=5, hidden_dims=(64, 32), seed=4),
+        *_other_mlps(4),
     ], ids=lambda spec: spec.kind)
     def test_equal_to_one_unblocked_pass(self, spec, n):
+        self._check_one_unblocked_pass(spec, n)
+
+    # one block at most: over more, a wide layer's products round otherwise
+    # at two BLAS threads, folded or not
+    @pytest.mark.parametrize("n", [2, 1000, B + 1])
+    @pytest.mark.parametrize("spec", _mlps(WIDE_MLPS, 4))
+    def test_wide_layers_equal_one_unblocked_pass(self, spec, n):
+        self._check_one_unblocked_pass(spec, n)
+
+    @staticmethod
+    def _check_one_unblocked_pass(spec, n):
         rng = np.random.default_rng(n)
         params = init_params(spec)
+        params.flat += rng.normal(scale=0.2, size=params.flat.shape)  # biases off zero
         X = rng.normal(size=(n, spec.input_dim))
         y = (rng.uniform(size=n) > 0.5).astype(float)
         raw, yhat, loss = _unblocked(params, spec, X, y)
@@ -481,12 +552,14 @@ def _written_out_loss_and_grad(params, spec, X, y, extra_grad_on_yhat):
 class TestInPlaceBackward:
     """``loss_and_grad`` equals a backward pass written out with fresh arrays."""
 
-    @pytest.mark.parametrize("n", [1, 128, 257])
+    @pytest.mark.parametrize("n", [1, 2, 128, 256, 257, 1000])
     @pytest.mark.parametrize("with_extra", [False, True])
     @pytest.mark.parametrize("spec", [
         ModelSpec(kind="lr", input_dim=12, seed=6),
         ModelSpec(kind="svm", input_dim=12, seed=6),
         ModelSpec(kind="mlp", input_dim=5, hidden_dims=(64, 32), seed=6),
+        *_other_mlps(6),
+        *_mlps(WIDE_MLPS, 6),
     ], ids=lambda spec: spec.kind)
     def test_bit_equal_to_the_written_out_backward(self, spec, with_extra, n):
         rng = np.random.default_rng(n)
