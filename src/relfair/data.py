@@ -5,9 +5,11 @@ inputs as integer codes into a sorted vocabulary, continuous inputs as
 float64, label and sensitive columns as integer codes.  Splitting and feature
 removal therefore gather or drop whole arrays.  Models consume the numeric
 `EncodedDataset` built by :func:`encode`, which fits its one-hot
-vocabularies and z-score statistics on the training split only.  The sensitive
-attribute rides along for evaluation but is stripped from the training path:
-training code receives a :class:`TrainView`, which has no ``s`` field at all.
+vocabularies and z-score statistics on the training split only, and writes
+each split's ``X`` in one pass in row order, a cache-sized block of rows at
+a time (see :class:`_Encoder`).  The sensitive attribute rides along for
+evaluation but is stripped from the training path: training code receives a
+:class:`TrainView`, which has no ``s`` field at all.
 
 :func:`load_csv` streams the file: ``csv.reader`` tokenizes it, and
 READ_BLOCK_ROWS records at a time are checked for width, split into columns
@@ -700,14 +702,32 @@ def split(dataset, seed=0):
 # encoding
 
 
+ENCODE_BLOCK_BYTES = 1 << 20  # bytes of X one row block of encoding writes
+
+
 class _Encoder:
     """One-hot + z-score transform with statistics fitted on one dataset.
 
     A categorical feature gets one column per category seen on train, in
     sorted order, and a continuous feature one z-scored column; columns
     constant on train are then dropped.  Categories without a column encode
-    as all-zero groups.  ``X`` is one row-major array, filled in place, so
-    the mini-batch gathers ``X[idx]`` of training read contiguous rows.
+    as all-zero groups.  A continuous feature whose mean or standard
+    deviation on train, or whose z-score of any row of a split, is not
+    finite (its values are too large to z-score) raises ``ValueError``
+    naming the column.
+
+    ``X`` is one row-major array, so the mini-batch gathers ``X[idx]`` of
+    training read contiguous rows.  ``apply`` fills it in one pass in row
+    order, in blocks of about ENCODE_BLOCK_BYTES, which stay in cache: a
+    block is zeroed, gets its continuous features' z-scores in their
+    columns, and then its one-hot entries in one scatter, for which every
+    kept categorical feature gives each row one column and one value (1.0,
+    or 0.0 written to the group's first column for a category without one).
+    A fill a feature at a time would load a cache line of every row once
+    per feature.  The per-block buffers hold one value per continuous
+    feature and row, and three per categorical feature and row (column,
+    value and the scatter's index): at most three blocks of X in all, and
+    no other copy of X is made.
     """
 
     def __init__(self, train):
@@ -723,7 +743,14 @@ class _Encoder:
                 fit = {v: width + j for j, v in enumerate(kept)}
                 n_cols = len(kept)
             else:
-                fit = (col.mean(), col.std())
+                with np.errstate(over="ignore", invalid="ignore"):
+                    fit = (col.mean(), col.std())
+                if not np.isfinite(fit).all():
+                    raise ValueError(
+                        f"column {f.name!r}: its mean {fit[0]} or standard deviation "
+                        f"{fit[1]} on the training split is not finite; its values "
+                        "are too large to z-score"
+                    )
                 n_cols = int(fit[1] > 0.0)
             self.plan.append((f, fit))
             self.column_map[f.name] = range(width, width + n_cols)
@@ -731,22 +758,54 @@ class _Encoder:
         self.width = width
 
     def apply(self, dataset):
-        # the z-scored columns come before X is allocated: the other order
-        # left the heap of a continuous-only run a few MB larger
-        z = {
-            f.name: (dataset.columns[f.name] - fit[0]) / fit[1]
-            for f, fit in self.plan
-            if f.kind == "continuous" and self.column_map[f.name]
-        }
-        X = np.zeros((dataset.n, self.width))
+        continuous = []  # (name, values, column, mean, std) per kept feature
+        categorical = []  # (codes, column per code, value per code or None: all 1.0)
         for f, fit in self.plan:
-            if f.name in z:
-                X[:, self.column_map[f.name].start] = z[f.name]
-            elif f.kind == "categorical":
-                targets = [fit.get(v, -1) for v in dataset.vocab[f.name]]
-                target = np.array(targets, dtype=np.intp)[dataset.columns[f.name]]
-                hit = np.flatnonzero(target >= 0)
-                X[hit, target[hit]] = 1.0
+            start = self.column_map[f.name].start
+            if f.kind == "continuous" and self.column_map[f.name]:
+                continuous.append((f.name, dataset.columns[f.name], start, *fit))
+            elif f.kind == "categorical" and fit:
+                vocab = dataset.vocab[f.name]
+                seen = np.array([v in fit for v in vocab], dtype=float)
+                categorical.append((
+                    dataset.columns[f.name],
+                    np.array([fit.get(v, start) for v in vocab], dtype=np.intp),
+                    None if seen.all() else seen,
+                ))
+        columns = np.array([c for _, _, c, _, _ in continuous], dtype=np.intp)
+        mean = np.array([m for *_, m, _ in continuous])[:, None]
+        std = np.array([sd for *_, sd in continuous])[:, None]
+        n, width = dataset.n, self.width
+        X = np.empty((n, width))
+        rows = max(1, min(n, ENCODE_BLOCK_BYTES // (8 * max(width, 1))))
+        z = np.empty((len(continuous), rows))  # the block's z-scores, a row per feature
+        # per categorical feature and row of a block: the column it sets, and to what
+        target = np.empty((len(categorical), rows), dtype=np.intp)
+        value = np.ones((len(categorical), rows))
+        offsets = np.arange(rows) * width  # each row's first cell in a block
+        flat = X.reshape(-1)
+        for a in range(0, n, rows):
+            b = min(a + rows, n)
+            r = b - a
+            for j, (_, col, *_) in enumerate(continuous):
+                z[j, :r] = col[a:b]
+            with np.errstate(over="ignore"):
+                np.divide(np.subtract(z[:, :r], mean, out=z[:, :r]), std, out=z[:, :r])
+            if not np.isfinite(z[:, :r]).all():
+                name = continuous[int(np.argmin(np.isfinite(z[:, :r]).all(axis=1)))][0]
+                raise ValueError(
+                    f"column {name!r}: a z-score is not finite; its values are too "
+                    "far from the training mean for the training standard deviation"
+                )
+            for j, (codes, column, seen) in enumerate(categorical):
+                codes = codes[a:b]  # in range, and mode="clip" lets take write into out
+                np.take(column, codes, out=target[j, :r], mode="clip")
+                if seen is not None:
+                    np.take(seen, codes, out=value[j, :r], mode="clip")
+            block = X[a:b]
+            block[...] = 0.0
+            block[:, columns] = z[:, :r].T
+            flat[a * width : b * width][target[:, :r] + offsets[:r]] = value[:, :r]
         X.flags.writeable = False  # encoded splits are read, never written
 
         label = next(f.name for f in self.schema if f.role == "label")

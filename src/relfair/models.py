@@ -55,14 +55,21 @@ a 10000-row (64, 32) MLP forward took about 1,370 minor page faults, against
 about 160 with one buffer set.  The buffers live in the call's frame;
 nothing is kept between calls.  Rows are independent, so only the raw
 scores are blocked, and the sigmoid, the clip and the summed loss still run
-on the whole vector; no sum changes order.
+on the whole vector; no sum changes order.  The scores equal one unblocked
+pass bit for bit for the shapes ``TestRowBlocks`` checks over several blocks:
+LR and the SVM on 12 inputs, and MLPs with hidden layers up to 248 wide.  A
+wider layer is checked over one block only: at 2065 rows, MLPs with a
+layer of 520 to 1032 units rounded otherwise than one pass, at 2 BLAS
+threads (ROADMAP item 17).
 
 Mini-batches: ``loss_and_grad`` forwards its batch in one go, in the same
 buffers, and keeps the activations for the backward pass.  It computes in a
 ``Workspace``: the forward's buffers, one per hidden layer for the backward
-``delta``, and one gradient ``ModelParams``; a batch of m rows uses their
-leading m rows.  Each ReLU mask (0.0 or 1.0) overwrites its activation once
-that is spent.  A ``delta`` buffer is as wide as the activation buffer, so
+``delta``, one gradient ``ModelParams``, and the loss head's vectors, in
+which the sigmoid, the clip, the loss terms and ``d_raw`` are written with
+``out=``, ufunc by ufunc in the order of the written-out expressions; a
+batch of m rows uses their leading m rows.  Each ReLU mask (0.0 or 1.0)
+overwrites its activation once that is spent.  A ``delta`` buffer is as wide as the activation buffer, so
 the mask multiplies whole contiguous rows; where the MLP folds, its column
 beside the ones stays zero and is never read.  numpy runs an elementwise
 ufunc over a strided view row by row, which took 11 us for a 128 x 64 ReLU
@@ -208,14 +215,15 @@ def init_params(spec: ModelSpec) -> ModelParams:
     return ModelParams(weights=weights, biases=biases)
 
 
-def sigmoid(x) -> np.ndarray:
-    """The logistic function ``1 / (1 + exp(-x))``, elementwise.
+def sigmoid(x, out=None) -> np.ndarray:
+    """The logistic function ``1 / (1 + exp(-x))``, elementwise, into ``out`` if given.
 
     Below x = -709.78 ``exp(-x)`` overflows to inf and the result is exactly
     0.0; that overflow is the intended saturation, so it is not warned about.
     """
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        e = np.exp(np.negative(x, out=out), out=out)
+        return np.divide(1.0, np.add(1.0, e, out=out), out=out)
 
 
 def _check_input(spec: ModelSpec, X: np.ndarray) -> np.ndarray:
@@ -327,19 +335,26 @@ def _check_labels(X, y) -> np.ndarray:
     return y
 
 
-def _cls_loss(spec: ModelSpec, raw, yhat, y):
+def _cls_loss(spec: ModelSpec, raw, yhat, y, scratch=None):
     """Summed classification loss plus the per-row terms its gradient reuses.
 
     Binary cross entropy on the clipped probability for LR/MLP (the terms are
     the clipped probabilities), hinge on the margins for the SVM (the terms
-    are the signed labels and the per-row hinge losses).
+    are the signed labels and the per-row hinge losses).  LR/MLP compute in
+    ``scratch``, four vectors as long as ``yhat`` (None: fresh ones), and
+    return the clipped probabilities in its first.
     """
     if spec.kind == "svm":
         t = 2.0 * y - 1.0
         margin_loss = np.maximum(0.0, 1.0 - t * raw)
         return float(margin_loss.sum()), (t, margin_loss)
-    yc = np.clip(yhat, PROB_EPS, 1.0 - PROB_EPS)
-    loss = float(-(y * np.log(yc) + (1.0 - y) * np.log(1.0 - yc)).sum())
+    yc, a, b, c = np.empty((4, len(yhat))) if scratch is None else scratch
+    np.minimum(np.maximum(yhat, PROB_EPS, out=yc), 1.0 - PROB_EPS, out=yc)
+    # -(y * log(yc) + (1 - y) * log(1 - yc)), summed
+    np.multiply(y, np.log(yc, out=a), out=a)
+    np.log(np.subtract(1.0, yc, out=b), out=b)
+    np.multiply(np.subtract(1.0, y, out=c), b, out=b)
+    loss = float(np.negative(np.add(a, b, out=a), out=a).sum())
     return loss, yc
 
 
@@ -357,9 +372,10 @@ class Workspace:
     """The buffers of ``loss_and_grad`` for batches of up to ``rows`` rows.
 
     The forward's ``_layer_buffers``, one per hidden layer for the backward
-    ``delta`` (as wide as that layer's buffer), and one gradient of the
-    layout of ``params``.  A batch of m rows uses the leading m rows of
-    each.
+    ``delta`` (as wide as that layer's buffer), one gradient of the layout
+    of ``params``, and five vectors for the loss head: ``yhat``, the
+    clipped ``yhat``, and three for the loss terms and then ``d_raw``.
+    A batch of m rows uses the leading m rows of each.
     """
 
     def __init__(self, params: ModelParams, rows: int):
@@ -368,6 +384,7 @@ class Workspace:
         self.layers = _layer_buffers(params, rows, self.folds)
         self.deltas = [np.zeros(h.shape) for h in self.layers[1]]
         self.grads = params.empty_like()
+        self.head = np.empty((5, rows))  # yhat, then _cls_loss's scratch
 
 
 def loss_and_grad(
@@ -393,7 +410,9 @@ def loss_and_grad(
     ``workspace`` is None, and the call computes in a ``Workspace`` of its
     own, or a ``Workspace`` of this layout with at least as many rows as X.
     Then the returned gradient is a view of that workspace, and the next
-    call with it overwrites it.
+    call with it overwrites it.  The ``yhat`` that ``extra_grad_on_yhat``
+    receives is a view of the workspace too: it holds until the call
+    returns, so the function must copy what it keeps.
     """
     X = _check_input(spec, X)
     y = _check_labels(X, y)
@@ -406,25 +425,29 @@ def loss_and_grad(
     # the bias row of a folded gradient is a dot product over the n rows
     fold = workspace.folds and 1 < n <= FOLD_MAX_TERMS
     raw, acts = _forward_cache(params, X, workspace.layers, fold)
-    yhat = sigmoid(raw)
+    yhat, *scratch = workspace.head[:, :n]
+    sigmoid(raw, out=yhat)
     extra = None
     if extra_grad_on_yhat is not None:
         extra = np.asarray(extra_grad_on_yhat(yhat), dtype=float)
         if extra.shape != (X.shape[0],):
             raise ValueError("extra_grad_on_yhat must give one entry per row")
 
-    loss, terms = _cls_loss(spec, raw, yhat, y)
+    loss, terms = _cls_loss(spec, raw, yhat, y, scratch)
     if spec.kind == "svm":
         t, margin_loss = terms
         d_raw = -t * (margin_loss > 0.0)
         if extra is not None:
             d_raw = d_raw + extra * yhat * (1.0 - yhat)
     else:
-        yc = terms
-        d_yhat = (yc - y) / (yc * (1.0 - yc))
+        yc, d_raw, b, _ = scratch
+        # d_yhat = (yc - y) / (yc * (1 - yc)) (+ extra); d_raw = d_yhat * yhat * (1 - yhat)
+        np.multiply(yc, np.subtract(1.0, yc, out=b), out=b)
+        np.divide(np.subtract(yc, y, out=d_raw), b, out=d_raw)
         if extra is not None:
-            d_yhat = d_yhat + extra
-        d_raw = d_yhat * yhat * (1.0 - yhat)
+            np.add(d_raw, extra, out=d_raw)
+        np.multiply(d_raw, yhat, out=d_raw)
+        np.multiply(d_raw, np.subtract(1.0, yhat, out=b), out=d_raw)
 
     grads = workspace.grads  # each layer's gradient goes straight into its view
     delta = d_raw[:, None]

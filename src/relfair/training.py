@@ -42,10 +42,13 @@ and the trace's ``cls_loss``, the evaluation-split predictions serve the
 accuracy, the evaluation objective and the fairness callback.  These
 whole-split forwards run the layers in row blocks (``relfair.models``): the
 hidden activations of a 10000-row split, 10000 x 64 floats, fall out of
-cache, and a block's stay in it.  The scores and losses are bit-identical to
-one unblocked pass.  The loop sees features and labels only; the evaluation
-fairness metrics, which need the sensitive column, come from a callback that
-``train_cells`` builds.
+cache, and a block's stay in it.  For the shapes the tests check (LR and the
+SVM, and MLPs with hidden layers up to 248 wide, over several blocks), the
+scores and losses are bit-identical to one unblocked pass; a layer wider
+than 512 can round otherwise under another block split or BLAS thread
+count (ROADMAP item 17).  The loop sees features and labels only; the
+evaluation fairness metrics, which need the sensitive column, come from a
+callback that ``train_cells`` builds.
 
 Model selection: among epochs whose evaluation-split penalty is no worse than
 110% of the final epoch's penalty, the checkpoint with the best evaluation
@@ -210,7 +213,7 @@ class Adam:
     def step(self, theta, grad):
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
-        scale = self.lr * np.sqrt(1 - b2**self.t) / (1 - b1**self.t)
+        scale = self.lr * math.sqrt(1 - b2**self.t) / (1 - b1**self.t)
         m, v, (a, b) = self.m, self.v, self._scratch
         m *= b1
         m += np.multiply(1 - b1, grad, out=a)

@@ -624,6 +624,20 @@ def test_a_related_feature_constant_on_the_training_split_is_named(workspace, tm
     assert [(f["seed"], f["error"]) for f in failures] == [(0, message), (1, message)]
 
 
+def test_a_continuous_column_too_large_to_z_score_is_named(workspace, tmp_path, capsys):
+    # 'big' alternates 9e307 and 1e308, so its training mean overflows
+    lines = (workspace / "synth.csv").read_text().splitlines()
+    (tmp_path / "big.csv").write_text("\n".join(
+        [lines[0] + ",big", *(line + ("," + ("9e307", "1e308")[i % 2])
+                              for i, line in enumerate(lines[1:]))]) + "\n")
+    exp = dataset_variant(workspace, tmp_path, lambda text: text.replace(
+        "label:", "  - {name: big, kind: continuous}\nlabel:"), csv=tmp_path / "big.csv")
+    assert run_cli("train", "-c", str(exp), "--output-dir", str(tmp_path / "t")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: column 'big': its mean inf or standard deviation")
+    assert "too large to z-score" in err and err.count("\n") == 1
+
+
 def test_an_output_dir_that_is_a_file_is_refused(workspace, tmp_path, capsys):
     path = tmp_path / "o"
     path.write_text("kept\n")

@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 import _csv_oracle
+from _encode_oracle import reference_encode
 from relfair import data
 from relfair.data import (
     Dataset,
@@ -755,6 +756,132 @@ class TestEncode:
         view = enc.train_view()
         assert not hasattr(view, "s")
         assert np.array_equal(view.X, enc.X)
+
+
+def labelled(columns, schema, vocab):
+    """A Dataset of ``columns`` plus a label and a sensitive column."""
+    n = len(next(iter(columns.values())))
+    return Dataset(
+        columns={**columns, "outcome": np.arange(n) % 2, "group": np.arange(n) // 2 % 2},
+        schema=(*schema, FeatureSchema("outcome", "categorical", role="label"),
+                FeatureSchema("group", "categorical", role="sensitive")),
+        vocab=vocab,
+    )
+
+
+def random_splits(rng, kinds, sizes, constant):
+    """Splits of ``sizes`` rows over inputs of ``kinds``, train first.
+
+    Each feature whose index is in ``constant`` holds one value on train.  A
+    categorical feature's train rows never take its last category, which
+    the other splits do take, so it is unseen on train.
+    """
+    schema = [FeatureSchema(f"f{j}", kind) for j, kind in enumerate(kinds)]
+    vocab = {f"f{j}": tuple(f"v{i}" for i in range(int(rng.integers(2, 7))))
+             for j, kind in enumerate(kinds) if kind == "categorical"}
+    splits = []
+    for index, n in enumerate(sizes):
+        columns = {}
+        for j, f in enumerate(schema):
+            if f.kind == "categorical":
+                size = len(vocab[f.name])
+                high = size - 1 if index == 0 else size
+                columns[f.name] = rng.integers(0, 1 if j in constant and index == 0 else high, n)
+            elif j in constant and index == 0:  # whole, so the mean is exact
+                columns[f.name] = np.full(n, float(rng.integers(-5, 6)))
+            else:  # a few distinct values, so some repeat the mean
+                columns[f.name] = rng.choice(rng.normal(3.0, 4.0, 5).round(2), n)
+        splits.append(labelled(columns, schema, vocab))
+    return splits
+
+
+ENCODE_CASES = {  # kinds, rows per split, the features constant on train
+    "mixed": (("categorical", "continuous", "continuous", "categorical",
+               "categorical", "continuous"), (60, 25, 35), {2, 4}),
+    "continuous": (("continuous",) * 4, (60, 25, 35), {1}),
+    "categorical": (("categorical",) * 4, (60, 25, 35), {1}),
+    "zero_width": (("categorical", "continuous", "categorical"), (30, 10, 10), {0, 1, 2}),
+    "one_row_others": (("continuous", "categorical", "categorical"), (40, 1, 1), set()),
+    "one_row_splits": (("continuous", "categorical"), (1, 1, 1), set()),
+}
+
+
+class TestEncodeAgainstReference:
+    """encode() equals a plain row-by-row one-hot, byte for byte."""
+
+    @pytest.mark.parametrize("block_bytes", [1, 100, data.ENCODE_BLOCK_BYTES])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", ENCODE_CASES)
+    def test_bytes_equal_the_reference(self, case, seed, block_bytes, monkeypatch):
+        # 1 byte makes one-row blocks, 100 bytes blocks of a few rows
+        monkeypatch.setattr(data, "ENCODE_BLOCK_BYTES", block_bytes)
+        kinds, sizes, constant = ENCODE_CASES[case]
+        train, *others = random_splits(np.random.default_rng(seed), kinds, sizes, constant)
+        encoded = encode(train, others)
+        reference = reference_encode(train, others)
+        for enc, (X, column_map), d in zip(encoded, reference, [train, *others]):
+            assert enc.column_map == column_map
+            assert enc.X.dtype == np.float64
+            assert enc.X.flags.c_contiguous and not enc.X.flags.writeable
+            assert enc.X.shape == X.shape and enc.X.tobytes() == X.tobytes()
+            assert enc.y.tobytes() == d.columns["outcome"].astype(float).tobytes()
+            assert enc.s.tobytes() == d.columns["group"].astype(int).tobytes()
+        widths = {name: len(cols) for name, cols in encoded[0].column_map.items()}
+        assert all(widths[f"f{j}"] == 0 for j in constant)
+        if case == "zero_width":
+            assert encoded[0].n_columns == 0
+
+    def test_the_splits_take_categories_unseen_on_train(self):
+        kinds, sizes, constant = ENCODE_CASES["mixed"]
+        train, *others = random_splits(np.random.default_rng(0), kinds, sizes, constant)
+        unseen = [set(d.columns[f"f{j}"].tolist()) - set(train.columns[f"f{j}"].tolist())
+                  for d in others for j, kind in enumerate(kinds) if kind == "categorical"]
+        assert any(unseen)
+
+    def test_peak_memory_is_the_output_and_the_block_buffers(self):
+        # beside its output, encode holds at most three 8-byte values per
+        # kept feature and row of a block (a categorical feature's column,
+        # value and scatter index), and no second X
+        rng = np.random.default_rng(5)
+        kinds = ("categorical", "continuous") * 4
+        train, other = random_splits(rng, kinds, (30_000, 10_000), set())
+        tracemalloc.start()
+        try:
+            encoded = encode(train, [other])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = sum(e.X.nbytes + e.y.nbytes + e.s.nbytes for e in encoded)
+        width = encoded[0].n_columns
+        rows = data.ENCODE_BLOCK_BYTES // (8 * width)
+        assert encoded[0].X.nbytes > 4 * data.ENCODE_BLOCK_BYTES  # a second X would show
+        assert peak < out + 24 * len(kinds) * rows + 64 * 1024
+
+
+class TestEncodeOverflow:
+    """A continuous input too large to z-score fails naming its column."""
+
+    SCHEMA = (FeatureSchema("big", "continuous"),)
+
+    def test_a_mean_that_overflows(self):
+        train = labelled({"big": [9e307, 1e308] * 4}, self.SCHEMA, {})
+        with pytest.raises(ValueError, match="column 'big': its mean inf"):
+            encode(train)
+
+    def test_a_std_that_overflows(self):
+        train = labelled({"big": [-1e308, 1e308] * 4}, self.SCHEMA, {})
+        with pytest.raises(ValueError, match="column 'big': .* standard deviation inf"):
+            encode(train)
+
+    @pytest.mark.parametrize("value", [1e160, -1e160])
+    def test_a_z_score_that_overflows_on_another_split(self, value):
+        # the train std is 5e-151, and 1e160 / 5e-151 is above the float range
+        schema = (FeatureSchema("ok", "continuous"), *self.SCHEMA)
+        train = labelled({"ok": [1.0, 2.0] * 2, "big": [0.0, 1e-150] * 2}, schema, {})
+        other = labelled({"ok": [1.0, 2.0], "big": [0.0, value]}, schema, {})
+        encode(train)  # train alone z-scores fine
+        with pytest.raises(ValueError, match="column 'big': a z-score is not finite"):
+            encode(train, [other])
 
 
 class TestResolveRelated:
