@@ -6,126 +6,63 @@ absolute covariance between model predictions and a handful of user-named
 per-feature weights living on the probability simplex and re-solved in
 closed form every epoch.  The protected column is used only by the
 evaluation metrics.
+
+The package namespace is lazy (PEP 562): ``import relfair`` loads no
+submodule and not numpy.  Each public name is listed once in ``_EXPORTS``
+under the submodule that defines it; the first ``relfair.<name>`` imports
+that submodule and keeps the name here, and ``relfair.<submodule>`` imports
+the submodule.  ``from relfair import *`` binds ``__all__``, which is every
+name of the table, so it loads every submodule that exports one.
 """
 
-from relfair.data import (
-    Dataset,
-    DatasetConfig,
-    EncodedDataset,
-    FeatureSchema,
-    RelatedFeatureSet,
-    TrainView,
-    builtin_config,
-    drop_features,
-    encode,
-    load_csv,
-    load_dataset_config,
-    load_from_config,
-    parse_dataset_config,
-    resolve_related,
-    split,
-)
-from relfair.metrics import (
-    FairnessReport,
-    MetricUndefinedError,
-    SeedResult,
-    accuracy,
-    aggregate,
-    delta_dp,
-    delta_eo,
-    format_comparison_table,
-    thresholded,
-)
-from relfair.models import (
-    ModelParams,
-    ModelSpec,
-    forward,
-    init_params,
-    load_checkpoint,
-    loss_and_grad,
-    raw_scores,
-    save_checkpoint,
-)
-from relfair.objective import penalty_grad_yhat, related_penalty, total_objective
-from relfair.stats import (
-    CorrelationInterval,
-    DegenerateVarianceError,
-    fairness_bound,
-    pearson,
-    propagate_bound,
-)
-from relfair.synthetic import SyntheticSpec, generate, related_features, write_csv
-from relfair.training import (
-    VARIANTS,
-    TrainConfig,
-    TrainingDivergedError,
-    TrainResult,
-    TrainTrace,
-    pretrain,
-    run_seeds,
-    run_single,
-    train_fairrf,
-    train_variant,
-)
-from relfair.weights import LambdaSolution, solve_lambda
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CorrelationInterval",
-    "Dataset",
-    "DatasetConfig",
-    "DegenerateVarianceError",
-    "EncodedDataset",
-    "FairnessReport",
-    "FeatureSchema",
-    "LambdaSolution",
-    "MetricUndefinedError",
-    "ModelParams",
-    "ModelSpec",
-    "RelatedFeatureSet",
-    "SeedResult",
-    "SyntheticSpec",
-    "TrainConfig",
-    "TrainResult",
-    "TrainTrace",
-    "TrainView",
-    "TrainingDivergedError",
-    "VARIANTS",
-    "accuracy",
-    "aggregate",
-    "builtin_config",
-    "delta_dp",
-    "delta_eo",
-    "drop_features",
-    "encode",
-    "fairness_bound",
-    "format_comparison_table",
-    "forward",
-    "generate",
-    "init_params",
-    "load_checkpoint",
-    "load_csv",
-    "load_dataset_config",
-    "load_from_config",
-    "loss_and_grad",
-    "parse_dataset_config",
-    "pearson",
-    "penalty_grad_yhat",
-    "pretrain",
-    "propagate_bound",
-    "raw_scores",
-    "related_features",
-    "related_penalty",
-    "resolve_related",
-    "run_seeds",
-    "run_single",
-    "save_checkpoint",
-    "solve_lambda",
-    "split",
-    "thresholded",
-    "total_objective",
-    "train_fairrf",
-    "train_variant",
-    "write_csv",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "data": (
+        "Dataset", "DatasetConfig", "EncodedDataset", "FeatureSchema",
+        "RelatedFeatureSet", "TrainView", "builtin_config", "drop_features",
+        "encode", "load_csv", "load_dataset_config", "load_from_config",
+        "parse_dataset_config", "resolve_related", "split",
+    ),
+    "metrics": (
+        "FairnessReport", "MetricUndefinedError", "SeedResult", "accuracy",
+        "aggregate", "delta_dp", "delta_eo", "format_comparison_table", "thresholded",
+    ),
+    "models": (
+        "ModelParams", "ModelSpec", "forward", "init_params", "load_checkpoint",
+        "loss_and_grad", "raw_scores", "save_checkpoint",
+    ),
+    "objective": ("penalty_grad_yhat", "related_penalty", "total_objective"),
+    "stats": (
+        "CorrelationInterval", "DegenerateVarianceError", "fairness_bound",
+        "pearson", "propagate_bound",
+    ),
+    "synthetic": ("SyntheticSpec", "generate", "related_features", "write_csv"),
+    "training": (
+        "VARIANTS", "TrainConfig", "TrainingDivergedError", "TrainResult",
+        "TrainTrace", "pretrain", "run_seeds", "run_single", "train_fairrf",
+        "train_variant",
+    ),
+    "weights": ("LambdaSolution", "solve_lambda"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli"}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

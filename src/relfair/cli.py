@@ -13,7 +13,6 @@ variable (falling back to the working directory); ``--data-dir`` overrides.
 """
 
 import argparse
-import concurrent.futures
 import dataclasses
 import datetime
 import gc
@@ -246,13 +245,16 @@ def _run_jobs(context, jobs, workers):
     spawned one unpickles it at start.  A job ships only its own payload.
     Returns one outcome per job, in job order: ``_seed_job``'s result or the
     exception it raised.  ``_seed_job`` is looked up at call time, so a
-    wrapper installed on the module runs too.
+    wrapper installed on the module runs too.  ``concurrent.futures`` (with
+    the ``logging`` and ``threading`` it loads) is imported only for a pool.
     """
     workers = min(workers, len(jobs))
     try:
         if workers <= 1:
             _share(context)
             return [_outcome(_seed_job, job) for job in jobs]
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers, initializer=_share, initargs=(context,)) as pool:
             futures = [pool.submit(_seed_job, job) for job in jobs]

@@ -710,11 +710,12 @@ class _Encoder:
 
     A categorical feature gets one column per category seen on train, in
     sorted order, and a continuous feature one z-scored column; columns
-    constant on train are then dropped.  Categories without a column encode
-    as all-zero groups.  A continuous feature whose mean or standard
-    deviation on train, or whose z-score of any row of a split, is not
-    finite (its values are too large to z-score) raises ``ValueError``
-    naming the column.
+    constant on train are then dropped (a continuous one when its train
+    minimum equals its maximum: the float std of a constant 0.1 is not 0).
+    Categories without a column encode as all-zero groups.  A continuous
+    feature whose mean or standard deviation on train, or whose z-score of
+    any row of a split, is not finite (its values are too large, or too
+    close together, to z-score) raises ``ValueError`` naming the column.
 
     ``X`` is one row-major array, so the mini-batch gathers ``X[idx]`` of
     training read contiguous rows.  ``apply`` fills it in one pass in row
@@ -751,7 +752,7 @@ class _Encoder:
                         f"{fit[1]} on the training split is not finite; its values "
                         "are too large to z-score"
                     )
-                n_cols = int(fit[1] > 0.0)
+                n_cols = int(col.min() < col.max())
             self.plan.append((f, fit))
             self.column_map[f.name] = range(width, width + n_cols)
             width += n_cols
@@ -789,7 +790,7 @@ class _Encoder:
             r = b - a
             for j, (_, col, *_) in enumerate(continuous):
                 z[j, :r] = col[a:b]
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 np.divide(np.subtract(z[:, :r], mean, out=z[:, :r]), std, out=z[:, :r])
             if not np.isfinite(z[:, :r]).all():
                 name = continuous[int(np.argmin(np.isfinite(z[:, :r]).all(axis=1)))][0]
@@ -980,12 +981,20 @@ def load_dataset_config(path):
 
 
 def builtin_config(name):
-    """Load one of the dataset configs shipped inside the package."""
-    resource = importlib.resources.files("relfair") / "configs" / f"{name}.yaml"
-    try:
-        text = resource.read_text()
-    except FileNotFoundError:
-        raise ValueError(f"no builtin dataset config named {name!r}") from None
+    """Load one of the dataset configs shipped inside the package.
+
+    ``name`` is the stem of one of the package's ``configs/*.yaml`` files
+    (``adult``, ``compas``, ``lsac``); any other value, a path included,
+    raises ``ValueError``.
+    """
+    configs = importlib.resources.files("relfair") / "configs"
+    names = sorted(p.name[:-len(".yaml")] for p in configs.iterdir() if p.name.endswith(".yaml"))
+    if name not in names:
+        raise ValueError(
+            f"no builtin dataset config named {name!r}; the builtin ones are "
+            f"{', '.join(names)}, and a dataset config file needs a .yaml or .yml suffix"
+        )
+    text = (configs / f"{name}.yaml").read_text()
     return parse_dataset_config(parse_yaml(text), where=f"builtin config {name!r}")
 
 

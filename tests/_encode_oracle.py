@@ -3,8 +3,8 @@
 The reference that ``relfair.data.encode`` is checked against byte for
 byte: it fits on the training split the way the encoder's contract says
 (a column per category seen on train but not on every train row, in
-sorted order; a z-score per continuous feature whose train standard
-deviation is positive) and builds each row of X as a Python list.
+sorted order; a z-score per continuous feature that takes more than one
+value on train) and builds each row of X as a Python list.
 """
 
 import numpy as np
@@ -23,7 +23,7 @@ def _fit(train):
             plan.append((f.name, f.kind, kept))
         else:
             mean, std = float(col.mean()), float(col.std())
-            plan.append((f.name, f.kind, (mean, std) if std > 0.0 else None))
+            plan.append((f.name, f.kind, (mean, std) if len(set(col.tolist())) > 1 else None))
     return plan
 
 

@@ -249,6 +249,23 @@ def test_config_shapes_checked(workspace, tmp_path, capsys, name, key, value, na
     assert not (tmp_path / "o").exists()
 
 
+def test_a_dataset_path_without_suffix_is_not_a_builtin_name(workspace, tmp_path, capsys):
+    # workspace/dataset.yaml exists, but only a .yaml/.yml value names a file
+    doc = yaml.safe_load((workspace / "exp.yaml").read_text())
+    doc["dataset"] = str(workspace / "dataset")
+    exp = tmp_path / "exp.yaml"
+    exp.write_text(yaml.safe_dump(doc))
+    code = run_cli(
+        "train", "-c", str(exp), "--data-dir", str(workspace),
+        "--output-dir", str(tmp_path / "o"),
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"no builtin dataset config named {str(workspace / 'dataset')!r}" in err
+    assert "adult, compas, lsac" in err and ".yaml or .yml suffix" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_declared_sensitive_value_must_occur(workspace, tmp_path, capsys):
     for config in ("exp.yaml", "dataset.yaml"):
         (tmp_path / config).write_text((workspace / config).read_text())
@@ -344,7 +361,7 @@ def recording_pool(sizes, jobs=None, shared=None):
 def test_pool_never_outnumbers_the_jobs(workspace, tmp_path, monkeypatch,
                                         workers, seeds, pool_sizes):
     sizes = []
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", recording_pool(sizes))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool(sizes))
     code = run_cli(
         "train", "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
         "--output-dir", str(tmp_path / "o"), "--seeds", seeds, "--workers", workers,
@@ -365,7 +382,7 @@ def test_seeds_cut_into_jobs_for_idle_workers(workspace, tmp_path, monkeypatch,
     # fewer seeds than workers: each seed's cells go out as ceil(workers / seeds)
     # jobs, never more jobs than cells
     sizes, jobs = [], []
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         recording_pool(sizes, jobs))
     code = run_cli(
         "sweep", "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
@@ -386,7 +403,7 @@ def test_a_job_ships_its_cells_and_not_the_dataset(workspace, tmp_path, monkeypa
     exp["train"].update(max_epochs=1, pretrain_epochs=1, batch_size=1024)
     (tmp_path / "exp.yaml").write_text(yaml.safe_dump(exp))
     sizes, jobs, shared = [], [], []
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         recording_pool(sizes, jobs, shared))
     assert run_cli(
         "sweep", "-c", str(tmp_path / "exp.yaml"), "--data-dir", str(tmp_path),

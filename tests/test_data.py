@@ -787,8 +787,8 @@ def random_splits(rng, kinds, sizes, constant):
                 size = len(vocab[f.name])
                 high = size - 1 if index == 0 else size
                 columns[f.name] = rng.integers(0, 1 if j in constant and index == 0 else high, n)
-            elif j in constant and index == 0:  # whole, so the mean is exact
-                columns[f.name] = np.full(n, float(rng.integers(-5, 6)))
+            elif j in constant and index == 0:  # fractional, so the float std may be > 0
+                columns[f.name] = np.full(n, round(rng.normal(3.0, 4.0), 2))
             else:  # a few distinct values, so some repeat the mean
                 columns[f.name] = rng.choice(rng.normal(3.0, 4.0, 5).round(2), n)
         splits.append(labelled(columns, schema, vocab))
@@ -882,6 +882,32 @@ class TestEncodeOverflow:
         encode(train)  # train alone z-scores fine
         with pytest.raises(ValueError, match="column 'big': a z-score is not finite"):
             encode(train, [other])
+
+
+class TestConstantOnTrain:
+    """A continuous column is dropped when its train minimum equals its maximum."""
+
+    SCHEMA = (FeatureSchema("flat", "continuous"), FeatureSchema("ok", "continuous"))
+
+    # each value's float std over its rows is not 0
+    @pytest.mark.parametrize("value, n", [(0.1, 60), (0.3, 60), (1.7, 1000)])
+    def test_dropped_from_every_split(self, value, n):
+        assert np.full(n, value).std() > 0.0
+        train = labelled({"flat": np.full(n, value), "ok": np.arange(n, dtype=float)},
+                         self.SCHEMA, {})
+        other = labelled({"flat": [0.2, value], "ok": [1.0, 2.0]}, self.SCHEMA, {})
+        encoded = encode(train, [other])
+        for enc in encoded:
+            assert len(enc.column_map["flat"]) == 0
+            assert enc.X.shape[1] == 1 and np.isfinite(enc.X).all()
+        with pytest.raises(ValueError, match="'flat' .*constant on the training split"):
+            resolve_related(train.schema, encoded[0], ["flat"])
+
+    def test_a_non_constant_column_with_zero_std_names_the_column(self):
+        train = labelled({"flat": [0.0, 1e-300] * 2, "ok": [1.0, 2.0] * 2}, self.SCHEMA, {})
+        assert train.columns["flat"].std() == 0.0
+        with pytest.raises(ValueError, match="column 'flat': a z-score is not finite"):
+            encode(train)
 
 
 class TestResolveRelated:
@@ -1060,6 +1086,18 @@ class TestDatasetConfig:
     def test_builtin_unknown(self):
         with pytest.raises(ValueError):
             builtin_config("census2090")
+
+    @pytest.mark.parametrize("suffix", ["", ".yaml"])
+    def test_builtin_reads_no_file_outside_the_package(self, tmp_path, suffix):
+        # a readable config beside the path is not a builtin one
+        shipped = importlib.resources.files("relfair") / "configs" / "adult.yaml"
+        (tmp_path / "mine.yaml").write_text(shipped.read_text())
+        for name in (str(tmp_path / f"mine{suffix}"), f"adult{suffix or '.yml'}"):
+            with pytest.raises(ValueError, match=(
+                    r"no builtin dataset config named .*; the builtin ones are "
+                    r"adult, compas, lsac, and a dataset config file needs a \.yaml or "
+                    r"\.yml suffix")):
+                builtin_config(name)
 
 
 # The parse cache of load_from_config.
