@@ -32,8 +32,8 @@ _EXPORTS = {
         "aggregate", "delta_dp", "delta_eo", "format_comparison_table", "thresholded",
     ),
     "models": (
-        "ModelParams", "ModelSpec", "forward", "init_params", "load_checkpoint",
-        "loss_and_grad", "raw_scores", "save_checkpoint",
+        "ModelParams", "ModelSpec", "ParamStack", "forward", "init_params",
+        "load_checkpoint", "loss_and_grad", "raw_scores", "save_checkpoint",
     ),
     "objective": ("penalty_grad_yhat", "related_penalty", "total_objective"),
     "stats": (
@@ -42,9 +42,9 @@ _EXPORTS = {
     ),
     "synthetic": ("SyntheticSpec", "generate", "related_features", "write_csv"),
     "training": (
-        "VARIANTS", "TrainConfig", "TrainingDivergedError", "TrainResult",
+        "VARIANTS", "FairRun", "TrainConfig", "TrainingDivergedError", "TrainResult",
         "TrainTrace", "pretrain", "run_seeds", "run_single", "train_fairrf",
-        "train_variant",
+        "train_stack", "train_variant",
     ),
     "weights": ("LambdaSolution", "solve_lambda"),
 }

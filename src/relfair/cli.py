@@ -29,6 +29,7 @@ from relfair.data import (
     check_block,
     check_list,
     check_related_names,
+    check_string,
     load_dataset_config,
     load_from_config,
     parse_yaml,
@@ -146,7 +147,7 @@ def parse_experiment_config(doc, where="experiment config", config_dir="."):
         hidden_dims=hidden_dims,
         related=related,
         seeds=seeds,
-        output_dir=str(doc["output_dir"]),
+        output_dir=check_string(doc, "output_dir", where),
         allow_sensitive_in_training=allow_sensitive,
         train=train,
     )

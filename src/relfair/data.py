@@ -911,6 +911,15 @@ def check_list(values, key, where, kind, noun):
     return tuple(values)
 
 
+def check_string(block, key, where):
+    """``block[key]`` if it is a non-empty string: a null, a number or a list
+    would otherwise become a path such as ``None``."""
+    value = block[key]
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{where}: {key} must be a non-empty string, got {value!r}")
+    return value
+
+
 def check_related_names(related, schema, where):
     """Return ``related`` if its names are distinct input columns of ``schema``."""
     roles = {f.name: f.role for f in schema}
@@ -955,8 +964,8 @@ def parse_dataset_config(doc, where="dataset config"):
     check_related_names(related, schema, where)
     missing = check_list(doc.get("missing", DEFAULT_MISSING_TOKENS), "missing", where, str, "strings")
     return DatasetConfig(
-        name=str(doc["name"]),
-        csv=str(doc["csv"]),
+        name=check_string(doc, "name", where),
+        csv=check_string(doc, "csv", where),
         schema=tuple(schema),
         label_positive=label_positive,
         sensitive_positive=sensitive_positive,

@@ -16,6 +16,20 @@ i is also the one ``(fan_in + 1, fan_out)`` view ``stacked[i]``, the weights
 with the bias as their last row.  Gradients come back in the same layout, so
 the optimizer updates every parameter with one vector expression.
 
+Stacks: a ``ParamStack`` holds k models of one layout as the rows of a
+``(k, P)`` block, with each layer a ``(k, fan_in + 1, fan_out)`` view, so
+that several runs train in lockstep on the same batches.  The forward, the
+loss and the backward are written once, over a stack: every product is one
+``np.matmul`` over the k models, with X (and, where the MLP folds, X beside
+its ones) broadcast to all of them, and every loss-head ufunc runs over a
+``(k, n)`` block.  A ``ModelParams`` runs as a stack of one that views it.
+Each model's bits are those it gets alone: numpy runs a stacked matmul as
+one BLAS call per model, with the two-dimensional call's strides, so each
+slice is the same gemm or gemv call; the ufuncs are elementwise; and the
+sums over rows (the losses, the bias gradients) run along each model's own
+rows, in the same order as alone.  ``TestStack`` checks each model of a
+stack against the model alone, and ``tests/test_lockstep.py`` whole runs.
+
 Bias fold: where an MLP folds (``_folds``), X and each hidden layer's
 output live in buffers with a trailing column of ones, so a hidden layer is
 one product ``[h, 1] @ stacked[i]`` in place of a product and a broadcast
@@ -62,10 +76,11 @@ wider layer is checked over one block only: at 2065 rows, MLPs with a
 layer of 520 to 1032 units rounded otherwise than one pass, at 2 BLAS
 threads (ROADMAP item 17).
 
-Mini-batches: ``loss_and_grad`` forwards its batch in one go, in the same
-buffers, and keeps the activations for the backward pass.  It computes in a
+Mini-batches: ``loss_and_grad`` forwards its batch in one go, for every
+model of the stack, in the same buffers, and keeps the activations for the
+backward pass.  It computes in a
 ``Workspace``: the forward's buffers, one per hidden layer for the backward
-``delta``, one gradient ``ModelParams``, and the loss head's vectors, in
+``delta``, one gradient ``ParamStack``, and the loss head's blocks, in
 which the sigmoid, the clip, the loss terms and ``d_raw`` are written with
 ``out=``, ufunc by ufunc in the order of the written-out expressions; a
 batch of m rows uses their leading m rows.  Each ReLU mask (0.0 or 1.0)
@@ -171,28 +186,34 @@ class ModelParams:
         self.flat = np.concatenate([np.ravel(a) for a in self.arrays()], dtype=float)
         self._view_layers([np.shape(w) for w in self.weights])
 
+    @classmethod
+    def _over(cls, flat, shapes) -> "ModelParams":
+        """Parameters of layers ``shapes`` that view the vector ``flat``; no copy."""
+        out = object.__new__(cls)
+        out.flat = flat
+        out._view_layers(shapes)
+        return out
+
     def _view_layers(self, shapes):
         """Point ``stacked``, ``weights`` and ``biases`` at consecutive pieces of ``flat``."""
-        self.stacked, start = [], 0
-        for fan_in, fan_out in shapes:
-            size = (fan_in + 1) * fan_out
-            self.stacked.append(self.flat[start : start + size].reshape(fan_in + 1, fan_out))
-            start += size
+        self.stacked = _layer_views(self.flat, shapes)
         self.weights = [wb[:-1] for wb in self.stacked]
         self.biases = [wb[-1] for wb in self.stacked]
 
     def __reduce__(self):  # pickle and deepcopy rebuild the layout too
         return ModelParams, (self.weights, self.biases)
 
+    @property
+    def shapes(self) -> list[tuple[int, int]]:
+        """Each layer's ``(fan_in, fan_out)``."""
+        return [w.shape for w in self.weights]
+
     def copy(self) -> "ModelParams":
         return ModelParams(weights=self.weights, biases=self.biases)
 
     def empty_like(self) -> "ModelParams":
         """Uninitialized parameters of the same layout, made without a copy."""
-        out = object.__new__(ModelParams)
-        out.flat = np.empty_like(self.flat)
-        out._view_layers([w.shape for w in self.weights])
-        return out
+        return ModelParams._over(np.empty_like(self.flat), self.shapes)
 
     def arrays(self) -> list[np.ndarray]:
         out = []
@@ -200,8 +221,55 @@ class ModelParams:
             out.extend([w, b])
         return out
 
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
+
+def _layer_views(flat, shapes):
+    """Each layer's ``(..., fan_in + 1, fan_out)`` view of the last axis of ``flat``."""
+    views, start = [], 0
+    for fan_in, fan_out in shapes:
+        size = (fan_in + 1) * fan_out
+        views.append(flat[..., start : start + size].reshape(
+            *flat.shape[:-1], fan_in + 1, fan_out))
+        start += size
+    return views
+
+
+class ParamStack:
+    """The parameters of k models of one layout, trained in lockstep.
+
+    Row j of the C-contiguous ``(k, P)`` block ``flat`` is model j's
+    ``ModelParams.flat``, and ``stacked[i]``, ``weights[i]`` and
+    ``biases[i]`` are the ``(k, fan_in + 1, fan_out)``, ``(k, fan_in,
+    fan_out)`` and ``(k, 1, fan_out)`` views of layer i into it.  Every
+    function here that takes a ``ModelParams`` takes a ``ParamStack`` too
+    and then gives each model's result along a leading axis.
+    """
+
+    def __init__(self, flat, shapes):
+        self.flat, self.k = flat, len(flat)
+        self.shapes = list(shapes)
+        self.stacked = _layer_views(flat, self.shapes)
+        self.weights = [wb[:, :-1] for wb in self.stacked]
+        self.biases = [wb[:, -1:] for wb in self.stacked]
+
+    @classmethod
+    def of(cls, params: ModelParams, k: int = 1) -> "ParamStack":
+        """k copies of ``params``."""
+        return cls(np.tile(params.flat, (k, 1)), params.shapes)
+
+    def keep(self, rows):
+        """Keep only the models in ``rows``, in that order, in a new block."""
+        self.__init__(self.flat[rows], self.shapes)
+
+    def member(self, j) -> ModelParams:
+        """A copy of model j's parameters."""
+        return ModelParams._over(self.flat[j].copy(), self.shapes)
+
+
+def _as_stack(params):
+    """``params`` if it is a ``ParamStack``, else a one-model stack that views it."""
+    if isinstance(params, ParamStack):
+        return params
+    return ParamStack(params.flat[None], params.shapes)
 
 
 def init_params(spec: ModelSpec) -> ModelParams:
@@ -238,70 +306,88 @@ def _check_input(spec: ModelSpec, X: np.ndarray) -> np.ndarray:
 FOLD_MAX_TERMS = 256  # the longest dot product a bias fold may make
 
 
-def _folds(params: ModelParams) -> bool:
+def _folds(params) -> bool:
     """Whether an MLP's hidden layers fold their biases into their products.
 
     Only where the fold keeps every bit (see the module docstring): each
     hidden layer has 2 to ``FOLD_MAX_TERMS - 1`` inputs and a width that is
     a multiple of 8.
     """
-    hidden = [w.shape for w in params.weights[:-1]]
+    hidden = params.shapes[:-1]
     return bool(hidden) and all(
         1 < fan_in < FOLD_MAX_TERMS and fan_out % 8 == 0 for fan_in, fan_out in hidden
     )
 
 
-def _layer_buffers(params: ModelParams, rows: int, fold: bool):
+def _layer_buffers(params: ParamStack, rows: int, fold: bool):
     """``(x, hidden, out)``, the arrays a forward over up to ``rows`` rows computes in.
 
-    ``hidden`` has one array per hidden layer for its output, and ``out`` is
-    (rows, 1) for the raw scores.  With ``fold``, ``x`` is an array for X,
+    ``hidden`` has one ``(k, rows, width)`` array per hidden layer for its
+    output, and ``out`` is (k, rows, 1) for the raw scores.  With ``fold``,
+    ``x`` is one (rows, inputs + 1) array for X, which every model reads,
     and X and each hidden layer's output sit beside a column of ones;
     without, ``x`` is None.
     """
     ones = 1 if fold else 0
-    hidden = [np.empty((rows, w.shape[1] + ones)) for w in params.weights[:-1]]
+    k, shapes = params.k, params.shapes
+    hidden = [np.empty((k, rows, fan_out + ones)) for _, fan_out in shapes[:-1]]
     x = None
     if fold:
-        x = np.empty((rows, params.weights[0].shape[0] + 1))
+        x = np.empty((rows, shapes[0][0] + 1))
         for buf in [x, *hidden]:
-            buf[:, -1] = 1.0
-    return x, hidden, np.empty((rows, 1))
+            buf[..., -1] = 1.0
+    return x, hidden, np.empty((k, rows, 1))
 
 
-def _forward_cache(params: ModelParams, X: np.ndarray, bufs, fold: bool):
-    """Returns (raw output scores, list of post-activation layer inputs).
+class _RowViews:
+    """The views of ``_layer_buffers`` that a forward over their leading n
+    rows writes.
 
-    The forward runs in the leading rows of ``bufs``, the ``_layer_buffers``
-    of at least as many rows as X.  With ``fold`` each hidden layer folds
+    ``x`` is X beside its ones (None where the MLP does not fold) and
+    ``x_in`` its columns for X; ``hidden`` is each hidden layer's n rows,
+    beside its ones where the MLP folds, and ``z`` the columns its product
+    writes; ``raw`` is the (k, n) raw scores in ``out``.
+    """
+
+    def __init__(self, bufs, shapes, n):
+        x, hidden, out = bufs
+        self.x = None if x is None else x[:n]
+        self.x_in = None if x is None else self.x[:, :-1]
+        self.hidden = [h[:, :n] for h in hidden]
+        self.z = [h[:, :, :fan_out] for h, (_, fan_out) in zip(self.hidden, shapes)]
+        self.out = out[:, :n]
+        self.raw = self.out[:, :, 0]
+
+
+def _forward_cache(params: ParamStack, X: np.ndarray, rows: _RowViews, fold: bool):
+    """Returns ((k, n) raw output scores, list of post-activation layer inputs).
+
+    The forward runs in ``rows``, the views of the ``_layer_buffers`` for
+    X's n rows.  X is every model's input, and each layer of all k models is
+    one ``np.matmul`` over the stack.  With ``fold`` each hidden layer folds
     its bias (see the module docstring), and its ReLU runs over its ones
     too, which stay ones.
     """
-    n = X.shape[0]
-    x, hidden, out = bufs
     acts = [X]
     if fold:
-        a = x[:n]  # the layer's input beside its ones
-        np.copyto(a[:, :-1], X)
-    for i, (w, h) in enumerate(zip(params.weights, hidden)):
-        h = h[:n]
-        z = h[:, : w.shape[1]]
+        np.copyto(rows.x_in, X)
+    a = rows.x  # the layer's input beside its ones
+    for i, (h, z) in enumerate(zip(rows.hidden, rows.z)):
         if fold:
             np.matmul(a, params.stacked[i], out=z)
         else:
-            np.matmul(acts[-1], w, out=z)
+            np.matmul(acts[-1], params.weights[i], out=z)
             np.add(z, params.biases[i], out=z)
         np.maximum(h, 0.0, out=h)
         acts.append(z)
         a = h
-    z = out[:n]
-    np.matmul(acts[-1], params.weights[-1], out=z)
-    np.add(z, params.biases[-1], out=z)
-    return z[:, 0], acts
+    np.matmul(acts[-1], params.weights[-1], out=rows.out)
+    np.add(rows.out, params.biases[-1], out=rows.out)
+    return rows.raw, acts
 
 
-def _blocked_raw(params: ModelParams, X: np.ndarray) -> np.ndarray:
-    """``_forward_cache(...)[0]`` of a whole split, in row blocks.
+def _blocked_raw(params: ParamStack, X: np.ndarray) -> np.ndarray:
+    """``_forward_cache(...)[0]`` of a whole split, in row blocks: (k, n).
 
     No block has one row unless X does: numpy hands a one-row product to
     gemv or dot, which round unlike the gemm or gemv of a taller block.  So
@@ -309,21 +395,23 @@ def _blocked_raw(params: ModelParams, X: np.ndarray) -> np.ndarray:
     leading rows of the same per-layer buffers of that height.
     """
     n = X.shape[0]
-    raw = np.empty(n)
+    raw = np.empty((params.k, n))
     fold = _folds(params) and n > 1
     bufs = _layer_buffers(params, min(n, FORWARD_BLOCK_ROWS + 1), fold)
     edges = [0, *range(FORWARD_BLOCK_ROWS, n - 1, FORWARD_BLOCK_ROWS), n]
     for start, stop in zip(edges, edges[1:]):
-        raw[start:stop], _ = _forward_cache(params, X[start:stop], bufs, fold)
+        rows = _RowViews(bufs, params.shapes, stop - start)
+        raw[:, start:stop], _ = _forward_cache(params, X[start:stop], rows, fold)
     return raw
 
 
-def raw_scores(params: ModelParams, spec: ModelSpec, X) -> np.ndarray:
+def raw_scores(params, spec: ModelSpec, X) -> np.ndarray:
     """Pre-sigmoid output: the logit for LR/MLP, the margin for the SVM."""
-    return _blocked_raw(params, _check_input(spec, X))
+    raw = _blocked_raw(_as_stack(params), _check_input(spec, X))
+    return raw if isinstance(params, ParamStack) else raw[0]
 
 
-def forward(params: ModelParams, spec: ModelSpec, X) -> np.ndarray:
+def forward(params, spec: ModelSpec, X) -> np.ndarray:
     """Probability-like score in (0, 1) for every row of X."""
     return sigmoid(raw_scores(params, spec, X))
 
@@ -336,66 +424,99 @@ def _check_labels(X, y) -> np.ndarray:
 
 
 def _cls_loss(spec: ModelSpec, raw, yhat, y, scratch=None):
-    """Summed classification loss plus the per-row terms its gradient reuses.
+    """Each model's summed classification loss plus the per-row terms its
+    gradient reuses.
 
-    Binary cross entropy on the clipped probability for LR/MLP (the terms are
-    the clipped probabilities), hinge on the margins for the SVM (the terms
-    are the signed labels and the per-row hinge losses).  LR/MLP compute in
-    ``scratch``, four vectors as long as ``yhat`` (None: fresh ones), and
-    return the clipped probabilities in its first.
+    ``raw`` and ``yhat`` are (k, n), one row per model, ``y`` is (1, n), and
+    the k losses are sums along the rows.  Binary cross entropy on the clipped probability
+    for LR/MLP (the terms are the clipped probabilities), hinge on the
+    margins for the SVM (the terms are the signed labels and the per-row
+    hinge losses).  LR/MLP compute in ``scratch``, four arrays shaped as
+    ``yhat`` (None: fresh ones), and return the clipped probabilities in
+    its first.
     """
     if spec.kind == "svm":
         t = 2.0 * y - 1.0
         margin_loss = np.maximum(0.0, 1.0 - t * raw)
-        return float(margin_loss.sum()), (t, margin_loss)
-    yc, a, b, c = np.empty((4, len(yhat))) if scratch is None else scratch
+        return margin_loss.sum(axis=-1), (t, margin_loss)
+    yc, a, b, c = np.empty((4, *yhat.shape)) if scratch is None else scratch
     np.minimum(np.maximum(yhat, PROB_EPS, out=yc), 1.0 - PROB_EPS, out=yc)
     # -(y * log(yc) + (1 - y) * log(1 - yc)), summed
     np.multiply(y, np.log(yc, out=a), out=a)
     np.log(np.subtract(1.0, yc, out=b), out=b)
     np.multiply(np.subtract(1.0, y, out=c), b, out=b)
-    loss = float(np.negative(np.add(a, b, out=a), out=a).sum())
+    loss = np.negative(np.add(a, b, out=a), out=a).sum(axis=-1)
     return loss, yc
 
 
-def forward_loss(params: ModelParams, spec: ModelSpec, X, y) -> tuple[np.ndarray, float]:
-    """``(forward(...), loss_and_grad(...)[0])`` from one forward pass, no backward."""
+def forward_loss(params, spec: ModelSpec, X, y):
+    """``(forward(...), loss_and_grad(...)[0])`` from one forward pass, no backward.
+
+    For a ``ParamStack``: the (k, n) predictions and the k losses.
+    """
     X = _check_input(spec, X)
-    y = _check_labels(X, y)
-    raw = _blocked_raw(params, X)
+    y = _check_labels(X, y)[None]  # one row, which every model's row reads
+    raw = _blocked_raw(_as_stack(params), X)
     yhat = sigmoid(raw)
     loss, _ = _cls_loss(spec, raw, yhat, y)
-    return yhat, loss
+    if isinstance(params, ParamStack):
+        return yhat, loss
+    return yhat[0], float(loss[0])
 
 
 class Workspace:
     """The buffers of ``loss_and_grad`` for batches of up to ``rows`` rows.
 
     The forward's ``_layer_buffers``, one per hidden layer for the backward
-    ``delta`` (as wide as that layer's buffer), one gradient of the layout
-    of ``params``, and five vectors for the loss head: ``yhat``, the
-    clipped ``yhat``, and three for the loss terms and then ``d_raw``.
-    A batch of m rows uses the leading m rows of each.
+    ``delta`` (as wide as that layer's buffer), one gradient block of the
+    layout of ``params``, and five (k, rows) blocks for the loss head:
+    ``yhat``, the clipped ``yhat``, and three for the loss terms and then
+    ``d_raw``.  ``params`` is a ``ModelParams`` (k is 1) or a
+    ``ParamStack`` of k models.  A batch of m rows uses the leading m rows
+    of each, through views made the first time a batch has m rows
+    (``at``): a pass has at most two batch heights, and making a step's
+    twenty-odd views afresh took about 4 us of the 118 us step of the
+    (64, 32) MLP on 128 rows (one BLAS thread, 2-core Xeon).
     """
 
-    def __init__(self, params: ModelParams, rows: int):
-        self.rows = rows
-        self.folds = _folds(params)
-        self.layers = _layer_buffers(params, rows, self.folds)
+    def __init__(self, params, rows: int):
+        stack = _as_stack(params)
+        self.rows, self.k, self.shapes = rows, stack.k, stack.shapes
+        self.folds = _folds(stack)
+        self.layers = _layer_buffers(stack, rows, self.folds)
         self.deltas = [np.zeros(h.shape) for h in self.layers[1]]
-        self.grads = params.empty_like()
-        self.head = np.empty((5, rows))  # yhat, then _cls_loss's scratch
+        self.grads = ParamStack(np.empty_like(stack.flat), stack.shapes)
+        self.head = np.empty((5, self.k, rows))  # yhat, then _cls_loss's scratch
+        self._at = {}
+
+    def at(self, n):
+        """The views of the leading n rows: the forward's ``_RowViews``, then the
+        backward's, each layer's input buffer transposed (the ones too where
+        the MLP folds) and its ``delta`` with the columns its product
+        writes, and the loss head's five (k, n) blocks."""
+        if n not in self._at:
+            rows = _RowViews(self.layers, self.shapes, n)
+            ins = [rows.x, *rows.hidden]
+            backs = [d[:, :n] for d in self.deltas]
+            fan_ins = [fan_in for fan_in, _ in self.shapes[1:]]
+            self._at[n] = (
+                rows, [None if a is None else a.mT for a in ins],
+                [z.mT for z in rows.z], backs,
+                [b[:, :, :fan_in] for b, fan_in in zip(backs, fan_ins)],
+                tuple(self.head[:, :, :n]),
+            )
+        return self._at[n]
 
 
 def loss_and_grad(
-    params: ModelParams,
+    params,
     spec: ModelSpec,
     X,
     y,
     extra_grad_on_yhat=None,
     *,
     workspace: Workspace | None = None,
-) -> tuple[float, ModelParams]:
+):
     """Classification loss and its parameter gradient.
 
     ``extra_grad_on_yhat`` is None or a function that maps the probability
@@ -407,70 +528,89 @@ def loss_and_grad(
     over rows): binary cross entropy for LR/MLP, hinge on the margins for the
     SVM.
 
+    ``params`` is a ``ModelParams`` or a ``ParamStack`` of k models, which
+    all read X and y.  A stack returns its k losses and a ``ParamStack``
+    gradient, and its ``extra_grad_on_yhat`` maps the (k, n) block of
+    predictions to k entries, each None (no extra gradient for that model)
+    or one entry per row.
+
     ``workspace`` is None, and the call computes in a ``Workspace`` of its
-    own, or a ``Workspace`` of this layout with at least as many rows as X.
-    Then the returned gradient is a view of that workspace, and the next
-    call with it overwrites it.  The ``yhat`` that ``extra_grad_on_yhat``
-    receives is a view of the workspace too: it holds until the call
-    returns, so the function must copy what it keeps.
+    own, or a ``Workspace`` of this layout and k with at least as many rows
+    as X.  Then the returned gradient is a view of that workspace, and the
+    next call with it overwrites it.  The ``yhat`` that
+    ``extra_grad_on_yhat`` receives is a view of the workspace too: it holds
+    until the call returns, so the function must copy what it keeps.
     """
     X = _check_input(spec, X)
-    y = _check_labels(X, y)
+    # one row, which every model's row reads: at k = 1 the ufuncs of the loss
+    # head then see equal shapes and take numpy's fast path, not a broadcast
+    y = _check_labels(X, y)[None]
+    stack = _as_stack(params)
+    single = stack is not params
     n = X.shape[0]
     if workspace is None:
-        workspace = Workspace(params, n)
+        workspace = Workspace(stack, n)
     elif n > workspace.rows:
         raise ValueError(f"a workspace of {workspace.rows} rows cannot hold {n} rows")
+    elif stack.k != workspace.k:
+        raise ValueError(f"a workspace of {workspace.k} models cannot hold {stack.k} models")
 
     # the bias row of a folded gradient is a dot product over the n rows
     fold = workspace.folds and 1 < n <= FOLD_MAX_TERMS
-    raw, acts = _forward_cache(params, X, workspace.layers, fold)
-    yhat, *scratch = workspace.head[:, :n]
+    rows, ins_T, z_T, backs, ds, (yhat, *scratch) = workspace.at(n)
+    raw, _ = _forward_cache(stack, X, rows, fold)
     sigmoid(raw, out=yhat)
-    extra = None
+    extras = ()
     if extra_grad_on_yhat is not None:
-        extra = np.asarray(extra_grad_on_yhat(yhat), dtype=float)
-        if extra.shape != (X.shape[0],):
-            raise ValueError("extra_grad_on_yhat must give one entry per row")
+        extras = [extra_grad_on_yhat(yhat[0])] if single else list(extra_grad_on_yhat(yhat))
+        if len(extras) != stack.k:
+            raise ValueError(f"extra_grad_on_yhat must give {stack.k} entries, one per model")
+        for j, extra in enumerate(extras):
+            if extra is not None:
+                extras[j] = extra = np.asarray(extra, dtype=float)
+                if extra.shape != (n,):
+                    raise ValueError("extra_grad_on_yhat must give one entry per row")
 
     loss, terms = _cls_loss(spec, raw, yhat, y, scratch)
     if spec.kind == "svm":
         t, margin_loss = terms
         d_raw = -t * (margin_loss > 0.0)
-        if extra is not None:
-            d_raw = d_raw + extra * yhat * (1.0 - yhat)
+        for j, extra in enumerate(extras):
+            if extra is not None:
+                d_raw[j] = d_raw[j] + extra * yhat[j] * (1.0 - yhat[j])
     else:
         yc, d_raw, b, _ = scratch
         # d_yhat = (yc - y) / (yc * (1 - yc)) (+ extra); d_raw = d_yhat * yhat * (1 - yhat)
         np.multiply(yc, np.subtract(1.0, yc, out=b), out=b)
         np.divide(np.subtract(yc, y, out=d_raw), b, out=d_raw)
-        if extra is not None:
-            np.add(d_raw, extra, out=d_raw)
+        for j, extra in enumerate(extras):
+            if extra is not None:
+                np.add(d_raw[j], extra, out=d_raw[j])
         np.multiply(d_raw, yhat, out=d_raw)
         np.multiply(d_raw, np.subtract(1.0, yhat, out=b), out=d_raw)
 
     grads = workspace.grads  # each layer's gradient goes straight into its view
-    delta = d_raw[:, None]
-    x, hidden, _ = workspace.layers
-    ins = [x, *hidden]  # each layer's input buffer, beside its ones where the MLP folds
-    last = len(params.weights) - 1
+    delta = d_raw[..., None]
+    last = len(stack.shapes) - 1
     for i in range(last, -1, -1):
         if fold and i < last:  # [acts, 1].T @ delta: the weight and bias rows at once
-            np.matmul(ins[i][:n].T, delta, out=grads.stacked[i])
+            np.matmul(ins_T[i], delta, out=grads.stacked[i])
         else:
-            np.matmul(acts[i].T, delta, out=grads.weights[i])
-            delta.sum(axis=0, out=grads.biases[i])
+            np.matmul(X.T if i == 0 else z_T[i - 1], delta, out=grads.weights[i])
+            delta.sum(axis=-2, keepdims=True, out=grads.biases[i])
         if i > 0:
-            w, h, back = params.weights[i], ins[i][:n], workspace.deltas[i - 1][:n]
-            d = back[:, : w.shape[0]]  # back's column beside the ones stays zero
-            if w.shape[1] == 1:  # delta @ w.T over one column: one product each
-                np.multiply(delta, w.T, out=d)
+            w, h, back, d = stack.weights[i], rows.hidden[i - 1], backs[i - 1], ds[i - 1]
+            # d is back but for its column beside the ones, which stays zero
+            if w.shape[-1] == 1:  # delta @ w.T over one column: one product each
+                np.multiply(delta, w.mT, out=d)
             else:
-                np.matmul(delta, w.T, out=d)
+                np.matmul(delta, w.mT, out=d)
             # the ReLU mask, written over its activation, which is spent now
             mask = np.greater(h, 0.0, out=h, casting="unsafe")
             np.multiply(back, mask, out=back)
             delta = d
+    if single:
+        return float(loss[0]), ModelParams._over(grads.flat[0], stack.shapes)
     return loss, grads
 
 

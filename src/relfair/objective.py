@@ -58,9 +58,13 @@ def related_penalty(X, related, lam, yhat):
     ``total = sum_j lam[j] * per_feature[j]``.
     """
     X, lam, yhat = _checked(X, related, lam, yhat)
-    scores = _scores(X[:, related.columns], yhat)
-    per_feature = np.bincount(related.owner, np.abs(scores), minlength=related.k)
+    per_feature = _per_feature(X[:, related.columns], related, yhat)
     return float(lam @ per_feature), per_feature
+
+
+def _per_feature(block, related, yhat):
+    """``related_penalty``'s per-feature scores from the related block."""
+    return np.bincount(related.owner, np.abs(_scores(block, yhat)), minlength=related.k)
 
 
 def penalty_grad_yhat(X, related, lam, yhat):
@@ -69,15 +73,19 @@ def penalty_grad_yhat(X, related, lam, yhat):
     return _block_grad(X[:, related.columns], lam[related.owner], yhat)
 
 
-def _block_grad(block, col_lam, yhat):
+def _block_grad(block, col_lam, yhat, col_mean=None):
     """The penalty gradient from the related block and each column's lambda.
 
     ``block`` is F-ordered, as ``X[:, related.columns]`` makes it: its sums
-    over rows round in that memory order.
+    over rows round in that memory order.  ``col_mean`` is the block's
+    column means, ``np.add.reduce(block, axis=0) / len(block)``, for callers
+    that score several predictions against one block; None computes them.
     """
+    if col_mean is None:
+        col_mean = np.add.reduce(block, axis=0) / len(yhat)
     w = col_lam * np.sign(_scores(block, yhat))
     # d/dyhat of sum_c w_c x_c . (yhat - mean yhat) is sum_c w_c (x_c - mean x_c)
-    return np.einsum("ij,j->i", block, w) - (np.add.reduce(block, axis=0) / len(yhat)) @ w
+    return np.einsum("ij,j->i", block, w) - col_mean @ w
 
 
 def total_objective(cls_loss, penalty_total, lam, cfg):

@@ -249,6 +249,46 @@ def test_config_shapes_checked(workspace, tmp_path, capsys, name, key, value, na
     assert not (tmp_path / "o").exists()
 
 
+def _run_with_config_value(workspace, tmp_path, monkeypatch, name, key, value):
+    """``train`` from ``tmp_path``, its cwd, on the workspace configs with
+    ``name``'s ``key`` set to ``value``; returns the exit code."""
+    for config in ("exp.yaml", "dataset.yaml"):
+        doc = yaml.safe_load((workspace / config).read_text())
+        if config == name:
+            doc[key] = value
+        (tmp_path / config).write_text(yaml.safe_dump(doc))
+    monkeypatch.chdir(tmp_path)
+    return run_cli("train", "-c", str(tmp_path / "exp.yaml"), "--data-dir", str(workspace))
+
+
+@pytest.mark.parametrize("value", [None, 7, ["o"], ""], ids=["null", "number", "list", "empty"])
+def test_output_dir_must_be_a_string(workspace, tmp_path, monkeypatch, capsys, value):
+    # a null output_dir once became a run directory named ./None
+    assert _run_with_config_value(workspace, tmp_path, monkeypatch, "exp.yaml", "output_dir",
+                                  value) == 1
+    assert (f"error: {tmp_path / 'exp.yaml'}: output_dir must be a non-empty string, "
+            f"got {value!r}") in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["dataset.yaml", "exp.yaml"]
+
+
+@pytest.mark.parametrize("value", [None, 3], ids=["null", "number"])
+def test_dataset_name_must_be_a_string(workspace, tmp_path, monkeypatch, capsys, value):
+    assert _run_with_config_value(workspace, tmp_path, monkeypatch, "dataset.yaml", "name",
+                                  value) == 1
+    assert (f"error: {tmp_path / 'dataset.yaml'}: name must be a non-empty string, "
+            f"got {value!r}") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [None, ""], ids=["null", "empty"])
+def test_dataset_csv_must_be_a_string(workspace, tmp_path, monkeypatch, capsys, value):
+    # a null csv once failed later as "dataset file not found: .../None", and
+    # an empty one as a bare IsADirectoryError
+    assert _run_with_config_value(workspace, tmp_path, monkeypatch, "dataset.yaml", "csv",
+                                  value) == 1
+    assert (f"error: {tmp_path / 'dataset.yaml'}: csv must be a non-empty string, "
+            f"got {value!r}") in capsys.readouterr().err
+
+
 def test_a_dataset_path_without_suffix_is_not_a_builtin_name(workspace, tmp_path, capsys):
     # workspace/dataset.yaml exists, but only a .yaml/.yml value names a file
     doc = yaml.safe_load((workspace / "exp.yaml").read_text())
@@ -461,24 +501,24 @@ def counting(monkeypatch, module, names):
 
 
 @pytest.mark.parametrize(
-    "argv, shared, cells",
-    [(("compare", "--variants", "vanilla,fairrf,remove_related"), 4, 6),
-     (("sweep", "--eta-grid", "0.1,0.3", "--beta-grid", "0.5,0.8"), 2, 8)],
+    "argv, shared",
+    [(("compare", "--variants", "vanilla,fairrf,remove_related"), 4),
+     (("sweep", "--eta-grid", "0.1,0.3", "--beta-grid", "0.5,0.8"), 2)],
     ids=["compare", "sweep"],
 )
 def test_a_seed_job_encodes_and_pretrains_once_per_encoding(workspace, tmp_path,
-                                                            monkeypatch, argv, shared,
-                                                            cells):
+                                                            monkeypatch, argv, shared):
     # compare: vanilla and fairrf share an encoding, remove_related has its own,
     # so 2 of each per seed (6 one-cell jobs did 6); sweep: 4 cells share one
-    # per seed (8 one-cell jobs did 8)
-    seen = counting(monkeypatch, training, ("encode", "pretrain", "train_fairrf"))
+    # per seed (8 one-cell jobs did 8).  The cells that share a pretraining
+    # run one fair loop, a stack of them, so there are as many loops.
+    seen = counting(monkeypatch, training, ("encode", "pretrain", "train_stack"))
     command, *extra = argv
     assert run_cli(
         command, "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
         "--output-dir", str(tmp_path / "o"), "--seeds", "0,1", "--workers", "1", *extra,
     ) == 0
-    assert seen == {"encode": shared, "pretrain": shared, "train_fairrf": cells}
+    assert seen == {"encode": shared, "pretrain": shared, "train_stack": shared}
 
 
 def test_a_seed_job_is_one_library_run_single_call(workspace, tmp_path, monkeypatch):

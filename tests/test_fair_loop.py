@@ -4,9 +4,10 @@ Forward counts: every call into ``models._forward_cache`` is one forward
 pass.  Pretraining forwards each batch once (inside ``loss_and_grad``) plus
 the evaluation split once per epoch; the fair loop forwards each theta-step
 batch once and each split once per epoch, and its fairness callback adds
-none.
+none.  A stack of fair-loop runs does that once for all of its runs: one
+forward and one Adam step per batch, not one per run.
 
-Sensitive column: ``pretrain`` and ``train_fairrf`` receive ``TrainView``s,
+Sensitive column: ``pretrain`` and ``train_stack`` receive ``TrainView``s,
 and the evaluation fairness metrics reach the trace through a callback, so
 no read of ``.s`` happens inside them for any variant that does not train on
 the group by design (``constrain_s``).  ``top1`` selects by the group, but
@@ -26,7 +27,14 @@ from relfair import models, training
 from relfair.data import TrainView, encode, resolve_related, split
 from relfair.models import ModelSpec, init_params
 from relfair.synthetic import SyntheticSpec, generate, related_features
-from relfair.training import TrainConfig, pretrain, train_fairrf, train_variant
+from relfair.training import (
+    FairRun,
+    TrainConfig,
+    pretrain,
+    train_fairrf,
+    train_stack,
+    train_variant,
+)
 
 SPEC = SyntheticSpec(n=800, seed=3)
 RAW = generate(SPEC)
@@ -101,6 +109,19 @@ def test_fair_loop_forwards_each_step_and_each_split_once(counts, kind, penalize
     assert seen == ([evaluation.n] * epochs if fairness else [])
 
 
+@pytest.mark.parametrize("kind", ["lr", "mlp"])
+def test_a_stack_forwards_and_steps_once_for_all_of_its_runs(counts, kind):
+    # vanilla, fairrf, and a fairrf that stops an epoch sooner: each epoch is
+    # one step per batch and one forward of each split for every run held
+    spec, train, evaluation, related = _setup(kind)
+    runs = [FairRun(None, dataclasses.replace(CFG, eta=0.0)), FairRun(related, CFG),
+            FairRun(related, dataclasses.replace(CFG, max_epochs=CFG.max_epochs - 1))]
+    outcomes = train_stack(spec, init_params(spec), train, evaluation, runs)
+    assert [len(trace.records) for _, trace in outcomes] == [4, 4, 3]
+    assert counts["steps"] == 4 * math.ceil(train.n / CFG.batch_size)
+    assert counts["forward"] == counts["steps"] + 2 * 4
+
+
 class _NoSensitive:
     """A split whose ``.s`` raises; everything else reads through."""
 
@@ -127,7 +148,7 @@ def _guarded(fn):
 )
 def test_training_never_reads_the_sensitive_column(monkeypatch, variant):
     monkeypatch.setattr(training, "pretrain", _guarded(training.pretrain))
-    monkeypatch.setattr(training, "train_fairrf", _guarded(training.train_fairrf))
+    monkeypatch.setattr(training, "train_stack", _guarded(training.train_stack))
     cfg = dataclasses.replace(CFG, pretrain_epochs=1, max_epochs=2)
     train_raw, eval_raw, test_raw = split(RAW, seed=1)
     result = train_variant(variant, train_raw, eval_raw, test_raw, RELATED, "lr", cfg)

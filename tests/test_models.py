@@ -16,6 +16,7 @@ from relfair.models import (
     PROB_EPS,
     ModelParams,
     ModelSpec,
+    ParamStack,
     Workspace,
     _folds,
     forward,
@@ -574,6 +575,72 @@ class TestInPlaceBackward:
         assert grads.flat.tobytes() == want_flat.tobytes()
         if spec.kind == "mlp":  # some first-layer ReLUs are off, so the mask acts
             assert np.any(X @ params.weights[0] + params.biases[0] < 0.0)
+
+
+class TestStack:
+    """Each model of a ``ParamStack`` gets the bits it gets alone."""
+
+    @pytest.mark.parametrize("n", [1, 2, 128, 257, 1000])
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(kind="lr", input_dim=12, seed=6),
+        ModelSpec(kind="svm", input_dim=12, seed=6),
+        ModelSpec(kind="mlp", input_dim=5, hidden_dims=(64, 32), seed=6),
+        *_other_mlps(6),
+        *_mlps(WIDE_MLPS, 6),
+    ], ids=lambda spec: spec.kind)
+    def test_each_model_equals_the_model_alone(self, spec, n):
+        rng = np.random.default_rng(n)
+        models = []
+        for _ in range(3):
+            params = init_params(spec)
+            params.flat += rng.normal(scale=0.3, size=params.flat.shape)
+            models.append(params)
+        stack = ParamStack(np.stack([p.flat for p in models]), models[0].shapes)
+        X = rng.normal(size=(n, spec.input_dim))
+        y = (rng.uniform(size=n) > 0.5).astype(float)
+        extras = [rng.normal(size=n), None, rng.normal(size=n)]  # the middle one has none
+        loss, grads = loss_and_grad(stack, spec, X, y, extra_grad_on_yhat=lambda yhat: extras)
+        yhat, losses = forward_loss(stack, spec, X, y)
+        raw = raw_scores(stack, spec, X)
+        for j, (params, extra) in enumerate(zip(models, extras)):
+            alone = None if extra is None else (lambda yhat, extra=extra: extra)
+            want_loss, want_grads = loss_and_grad(params, spec, X, y, extra_grad_on_yhat=alone)
+            assert loss[j] == want_loss
+            assert grads.flat[j].tobytes() == want_grads.flat.tobytes()
+            want_yhat, want_loss = forward_loss(params, spec, X, y)
+            assert yhat[j].tobytes() == want_yhat.tobytes() and losses[j] == want_loss
+            assert raw[j].tobytes() == raw_scores(params, spec, X).tobytes()
+
+    def test_layers_view_the_block_and_keep_compacts_it(self):
+        spec = ModelSpec(kind="mlp", input_dim=5, hidden_dims=(8, 4), seed=1)
+        params = init_params(spec)
+        stack = ParamStack.of(params, 3)
+        stack.flat += np.arange(3.0)[:, None]  # each model its own
+        for j in range(3):
+            member = stack.member(j)
+            assert member.flat.tobytes() == (params.flat + j).tobytes()
+            for wb, w, b, layer in zip(stack.stacked, stack.weights, stack.biases, member.stacked):
+                assert np.shares_memory(wb, stack.flat)
+                assert np.array_equal(wb[j], layer)
+                assert np.array_equal(w[j], layer[:-1]) and np.array_equal(b[j, 0], layer[-1])
+        stack.keep([2, 0])
+        assert stack.k == 2 and stack.flat.flags.c_contiguous
+        assert stack.flat.tobytes() == np.stack([params.flat + 2, params.flat]).tobytes()
+        assert all(np.shares_memory(wb, stack.flat) for wb in stack.stacked)
+
+    def test_a_workspace_for_another_number_of_models_is_named(self):
+        spec = ModelSpec(kind="lr", input_dim=2, seed=0)
+        stack = ParamStack.of(init_params(spec), 3)
+        with pytest.raises(ValueError, match="^a workspace of 1 models cannot hold 3 models$"):
+            loss_and_grad(stack, spec, np.zeros((2, 2)), np.zeros(2),
+                          workspace=Workspace(init_params(spec), 2))
+
+    def test_a_stack_needs_one_extra_gradient_entry_per_model(self):
+        spec = ModelSpec(kind="lr", input_dim=2, seed=0)
+        stack = ParamStack.of(init_params(spec), 3)
+        with pytest.raises(ValueError, match="^extra_grad_on_yhat must give 3 entries"):
+            loss_and_grad(stack, spec, np.zeros((2, 2)), np.zeros(2),
+                          extra_grad_on_yhat=lambda yhat: [None, None])
 
 
 def _npy_bytes():

@@ -8,7 +8,7 @@ import pytest
 from relfair import training
 from relfair.data import Dataset, EncodedDataset, RelatedFeatureSet, TrainView, encode, split
 from relfair.metrics import MetricUndefinedError, delta_dp, delta_eo
-from relfair.models import ModelParams, ModelSpec, init_params, loss_and_grad
+from relfair.models import ModelParams, ModelSpec, ParamStack, init_params, loss_and_grad
 from relfair.objective import penalty_grad_yhat
 from relfair.synthetic import SyntheticSpec, generate, related_features
 from relfair.training import (
@@ -162,47 +162,69 @@ def reference_pass(spec, params, m, v, t, train, cfg, rng, penalty, lr):
     return t
 
 
+def _pass_penalty(kind, rng, n):
+    """A ``reference_pass`` penalty ``(reg, related, lam)`` of ``kind``, or None."""
+    if kind == "inputs":  # a one-column and a two-column feature
+        return None, RelatedFeatureSet(("a", "b"), ((1,), (2, 3))), np.array([0.3, 0.7])
+    if kind == "group-column":  # the constrain_s shape: reg is not X
+        related = RelatedFeatureSet(("__sensitive__",), ((0,),))
+        return (rng.uniform(size=n) > 0.5).astype(float)[:, None], related, related.lambda0
+    return None
+
+
 class TestAdamPass:
-    """A pass in its per-pass buffers moves no bit against the written-out pass."""
+    """A pass in its per-pass buffers moves no bit against the written-out
+    pass: for a stack of one, and for each model of a larger stack."""
 
     BATCH = 16
-
-    @pytest.mark.parametrize("n", [10, 50, 49], ids=["n<batch", "short-last", "one-row-last"])
-    @pytest.mark.parametrize("penalty", ["none", "inputs", "group-column"])
-    @pytest.mark.parametrize("spec", [
+    SPECS = [
         ModelSpec(kind="lr", input_dim=6, seed=2),
         ModelSpec(kind="svm", input_dim=6, seed=2),
         ModelSpec(kind="mlp", input_dim=6, hidden_dims=(16, 8), seed=2),
-    ], ids=lambda spec: spec.kind)
+    ]
+
+    @pytest.mark.parametrize("n", [10, 50, 49], ids=["n<batch", "short-last", "one-row-last"])
+    @pytest.mark.parametrize("penalty", ["none", "inputs", "group-column"])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
     def test_bit_equal_to_the_reference_pass(self, spec, penalty, n):
+        self._check(spec, [penalty], [0.5], n)
+
+    # the two "inputs" models share the batch's related block
+    @pytest.mark.parametrize("n", [50, 49], ids=["short-last", "one-row-last"])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+    def test_each_model_of_a_stack_is_bit_equal_to_its_reference_pass(self, spec, n):
+        self._check(spec, ["inputs", "none", "group-column", "inputs"], [0.5, 0.5, 0.5, 0.2], n)
+
+    def _check(self, spec, kinds, etas, n):
         rng = np.random.default_rng(n)
         X = rng.normal(size=(n, 6))
         y = (rng.uniform(size=n) > 0.5).astype(float)
         train = TrainView(X=X, y=y)
-        if penalty == "inputs":  # a one-column and a two-column feature
-            related = RelatedFeatureSet(("a", "b"), ((1,), (2, 3)))
-            pen = (None, related, np.array([0.3, 0.7]))
-        elif penalty == "group-column":  # the constrain_s shape: reg is not X
-            related = RelatedFeatureSet(("__sensitive__",), ((0,),))
-            s = (rng.uniform(size=n) > 0.5).astype(float)[:, None]
-            pen = (s, related, related.lambda0)
-        else:
-            pen = None
-        cfg = TrainConfig(eta=0.5, learning_rate=0.05, batch_size=self.BATCH)
+        pens = [_pass_penalty(kind, rng, n) for kind in kinds]
+        cfg = TrainConfig(learning_rate=0.05, batch_size=self.BATCH)
+        cfgs = [dataclasses.replace(cfg, eta=eta) for eta in etas]
         params = init_params(spec)
         params.flat += rng.normal(scale=0.2, size=params.flat.shape)  # biases off zero
-        reference = params.copy()
-        opt = Adam(params.flat, cfg.learning_rate)
-        m, v, t = np.zeros_like(reference.flat), np.zeros_like(reference.flat), 0
-        rng_pass, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+        stack = ParamStack.of(params, len(kinds))
+        references = [params.copy() for _ in kinds]
+        opt = Adam(stack.flat, cfg.learning_rate)
+        moments = [(np.zeros_like(params.flat), np.zeros_like(params.flat)) for _ in kinds]
+        t = [0] * len(kinds)
+        rng_pass = np.random.default_rng(5)
+        rng_refs = [np.random.default_rng(5) for _ in kinds]
+        stacked_pens = [None if p is None else (eta, *p) for p, eta in zip(pens, etas)]
         for epoch in range(3):  # later passes start from moved moments
-            _adam_pass(spec, params, opt, train, cfg, rng_pass, f"epoch {epoch}", pen)
-            t = reference_pass(spec, reference, m, v, t, train, cfg, rng_ref, pen,
-                               cfg.learning_rate)
-            assert params.flat.tobytes() == reference.flat.tobytes()
-            assert opt.m.tobytes() == m.tobytes()
-            assert opt.v.tobytes() == v.tobytes()
-        assert opt.t == t == 3 * -(-n // self.BATCH)
+            errors = _adam_pass(spec, stack, opt, train, cfg, rng_pass, f"epoch {epoch}",
+                                stacked_pens)
+            assert errors == [None] * len(kinds)
+            for j, (reference, (m, v)) in enumerate(zip(references, moments)):
+                t[j] = reference_pass(spec, reference, m, v, t[j], train, cfgs[j], rng_refs[j],
+                                      pens[j], cfg.learning_rate)
+                assert stack.flat[j].tobytes() == reference.flat.tobytes()
+                assert opt.m[j].tobytes() == m.tobytes()
+                assert opt.v[j].tobytes() == v.tobytes()
+        assert opt.t == t[0] == 3 * -(-n // self.BATCH)
+        assert set(t) == {opt.t}
 
 
 def test_lambda_is_checked_where_the_fair_loop_sets_it(monkeypatch):
