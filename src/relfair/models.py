@@ -256,10 +256,6 @@ class ParamStack:
         """k copies of ``params``."""
         return cls(np.tile(params.flat, (k, 1)), params.shapes)
 
-    def keep(self, rows):
-        """Keep only the models in ``rows``, in that order, in a new block."""
-        self.__init__(self.flat[rows], self.shapes)
-
     def member(self, j) -> ModelParams:
         """A copy of model j's parameters."""
         return ModelParams._over(self.flat[j].copy(), self.shapes)

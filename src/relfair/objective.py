@@ -14,7 +14,8 @@ loop's theta-phase calls ``_block_grad``, the same gradient without the
 checks, on the related block of each batch and with lambda mapped to the
 block's columns once per pass: the loop checks its matrices once per run,
 and lambda where it is set (``weights.solve_lambda`` and the fair loop's
-refresh), not on every step.
+refresh), not on every step.  Both take the block and its column means
+from ``_related_block``.
 
 The penalty is piecewise linear in the predictions, so its gradient is exact
 between kinks; at a kink (zero covariance) we take subgradient 0.
@@ -70,19 +71,19 @@ def _per_feature(block, related, yhat):
 def penalty_grad_yhat(X, related, lam, yhat):
     """Gradient of the weighted penalty with respect to the predictions."""
     X, lam, yhat = _checked(X, related, lam, yhat)
-    return _block_grad(X[:, related.columns], lam[related.owner], yhat)
+    return _block_grad(*_related_block(X, related.columns), lam[related.owner], yhat)
 
 
-def _block_grad(block, col_lam, yhat, col_mean=None):
-    """The penalty gradient from the related block and each column's lambda.
+def _related_block(X, columns):
+    """``X[:, columns]``, F-ordered as that makes it, and its column means."""
+    block = X[:, columns]
+    return block, np.add.reduce(block, axis=0) / len(block)
 
-    ``block`` is F-ordered, as ``X[:, related.columns]`` makes it: its sums
-    over rows round in that memory order.  ``col_mean`` is the block's
-    column means, ``np.add.reduce(block, axis=0) / len(block)``, for callers
-    that score several predictions against one block; None computes them.
-    """
-    if col_mean is None:
-        col_mean = np.add.reduce(block, axis=0) / len(yhat)
+
+def _block_grad(block, col_mean, col_lam, yhat):
+    """The penalty gradient from ``_related_block``'s block and column means
+    and each column's lambda.  The block's sums over rows round in its
+    memory order."""
     w = col_lam * np.sign(_scores(block, yhat))
     # d/dyhat of sum_c w_c x_c . (yhat - mean yhat) is sum_c w_c (x_c - mean x_c)
     return np.einsum("ij,j->i", block, w) - col_mean @ w

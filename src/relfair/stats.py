@@ -64,7 +64,9 @@ def pearson(x, y) -> float:
     cy = yv - yv.mean()
     sx = math.sqrt(float(cx @ cx) / xv.shape[0])
     sy = math.sqrt(float(cy @ cy) / yv.shape[0])
-    if sx == 0.0 or sy == 0.0:
+    # a constant's float mean can miss its value, leaving a std above zero;
+    # the std test catches a variance that underflows
+    if xv.min() == xv.max() or yv.min() == yv.max() or sx == 0.0 or sy == 0.0:
         raise DegenerateVarianceError("zero-variance input to pearson()")
     rho = float(cx @ cy) / (xv.shape[0] * sx * sy)
     # guard against fp overshoot beyond +-1

@@ -22,14 +22,16 @@ pretrained model (the same spec, ``learning_rate``, ``pretrain_epochs`` and
 runs draw the same batch order from ``[seed, 2]`` every epoch, so a batch is
 gathered once, forwarded and backpropagated for all k runs by one
 ``loss_and_grad`` call over a ``models.ParamStack``, and stepped by one Adam
-step over the stack's ``(k, P)`` parameter block.  Each epoch forwards each
-split once for all k runs, and each distinct related block of a split is
+step over the stack's ``(k, P)`` parameter block.  Each epoch then forwards
+each split once for all k runs and ends in one ``_Member.step`` per run, its
+lambda refresh and bookkeeping; each distinct related block of a split is
 gathered once per stack.  Each run keeps its own lambda, eta and beta,
-trace, history, early stop and model selection, and leaves the stack when it
-stops or fails (a non-finite loss or parameter, or a refresh or bookkeeping
-that raises): its rows leave the parameter block and Adam's moments, and the
-others go on.  A single run, ``train_fairrf``, is a stack of one; there is no
-other fair loop.
+trace, history, early stop (``_Plateau``, as ``pretrain``'s) and model
+selection.  A run that stops or fails (a non-finite loss or parameter, or a
+step that raises) leaves through ``_Stack.drop``, the one exit: it takes
+the run's row out of the parameter block and Adam's moments and records
+its outcome, and the others go on.  ``pretrain`` is a stack of one, and so
+is a single fair run, ``train_fairrf``; there is no other fair loop.
 
 A run's bits do not depend on its stack.  Its products are slices of
 stacked ``np.matmul`` calls, and numpy hands each slice to the BLAS call the
@@ -66,7 +68,7 @@ split's block, gathered once per run, was slower on adult-shaped data: there
 the block (14 of 102 columns over 27k rows) is 3 MB, and a batch's scattered
 reads of it missed cache.
 
-Bookkeeping forwards each split once per epoch with ``forward_loss`` (no
+Each epoch's step forwards each split once with ``forward_loss`` (no
 backward pass): the training-split predictions serve both the lambda refresh
 and the trace's ``cls_loss``, the evaluation-split predictions serve the
 accuracy, the evaluation objective and the fairness callback.  These
@@ -119,7 +121,7 @@ from relfair.models import (
     init_params,
     loss_and_grad,
 )
-from relfair.objective import _block_grad, _per_feature, total_objective
+from relfair.objective import _block_grad, _per_feature, _related_block, total_objective
 from relfair.weights import on_simplex, solve_lambda
 
 VARIANTS = (
@@ -258,53 +260,65 @@ class Adam:
         theta -= np.divide(a, b, out=a)
 
     def keep(self, rows):
-        """Keep only the moments of the block's ``rows``, as ``ParamStack.keep`` does."""
+        """Keep only the moments of the block's ``rows``, in that order."""
         self.m, self.v = self.m[rows], self.v[rows]
         self._scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
 
-def _adam_pass(spec, params, opt, train, cfg, rng, where, penalties=None):
+class _Stack:
+    """A lockstep stack's rows: its ``ParamStack`` ``params``, its ``Adam``
+    ``opt`` and ``runs[row]``, the number (0 to k - 1, as made) of the run
+    behind each row.  ``outcomes`` holds each run's outcome by its number,
+    None while it is in the stack; ``drop`` is the one way a run leaves."""
+
+    def __init__(self, params, lr, k):
+        self.params = ParamStack.of(params, k)
+        self.opt = Adam(self.params.flat, lr)
+        self.runs = list(range(k))
+        self.outcomes = [None] * k
+
+    def drop(self, gone):
+        """The rows of ``gone``, ``{row: outcome}``, leave the parameter block
+        and Adam's moments, and their runs' outcomes are recorded.  Returns
+        the rows that stay, in order, as they were numbered before."""
+        keep = [row for row in range(len(self.runs)) if row not in gone]
+        if gone:
+            for row, outcome in gone.items():
+                self.outcomes[self.runs[row]] = outcome
+            self.params = ParamStack(self.params.flat[keep], self.params.shapes)
+            self.opt.keep(keep)
+            self.runs = [self.runs[row] for row in keep]
+        return keep
+
+
+def _adam_pass(spec, stack, train, cfg, rng, where, penalties=None):
     """One shuffled pass of mini-batch Adam steps over ``train``, in place,
-    for every model of the ``ParamStack`` ``params`` at once.
+    for every row of the ``_Stack`` ``stack`` at once.
 
     ``penalties`` is None, for the classification loss alone, or one entry
-    per model: None, or ``(eta, reg, related, lam)``, and that model's
+    per row: None, or ``(eta, reg, related, lam)``, and that row's
     ``extra_grad_on_yhat`` is then ``eta`` times the penalty gradient on the
     batch's rows of ``reg`` (None: of the batch's model inputs), which the
     caller has checked.  The batch, each distinct related block of it, the
     step's layers and its gradient live in buffers made once per pass and
-    batch, and lambda is mapped to the related columns once.  Each model's
+    batch, and lambda is mapped to the related columns once.  Each row's
     loss is checked at every step and its parameters once, after the last
-    step; ``where`` names the epoch in either error.
-
-    Returns one entry per model of the stack as the pass found it: None, or
-    the ``TrainingDivergedError`` that made it leave ``params`` and ``opt``.
+    step; a row that fails either leaves ``stack`` with a
+    ``TrainingDivergedError`` that names ``where``.
     """
     order = rng.permutation(train.n)
     rows = min(cfg.batch_size, train.n)
     X_buf = np.empty((rows, train.X.shape[1]), dtype=train.X.dtype)
     y_buf = np.empty(rows, dtype=train.y.dtype)
-    workspace = Workspace(params, rows)
-    errors = [None] * params.k
-    live = list(range(params.k))  # each row's model, numbered as the pass found them
-    pens = []  # per model: None, or (eta, reg, columns, lambda per column, block key)
-    for penalty in penalties or [None] * params.k:
+    workspace = Workspace(stack.params, rows)
+    pens = []  # per row: None, or (eta, reg, columns, lambda per column, block key)
+    for penalty in penalties or [None] * stack.params.k:
         if penalty is None:
             pens.append(None)
             continue
         eta, reg, related, lam = penalty
         key = (id(reg), related.columns.tobytes())  # runs with equal keys share a block
         pens.append((eta, reg, related.columns, lam[related.owner], key))
-
-    def leave(failed, error):
-        nonlocal live, pens
-        for j in failed:
-            errors[live[j]] = TrainingDivergedError(f"{error} at {where}")
-        keep = [j for j in range(len(live)) if j not in failed]
-        params.keep(keep)
-        opt.keep(keep)
-        live, pens = [live[j] for j in keep], [pens[j] for j in keep]
-        return keep
 
     for start in range(0, train.n, cfg.batch_size):
         idx = order[start : start + cfg.batch_size]
@@ -323,27 +337,40 @@ def _adam_pass(spec, params, opt, train, cfg, rng, where, penalties=None):
                         continue
                     eta, reg, columns, col_lam, key = pen
                     if key not in blocks:
-                        block = (Xb if reg is None else reg[idx])[:, columns]
-                        blocks[key] = block, np.add.reduce(block, axis=0) / len(block)
-                    block, col_mean = blocks[key]
-                    out.append(eta * _block_grad(block, col_lam, yhat_b, col_mean))
+                        blocks[key] = _related_block(Xb if reg is None else reg[idx], columns)
+                    out.append(eta * _block_grad(*blocks[key], col_lam, yhat_b))
                 return out
 
-        loss, grads = loss_and_grad(params, spec, Xb, yb, extra_grad_on_yhat=extra,
+        loss, grads = loss_and_grad(stack.params, spec, Xb, yb, extra_grad_on_yhat=extra,
                                     workspace=workspace)
-        diverged = [j for j, value in enumerate(loss.tolist()) if not math.isfinite(value)]
+        grad = grads.flat
+        diverged = {j: TrainingDivergedError(f"non-finite loss at {where}")
+                    for j, value in enumerate(loss.tolist()) if not math.isfinite(value)}
         if diverged:
-            keep = leave(diverged, "non-finite loss")
-            if not live:
-                return errors
-            opt.step(params.flat, grads.flat[keep])
-            workspace = Workspace(params, rows)
-            continue
-        opt.step(params.flat, grads.flat)
-    finite = np.isfinite(params.flat).all(axis=1)
-    if not finite.all():
-        leave(np.flatnonzero(~finite).tolist(), "non-finite parameters")
-    return errors
+            keep = stack.drop(diverged)
+            if not keep:
+                return
+            pens, grad = [pens[j] for j in keep], grad[keep]
+            workspace = Workspace(stack.params, rows)
+        stack.opt.step(stack.params.flat, grad)
+    finite = np.isfinite(stack.params.flat).all(axis=1).tolist()
+    stack.drop({j: TrainingDivergedError(f"non-finite parameters at {where}")
+                for j, ok in enumerate(finite) if not ok})
+
+
+class _Plateau:
+    """Early stop: ``stalled(value)`` is True once ``patience`` values in a
+    row have not gone below the best so far by more than ``MIN_IMPROVEMENT``."""
+
+    def __init__(self, patience):
+        self.patience, self.best, self.stall = patience, np.inf, 0
+
+    def stalled(self, value):
+        if value < self.best - MIN_IMPROVEMENT:
+            self.best, self.stall = value, 0
+        else:
+            self.stall += 1
+        return self.stall >= self.patience
 
 
 # ---------------------------------------------------------------------------
@@ -356,28 +383,21 @@ def pretrain(spec, params, train, evaluation, cfg):
     Runs for cfg.pretrain_epochs or until the evaluation loss stops improving
     for PRETRAIN_PATIENCE consecutive epochs.  pretrain_epochs=0 is a no-op.
     """
-    stack = ParamStack.of(params)  # a stack of one, which _adam_pass takes
+    stack = _Stack(params, cfg.learning_rate, 1)  # a stack of one, which _adam_pass takes
     rng = np.random.default_rng([spec.seed, 1])
-    opt = Adam(stack.flat, cfg.learning_rate)
-    best_eval = np.inf
-    stall = 0
+    plateau = _Plateau(PRETRAIN_PATIENCE)
     for epoch in range(cfg.pretrain_epochs):
-        (error,) = _adam_pass(spec, stack, opt, train, cfg, rng, f"pretrain epoch {epoch}")
-        if error is not None:
-            raise error
-        _, (eval_loss,) = forward_loss(stack, spec, evaluation.X, evaluation.y)
+        _adam_pass(spec, stack, train, cfg, rng, f"pretrain epoch {epoch}")
+        if not stack.runs:
+            raise stack.outcomes[0]
+        _, (eval_loss,) = forward_loss(stack.params, spec, evaluation.X, evaluation.y)
         if not np.isfinite(eval_loss):
             raise TrainingDivergedError(
                 f"non-finite loss at pretrain epoch {epoch} (eval)"
             )
-        if eval_loss < best_eval - MIN_IMPROVEMENT:
-            best_eval = eval_loss
-            stall = 0
-        else:
-            stall += 1
-            if stall >= PRETRAIN_PATIENCE:
-                break
-    return stack.member(0)
+        if plateau.stalled(eval_loss):
+            break
+    return stack.params.member(0)
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +474,7 @@ class _Member:
         self.lam = related.lambda0 if related is not None else np.zeros(0)
         self.trace = TrainTrace()
         self.history = []  # (eval_accuracy, eval_penalty, parameter vector)
-        self.best_obj = np.inf
-        self.stall = 0
+        self.plateau = _Plateau(cfg.early_stop_patience)
 
     def penalty(self):
         """This pass's ``_adam_pass`` penalty entry."""
@@ -473,28 +492,27 @@ class _Member:
             blocks[key] = reg[:, columns]
         return _per_feature(blocks[key], self.related, yhat)
 
-    def refresh(self, blocks, yhat_train, cls_loss, epoch):
-        """(b) lambda refresh: the exact minimizer given the current model."""
-        self.scores = self.per_feature(blocks, 0, yhat_train)
-        self.cls_loss = cls_loss
+    def step(self, blocks, fits, y_eval, theta, epoch):
+        """The epoch's (b) lambda refresh, the exact minimizer given the
+        current model, (c) bookkeeping and (d) convergence, from ``fits``,
+        the training and evaluation splits' ``(yhat, cls_loss)``.  True once
+        the run is done."""
+        (yhat_train, cls_loss), (yhat_eval, eval_cls) = fits
+        scores = self.per_feature(blocks, 0, yhat_train)
         if self.related is not None and self.run.learn_lambda:  # checked before any step uses it
-            self.lam = solve_lambda(self.cfg.eta * self.scores, self.cfg.beta).lam
+            self.lam = solve_lambda(self.cfg.eta * scores, self.cfg.beta).lam
             _check_lambda(self.lam, epoch)
-
-    def record(self, blocks, yhat_eval, eval_cls, evaluation, theta, epoch):
-        """(c) bookkeeping and (d) convergence; True once the run is done."""
         lam, fairness = self.lam, self.run.fairness
-        penalty_total = float(lam @ self.scores)
         eval_penalty = float(lam @ self.per_feature(blocks, 1, yhat_eval))
         eval_obj = total_objective(eval_cls, eval_penalty, lam, self.cfg)
-        eval_acc = accuracy(yhat_eval, evaluation.y)
+        eval_acc = accuracy(yhat_eval, y_eval)
         eo, dp = fairness(yhat_eval) if fairness is not None else (None, None)
         self.trace.append(
             EpochRecord(
                 epoch=epoch,
-                cls_loss=self.cls_loss,
-                penalty_total=penalty_total,
-                per_feature=tuple(float(v) for v in self.scores),
+                cls_loss=cls_loss,
+                penalty_total=float(lam @ scores),
+                per_feature=tuple(float(v) for v in scores),
                 lam=tuple(float(v) for v in lam),
                 eval_accuracy=eval_acc,
                 eval_delta_eo=eo,
@@ -503,14 +521,7 @@ class _Member:
             )
         )
         self.history.append((eval_acc, eval_penalty, theta.copy()))
-        if eval_obj < self.best_obj - MIN_IMPROVEMENT:
-            self.best_obj = eval_obj
-            self.stall = 0
-        else:
-            self.stall += 1
-            if self.stall >= self.cfg.early_stop_patience:
-                return True
-        return epoch + 1 >= self.cfg.max_epochs
+        return self.plateau.stalled(eval_obj) or epoch + 1 >= self.cfg.max_epochs
 
     def chosen(self, shapes):
         """Model selection: best eval accuracy among epochs whose penalty is
@@ -528,79 +539,56 @@ def train_stack(spec, params, train, evaluation, runs):
     they draw one batch order from ``[spec.seed, 2]``, and every batch is
     gathered once, forwarded and backpropagated for all of them with one
     product per layer (``models.ParamStack``), and stepped with one Adam
-    step over their ``(k, P)`` block.  Each epoch forwards each split once
-    for all of them too, and the related blocks of the splits are gathered
-    once per call.  Lambda, the trace, the history, early stopping and model
-    selection stay each run's own.  A run leaves the stack when it stops, or
-    when it fails: a non-finite loss or parameter, or a lambda refresh or
-    bookkeeping that raises; the others go on as if it had never been there.
+    step over their ``(k, P)`` block.  Each epoch then forwards each split
+    once for all of them, and each run takes one ``_Member.step`` on both
+    forwards; the related blocks of the splits are gathered once per call.
+    Lambda, the trace, the history, early stopping and model selection stay
+    each run's own.  A run leaves the stack, through ``_Stack.drop``, when
+    it stops, or when it fails: a non-finite loss or parameter, or a step
+    that raises; the others go on as if it had never been there.
 
     Returns, per run in order, ``(params, trace)`` or the exception it raised.
     """
-    outcomes = [None] * len(runs)
-    members = []  # (run index, _Member); row j of the stack is members[j]'s model
-    for index, run in enumerate(runs):
+    members = []  # per run: its _Member, or the exception that refused it
+    for run in runs:
         try:
-            members.append((index, _Member(run, train, evaluation)))
+            members.append(_Member(run, train, evaluation))
         except Exception as exc:  # a failed run is an outcome; callers decide
-            outcomes[index] = exc
-    if not members:
-        return outcomes
-    cfg = members[0][1].cfg  # its learning_rate and batch_size are every run's
+            members.append(exc)
+    live = [member for member in members if isinstance(member, _Member)]
+    if not live:
+        return members
+    cfg = live[0].cfg  # its learning_rate and batch_size are every run's
     if any((m.cfg.learning_rate, m.cfg.batch_size) != (cfg.learning_rate, cfg.batch_size)
-           for _, m in members):
+           for m in live):
         raise ValueError("the runs of a stack must share learning_rate and batch_size")
-    stack = ParamStack.of(params, len(members))
-    opt = Adam(stack.flat, cfg.learning_rate)
+    stack = _Stack(params, cfg.learning_rate, len(runs))
+    stack.drop({row: m for row, m in enumerate(members) if isinstance(m, Exception)})
     rng = np.random.default_rng([spec.seed, 2])
     blocks = {}  # the splits' related blocks, each gathered once
 
-    def settle(step):
-        """``step(row, member)`` for every member; one that raises, or whose
-        step returns True (it is done), leaves the stack with its outcome."""
-        nonlocal members
+    epoch = 0
+    while stack.runs:
+        # (a) theta phase: one full pass per lambda refresh; a model that
+        # diverges leaves the stack in it
+        _adam_pass(spec, stack, train, cfg, rng, f"epoch {epoch}",
+                   [members[run].penalty() for run in stack.runs])
+        if not stack.runs:
+            break
+
+        # (b)-(d) on one forward of each split: each run's step
+        fits = [forward_loss(stack.params, spec, view.X, view.y) for view in (train, evaluation)]
         gone = {}
-        for row, (_, member) in enumerate(members):
+        for row, run in enumerate(stack.runs):
             try:
-                if step(row, member):
-                    gone[row] = member.chosen(stack.shapes)
+                if members[run].step(blocks, [(yhat[row], float(cls[row])) for yhat, cls in fits],
+                                     evaluation.y, stack.params.flat[row], epoch):
+                    gone[row] = members[run].chosen(stack.params.shapes)
             except Exception as exc:
                 gone[row] = exc
-        if gone:
-            for row, outcome in gone.items():
-                outcomes[members[row][0]] = outcome
-            keep = [row for row in range(len(members)) if row not in gone]
-            stack.keep(keep)
-            opt.keep(keep)
-            members = [members[row] for row in keep]
-
-    epoch = 0
-    while members:
-        # (a) theta phase: one full pass per lambda refresh; a model that
-        # diverges has left the stack and the optimizer when it returns
-        errors = _adam_pass(spec, stack, opt, train, cfg, rng, f"epoch {epoch}",
-                            [member.penalty() for _, member in members])
-        for (index, _), error in zip(members, errors):
-            if error is not None:
-                outcomes[index] = error
-        members = [pair for pair, error in zip(members, errors) if error is None]
-        if not members:
-            break
-
-        # (b) lambda refresh: exact minimizer given the current model; the
-        # same forward of the training split gives the trace's cls_loss
-        yhat, cls = forward_loss(stack, spec, train.X, train.y)
-        settle(lambda row, m: m.refresh(blocks, yhat[row], float(cls[row]), epoch))
-        if not members:
-            break
-
-        # (c) bookkeeping on one forward of the evaluation split, and (d)
-        # convergence on the evaluation objective
-        yhat, cls = forward_loss(stack, spec, evaluation.X, evaluation.y)
-        settle(lambda row, m: m.record(blocks, yhat[row], float(cls[row]), evaluation,
-                                       stack.flat[row], epoch))
+        stack.drop(gone)
         epoch += 1
-    return outcomes
+    return stack.outcomes
 
 
 def train_fairrf(spec, params, train, evaluation, related, cfg, *,

@@ -611,7 +611,7 @@ class TestStack:
             assert yhat[j].tobytes() == want_yhat.tobytes() and losses[j] == want_loss
             assert raw[j].tobytes() == raw_scores(params, spec, X).tobytes()
 
-    def test_layers_view_the_block_and_keep_compacts_it(self):
+    def test_layers_view_the_block(self):
         spec = ModelSpec(kind="mlp", input_dim=5, hidden_dims=(8, 4), seed=1)
         params = init_params(spec)
         stack = ParamStack.of(params, 3)
@@ -623,10 +623,6 @@ class TestStack:
                 assert np.shares_memory(wb, stack.flat)
                 assert np.array_equal(wb[j], layer)
                 assert np.array_equal(w[j], layer[:-1]) and np.array_equal(b[j, 0], layer[-1])
-        stack.keep([2, 0])
-        assert stack.k == 2 and stack.flat.flags.c_contiguous
-        assert stack.flat.tobytes() == np.stack([params.flat + 2, params.flat]).tobytes()
-        assert all(np.shares_memory(wb, stack.flat) for wb in stack.stacked)
 
     def test_a_workspace_for_another_number_of_models_is_named(self):
         spec = ModelSpec(kind="lr", input_dim=2, seed=0)

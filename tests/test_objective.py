@@ -8,6 +8,7 @@ from _fresh_python import run_python
 from relfair.data import RelatedFeatureSet
 from relfair.objective import (
     _block_grad,
+    _related_block,
     penalty_grad_yhat,
     related_penalty,
     total_objective,
@@ -196,7 +197,7 @@ def test_unchecked_kernel_equals_the_public_gradient(groups, lam, n):
     X, yhat = rng.normal(size=(n, 4)), rng.uniform(size=n)
     related, lam = make_related(groups), np.array(lam)
     want = penalty_grad_yhat(X, related, lam, yhat)
-    got = _block_grad(X[:, related.columns], lam[related.owner], yhat)
+    got = _block_grad(*_related_block(X, related.columns), lam[related.owner], yhat)
     assert got.tobytes() == want.tobytes()
 
 

@@ -66,6 +66,16 @@ class TestPearson:
         with pytest.raises(DegenerateVarianceError):
             pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
 
+    # the float mean of these constants is not exactly their value, so the
+    # centred vector, and the std, come out as rounding residue above zero
+    @pytest.mark.parametrize("value, n", [(0.1, 60), (0.3, 60), (1.7, 1000)])
+    @pytest.mark.parametrize("constant_first", [True, False], ids=["x", "y"])
+    def test_a_fractional_constant_raises(self, value, n, constant_first):
+        constant, other = np.full(n, value), np.random.default_rng(n).normal(size=n)
+        args = (constant, other) if constant_first else (other, constant)
+        with pytest.raises(DegenerateVarianceError):
+            pearson(*args)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             pearson([1, 2], [1, 2, 3])

@@ -8,7 +8,7 @@ import pytest
 from relfair import training
 from relfair.data import Dataset, EncodedDataset, RelatedFeatureSet, TrainView, encode, split
 from relfair.metrics import MetricUndefinedError, delta_dp, delta_eo
-from relfair.models import ModelParams, ModelSpec, ParamStack, init_params, loss_and_grad
+from relfair.models import ModelParams, ModelSpec, init_params, loss_and_grad
 from relfair.objective import penalty_grad_yhat
 from relfair.synthetic import SyntheticSpec, generate, related_features
 from relfair.training import (
@@ -22,6 +22,7 @@ from relfair.training import (
     TrainTrace,
     TrainingDivergedError,
     _adam_pass,
+    _Stack,
     pretrain,
     run_seeds,
     run_single,
@@ -205,26 +206,53 @@ class TestAdamPass:
         cfgs = [dataclasses.replace(cfg, eta=eta) for eta in etas]
         params = init_params(spec)
         params.flat += rng.normal(scale=0.2, size=params.flat.shape)  # biases off zero
-        stack = ParamStack.of(params, len(kinds))
+        stack = _Stack(params, cfg.learning_rate, len(kinds))
         references = [params.copy() for _ in kinds]
-        opt = Adam(stack.flat, cfg.learning_rate)
         moments = [(np.zeros_like(params.flat), np.zeros_like(params.flat)) for _ in kinds]
         t = [0] * len(kinds)
         rng_pass = np.random.default_rng(5)
         rng_refs = [np.random.default_rng(5) for _ in kinds]
         stacked_pens = [None if p is None else (eta, *p) for p, eta in zip(pens, etas)]
         for epoch in range(3):  # later passes start from moved moments
-            errors = _adam_pass(spec, stack, opt, train, cfg, rng_pass, f"epoch {epoch}",
-                                stacked_pens)
-            assert errors == [None] * len(kinds)
+            _adam_pass(spec, stack, train, cfg, rng_pass, f"epoch {epoch}", stacked_pens)
+            assert stack.outcomes == [None] * len(kinds)
             for j, (reference, (m, v)) in enumerate(zip(references, moments)):
                 t[j] = reference_pass(spec, reference, m, v, t[j], train, cfgs[j], rng_refs[j],
                                       pens[j], cfg.learning_rate)
-                assert stack.flat[j].tobytes() == reference.flat.tobytes()
-                assert opt.m[j].tobytes() == m.tobytes()
-                assert opt.v[j].tobytes() == v.tobytes()
-        assert opt.t == t[0] == 3 * -(-n // self.BATCH)
-        assert set(t) == {opt.t}
+                assert stack.params.flat[j].tobytes() == reference.flat.tobytes()
+                assert stack.opt.m[j].tobytes() == m.tobytes()
+                assert stack.opt.v[j].tobytes() == v.tobytes()
+        assert stack.opt.t == t[0] == 3 * -(-n // self.BATCH)
+        assert set(t) == {stack.opt.t}
+
+
+class TestStackDrop:
+    """``_Stack.drop`` keeps a stack's parameter rows, Adam's moment rows and
+    its runs aligned, and records each dropped run's outcome."""
+
+    def test_drop_compacts_the_rows_and_records_the_outcomes(self):
+        spec = ModelSpec(kind="mlp", input_dim=5, hidden_dims=(8, 4), seed=1)
+        params = init_params(spec)
+        stack = _Stack(params, 0.01, 5)
+        rows = np.arange(5.0)[:, None]  # each run its own parameters and moments
+        stack.params.flat += rows
+        stack.opt.m += 10 * rows
+        stack.opt.v += 100 * rows
+        assert stack.drop({}) == [0, 1, 2, 3, 4] and stack.runs == [0, 1, 2, 3, 4]
+        failed, done = RuntimeError("run 1"), ("params", "trace")
+        assert stack.drop({1: failed}) == [0, 2, 3, 4]
+        assert stack.drop({2: done, 0: "run 0"}) == [1, 3]  # runs 3 and 0
+        assert stack.runs == [2, 4]
+        assert stack.outcomes == ["run 0", failed, None, done, None]
+        block = stack.params.flat
+        assert block.flags.c_contiguous and stack.params.k == 2
+        assert block.tobytes() == np.stack([params.flat + 2, params.flat + 4]).tobytes()
+        assert all(np.shares_memory(view, block) for views in (
+            stack.params.stacked, stack.params.weights, stack.params.biases) for view in views)
+        kept = np.array([[2.0], [4.0]])
+        assert np.array_equal(stack.opt.m, np.broadcast_to(10 * kept, block.shape))
+        assert np.array_equal(stack.opt.v, np.broadcast_to(100 * kept, block.shape))
+        stack.opt.step(block, np.ones_like(block))  # the scratch arrays were compacted too
 
 
 def test_lambda_is_checked_where_the_fair_loop_sets_it(monkeypatch):
