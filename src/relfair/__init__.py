@@ -42,8 +42,8 @@ _EXPORTS = {
     ),
     "synthetic": ("SyntheticSpec", "generate", "related_features", "write_csv"),
     "training": (
-        "VARIANTS", "FairRun", "TrainConfig", "TrainingDivergedError", "TrainResult",
-        "TrainTrace", "pretrain", "run_seeds", "run_single", "train_fairrf",
+        "VARIANTS", "FairRun", "SeedData", "TrainConfig", "TrainingDivergedError",
+        "TrainResult", "TrainTrace", "pretrain", "run_seeds", "run_single", "train_fairrf",
         "train_stack", "train_variant",
     ),
     "weights": ("LambdaSolution", "solve_lambda"),

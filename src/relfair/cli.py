@@ -207,22 +207,25 @@ def _share(context):
 
 
 def _seed_job(payload):
-    """One seed of several cells; the dataset and the rest come from ``_shared``.
+    """Several cells under several seeds; the dataset and the rest come from
+    ``_shared``.
 
-    Trains the cells with ``run_single``, then measures each trained cell and
-    writes its files.  Returns one outcome per cell, in cell order: its
-    ``SeedResult`` and the files written, or the exception the cell raised.
+    Trains the cells of every seed with one ``run_single`` call, then
+    measures each trained cell and writes its files.  Returns, per seed in
+    order, one outcome per cell, in cell order: its ``SeedResult`` and the
+    files written, or the exception the cell raised.
     """
     raw, exp = _shared
-    cells, seed, out_dir, keep_checkpoint = payload
-    results = run_single(
-        raw, exp.related, [(variant, cfg) for variant, cfg, _ in cells], exp.model, seed,
+    cells, seeds, out_dir, keep_checkpoint = payload
+    per_seed = run_single(
+        raw, exp.related, [(variant, cfg) for variant, cfg, _ in cells], exp.model, seeds,
         hidden_dims=exp.hidden_dims, allow_sensitive_in_training=exp.allow_sensitive_in_training,
     )
     return [
-        result if isinstance(result, Exception) else _outcome(
+        [result if isinstance(result, Exception) else _outcome(
             _write_cell, result, os.path.join(out_dir, subdir, f"seed_{seed}"), keep_checkpoint)
-        for (_, _, subdir), result in zip(cells, results)
+         for (_, _, subdir), result in zip(cells, results)]
+        for seed, results in zip(seeds, per_seed)
     ]
 
 
@@ -273,21 +276,29 @@ def _outcome(fn, *args):
         return exc.with_traceback(None)
 
 
+def _deal(items, parts):
+    """``items`` cut into ``parts`` contiguous runs, as even as they come."""
+    return [items[part * len(items) // parts : (part + 1) * len(items) // parts]
+            for part in range(parts)]
+
+
 def _run_cells(args, exp, seeds, cells, keep_checkpoint=False):
     """Run every cell under every seed; a cell is ``(variant, TrainConfig, subdir)``.
 
     Refuses a dataset without a sensitive column, whose cells could not be
-    measured, before loading it.  Loads the dataset once and runs one job
-    per seed, which splits, encodes and pretrains once for all the cells
-    that can share them.  With fewer seeds than ``--workers``, each seed's
-    cells are cut into ⌈workers / seeds⌉ jobs (never more jobs than cells),
-    so that no worker sits idle.
-    A cell's files go to ``<out_dir>/<subdir>/seed_<k>``.  A job creates a
-    directory when it has something to write, so a run whose every cell
-    fails first leaves no output directory behind; a directory that already
-    existed is left as it was.  Returns the output directory, the files the
-    jobs wrote and, per cell, one outcome per seed: its ``SeedResult`` or the
-    exception the cell raised.
+    measured, before loading it.  Loads the dataset once and deals the seeds
+    into min(seeds, ``--workers``) jobs of contiguous seeds.  A job trains
+    all of its seeds' cells with one ``run_single`` call, which splits each
+    seed once and encodes, pretrains and trains in one stack across its
+    seeds what the cells can share.  With fewer seeds than ``--workers``,
+    each job has one seed, and each seed's cells are cut into
+    ⌈workers / seeds⌉ jobs (never more jobs than cells), so that no worker
+    sits idle.  A cell's files go to ``<out_dir>/<subdir>/seed_<k>``.  A
+    job creates a directory when it has something to write, so a run whose
+    every cell fails first leaves no output directory behind; a directory
+    that already existed is left as it was.  Returns the output directory,
+    the files the jobs wrote, per cell one outcome per seed (its
+    ``SeedResult`` or the exception the cell raised), and each job's seeds.
     """
     if args.workers < 1:
         raise ValueError(f"--workers: must be at least 1, got {args.workers}")
@@ -300,20 +311,22 @@ def _run_cells(args, exp, seeds, cells, keep_checkpoint=False):
     out_dir = args.output_dir or exp.output_dir
     if os.path.exists(out_dir) and not os.path.isdir(out_dir):
         raise ValueError(f"output directory {out_dir} exists and is not a directory")
-    parts = min(len(cells), -(-args.workers // len(seeds)))
-    jobs = [
-        (cells[part * len(cells) // parts : (part + 1) * len(cells) // parts],
-         seed, out_dir, keep_checkpoint)
-        for seed in seeds
-        for part in range(parts)
-    ]
-    flat = []  # seed by seed, each seed's cells in order
-    for job, outcome in zip(jobs, _run_jobs((raw, exp), jobs, args.workers)):
-        # a job that failed as a whole fails each of its cells
-        flat += [outcome] * len(job[0]) if isinstance(outcome, Exception) else outcome
-    files = [p for o in flat if not isinstance(o, Exception) for p in o[1]]
-    results = [o if isinstance(o, Exception) else o[0] for o in flat]
-    return out_dir, files, [results[c :: len(cells)] for c in range(len(cells))]
+    parts = [(seed_part, cell_part)
+             for seed_part in _deal(list(seeds), min(len(seeds), args.workers))
+             for cell_part in _deal(range(len(cells)),
+                                    min(len(cells), -(-args.workers // len(seeds))))]
+    jobs = [([cells[c] for c in cell_part], seed_part, out_dir, keep_checkpoint)
+            for seed_part, cell_part in parts]
+    table = {}  # (seed, cell index) -> outcome
+    for (seed_part, cell_part), outcome in zip(parts, _run_jobs((raw, exp), jobs, args.workers)):
+        for i, seed in enumerate(seed_part):
+            for j, c in enumerate(cell_part):
+                # a job that failed as a whole fails each of its cells
+                table[seed, c] = outcome if isinstance(outcome, Exception) else outcome[i][j]
+    files = [p for o in table.values() if not isinstance(o, Exception) for p in o[1]]
+    results = [[o if isinstance(o, Exception) else o[0]
+                for o in (table[seed, c] for seed in seeds)] for c in range(len(cells))]
+    return out_dir, files, results, [seed_part for seed_part, _ in parts]
 
 
 def _reports(cells, outcomes):
@@ -371,7 +384,7 @@ def cmd_report(args):
     else:
         variants = _parse_list(args.variants, str.strip, "variants", "--variants")
         cells = [(check_variant(v, "--variants"), exp.train, v) for v in variants]
-    out_dir, files, outcomes = _run_cells(args, exp, seeds, cells, keep_checkpoint=train)
+    out_dir, files, outcomes, jobs = _run_cells(args, exp, seeds, cells, keep_checkpoint=train)
     reports = _reports(cells, outcomes)
     if train:
         stem, payload = "report", reports[exp.variant].to_dict()
@@ -385,7 +398,7 @@ def cmd_report(args):
     _write_json(paths[0], payload)
     with open(paths[1], "w") as fh:
         fh.write(table + "\n")
-    _write_manifest(out_dir, args, seeds, files + paths, **metadata)
+    _write_manifest(out_dir, args, seeds, files + paths, jobs=jobs, **metadata)
     print(table)
     return 0
 
@@ -401,7 +414,7 @@ def cmd_sweep(args):
         for eta in etas
         for beta in betas
     ]
-    out_dir, files, outcomes = _run_cells(args, exp, seeds, cells)
+    out_dir, files, outcomes, jobs = _run_cells(args, exp, seeds, cells)
 
     table_rows, failures = [], []
     for (_, cfg, _), results in zip(cells, outcomes):
@@ -428,7 +441,7 @@ def cmd_sweep(args):
         _write_json(failures_path, failures)
         files.append(failures_path)
 
-    _write_manifest(out_dir, args, seeds, files,
+    _write_manifest(out_dir, args, seeds, files, jobs=jobs,
                     eta_grid=etas, beta_grid=betas, n_failures=len(failures))
     print(f"sweep: {len(table_rows)} rows, {len(failures)} failed cells -> {sweep_path}")
     return 0 if table_rows else 1

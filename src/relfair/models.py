@@ -18,13 +18,15 @@ the optimizer updates every parameter with one vector expression.
 
 Stacks: a ``ParamStack`` holds k models of one layout as the rows of a
 ``(k, P)`` block, with each layer a ``(k, fan_in + 1, fan_out)`` view, so
-that several runs train in lockstep on the same batches.  The forward, the
-loss and the backward are written once, over a stack: every product is one
+that several runs train in lockstep.  The forward, the loss and the
+backward are written once, over a stack: every product is one
 ``np.matmul`` over the k models, with X (and, where the MLP folds, X beside
-its ones) broadcast to all of them, and every loss-head ufunc runs over a
-``(k, n)`` block.  A ``ModelParams`` runs as a stack of one that views it.
-Each model's bits are those it gets alone: numpy runs a stacked matmul as
-one BLAS call per model, with the two-dimensional call's strides, so each
+its ones) broadcast to all of them, or with one X per model, ``(k, n, d)``,
+where the models train on different splits, and every loss-head ufunc runs
+over a ``(k, n)`` block.  A ``ModelParams`` runs as a stack of one that
+views it.  Each model's bits are those it gets alone: numpy runs a stacked matmul as
+one BLAS call per model, with the two-dimensional call's strides (a
+model's own X is a contiguous ``(n, d)`` slice, as a split's X is), so each
 slice is the same gemm or gemv call; the ufuncs are elementwise; and the
 sums over rows (the losses, the bias gradients) run along each model's own
 rows, in the same order as alone.  ``TestStack`` checks each model of a
@@ -290,12 +292,15 @@ def sigmoid(x, out=None) -> np.ndarray:
         return np.divide(1.0, np.add(1.0, e, out=out), out=out)
 
 
-def _check_input(spec: ModelSpec, X: np.ndarray) -> np.ndarray:
+def _check_input(spec: ModelSpec, X: np.ndarray, params=None) -> np.ndarray:
+    """X as floats: (n, d), which every model reads, or, for a ``ParamStack``
+    of k models, (k, n, d), one X per model."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != spec.input_dim:
-        raise ValueError(
-            f"X must be (n, {spec.input_dim}), got {X.shape}"
-        )
+    k = params.k if isinstance(params, ParamStack) else None
+    per_model = X.ndim == 3 and len(X) == k
+    if X.shape[-1:] != (spec.input_dim,) or X.ndim != (3 if per_model else 2):
+        shapes = f"(n, {spec.input_dim})" + (f" or ({k}, n, {spec.input_dim})" if k else "")
+        raise ValueError(f"X must be {shapes}, got {X.shape}")
     return X
 
 
@@ -315,12 +320,13 @@ def _folds(params) -> bool:
     )
 
 
-def _layer_buffers(params: ParamStack, rows: int, fold: bool):
+def _layer_buffers(params: ParamStack, rows: int, fold: bool, per_model: bool):
     """``(x, hidden, out)``, the arrays a forward over up to ``rows`` rows computes in.
 
     ``hidden`` has one ``(k, rows, width)`` array per hidden layer for its
     output, and ``out`` is (k, rows, 1) for the raw scores.  With ``fold``,
     ``x`` is one (rows, inputs + 1) array for X, which every model reads,
+    or with ``per_model`` one such array per model, (k, rows, inputs + 1),
     and X and each hidden layer's output sit beside a column of ones;
     without, ``x`` is None.
     """
@@ -329,7 +335,7 @@ def _layer_buffers(params: ParamStack, rows: int, fold: bool):
     hidden = [np.empty((k, rows, fan_out + ones)) for _, fan_out in shapes[:-1]]
     x = None
     if fold:
-        x = np.empty((rows, shapes[0][0] + 1))
+        x = np.empty((*(k,) * per_model, rows, shapes[0][0] + 1))
         for buf in [x, *hidden]:
             buf[..., -1] = 1.0
     return x, hidden, np.empty((k, rows, 1))
@@ -347,8 +353,8 @@ class _RowViews:
 
     def __init__(self, bufs, shapes, n):
         x, hidden, out = bufs
-        self.x = None if x is None else x[:n]
-        self.x_in = None if x is None else self.x[:, :-1]
+        self.x = None if x is None else x[..., :n, :]
+        self.x_in = None if x is None else self.x[..., :-1]
         self.hidden = [h[:, :n] for h in hidden]
         self.z = [h[:, :, :fan_out] for h, (_, fan_out) in zip(self.hidden, shapes)]
         self.out = out[:, :n]
@@ -359,8 +365,9 @@ def _forward_cache(params: ParamStack, X: np.ndarray, rows: _RowViews, fold: boo
     """Returns ((k, n) raw output scores, list of post-activation layer inputs).
 
     The forward runs in ``rows``, the views of the ``_layer_buffers`` for
-    X's n rows.  X is every model's input, and each layer of all k models is
-    one ``np.matmul`` over the stack.  With ``fold`` each hidden layer folds
+    X's n rows.  X is every model's input, (n, d), or each model's own,
+    (k, n, d), and each layer of all k models is one ``np.matmul`` over the
+    stack.  With ``fold`` each hidden layer folds
     its bias (see the module docstring), and its ReLU runs over its ones
     too, which stay ones.
     """
@@ -390,20 +397,20 @@ def _blocked_raw(params: ParamStack, X: np.ndarray) -> np.ndarray:
     a block has at most FORWARD_BLOCK_ROWS + 1 rows, and every block runs in
     leading rows of the same per-layer buffers of that height.
     """
-    n = X.shape[0]
+    n = X.shape[-2]
     raw = np.empty((params.k, n))
     fold = _folds(params) and n > 1
-    bufs = _layer_buffers(params, min(n, FORWARD_BLOCK_ROWS + 1), fold)
+    bufs = _layer_buffers(params, min(n, FORWARD_BLOCK_ROWS + 1), fold, X.ndim == 3)
     edges = [0, *range(FORWARD_BLOCK_ROWS, n - 1, FORWARD_BLOCK_ROWS), n]
     for start, stop in zip(edges, edges[1:]):
         rows = _RowViews(bufs, params.shapes, stop - start)
-        raw[:, start:stop], _ = _forward_cache(params, X[start:stop], rows, fold)
+        raw[:, start:stop], _ = _forward_cache(params, X[..., start:stop, :], rows, fold)
     return raw
 
 
 def raw_scores(params, spec: ModelSpec, X) -> np.ndarray:
     """Pre-sigmoid output: the logit for LR/MLP, the margin for the SVM."""
-    raw = _blocked_raw(_as_stack(params), _check_input(spec, X))
+    raw = _blocked_raw(_as_stack(params), _check_input(spec, X, params))
     return raw if isinstance(params, ParamStack) else raw[0]
 
 
@@ -413,20 +420,22 @@ def forward(params, spec: ModelSpec, X) -> np.ndarray:
 
 
 def _check_labels(X, y) -> np.ndarray:
+    """y as floats, one row per X: (1, n) for an (n, d) X, which every model
+    reads, or (k, n) for a (k, n, d) X."""
     y = np.asarray(y, dtype=float)
-    if y.shape != (X.shape[0],):
-        raise ValueError(f"y must be ({X.shape[0]},), got {y.shape}")
-    return y
+    if y.shape != X.shape[:-1]:
+        raise ValueError(f"y must be {X.shape[:-1]}, got {y.shape}")
+    return y[None] if y.ndim == 1 else y
 
 
 def _cls_loss(spec: ModelSpec, raw, yhat, y, scratch=None):
     """Each model's summed classification loss plus the per-row terms its
     gradient reuses.
 
-    ``raw`` and ``yhat`` are (k, n), one row per model, ``y`` is (1, n), and
-    the k losses are sums along the rows.  Binary cross entropy on the clipped probability
-    for LR/MLP (the terms are the clipped probabilities), hinge on the
-    margins for the SVM (the terms are the signed labels and the per-row
+    ``raw`` and ``yhat`` are (k, n), one row per model, ``y`` is (1, n) or
+    (k, n), and the k losses are sums along the rows.  Binary cross entropy
+    on the clipped probability for LR/MLP (the terms are the clipped
+    probabilities), hinge on the margins for the SVM (the terms are the signed labels and the per-row
     hinge losses).  LR/MLP compute in ``scratch``, four arrays shaped as
     ``yhat`` (None: fresh ones), and return the clipped probabilities in
     its first.
@@ -450,8 +459,8 @@ def forward_loss(params, spec: ModelSpec, X, y):
 
     For a ``ParamStack``: the (k, n) predictions and the k losses.
     """
-    X = _check_input(spec, X)
-    y = _check_labels(X, y)[None]  # one row, which every model's row reads
+    X = _check_input(spec, X, params)
+    y = _check_labels(X, y)
     raw = _blocked_raw(_as_stack(params), X)
     yhat = sigmoid(raw)
     loss, _ = _cls_loss(spec, raw, yhat, y)
@@ -468,18 +477,19 @@ class Workspace:
     layout of ``params``, and five (k, rows) blocks for the loss head:
     ``yhat``, the clipped ``yhat``, and three for the loss terms and then
     ``d_raw``.  ``params`` is a ``ModelParams`` (k is 1) or a
-    ``ParamStack`` of k models.  A batch of m rows uses the leading m rows
+    ``ParamStack`` of k models, and ``per_model`` says whether its batches
+    give each model its own X.  A batch of m rows uses the leading m rows
     of each, through views made the first time a batch has m rows
     (``at``): a pass has at most two batch heights, and making a step's
     twenty-odd views afresh took about 4 us of the 118 us step of the
     (64, 32) MLP on 128 rows (one BLAS thread, 2-core Xeon).
     """
 
-    def __init__(self, params, rows: int):
+    def __init__(self, params, rows: int, per_model: bool = False):
         stack = _as_stack(params)
         self.rows, self.k, self.shapes = rows, stack.k, stack.shapes
-        self.folds = _folds(stack)
-        self.layers = _layer_buffers(stack, rows, self.folds)
+        self.folds, self.per_model = _folds(stack), per_model
+        self.layers = _layer_buffers(stack, rows, self.folds, per_model)
         self.deltas = [np.zeros(h.shape) for h in self.layers[1]]
         self.grads = ParamStack(np.empty_like(stack.flat), stack.shapes)
         self.head = np.empty((5, self.k, rows))  # yhat, then _cls_loss's scratch
@@ -525,10 +535,11 @@ def loss_and_grad(
     SVM.
 
     ``params`` is a ``ModelParams`` or a ``ParamStack`` of k models, which
-    all read X and y.  A stack returns its k losses and a ``ParamStack``
-    gradient, and its ``extra_grad_on_yhat`` maps the (k, n) block of
-    predictions to k entries, each None (no extra gradient for that model)
-    or one entry per row.
+    all read X (n, d) and y (n,), or each its own row of X (k, n, d) and y
+    (k, n).  A stack returns its k losses and a ``ParamStack`` gradient,
+    and its ``extra_grad_on_yhat`` maps the (k, n) block of predictions to
+    k entries, each None (no extra gradient for that model) or one entry
+    per row.
 
     ``workspace`` is None, and the call computes in a ``Workspace`` of its
     own, or a ``Workspace`` of this layout and k with at least as many rows
@@ -537,19 +548,21 @@ def loss_and_grad(
     ``extra_grad_on_yhat`` receives is a view of the workspace too: it holds
     until the call returns, so the function must copy what it keeps.
     """
-    X = _check_input(spec, X)
-    # one row, which every model's row reads: at k = 1 the ufuncs of the loss
-    # head then see equal shapes and take numpy's fast path, not a broadcast
-    y = _check_labels(X, y)[None]
+    X = _check_input(spec, X, params)
+    # one row per X: at k = 1 the ufuncs of the loss head then see equal
+    # shapes and take numpy's fast path, not a broadcast
+    y = _check_labels(X, y)
     stack = _as_stack(params)
     single = stack is not params
-    n = X.shape[0]
+    n, per_model = X.shape[-2], X.ndim == 3
     if workspace is None:
-        workspace = Workspace(stack, n)
+        workspace = Workspace(stack, n, per_model)
     elif n > workspace.rows:
         raise ValueError(f"a workspace of {workspace.rows} rows cannot hold {n} rows")
     elif stack.k != workspace.k:
         raise ValueError(f"a workspace of {workspace.k} models cannot hold {stack.k} models")
+    elif per_model != workspace.per_model:
+        raise ValueError("a workspace for one X per model takes only that, and vice versa")
 
     # the bias row of a folded gradient is a dot product over the n rows
     fold = workspace.folds and 1 < n <= FOLD_MAX_TERMS
@@ -592,7 +605,7 @@ def loss_and_grad(
         if fold and i < last:  # [acts, 1].T @ delta: the weight and bias rows at once
             np.matmul(ins_T[i], delta, out=grads.stacked[i])
         else:
-            np.matmul(X.T if i == 0 else z_T[i - 1], delta, out=grads.weights[i])
+            np.matmul(X.mT if i == 0 else z_T[i - 1], delta, out=grads.weights[i])
             delta.sum(axis=-2, keepdims=True, out=grads.biases[i])
         if i > 0:
             w, h, back, d = stack.weights[i], rows.hidden[i - 1], backs[i - 1], ds[i - 1]

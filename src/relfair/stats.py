@@ -41,6 +41,9 @@ def _as_vector(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
+    if not np.isfinite(arr).all():  # the coefficient would be NaN, not a number in [-1, 1]
+        i = int(np.argmin(np.isfinite(arr)))
+        raise ValueError(f"{name} holds a non-finite value, {arr[i]}, at index {i}")
     return arr
 
 
@@ -56,6 +59,7 @@ def pearson(x, y) -> float:
 
     Raises DegenerateVarianceError when either input is constant; the caller
     decides the policy (e.g. constant encoded columns are dropped upstream).
+    Raises ValueError naming ``x`` or ``y`` when it holds a NaN or an inf.
     """
     xv = _as_vector(x, "x")
     yv = _as_vector(y, "y")

@@ -15,23 +15,31 @@ has one seed, ``ModelSpec.seed``, which its checkpoint stores: it draws the
 split (the caller's), the init, the batch order and a variant's sampling.
 
 Stacks: ``train_stack`` runs the fair loops of several runs in lockstep, and
-``train_cells`` hands it every run of the cells that share an encoding and a
-pretrained model (the same spec, ``learning_rate``, ``pretrain_epochs`` and
-``batch_size``): the vanilla and fairrf cells of a ``compare``, every
-(eta, beta) cell of a ``sweep`` seed, each per-feature run of ``top1``.  Such
-runs draw the same batch order from ``[seed, 2]`` every epoch, so a batch is
-gathered once, forwarded and backpropagated for all k runs by one
-``loss_and_grad`` call over a ``models.ParamStack``, and stepped by one Adam
-step over the stack's ``(k, P)`` parameter block.  Each epoch then forwards
-each split once for all k runs and ends in one ``_Member.step`` per run, its
-lambda refresh and bookkeeping; each distinct related block of a split is
-gathered once per stack.  Each run keeps its own lambda, eta and beta,
-trace, history, early stop (``_Plateau``, as ``pretrain``'s) and model
-selection.  A run that stops or fails (a non-finite loss or parameter, or a
-step that raises) leaves through ``_Stack.drop``, the one exit: it takes
-the run's row out of the parameter block and Adam's moments and records
-its outcome, and the others go on.  ``pretrain`` is a stack of one, and so
-is a single fair run, ``train_fairrf``; there is no other fair loop.
+``run_single`` hands it every run of a job's cells that share an encoding
+group and a stack key, over every seed of the job: the same model spec but
+for the seed (so the same encoded width), ``learning_rate``,
+``pretrain_epochs`` and ``batch_size``.  That is the vanilla and fairrf
+cells of a ``compare``, every (eta, beta) cell of a ``sweep``, each
+per-feature run of ``top1``, for each seed.  ``pretrain`` is a stack too,
+one row per seed.  A row carries its seed's views and batch order (from
+``[seed, 1]`` in ``pretrain``, ``[seed, 2]`` in the fair loop), so the rows
+of a seed take the same batches.  A batch is gathered once per seed (into
+a ``(k, b, d)`` block, one slice per row, when the stack has several
+seeds), forwarded and backpropagated for all k rows by one
+``loss_and_grad`` call over a ``models.ParamStack``, and stepped by one
+Adam step over the stack's ``(k, P)`` parameter block.  Each epoch then
+forwards each split once per seed, for all of that seed's rows (the splits
+of several seeds are never copied into one block), and ends in one
+``_Plateau`` check per ``pretrain`` row, or one ``_Member.step`` per run,
+its lambda refresh and bookkeeping; each distinct related block of a split
+is gathered once per stack.  Each run keeps its own lambda, eta and beta,
+penalty blocks, fairness callback, trace, history, early stop
+(``_Plateau``, as ``pretrain``'s) and model selection.  A row that stops or
+fails (a non-finite loss or parameter, or a step that raises) leaves
+through ``_Stack.drop``, the one exit: it takes the row out of the
+parameter block, Adam's moments and the stack's per-row state, and records
+its outcome, and the others go on.  A single fair run, ``train_fairrf``,
+is a stack of one; there is no other fair loop.
 
 A run's bits do not depend on its stack.  Its products are slices of
 stacked ``np.matmul`` calls, and numpy hands each slice to the BLAS call the
@@ -40,8 +48,10 @@ ufuncs are the same; each sum over rows runs along a row of a ``(k, n)``
 block, as the one-dimensional sum does; the penalty's einsums run one run
 at a time, since their order in a stacked form is unchecked; and an Adam
 step is elementwise, with the one ``t`` every run in the stack shares
-(they all started together).  ``tests/test_lockstep.py`` checks each run of
-a stack against the run alone, byte for byte.
+(they all started together).  A row's X is the shared batch, or its own
+contiguous slice of the ``(k, b, d)`` block, which BLAS reads as it reads
+the batch alone.  ``tests/test_lockstep.py`` checks each run of a stack,
+within a seed and across seeds, against the run alone, byte for byte.
 
 Every Adam step updates the whole model at once: the parameters, their
 gradient and Adam's two moments are each one flat vector laid out as
@@ -265,80 +275,136 @@ class Adam:
         self._scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class SeedData:
+    """One seed's place in a stack: its ``ModelSpec`` (the seed included), the
+    parameters its rows start from, and its training and evaluation
+    ``TrainView``s.  The rows of one ``SeedData`` share its batch order."""
+
+    spec: ModelSpec
+    params: ModelParams
+    train: object  # TrainView
+    evaluation: object  # TrainView
+
+
+def _stack_spec(seeds):
+    """The model spec that every ``SeedData`` of a stack has but for its seed.
+
+    Their splits must also have the same sizes (``split``'s depend on n
+    alone), so that every row of the stack takes its batches at one pace."""
+    first = seeds[0]
+    for data in seeds:
+        if (dataclasses.replace(data.spec, seed=first.spec.seed) != first.spec
+                or (data.train.n, data.evaluation.n) != (first.train.n, first.evaluation.n)):
+            raise ValueError("the seeds of a stack must share the model shape and the split sizes")
+    return first.spec
+
+
+class _Seed:
+    """A ``SeedData``'s views and its batch order, drawn from ``[seed, stream]``,
+    which its rows of a stack share."""
+
+    def __init__(self, data, stream):
+        self.train, self.evaluation = data.train, data.evaluation
+        self.rng = np.random.default_rng([data.spec.seed, stream])
+
+
 class _Stack:
     """A lockstep stack's rows: its ``ParamStack`` ``params``, its ``Adam``
-    ``opt`` and ``runs[row]``, the number (0 to k - 1, as made) of the run
-    behind each row.  ``outcomes`` holds each run's outcome by its number,
-    None while it is in the stack; ``drop`` is the one way a run leaves."""
+    ``opt``, and per row ``rows[row]``, its run's own state (its ``_Seed``,
+    ``.seed``, and its ``penalty()``), and ``runs[row]``, the number (0 to
+    k - 1, as made) of that run.  ``outcomes`` holds each run's outcome by
+    its number, None while it is in the stack; ``drop`` is the one way a run
+    leaves, and its whole row leaves with it."""
 
-    def __init__(self, params, lr, k):
-        self.params = ParamStack.of(params, k)
+    def __init__(self, starts, lr, rows):
+        self.params = ParamStack(np.stack([params.flat for params in starts]), starts[0].shapes)
         self.opt = Adam(self.params.flat, lr)
-        self.runs = list(range(k))
-        self.outcomes = [None] * k
+        self.rows = list(rows)
+        self.runs = list(range(len(self.rows)))
+        self.outcomes = [None] * len(self.rows)
 
     def drop(self, gone):
-        """The rows of ``gone``, ``{row: outcome}``, leave the parameter block
-        and Adam's moments, and their runs' outcomes are recorded.  Returns
-        the rows that stay, in order, as they were numbered before."""
+        """The rows of ``gone``, ``{row: outcome}``, leave the parameter block,
+        Adam's moments and ``rows``, and their runs' outcomes are recorded.
+        Returns the rows that stay, in order, as they were numbered before."""
         keep = [row for row in range(len(self.runs)) if row not in gone]
         if gone:
             for row, outcome in gone.items():
                 self.outcomes[self.runs[row]] = outcome
             self.params = ParamStack(self.params.flat[keep], self.params.shapes)
             self.opt.keep(keep)
+            self.rows = [self.rows[row] for row in keep]
             self.runs = [self.runs[row] for row in keep]
         return keep
 
 
-def _adam_pass(spec, stack, train, cfg, rng, where, penalties=None):
-    """One shuffled pass of mini-batch Adam steps over ``train``, in place,
-    for every row of the ``_Stack`` ``stack`` at once.
+def _adam_pass(spec, stack, cfg, where):
+    """One shuffled pass of mini-batch Adam steps, in place, for every row of
+    the ``_Stack`` ``stack`` at once, each over its seed's training split.
 
-    ``penalties`` is None, for the classification loss alone, or one entry
-    per row: None, or ``(eta, reg, related, lam)``, and that row's
-    ``extra_grad_on_yhat`` is then ``eta`` times the penalty gradient on the
-    batch's rows of ``reg`` (None: of the batch's model inputs), which the
-    caller has checked.  The batch, each distinct related block of it, the
-    step's layers and its gradient live in buffers made once per pass and
-    batch, and lambda is mapped to the related columns once.  Each row's
-    loss is checked at every step and its parameters once, after the last
-    step; a row that fails either leaves ``stack`` with a
+    Each seed draws one batch order per pass.  With one seed, each batch is
+    gathered once and every model reads it; otherwise each row has its own
+    slice of a ``(k, b, d)`` batch, which the first row of a seed gathers
+    and the others of that seed copy.  A row's ``penalty()`` is
+    None, for the classification loss alone, or ``(eta, reg, related,
+    lam)``, and its ``extra_grad_on_yhat`` is then ``eta`` times the penalty
+    gradient on the batch's rows of ``reg`` (None: of the batch's model
+    inputs), which the caller has checked.  The batch, each distinct related
+    block of it, the step's layers and its gradient live in buffers made
+    once per pass and batch, and lambda is mapped to the related columns
+    once.  Each row's loss is checked at every step and its parameters once,
+    after the last step; a row that fails either leaves ``stack`` with a
     ``TrainingDivergedError`` that names ``where``.
     """
-    order = rng.permutation(train.n)
-    rows = min(cfg.batch_size, train.n)
-    X_buf = np.empty((rows, train.X.shape[1]), dtype=train.X.dtype)
-    y_buf = np.empty(rows, dtype=train.y.dtype)
-    workspace = Workspace(stack.params, rows)
+    seeds = list(dict.fromkeys(row.seed for row in stack.rows))  # in row order
+    orders = {seed: seed.rng.permutation(seed.train.n) for seed in seeds}
+    first, per_model = seeds[0], len(seeds) > 1
+    n, height = first.train.n, min(cfg.batch_size, first.train.n)
+    lead = (stack.params.k,) * per_model
+    X_buf = np.empty((*lead, height, first.train.X.shape[1]), dtype=first.train.X.dtype)
+    y_buf = np.empty((*lead, height), dtype=first.train.y.dtype)
+    gathers = [row.seed for row in stack.rows] if per_model else seeds  # each slice's seed
+    workspace = Workspace(stack.params, height, per_model)
     pens = []  # per row: None, or (eta, reg, columns, lambda per column, block key)
-    for penalty in penalties or [None] * stack.params.k:
+    for row in stack.rows:
+        penalty = row.penalty()
         if penalty is None:
             pens.append(None)
             continue
         eta, reg, related, lam = penalty
-        key = (id(reg), related.columns.tobytes())  # runs with equal keys share a block
+        key = (row.seed, id(reg), related.columns.tobytes())  # equal keys share a block
         pens.append((eta, reg, related.columns, lam[related.owner], key))
 
-    for start in range(0, train.n, cfg.batch_size):
-        idx = order[start : start + cfg.batch_size]
-        # idx is in range, and mode="clip" lets take write straight into out
-        Xb = train.X.take(idx, axis=0, out=X_buf[: len(idx)], mode="clip")
-        yb = train.y.take(idx, out=y_buf[: len(idx)], mode="clip")
+    for start in range(0, n, cfg.batch_size):
+        idx = {seed: order[start : start + cfg.batch_size] for seed, order in orders.items()}
+        Xb, yb = X_buf[..., : len(idx[first]), :], y_buf[..., : len(idx[first])]
+        firsts = {}  # per seed, the row that gathered its batch
+        for j, seed in enumerate(gathers):
+            Xj, yj = (Xb[j], yb[j]) if per_model else (Xb, yb)
+            if seed in firsts:
+                np.copyto(Xj, Xb[firsts[seed]])
+                np.copyto(yj, yb[firsts[seed]])
+                continue
+            firsts[seed] = j
+            # idx is in range, and mode="clip" lets take write straight into out
+            seed.train.X.take(idx[seed], axis=0, out=Xj, mode="clip")
+            seed.train.y.take(idx[seed], out=yj, mode="clip")
         extra = None
         if any(pens):
             blocks = {}  # each distinct related block of the batch and its column means
 
             def extra(yhat):
                 out = []
-                for pen, yhat_b in zip(pens, yhat):
+                for j, (pen, yhat_j) in enumerate(zip(pens, yhat)):
                     if pen is None:
                         out.append(None)
                         continue
                     eta, reg, columns, col_lam, key = pen
                     if key not in blocks:
-                        blocks[key] = _related_block(Xb if reg is None else reg[idx], columns)
-                    out.append(eta * _block_grad(*blocks[key], col_lam, yhat_b))
+                        rows_of = (Xb[j] if per_model else Xb) if reg is None else reg[idx[key[0]]]
+                        blocks[key] = _related_block(rows_of, columns)
+                    out.append(eta * _block_grad(*blocks[key], col_lam, yhat_j))
                 return out
 
         loss, grads = loss_and_grad(stack.params, spec, Xb, yb, extra_grad_on_yhat=extra,
@@ -351,11 +417,32 @@ def _adam_pass(spec, stack, train, cfg, rng, where, penalties=None):
             if not keep:
                 return
             pens, grad = [pens[j] for j in keep], grad[keep]
-            workspace = Workspace(stack.params, rows)
+            if per_model:
+                X_buf, y_buf, gathers = X_buf[keep], y_buf[keep], [gathers[j] for j in keep]
+            workspace = Workspace(stack.params, height, per_model)
         stack.opt.step(stack.params.flat, grad)
     finite = np.isfinite(stack.params.flat).all(axis=1).tolist()
     stack.drop({j: TrainingDivergedError(f"non-finite parameters at {where}")
                 for j, ok in enumerate(finite) if not ok})
+
+
+def _forward_rows(stack, spec, split):
+    """Each row's ``(yhat, cls_loss)`` on its seed's ``split`` view, "train" or
+    "evaluation": one ``forward_loss`` per seed, over that seed's rows, so
+    that no split is copied beside another."""
+    by_seed = {}
+    for row, state in enumerate(stack.rows):
+        by_seed.setdefault(state.seed, []).append(row)
+    fits = [None] * len(stack.rows)
+    for seed, rows in by_seed.items():
+        params = stack.params
+        if len(rows) < len(fits):
+            params = ParamStack(params.flat[rows], params.shapes)
+        view = getattr(seed, split)
+        yhat, loss = forward_loss(params, spec, view.X, view.y)
+        for i, row in enumerate(rows):
+            fits[row] = (yhat[i], float(loss[i]))
+    return fits
 
 
 class _Plateau:
@@ -377,27 +464,44 @@ class _Plateau:
 # pretraining
 
 
-def pretrain(spec, params, train, evaluation, cfg):
-    """Mini-batch Adam on the classification loss alone.
+class _Warmup:
+    """A pretraining row: its seed and its early stop."""
 
-    Runs for cfg.pretrain_epochs or until the evaluation loss stops improving
-    for PRETRAIN_PATIENCE consecutive epochs.  pretrain_epochs=0 is a no-op.
+    def __init__(self, seed):
+        self.seed, self.plateau = seed, _Plateau(PRETRAIN_PATIENCE)
+
+    def penalty(self):
+        return None
+
+
+def pretrain(seeds, cfg):
+    """Mini-batch Adam on the classification loss alone, for each
+    ``SeedData`` of ``seeds`` from its ``params``, in lockstep: one row per
+    seed, with its batch order drawn from ``[seed, 1]``.
+
+    A row runs for cfg.pretrain_epochs or until its evaluation loss stops
+    improving for PRETRAIN_PATIENCE consecutive epochs, and then leaves the
+    stack; pretrain_epochs=0 is a no-op.  A row that diverges leaves with a
+    ``TrainingDivergedError`` naming the epoch.  Returns, per seed in order,
+    its ``ModelParams`` or that error.
     """
-    stack = _Stack(params, cfg.learning_rate, 1)  # a stack of one, which _adam_pass takes
-    rng = np.random.default_rng([spec.seed, 1])
-    plateau = _Plateau(PRETRAIN_PATIENCE)
+    spec = _stack_spec(seeds)
+    stack = _Stack([data.params for data in seeds], cfg.learning_rate,
+                   [_Warmup(_Seed(data, 1)) for data in seeds])
     for epoch in range(cfg.pretrain_epochs):
-        _adam_pass(spec, stack, train, cfg, rng, f"pretrain epoch {epoch}")
+        where = f"pretrain epoch {epoch}"
+        _adam_pass(spec, stack, cfg, where)
+        gone = {}
+        for row, (_, eval_loss) in enumerate(_forward_rows(stack, spec, "evaluation")):
+            if not math.isfinite(eval_loss):
+                gone[row] = TrainingDivergedError(f"non-finite loss at {where} (eval)")
+            elif stack.rows[row].plateau.stalled(eval_loss):
+                gone[row] = stack.params.member(row)
+        stack.drop(gone)
         if not stack.runs:
-            raise stack.outcomes[0]
-        _, (eval_loss,) = forward_loss(stack.params, spec, evaluation.X, evaluation.y)
-        if not np.isfinite(eval_loss):
-            raise TrainingDivergedError(
-                f"non-finite loss at pretrain epoch {epoch} (eval)"
-            )
-        if plateau.stalled(eval_loss):
             break
-    return stack.params.member(0)
+    stack.drop({row: stack.params.member(row) for row in range(len(stack.runs))})
+    return stack.outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +560,12 @@ class FairRun:
 
 
 class _Member:
-    """A run's own state in its stack: lambda, trace, history and early stop."""
+    """A run's own state in its stack: its ``_Seed``, lambda, trace, history
+    and early stop."""
 
-    def __init__(self, run, train, evaluation):
+    def __init__(self, run, seed):
         related, cfg = run.related, run.cfg
+        train, evaluation = seed.train, seed.evaluation
         if related is None and cfg.eta != 0:
             raise ValueError("a related feature set is required unless eta=0")
         # checked once here: the theta-phase gradient makes no checks of its own
@@ -468,7 +574,7 @@ class _Member:
         if (reg_train.ndim != 2 or reg_eval.ndim != 2
                 or len(reg_train) != train.n or len(reg_eval) != evaluation.n):
             raise ValueError("regularized-column matrices must be 2-d and align with the splits")
-        self.run, self.cfg, self.related = run, cfg, related
+        self.run, self.cfg, self.related, self.seed = run, cfg, related, seed
         self.regs = (reg_train, reg_eval)
         self.batch_reg = None if reg_train is train.X else reg_train  # None: a batch's Xb
         self.lam = related.lambda0 if related is not None else np.zeros(0)
@@ -492,7 +598,7 @@ class _Member:
             blocks[key] = reg[:, columns]
         return _per_feature(blocks[key], self.related, yhat)
 
-    def step(self, blocks, fits, y_eval, theta, epoch):
+    def step(self, blocks, fits, theta, epoch):
         """The epoch's (b) lambda refresh, the exact minimizer given the
         current model, (c) bookkeeping and (d) convergence, from ``fits``,
         the training and evaluation splits' ``(yhat, cls_loss)``.  True once
@@ -505,7 +611,7 @@ class _Member:
         lam, fairness = self.lam, self.run.fairness
         eval_penalty = float(lam @ self.per_feature(blocks, 1, yhat_eval))
         eval_obj = total_objective(eval_cls, eval_penalty, lam, self.cfg)
-        eval_acc = accuracy(yhat_eval, y_eval)
+        eval_acc = accuracy(yhat_eval, self.seed.evaluation.y)
         eo, dp = fairness(yhat_eval) if fairness is not None else (None, None)
         self.trace.append(
             EpochRecord(
@@ -531,59 +637,57 @@ class _Member:
         return ModelParams._over(theta, shapes), self.trace
 
 
-def train_stack(spec, params, train, evaluation, runs):
-    """Run the fair loop of each ``FairRun`` from ``params``, in lockstep.
+def train_stack(rows):
+    """Run the fair loop of each ``(SeedData, FairRun)`` row, in lockstep.
 
-    ``train`` and ``evaluation`` are ``TrainView``s: features and labels.
-    The runs must share ``learning_rate`` and ``batch_size``, so each epoch
-    they draw one batch order from ``[spec.seed, 2]``, and every batch is
-    gathered once, forwarded and backpropagated for all of them with one
-    product per layer (``models.ParamStack``), and stepped with one Adam
-    step over their ``(k, P)`` block.  Each epoch then forwards each split
-    once for all of them, and each run takes one ``_Member.step`` on both
-    forwards; the related blocks of the splits are gathered once per call.
-    Lambda, the trace, the history, early stopping and model selection stay
-    each run's own.  A run leaves the stack, through ``_Stack.drop``, when
-    it stops, or when it fails: a non-finite loss or parameter, or a step
-    that raises; the others go on as if it had never been there.
+    A row starts from its ``SeedData``'s parameters and trains on its views
+    (``TrainView``s: features and labels).  The rows must share the model
+    shape (the spec but for its seed), the split sizes, ``learning_rate``
+    and ``batch_size``.  Each epoch the rows of a ``SeedData`` draw one
+    batch order from ``[seed, 2]``; every batch is forwarded and
+    backpropagated for all rows with one product per layer and stepped with
+    one Adam step (see the module docstring); each split is forwarded once
+    per seed, and each run takes one ``_Member.step`` on both forwards.  A
+    run leaves the stack, through ``_Stack.drop``, when it stops, or when it
+    fails: a non-finite loss or parameter, or a step that raises; the others
+    go on as if it had never been there.
 
-    Returns, per run in order, ``(params, trace)`` or the exception it raised.
+    Returns, per row in order, ``(params, trace)`` or the exception it raised.
     """
-    members = []  # per run: its _Member, or the exception that refused it
-    for run in runs:
+    seeds = {data: _Seed(data, 2) for data in dict.fromkeys(data for data, _ in rows)}
+    members = []  # per row: its _Member, or the exception that refused it
+    for data, run in rows:
         try:
-            members.append(_Member(run, train, evaluation))
+            members.append(_Member(run, seeds[data]))
         except Exception as exc:  # a failed run is an outcome; callers decide
             members.append(exc)
     live = [member for member in members if isinstance(member, _Member)]
     if not live:
         return members
+    spec = _stack_spec(list(seeds))
     cfg = live[0].cfg  # its learning_rate and batch_size are every run's
     if any((m.cfg.learning_rate, m.cfg.batch_size) != (cfg.learning_rate, cfg.batch_size)
            for m in live):
         raise ValueError("the runs of a stack must share learning_rate and batch_size")
-    stack = _Stack(params, cfg.learning_rate, len(runs))
+    stack = _Stack([data.params for data, _ in rows], cfg.learning_rate, members)
     stack.drop({row: m for row, m in enumerate(members) if isinstance(m, Exception)})
-    rng = np.random.default_rng([spec.seed, 2])
     blocks = {}  # the splits' related blocks, each gathered once
 
     epoch = 0
     while stack.runs:
         # (a) theta phase: one full pass per lambda refresh; a model that
         # diverges leaves the stack in it
-        _adam_pass(spec, stack, train, cfg, rng, f"epoch {epoch}",
-                   [members[run].penalty() for run in stack.runs])
+        _adam_pass(spec, stack, cfg, f"epoch {epoch}")
         if not stack.runs:
             break
 
         # (b)-(d) on one forward of each split: each run's step
-        fits = [forward_loss(stack.params, spec, view.X, view.y) for view in (train, evaluation)]
+        fits = zip(_forward_rows(stack, spec, "train"), _forward_rows(stack, spec, "evaluation"))
         gone = {}
-        for row, run in enumerate(stack.runs):
+        for row, (member, fit) in enumerate(zip(stack.rows, fits)):
             try:
-                if members[run].step(blocks, [(yhat[row], float(cls[row])) for yhat, cls in fits],
-                                     evaluation.y, stack.params.flat[row], epoch):
-                    gone[row] = members[run].chosen(stack.params.shapes)
+                if member.step(blocks, fit, stack.params.flat[row], epoch):
+                    gone[row] = member.chosen(stack.params.shapes)
             except Exception as exc:
                 gone[row] = exc
         stack.drop(gone)
@@ -595,11 +699,12 @@ def train_fairrf(spec, params, train, evaluation, related, cfg, *,
                  learn_lambda=True, reg_train=None, reg_eval=None, fairness=None):
     """Alternate Adam passes on the penalized loss with closed-form lambda.
 
-    One run: ``train_stack`` of one ``FairRun`` of these arguments, whose
-    fields they are.  Returns ``(params, trace)``; raises what the run raised.
+    One run: ``train_stack`` of one row, the ``SeedData`` and the
+    ``FairRun`` of these arguments.  Returns ``(params, trace)``; raises
+    what the run raised.
     """
     run = FairRun(related, cfg, learn_lambda, reg_train, reg_eval, fairness)
-    (outcome,) = train_stack(spec, params, train, evaluation, [run])
+    (outcome,) = train_stack([(SeedData(spec, params, train, evaluation), run)])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -731,78 +836,101 @@ def _cell_result(variant, spec, runs, outcomes, encoded):
                        forward(params, spec, enc_test.X), enc_test.y, enc_test.s)
 
 
-def _train_group(cells, indices, splits, related_names, model_kind, seed, hidden_dims,
+def _train_group(cells, indices, splits, related_names, model_kind, hidden_dims,
                  allow_sensitive_in_training, outcomes):
-    """Train the cells ``indices`` of one encoding group into ``outcomes``."""
-    train_raw, eval_raw, _ = splits
-    encoded = None
-    stacks = {}  # pretrain key -> [(cell index, its runs)]
-    for index in indices:
-        variant, cfg = cells[index]
-        try:
-            _check_cell(variant, eval_raw, allow_sensitive_in_training)
-            if encoded is None:
-                encoded = encode_splits(variant, splits, related_names)
-                fairness = _eval_fairness(encoded[1])
-            spec = ModelSpec(kind=model_kind, input_dim=encoded[0].n_columns,
-                             hidden_dims=hidden_dims, seed=seed)
-            runs = _cell_runs(variant, cfg, train_raw.schema, encoded, spec, related_names,
-                              fairness)
-        except Exception as exc:  # a failed cell is an outcome; callers decide
-            # the frames of a traceback would keep an encoding alive
-            outcomes[index] = exc.with_traceback(None)
+    """Train the cells ``indices`` of one encoding group, for every seed of
+    ``splits``, into ``outcomes``; see ``_train_seeds``."""
+    encodings = {}  # seed position -> its encoded splits, held until the group is trained
+    stacks = {}  # stack key -> [(seed position, cell index, spec, its runs)]
+    for pos, (seed, seed_splits) in enumerate(splits):
+        if isinstance(seed_splits, Exception):
             continue
-        key = (spec, cfg.learning_rate, cfg.pretrain_epochs, cfg.batch_size)
-        stacks.setdefault(key, []).append((index, runs))
-    if encoded is None:
-        return
-    train_view, eval_view = encoded[0].train_view(), encoded[1].train_view()
-    for (spec, *_), members in stacks.items():
-        cfg = cells[members[0][0]][1]  # pretrain reads only the fields of the key
+        train_raw, eval_raw, _ = seed_splits
+        for index in indices:
+            variant, cfg = cells[index]
+            try:
+                _check_cell(variant, eval_raw, allow_sensitive_in_training)
+                if pos not in encodings:
+                    encodings[pos] = encode_splits(variant, seed_splits, related_names)
+                    fairness = _eval_fairness(encodings[pos][1])
+                spec = ModelSpec(kind=model_kind, input_dim=encodings[pos][0].n_columns,
+                                 hidden_dims=hidden_dims, seed=seed)
+                runs = _cell_runs(variant, cfg, train_raw.schema, encodings[pos], spec,
+                                  related_names, fairness)
+            except Exception as exc:  # a failed cell is an outcome; callers decide
+                # the frames of a traceback would keep an encoding alive
+                outcomes[pos][index] = exc.with_traceback(None)
+                continue
+            # seeds whose encodings differ in width stack apart
+            key = (dataclasses.replace(spec, seed=0), cfg.learning_rate, cfg.pretrain_epochs,
+                   cfg.batch_size)
+            stacks.setdefault(key, []).append((pos, index, spec, runs))
+    for members in stacks.values():
+        cfg = cells[members[0][1]][1]  # pretrain reads only the fields of the key
+        starts = {}  # seed position -> its SeedData, at its init
+        for pos, _, spec, _ in members:
+            if pos not in starts:
+                train, evaluation = (enc.train_view() for enc in encodings[pos][:2])
+                starts[pos] = SeedData(spec, init_params(spec), train, evaluation)
         try:
-            pretrained = pretrain(spec, init_params(spec), train_view, eval_view, cfg)
-            results = train_stack(spec, pretrained, train_view, eval_view,
-                                  [run for _, runs in members for run in runs])
+            pretrained = dict(zip(starts, pretrain(list(starts.values()), cfg)))
+            fair = {pos: dataclasses.replace(starts[pos], params=params)
+                    for pos, params in pretrained.items() if not isinstance(params, Exception)}
+            results = train_stack([(fair[pos], run) for pos, _, _, runs in members
+                                   if pos in fair for run in runs])
         except Exception as exc:
-            for index, _ in members:
-                outcomes[index] = exc.with_traceback(None)
+            for pos, index, _, _ in members:
+                outcomes[pos][index] = exc.with_traceback(None)
             continue
-        for index, runs in members:
+        for pos, index, spec, runs in members:
+            if pos not in fair:
+                outcomes[pos][index] = pretrained[pos]
+                continue
             mine, results = results[: len(runs)], results[len(runs):]
             try:
-                outcomes[index] = _cell_result(cells[index][0], spec, runs, mine, encoded)
+                outcomes[pos][index] = _cell_result(cells[index][0], spec, runs, mine,
+                                                    encodings[pos])
             except Exception as exc:
-                outcomes[index] = exc.with_traceback(None)
+                outcomes[pos][index] = exc.with_traceback(None)
 
 
-def train_cells(cells, train_raw, eval_raw, test_raw, related_names, model_kind, *,
-                seed=0, hidden_dims=None, allow_sensitive_in_training=False):
-    """Train ``(variant, cfg)`` cells on one split, sharing what they share.
+def _train_seeds(cells, splits, related_names, model_kind, hidden_dims,
+                 allow_sensitive_in_training):
+    """Train ``(variant, cfg)`` cells on every seed's split, sharing what they share.
 
-    ``seed`` is the run's, the one the split was drawn with, and every
-    ``ModelSpec`` carries it.  A variant only chooses what the fair loop
-    regularizes.  The cells are grouped by encoding (``remove_related`` drops
-    the related features, every other variant encodes all inputs), and a
-    group is encoded once, when its first cell has passed its checks.  Within
-    a group, the cells with the same model spec (seed included),
-    ``learning_rate``, ``pretrain_epochs`` and ``batch_size``, the only
-    fields ``pretrain`` reads, share one ``pretrain`` and then one
-    ``train_stack``: their fair loops run in lockstep, each from those
-    parameters, and each ends as it would alone.  ``top1`` runs the fair loop
-    once per related feature and keeps the run with the smallest evaluation
-    ``delta_dp`` (the first on a tie).
-
-    Returns each cell's ``TrainResult`` or the exception it raised, in cell
-    order.  Only one group's encoding is held at a time, and none on return.
+    ``splits`` holds ``(seed, its (train, eval, test) splits)``, or the
+    exception splitting raised, which fails every cell of that seed.  The
+    cells are grouped by encoding (``remove_related`` drops the related
+    features), and the groups train one after the other: a seed is encoded
+    for a group when its first cell there passes its checks, and every
+    seed's encoding of the group, and none of an earlier group's, is held
+    until the group is trained.  Within a group, the cells with the same
+    spec but for the seed (so the same encoded width), ``learning_rate``,
+    ``pretrain_epochs`` and ``batch_size``, the only fields ``pretrain``
+    reads, form one stack over their seeds: one ``pretrain``, a row per
+    seed, then one ``train_stack`` of each of their runs, from its seed's
+    pretrained parameters.  ``top1`` runs the fair loop once per related
+    feature and keeps the run with the smallest evaluation ``delta_dp`` (the
+    first on a tie).  Returns, per seed, each cell's ``TrainResult`` or the
+    exception it raised, in cell order.
     """
-    splits = (train_raw, eval_raw, test_raw)
-    outcomes = [None] * len(cells)
+    outcomes = [[s if isinstance(s, Exception) else None] * len(cells) for _, s in splits]
     groups = {}
     for index, (variant, _) in enumerate(cells):
         groups.setdefault(variant == "remove_related", []).append(index)
     for indices in groups.values():
-        _train_group(cells, indices, splits, related_names, model_kind, seed, hidden_dims,
+        _train_group(cells, indices, splits, related_names, model_kind, hidden_dims,
                      allow_sensitive_in_training, outcomes)
+    return outcomes
+
+
+def train_cells(cells, train_raw, eval_raw, test_raw, related_names, model_kind, *,
+                seed=0, hidden_dims=None, allow_sensitive_in_training=False):
+    """Train ``(variant, cfg)`` cells on one split, drawn with ``seed``, as
+    ``run_single`` trains one seed's (see ``_train_seeds``).  Returns each
+    cell's ``TrainResult`` or the exception it raised, in cell order."""
+    (outcomes,) = _train_seeds(cells, [(seed, (train_raw, eval_raw, test_raw))], related_names,
+                               model_kind, hidden_dims, allow_sensitive_in_training)
     return outcomes
 
 
@@ -834,24 +962,32 @@ def train_variant(
 # seeded experiment runs
 
 
-def run_single(raw, related_names, cells, model_kind, seed, *, hidden_dims=None,
+def run_single(raw, related_names, cells, model_kind, seeds, *, hidden_dims=None,
                allow_sensitive_in_training=False):
-    """One seed: split with ``seed``, then ``train_cells`` on the ``(variant, cfg)``
-    cells.  Returns each cell's ``TrainResult`` or exception, in cell order."""
-    return train_cells(
-        cells, *split(raw, seed=seed), related_names, model_kind, seed=seed,
-        hidden_dims=hidden_dims, allow_sensitive_in_training=allow_sensitive_in_training,
-    )
+    """One job of several seeds: split with each seed, then train the
+    ``(variant, cfg)`` cells of every seed at once, the seeds whose cells
+    can share a stack in one (see ``_train_seeds``).  Returns, per seed in
+    order, each cell's ``TrainResult`` or exception, in cell order; a seed
+    whose split fails has that failure for every cell."""
+    splits = []
+    for seed in seeds:
+        try:
+            splits.append((seed, split(raw, seed=seed)))
+        except Exception as exc:  # the seed's outcome, for each of its cells
+            splits.append((seed, exc.with_traceback(None)))
+    return _train_seeds(cells, splits, related_names, model_kind, hidden_dims,
+                        allow_sensitive_in_training)
 
 
 def run_seeds(raw, related_names, cells, model_kind, seeds, *, hidden_dims=None,
               allow_sensitive_in_training=False):
-    """``run_single`` per seed; raises the first failure before the next seed.
-    Returns one ``(FairnessReport, per-seed TrainResults)`` per cell, in cell order."""
+    """One ``run_single`` over all of ``seeds``; raises the first failure, seed
+    by seed and in cell order within a seed.  Returns one ``(FairnessReport,
+    per-seed TrainResults)`` per cell, in cell order."""
     rows = [[] for _ in cells]  # per cell, each seed's (result, metrics)
-    for seed in seeds:
-        outcomes = run_single(raw, related_names, cells, model_kind, seed, hidden_dims=hidden_dims,
-                              allow_sensitive_in_training=allow_sensitive_in_training)
+    for outcomes in run_single(raw, related_names, cells, model_kind, seeds,
+                               hidden_dims=hidden_dims,
+                               allow_sensitive_in_training=allow_sensitive_in_training):
         for row, outcome in zip(rows, outcomes):
             if isinstance(outcome, Exception):
                 raise outcome

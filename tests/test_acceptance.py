@@ -348,8 +348,7 @@ def test_criterion_7_echo_feature_gets_smaller_weight():
     related = related_features(spec)
 
     wins = 0
-    for seed in SEEDS:
-        (result,) = run_single(raw, related, [("fairrf", SYNTH_CFG)], "lr", seed)
+    for (result,) in run_single(raw, related, [("fairrf", SYNTH_CFG)], "lr", SEEDS):
         lam = dict(zip(result.related.features, result.trace.final_lambda))
         if lam["echo"] < max(lam["proxy_a"], lam["proxy_b"]):
             wins += 1

@@ -42,9 +42,9 @@ PARAMETERS = {
         "cells", "train_raw", "eval_raw", "test_raw", "related_names", "model_kind",
         "seed", "hidden_dims", "allow_sensitive_in_training",
     ),
-    # one seed's cells, then those cells over seeds
+    # one job's cells over its seeds, each seed's outcomes; then those as reports
     run_single: (
-        "raw", "related_names", "cells", "model_kind", "seed", "hidden_dims",
+        "raw", "related_names", "cells", "model_kind", "seeds", "hidden_dims",
         "allow_sensitive_in_training",
     ),
     run_seeds: (

@@ -457,7 +457,8 @@ def test_a_job_ships_its_cells_and_not_the_dataset(workspace, tmp_path, monkeypa
     assert cli._shared is None  # cleared when the jobs end
 
 
-def test_serial_jobs_share_the_dataset_while_they_run(workspace, tmp_path, monkeypatch):
+def test_a_serial_job_shares_the_dataset_while_it_runs(workspace, tmp_path, monkeypatch):
+    # at --workers 1 every seed is in the one job, which runs in this process
     seen = []
     seed_job = cli._seed_job
 
@@ -470,7 +471,7 @@ def test_serial_jobs_share_the_dataset_while_they_run(workspace, tmp_path, monke
         "train", "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
         "--output-dir", str(tmp_path / "o"), "--seeds", "0,1", "--workers", "1",
     ) == 0
-    assert len(seen) == 2 and seen[0] is seen[1]
+    assert len(seen) == 1
     raw, exp = seen[0]
     assert raw.n == 400 and exp.variant == "fairrf"
     assert cli._shared is None
@@ -501,28 +502,29 @@ def counting(monkeypatch, module, names):
 
 
 @pytest.mark.parametrize(
-    "argv, shared",
-    [(("compare", "--variants", "vanilla,fairrf,remove_related"), 4),
-     (("sweep", "--eta-grid", "0.1,0.3", "--beta-grid", "0.5,0.8"), 2)],
+    "argv, encodings",
+    [(("compare", "--variants", "vanilla,fairrf,remove_related"), 2),
+     (("sweep", "--eta-grid", "0.1,0.3", "--beta-grid", "0.5,0.8"), 1)],
     ids=["compare", "sweep"],
 )
 def test_a_seed_job_encodes_and_pretrains_once_per_encoding(workspace, tmp_path,
-                                                            monkeypatch, argv, shared):
-    # compare: vanilla and fairrf share an encoding, remove_related has its own,
-    # so 2 of each per seed (6 one-cell jobs did 6); sweep: 4 cells share one
-    # per seed (8 one-cell jobs did 8).  The cells that share a pretraining
-    # run one fair loop, a stack of them, so there are as many loops.
+                                                            monkeypatch, argv, encodings):
+    # compare: vanilla and fairrf share an encoding, remove_related has its own;
+    # sweep: its 4 cells share one.  The job holds both seeds, and encodes each
+    # seed's splits once per encoding.  The cells that share an encoding (and
+    # the model shape and pretraining settings) are one stack over both seeds:
+    # one pretrain and one fair loop per encoding.
     seen = counting(monkeypatch, training, ("encode", "pretrain", "train_stack"))
     command, *extra = argv
     assert run_cli(
         command, "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
         "--output-dir", str(tmp_path / "o"), "--seeds", "0,1", "--workers", "1", *extra,
     ) == 0
-    assert seen == {"encode": shared, "pretrain": shared, "train_stack": shared}
+    assert seen == {"encode": 2 * encodings, "pretrain": encodings, "train_stack": encodings}
 
 
 def test_a_seed_job_is_one_library_run_single_call(workspace, tmp_path, monkeypatch):
-    # the CLI trains each seed through the library's per-seed runner
+    # the CLI trains each job, here both seeds, through the library's runner
     assert cli.run_single is training.run_single
     seen = counting(monkeypatch, cli, ("run_single",))
     assert run_cli(
@@ -530,7 +532,7 @@ def test_a_seed_job_is_one_library_run_single_call(workspace, tmp_path, monkeypa
         "--output-dir", str(tmp_path / "o"), "--seeds", "0,1", "--workers", "1",
         "--variants", "vanilla,fairrf,remove_related",
     ) == 0
-    assert seen == {"run_single": 2}
+    assert seen == {"run_single": 1}
 
 
 def _unmeasurable(result):
@@ -539,9 +541,9 @@ def _unmeasurable(result):
 
 @pytest.mark.parametrize("fails", ["in-the-fair-loop", "when-measured"])
 def test_a_seed_job_holds_one_encoding_at_a_time(workspace, tmp_path, monkeypatch, fails):
-    # a seed's results are held until all its cells are trained, but a result
-    # keeps no encoding and a failed cell keeps no data alive, so none is
-    # alive when the next group is encoded
+    # a job's results are held until all its cells are trained, but a result
+    # keeps no encoding and a failed cell keeps no data alive: while a group
+    # encodes, only its earlier seeds' encodings of that group are alive
     doc = yaml.safe_load((workspace / "exp.yaml").read_text())
     doc["dataset"] = str(workspace / "dataset.yaml")
     if fails == "in-the-fair-loop":
@@ -566,7 +568,7 @@ def test_a_seed_job_holds_one_encoding_at_a_time(workspace, tmp_path, monkeypatc
         "--output-dir", str(tmp_path / "o"), "--seeds", "0,1",
         "--variants", "vanilla,remove_related,fairrf",
     ) == 1
-    assert alive == [0, 0, 0, 0]
+    assert alive == [0, 1, 0, 1]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -607,6 +609,30 @@ def test_a_failed_seed_job_fails_each_of_its_cells(workspace, tmp_path, monkeypa
     ]
     rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
     assert [row.split(",")[:3] for row in rows] == [["0.1", "0.5", "0"], ["0.3", "0.5", "0"]]
+
+
+@pytest.mark.parametrize("workers, failed", [("1", [0, 1]), ("2", [1])])
+def test_a_job_that_fails_as_a_whole_fails_each_of_its_cells(workspace, tmp_path, monkeypatch,
+                                                             workers, failed):
+    # at --workers 1 both seeds are one job, and both fail with it
+    run_single = cli.run_single
+
+    def failing_with_seed_1(raw, related, cells, model, seeds, **kwargs):
+        if 1 in seeds:
+            raise RuntimeError("the job of seed 1 failed")
+        return run_single(raw, related, cells, model, seeds, **kwargs)
+
+    monkeypatch.setattr(cli, "run_single", failing_with_seed_1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool([]))
+    out = tmp_path / "sweep"
+    assert run_cli(
+        "sweep", "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
+        "--output-dir", str(out), "--seeds", "0,1", "--eta-grid", "0.1,0.3",
+        "--workers", workers,
+    ) == (1 if failed == [0, 1] else 0)
+    failures = json.loads((out / "failures.json").read_text())
+    assert [(f["eta"], f["seed"], f["error"]) for f in failures] == [
+        (eta, seed, "the job of seed 1 failed") for eta in (0.1, 0.3) for seed in failed]
 
 
 def dataset_variant(workspace, tmp_path, edit, csv=None):
@@ -789,11 +815,19 @@ class TestTrain:
         ) == 0
 
     def test_workers_do_not_change_results(self, workspace, tmp_path):
-        out1, out2 = tmp_path / "w1", tmp_path / "w2"
-        base = ("train", "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace))
-        assert run_cli(*base, "--output-dir", str(out1)) == 0
-        assert run_cli(*base, "--output-dir", str(out2), "--workers", "2") == 0
-        assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+        # three seeds in stacks of 3, 1 + 2 and 1 + 1 + 1: every artifact is
+        # byte-identical, and the metadata names each job's seeds
+        runs, jobs = [], []
+        for workers in ("1", "2", "3"):
+            out = tmp_path / f"w{workers}"
+            assert run_cli("train", "-c", str(workspace / "exp.yaml"),
+                           "--data-dir", str(workspace), "--output-dir", str(out),
+                           "--seeds", "0,1,2", "--workers", workers) == 0
+            runs.append(_artifacts(out))
+            jobs.append(json.loads((out / "manifest.json").read_text())["metadata"]["jobs"])
+        assert "seed_2/checkpoint.npz" in runs[0]
+        assert runs[0] == runs[1] == runs[2]
+        assert jobs == [[[0, 1, 2]], [[0], [1, 2]], [[0], [1], [2]]]
 
 
 class TestSweep:

@@ -7,7 +7,8 @@ batch once and each split once per epoch, and its fairness callback adds
 none.  A stack of fair-loop runs does that once for all of its runs: one
 forward and one Adam step per batch, not one per run.
 
-Sensitive column: ``pretrain`` and ``train_stack`` receive ``TrainView``s,
+Sensitive column: ``pretrain`` and ``train_stack`` receive ``TrainView``s (in
+each ``SeedData``),
 and the evaluation fairness metrics reach the trace through a callback, so
 no read of ``.s`` happens inside them for any variant that does not train on
 the group by design (``constrain_s``).  ``top1`` selects by the group, but
@@ -29,6 +30,7 @@ from relfair.models import ModelSpec, init_params
 from relfair.synthetic import SyntheticSpec, generate, related_features
 from relfair.training import (
     FairRun,
+    SeedData,
     TrainConfig,
     pretrain,
     train_fairrf,
@@ -80,7 +82,7 @@ def _setup(kind):
 @pytest.mark.parametrize("kind", ["lr", "svm", "mlp"])
 def test_pretrain_forwards_each_batch_and_the_eval_split_once(counts, kind):
     spec, train, evaluation, _ = _setup(kind)
-    pretrain(spec, init_params(spec), train, evaluation, CFG)
+    pretrain([SeedData(spec, init_params(spec), train, evaluation)], CFG)
     batches = math.ceil(train.n / CFG.batch_size)
     assert counts["steps"] == CFG.pretrain_epochs * batches
     assert counts["forward"] == CFG.pretrain_epochs * (batches + 1)
@@ -116,7 +118,8 @@ def test_a_stack_forwards_and_steps_once_for_all_of_its_runs(counts, kind):
     spec, train, evaluation, related = _setup(kind)
     runs = [FairRun(None, dataclasses.replace(CFG, eta=0.0)), FairRun(related, CFG),
             FairRun(related, dataclasses.replace(CFG, max_epochs=CFG.max_epochs - 1))]
-    outcomes = train_stack(spec, init_params(spec), train, evaluation, runs)
+    start = SeedData(spec, init_params(spec), train, evaluation)
+    outcomes = train_stack([(start, run) for run in runs])
     assert [len(trace.records) for _, trace in outcomes] == [4, 4, 3]
     assert counts["steps"] == 4 * math.ceil(train.n / CFG.batch_size)
     assert counts["forward"] == counts["steps"] + 2 * 4
@@ -135,10 +138,19 @@ class _NoSensitive:
 
 
 def _guarded(fn):
-    def wrapper(spec, params, train, evaluation, *args, **kwargs):
-        assert isinstance(train, TrainView) and isinstance(evaluation, TrainView)
-        return fn(spec, params, _NoSensitive(train), _NoSensitive(evaluation),
-                  *args, **kwargs)
+    """``pretrain`` or ``train_stack`` on views of each ``SeedData`` that refuse ``.s``."""
+    def wrapper(rows, *args):
+        guarded = {}  # rows that share a SeedData keep sharing one
+
+        def guard(data):
+            assert isinstance(data.train, TrainView) and isinstance(data.evaluation, TrainView)
+            if data not in guarded:
+                guarded[data] = dataclasses.replace(data, train=_NoSensitive(data.train),
+                                                    evaluation=_NoSensitive(data.evaluation))
+            return guarded[data]
+
+        return fn([guard(row) if isinstance(row, SeedData) else (guard(row[0]), row[1])
+                   for row in rows], *args)
 
     return wrapper
 

@@ -1,14 +1,15 @@
-"""Fair-loop runs trained in one stack end as each would alone.
+"""Runs trained in one stack end as each would alone.
 
-``train_cells`` trains the cells of a seed that share an encoding and a
-pretraining as one stack (``training.train_stack``): one batch order, one
-forward and backward of every batch for all of them, one Adam step over
-their stacked parameters.  Each run keeps its own lambda, trace, early stop
-and model selection, and leaves the stack when it stops or fails.  These
-tests train several cells (or runs) in one stack, then each one alone, and
-compare every byte each leaves: its trace, its chosen parameters and its
-test predictions.  A failed run fails with the message it fails with alone,
-and the runs beside it do not notice.
+``run_single`` trains the cells of a job's seeds that share an encoding
+group, a model shape and the pretraining settings as one stack
+(``training.pretrain``, one row per seed, then ``training.train_stack``):
+one batch order per seed, one forward and backward of every batch for all
+rows, one Adam step over their stacked parameters.  Each run keeps its own
+lambda, trace, early stop and model selection, and leaves the stack when it
+stops or fails.  These tests train several cells (or runs, or seeds) in one
+stack, then each one alone, and compare every byte each leaves: its trace,
+its chosen parameters and its test predictions.  A failed run fails with
+the message it fails with alone, and the runs beside it do not notice.
 """
 
 import dataclasses
@@ -17,10 +18,18 @@ import numpy as np
 import pytest
 
 from relfair import training
-from relfair.data import encode, resolve_related, split
+from relfair.data import Dataset, FeatureSchema, TrainView, encode, resolve_related, split
 from relfair.models import ModelSpec, init_params
 from relfair.synthetic import SyntheticSpec, generate, related_features
-from relfair.training import FairRun, TrainConfig, train_cells, train_stack
+from relfair.training import (
+    FairRun,
+    SeedData,
+    TrainConfig,
+    pretrain,
+    run_single,
+    train_cells,
+    train_stack,
+)
 
 SPEC = SyntheticSpec(n=900, label_echo=True, seed=5)
 RAW = generate(SPEC)
@@ -52,18 +61,36 @@ CELLS = [
 ]
 
 
+# LR and the two MLPs, for the cases across seeds
+KINDS = [model for model in MODELS if model.id != "svm"]
+
+
 @pytest.fixture
 def stacks(monkeypatch):
-    """The number of runs of each ``train_stack`` call while the test runs."""
+    """The number of rows of each ``train_stack`` call while the test runs."""
     sizes = []
     original = training.train_stack
 
-    def recording(spec, params, train, evaluation, runs):
-        sizes.append(len(runs))
-        return original(spec, params, train, evaluation, runs)
+    def recording(rows):
+        sizes.append(len(rows))
+        return original(rows)
 
     monkeypatch.setattr(training, "train_stack", recording)
     return sizes
+
+
+@pytest.fixture
+def pretrained(monkeypatch):
+    """The seeds of each ``pretrain`` call while the test runs."""
+    seeds = []
+    original = training.pretrain
+
+    def recording(rows, cfg):
+        seeds.append([data.spec.seed for data in rows])
+        return original(rows, cfg)
+
+    monkeypatch.setattr(training, "pretrain", recording)
+    return seeds
 
 
 def _assert_same_cell(together, alone):
@@ -79,19 +106,20 @@ def _assert_same_cell(together, alone):
 
 @pytest.mark.parametrize("kind, hidden", MODELS)
 def test_each_cell_of_a_stack_ends_as_it_would_alone(stacks, kind, hidden):
-    splits = split(RAW, seed=1)
-    options = dict(seed=1, hidden_dims=hidden, allow_sensitive_in_training=True)
-    together = train_cells(CELLS, *splits, RELATED, kind, **options)
-    # one stack: every cell, and top1 once per related feature
-    assert stacks == [len(CELLS) - 1 + len(RELATED)]
-    for cell, outcome in zip(CELLS, together, strict=True):
-        (alone,) = train_cells([cell], *splits, RELATED, kind, **options)
-        _assert_same_cell(outcome, alone)
-    failed = [o for o in together if isinstance(o, Exception)]
-    assert len(failed) == 1 and "too small" in str(failed[0])
-    # the runs left the stack at different epochs, by max_epochs or by patience
-    epochs = [len(o.trace.records) for o in together if not isinstance(o, Exception)]
-    assert len(set(epochs)) > 1 and epochs[-2] == 3
+    options = dict(hidden_dims=hidden, allow_sensitive_in_training=True)
+    together = run_single(RAW, RELATED, CELLS, kind, [1, 2], **options)
+    # one stack over both seeds: every cell, and top1 once per related feature
+    assert stacks == [2 * (len(CELLS) - 1 + len(RELATED))]
+    for seed, outcomes in zip([1, 2], together, strict=True):
+        splits = split(RAW, seed=seed)
+        for cell, outcome in zip(CELLS, outcomes, strict=True):
+            (alone,) = train_cells([cell], *splits, RELATED, kind, seed=seed, **options)
+            _assert_same_cell(outcome, alone)
+        failed = [o for o in outcomes if isinstance(o, Exception)]
+        assert len(failed) == 1 and "too small" in str(failed[0])
+        # the runs left the stack at different epochs, by max_epochs or by patience
+        epochs = [len(o.trace.records) for o in outcomes if not isinstance(o, Exception)]
+        assert len(set(epochs)) > 1 and epochs[-2] == 3
 
 
 class _RaisesAt:
@@ -131,11 +159,10 @@ def test_each_run_of_a_stack_ends_as_it_would_alone(kind, hidden):
     spec = ModelSpec(kind=kind, input_dim=enc_train.n_columns, hidden_dims=hidden, seed=2)
     related = resolve_related(train_raw.schema, enc_train, RELATED)
     train, evaluation = enc_train.train_view(), enc_eval.train_view()
-    params = init_params(spec)
+    start = SeedData(spec, init_params(spec), train, evaluation)
     with np.errstate(all="ignore"):  # the poisoned run's NaNs
-        together = train_stack(spec, params, train, evaluation, _runs(related, train))
-        alone = [train_stack(spec, params, train, evaluation, [run])[0]
-                 for run in _runs(related, train)]
+        together = train_stack([(start, run) for run in _runs(related, train)])
+        alone = [train_stack([(start, run)])[0] for run in _runs(related, train)]
     for outcome, own in zip(together, alone, strict=True):
         if isinstance(own, Exception):
             assert type(outcome) is type(own) and str(outcome) == str(own)
@@ -159,7 +186,96 @@ def test_the_runs_of_a_stack_share_their_batches():
     related = resolve_related(train_raw.schema, enc_train, RELATED)
     for field, value in (("learning_rate", 0.05), ("batch_size", 32)):
         runs = [FairRun(related, CFG), FairRun(related, dataclasses.replace(CFG, **{field: value}))]
+        start = SeedData(spec, init_params(spec), enc_train.train_view(), enc_eval.train_view())
         with pytest.raises(ValueError, match="^the runs of a stack must share learning_rate "
                                              "and batch_size$"):
-            train_stack(spec, init_params(spec), enc_train.train_view(),
-                        enc_eval.train_view(), runs)
+            train_stack([(start, run) for run in runs])
+
+
+# ---------------------------------------------------------------------------
+# across seeds
+
+
+def _with_a_rare_category(raw, row):
+    """``raw`` with a categorical input ``site`` whose value "rare" is in ``row`` only."""
+    codes = np.zeros(raw.n, dtype=np.uint8)
+    codes[row] = 1
+    return Dataset(columns={**raw.columns, "site": codes},
+                   schema=(*raw.schema, FeatureSchema("site", "categorical")),
+                   vocab={**raw.vocab, "site": ("common", "rare")})
+
+
+@pytest.mark.parametrize("kind, hidden", KINDS)
+def test_a_seed_of_another_width_trains_in_its_own_stack(pretrained, kind, hidden):
+    # the encoder keeps the site columns only for a seed whose training split
+    # holds the one rare row, so that seed's model is wider than the others'
+    raw = _with_a_rare_category(RAW, 0)
+    seeds = [1, 2, 3, 4]
+    train_rows = {seed: split(raw, seed=seed)[0].columns["site"].any() for seed in seeds}
+    assert 0 < sum(train_rows.values()) < len(seeds)
+    cells = [("vanilla", CFG), ("fairrf", CFG)]
+    together = run_single(raw, RELATED, cells, kind, seeds, hidden_dims=hidden)
+    widths = {seed: outcomes[0].spec.input_dim for seed, outcomes in zip(seeds, together)}
+    wide = [seed for seed in seeds if train_rows[seed]]
+    assert {widths[seed] for seed in wide}.isdisjoint(
+        widths[seed] for seed in seeds if seed not in wide)
+    assert sorted(map(sorted, pretrained)) == sorted(
+        [wide, [seed for seed in seeds if seed not in wide]])
+    for seed, outcomes in zip(seeds, together, strict=True):
+        (alone,) = run_single(raw, RELATED, cells, kind, [seed], hidden_dims=hidden)
+        for got, own in zip(outcomes, alone, strict=True):
+            _assert_same_cell(got, own)
+
+
+def _seed_data(spec, seed, poison=False, flip_eval=False):
+    """A seed's ``SeedData`` at its init: its train split poisoned with an inf,
+    or its evaluation labels flipped, so its evaluation loss rises."""
+    train_raw, eval_raw, test_raw = split(RAW, seed=seed)
+    enc_train, enc_eval, _ = encode(train_raw, [eval_raw, test_raw])
+    spec = dataclasses.replace(spec, input_dim=enc_train.n_columns, seed=seed)
+    train, evaluation = enc_train.train_view(), enc_eval.train_view()
+    if poison:
+        X = np.array(train.X, copy=True)
+        X[len(X) // 2, 0] = np.inf
+        train = TrainView(X=X, y=train.y)
+    if flip_eval:
+        evaluation = TrainView(X=evaluation.X, y=1.0 - evaluation.y)
+    return SeedData(spec, init_params(spec), train, evaluation)
+
+
+@pytest.mark.parametrize("kind, hidden", KINDS)
+def test_a_row_that_diverges_in_pretrain_leaves_alone(kind, hidden):
+    spec = ModelSpec(kind=kind, input_dim=1, hidden_dims=hidden)
+    cfg = dataclasses.replace(CFG, pretrain_epochs=4)
+
+    def rows():
+        return [_seed_data(spec, 1), _seed_data(spec, 2, poison=True), _seed_data(spec, 3)]
+
+    with np.errstate(all="ignore"):  # the poisoned row's NaNs
+        together = pretrain(rows(), cfg)
+        alone = [pretrain([row], cfg)[0] for row in rows()]
+    assert isinstance(together[1], training.TrainingDivergedError)
+    assert str(together[1]) == str(alone[1]) == "non-finite loss at pretrain epoch 0"
+    for got, own in zip(together[::2], alone[::2]):
+        assert got.flat.tobytes() == own.flat.tobytes()
+
+
+@pytest.mark.parametrize("kind, hidden", KINDS)
+def test_a_row_that_stops_early_in_pretrain_leaves_alone(kind, hidden):
+    # seed 2's evaluation loss rises from its first epoch, so it stops after
+    # PRETRAIN_PATIENCE more; seeds 1 and 3 go on to pretrain_epochs
+    spec = ModelSpec(kind=kind, input_dim=1, hidden_dims=hidden)
+    cfg = dataclasses.replace(CFG, learning_rate=0.01, pretrain_epochs=8)
+
+    def rows():
+        return [_seed_data(spec, 1), _seed_data(spec, 2, flip_eval=True), _seed_data(spec, 3)]
+
+    together = pretrain(rows(), cfg)
+    alone = [pretrain([row], cfg)[0] for row in rows()]
+    for got, own in zip(together, alone, strict=True):
+        assert got.flat.tobytes() == own.flat.tobytes()
+    stopped = training.PRETRAIN_PATIENCE + 1
+    shorter = [pretrain([row], dataclasses.replace(cfg, pretrain_epochs=stopped))[0]
+               for row in rows()]
+    assert together[1].flat.tobytes() == shorter[1].flat.tobytes()
+    assert together[0].flat.tobytes() != shorter[0].flat.tobytes()

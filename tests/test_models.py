@@ -611,6 +611,49 @@ class TestStack:
             assert yhat[j].tobytes() == want_yhat.tobytes() and losses[j] == want_loss
             assert raw[j].tobytes() == raw_scores(params, spec, X).tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 128, 257, 1000])
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(kind="lr", input_dim=12, seed=6),
+        ModelSpec(kind="svm", input_dim=12, seed=6),
+        ModelSpec(kind="mlp", input_dim=5, hidden_dims=(64, 32), seed=6),
+        *_other_mlps(6),
+        *_mlps(WIDE_MLPS, 6),
+    ], ids=lambda spec: spec.kind)
+    def test_each_model_on_its_own_X_equals_the_model_alone(self, spec, n):
+        # one X and y per model, (k, n, d) and (k, n), as a stack across seeds takes them
+        rng = np.random.default_rng(n)
+        models = [init_params(spec) for _ in range(3)]
+        for params in models:
+            params.flat += rng.normal(scale=0.3, size=params.flat.shape)
+        stack = ParamStack(np.stack([p.flat for p in models]), models[0].shapes)
+        X = rng.normal(size=(3, n, spec.input_dim))
+        y = (rng.uniform(size=(3, n)) > 0.5).astype(float)
+        extras = [rng.normal(size=n), None, rng.normal(size=n)]
+        loss, grads = loss_and_grad(stack, spec, X, y, extra_grad_on_yhat=lambda yhat: extras)
+        yhat, losses = forward_loss(stack, spec, X, y)
+        raw = raw_scores(stack, spec, X)
+        for j, (params, extra) in enumerate(zip(models, extras)):
+            alone = None if extra is None else (lambda yhat, extra=extra: extra)
+            want_loss, want_grads = loss_and_grad(params, spec, X[j], y[j],
+                                                  extra_grad_on_yhat=alone)
+            assert loss[j] == want_loss
+            assert grads.flat[j].tobytes() == want_grads.flat.tobytes()
+            want_yhat, want_loss = forward_loss(params, spec, X[j], y[j])
+            assert yhat[j].tobytes() == want_yhat.tobytes() and losses[j] == want_loss
+            assert raw[j].tobytes() == raw_scores(params, spec, X[j]).tobytes()
+
+    def test_one_X_per_model_is_checked(self):
+        spec = ModelSpec(kind="mlp", input_dim=2, hidden_dims=(8,), seed=0)
+        stack = ParamStack.of(init_params(spec), 3)
+        with pytest.raises(ValueError,
+                           match=r"^X must be \(n, 2\) or \(3, n, 2\), got \(2, 4, 2\)$"):
+            forward(stack, spec, np.zeros((2, 4, 2)))
+        with pytest.raises(ValueError, match=r"^y must be \(3, 4\), got \(4,\)$"):
+            forward_loss(stack, spec, np.zeros((3, 4, 2)), np.zeros(4))
+        with pytest.raises(ValueError, match="^a workspace for one X per model takes only that"):
+            loss_and_grad(stack, spec, np.zeros((3, 4, 2)), np.zeros((3, 4)),
+                          workspace=Workspace(stack, 4))
+
     def test_layers_view_the_block(self):
         spec = ModelSpec(kind="mlp", input_dim=5, hidden_dims=(8, 4), seed=1)
         params = init_params(spec)

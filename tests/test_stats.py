@@ -86,6 +86,17 @@ class TestPearson:
         with pytest.raises(ValueError, match=r"^x must be 1-D, got shape \(2, 2\)$"):
             pearson([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0])
 
+    # a NaN coefficient once came out of the clamp as -1.0
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("name", ["x", "y"])
+    def test_a_non_finite_value_is_named(self, name, bad):
+        good = [1.0, 2.0, 4.0, 3.0]
+        broken = [1.0, 2.0, bad, 3.0]
+        args = (broken, good) if name == "x" else (good, broken)
+        with pytest.raises(ValueError, match=rf"^{name} holds a non-finite value, "
+                                             rf"{re.escape(str(bad))}, at index 2$"):
+            pearson(*args)
+
 
 class TestCorrelationScore:
     def test_constant_inputs_give_zero(self):

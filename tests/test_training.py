@@ -18,10 +18,12 @@ from relfair.training import (
     TRACE_FIELDS,
     Adam,
     EpochRecord,
+    SeedData,
     TrainConfig,
     TrainTrace,
     TrainingDivergedError,
     _adam_pass,
+    _Seed,
     _Stack,
     pretrain,
     run_seeds,
@@ -47,6 +49,14 @@ BASE_CFG = TrainConfig(
 
 def splits(seed=0):
     return split(RAW, seed=seed)
+
+
+def pretrain_one(spec, params, train, evaluation, cfg):
+    """``pretrain`` of one seed: its parameters; raises the error it gave."""
+    (outcome,) = pretrain([SeedData(spec, params, train, evaluation)], cfg)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def without_group(d):
@@ -173,9 +183,20 @@ def _pass_penalty(kind, rng, n):
     return None
 
 
+class _Row:
+    """A stack row as ``_adam_pass`` reads it: its seed and a fixed penalty entry."""
+
+    def __init__(self, seed, penalty):
+        self.seed, self._penalty = seed, penalty
+
+    def penalty(self):
+        return self._penalty
+
+
 class TestAdamPass:
     """A pass in its per-pass buffers moves no bit against the written-out
-    pass: for a stack of one, and for each model of a larger stack."""
+    pass: for a stack of one, and for each model of a larger stack, whose
+    rows train on one seed's split or on two."""
 
     BATCH = 16
     SPECS = [
@@ -196,29 +217,41 @@ class TestAdamPass:
     def test_each_model_of_a_stack_is_bit_equal_to_its_reference_pass(self, spec, n):
         self._check(spec, ["inputs", "none", "group-column", "inputs"], [0.5, 0.5, 0.5, 0.2], n)
 
-    def _check(self, spec, kinds, etas, n):
+    # rows 0 and 2 train on seed 3's split, rows 1 and 3 on seed 4's
+    @pytest.mark.parametrize("n", [50, 49], ids=["short-last", "one-row-last"])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+    def test_each_model_of_a_stack_across_seeds_is_bit_equal_to_its_reference_pass(self,
+                                                                                   spec, n):
+        self._check(spec, ["inputs", "none", "group-column", "inputs"], [0.5, 0.5, 0.5, 0.2], n,
+                    seeds=[3, 4, 3, 4])
+
+    def _check(self, spec, kinds, etas, n, seeds=None):
+        seeds = seeds or [2] * len(kinds)  # each row's seed
         rng = np.random.default_rng(n)
-        X = rng.normal(size=(n, 6))
-        y = (rng.uniform(size=n) > 0.5).astype(float)
-        train = TrainView(X=X, y=y)
+        views = {seed: TrainView(X=rng.normal(size=(n, 6)),
+                                 y=(rng.uniform(size=n) > 0.5).astype(float))
+                 for seed in dict.fromkeys(seeds)}
         pens = [_pass_penalty(kind, rng, n) for kind in kinds]
         cfg = TrainConfig(learning_rate=0.05, batch_size=self.BATCH)
         cfgs = [dataclasses.replace(cfg, eta=eta) for eta in etas]
         params = init_params(spec)
         params.flat += rng.normal(scale=0.2, size=params.flat.shape)  # biases off zero
-        stack = _Stack(params, cfg.learning_rate, len(kinds))
+        by_seed = {seed: _Seed(SeedData(ModelSpec(spec.kind, 6, spec.hidden_dims, seed),
+                                        params, view, view), 2)
+                   for seed, view in views.items()}
+        rows = [_Row(by_seed[seed], None if p is None else (eta, *p))
+                for seed, p, eta in zip(seeds, pens, etas)]
+        stack = _Stack([params] * len(kinds), cfg.learning_rate, rows)
         references = [params.copy() for _ in kinds]
         moments = [(np.zeros_like(params.flat), np.zeros_like(params.flat)) for _ in kinds]
         t = [0] * len(kinds)
-        rng_pass = np.random.default_rng(5)
-        rng_refs = [np.random.default_rng(5) for _ in kinds]
-        stacked_pens = [None if p is None else (eta, *p) for p, eta in zip(pens, etas)]
+        rng_refs = [np.random.default_rng([seed, 2]) for seed in seeds]
         for epoch in range(3):  # later passes start from moved moments
-            _adam_pass(spec, stack, train, cfg, rng_pass, f"epoch {epoch}", stacked_pens)
+            _adam_pass(spec, stack, cfg, f"epoch {epoch}")
             assert stack.outcomes == [None] * len(kinds)
             for j, (reference, (m, v)) in enumerate(zip(references, moments)):
-                t[j] = reference_pass(spec, reference, m, v, t[j], train, cfgs[j], rng_refs[j],
-                                      pens[j], cfg.learning_rate)
+                t[j] = reference_pass(spec, reference, m, v, t[j], views[seeds[j]], cfgs[j],
+                                      rng_refs[j], pens[j], cfg.learning_rate)
                 assert stack.params.flat[j].tobytes() == reference.flat.tobytes()
                 assert stack.opt.m[j].tobytes() == m.tobytes()
                 assert stack.opt.v[j].tobytes() == v.tobytes()
@@ -227,13 +260,14 @@ class TestAdamPass:
 
 
 class TestStackDrop:
-    """``_Stack.drop`` keeps a stack's parameter rows, Adam's moment rows and
-    its runs aligned, and records each dropped run's outcome."""
+    """``_Stack.drop`` keeps a stack's parameter rows, Adam's moment rows, its
+    rows' own state and its runs aligned, and records each dropped run's
+    outcome."""
 
     def test_drop_compacts_the_rows_and_records_the_outcomes(self):
         spec = ModelSpec(kind="mlp", input_dim=5, hidden_dims=(8, 4), seed=1)
         params = init_params(spec)
-        stack = _Stack(params, 0.01, 5)
+        stack = _Stack([params] * 5, 0.01, "abcde")
         rows = np.arange(5.0)[:, None]  # each run its own parameters and moments
         stack.params.flat += rows
         stack.opt.m += 10 * rows
@@ -242,7 +276,7 @@ class TestStackDrop:
         failed, done = RuntimeError("run 1"), ("params", "trace")
         assert stack.drop({1: failed}) == [0, 2, 3, 4]
         assert stack.drop({2: done, 0: "run 0"}) == [1, 3]  # runs 3 and 0
-        assert stack.runs == [2, 4]
+        assert stack.runs == [2, 4] and stack.rows == ["c", "e"]
         assert stack.outcomes == ["run 0", failed, None, done, None]
         block = stack.params.flat
         assert block.flags.c_contiguous and stack.params.k == 2
@@ -315,21 +349,21 @@ class TestPretrain:
         ev = TrainView(X=X[n // 2 :], y=y[n // 2 :])
         spec = ModelSpec(kind="lr", input_dim=3, seed=0)
         cfg = dataclasses.replace(BASE_CFG, pretrain_epochs=30)
-        params = pretrain(spec, init_params(spec), view, ev, cfg)
+        params = pretrain_one(spec, init_params(spec), view, ev, cfg)
         assert accuracy(forward(params, spec, view.X), view.y) >= 0.99
 
     def test_zero_epochs_is_noop(self):
         cfg = dataclasses.replace(BASE_CFG, pretrain_epochs=0)
         spec, params, view, ev = self._setup()
-        out = pretrain(spec, params, view, ev, cfg)
+        out = pretrain_one(spec, params, view, ev, cfg)
         for a, b in zip(params.arrays(), out.arrays()):
             assert np.array_equal(a, b)
         assert out is not params  # defensive copy, caller's params untouched
 
     def test_deterministic(self):
         spec, params, view, ev = self._setup()
-        a = pretrain(spec, params, view, ev, BASE_CFG)
-        b = pretrain(spec, params, view, ev, BASE_CFG)
+        a = pretrain_one(spec, params, view, ev, BASE_CFG)
+        b = pretrain_one(spec, params, view, ev, BASE_CFG)
         for x, y in zip(a.arrays(), b.arrays()):
             assert np.array_equal(x, y)
 
@@ -340,8 +374,8 @@ class TestPretrain:
         # the cells of a seed job share one pretrain on exactly this premise
         spec, params, view, ev = self._setup()
         other = dataclasses.replace(BASE_CFG, **{field: value})
-        a = pretrain(spec, params, view, ev, BASE_CFG)
-        b = pretrain(spec, params, view, ev, other)
+        a = pretrain_one(spec, params, view, ev, BASE_CFG)
+        b = pretrain_one(spec, params, view, ev, other)
         assert a.flat.tobytes() == b.flat.tobytes()
 
     def test_nan_aborts_with_diagnostics(self):
@@ -352,7 +386,7 @@ class TestPretrain:
         from relfair.data import TrainView
 
         with pytest.raises(TrainingDivergedError), np.errstate(invalid="ignore"):
-            pretrain(spec, params, TrainView(X=bad, y=view.y), ev, cfg)
+            pretrain_one(spec, params, TrainView(X=bad, y=view.y), ev, cfg)
 
     def test_stops_once_the_evaluation_loss_stalls(self, monkeypatch):
         # steps too small to move the eval loss by MIN_IMPROVEMENT: the first
@@ -367,7 +401,7 @@ class TestPretrain:
         monkeypatch.setattr(training, "forward_loss", counting)
         spec, params, view, ev = self._setup()
         cfg = dataclasses.replace(BASE_CFG, learning_rate=1e-12, pretrain_epochs=10)
-        pretrain(spec, params, view, ev, cfg)
+        pretrain_one(spec, params, view, ev, cfg)
         assert len(epochs) == training.PRETRAIN_PATIENCE + 1
 
     def test_non_finite_evaluation_loss_names_the_epoch(self):
@@ -376,7 +410,7 @@ class TestPretrain:
         X[0, 0] = np.nan
         with pytest.raises(TrainingDivergedError,
                            match=r"^non-finite loss at pretrain epoch 0 \(eval\)$"):
-            pretrain(spec, params, view, TrainView(X=X, y=ev.y), BASE_CFG)
+            pretrain_one(spec, params, view, TrainView(X=X, y=ev.y), BASE_CFG)
 
 
 class TestEvalFairness:
@@ -432,7 +466,7 @@ class TestTrainFairrf:
             assert np.array_equal(x, y)
 
     def test_lambda_on_simplex_every_epoch(self):
-        (res,) = run_single(RAW, RELATED, [("fairrf", BASE_CFG)], "lr", 0)
+        ((res,),) = run_single(RAW, RELATED, [("fairrf", BASE_CFG)], "lr", [0])
         for rec in res.trace.records:
             lam = np.array(rec.lam)
             assert np.all(lam >= 0)
@@ -440,7 +474,7 @@ class TestTrainFairrf:
 
     def test_lambda_refresh_never_increases_its_objective(self):
         # each refresh is the exact minimizer of sum lam*eta*R + beta*|lam|^2
-        (res,) = run_single(RAW, RELATED, [("fairrf", BASE_CFG)], "lr", 1)
+        ((res,),) = run_single(RAW, RELATED, [("fairrf", BASE_CFG)], "lr", [1])
         recs = res.trace.records
         for prev, cur in zip(recs, recs[1:]):
             r = np.array(cur.per_feature)  # measured before the refresh
@@ -535,7 +569,7 @@ class TestDivergence:
         evaluation = enc_eval.train_view()
         with np.errstate(all="ignore"):
             if stage == "pretrain":
-                pretrain(spec, init_params(spec), train, evaluation, cfg)
+                pretrain_one(spec, init_params(spec), train, evaluation, cfg)
             else:
                 related = resolve_related(tr.schema, enc_train, RELATED)
                 train_fairrf(spec, init_params(spec), train, evaluation, related, cfg)
@@ -680,13 +714,13 @@ class TestRunSeed:
                     run_seeds(RAW, RELATED, [(variant, cfg)], "lr", [1])
                 assert str(alone.value) == str(result)
                 continue
-            (alone,) = run_single(RAW, RELATED, [(variant, cfg)], "lr", 1)
+            ((alone,),) = run_single(RAW, RELATED, [(variant, cfg)], "lr", [1])
             assert result.trace.to_jsonl() == alone.trace.to_jsonl()
             assert result.params.flat.tobytes() == alone.params.flat.tobytes()
         assert sum(isinstance(r, Exception) for r in outcomes) == 2
 
     def test_run_single_returns_each_outcome_in_cell_order(self):
-        outcomes = run_single(RAW, RELATED, self.CELLS, "lr", 1)
+        (outcomes,) = run_single(RAW, RELATED, self.CELLS, "lr", [1])
         assert [isinstance(o, Exception) for o in outcomes] == [
             False, True, False, False, False, True]
         assert [o.variant for o in outcomes if not isinstance(o, Exception)] == [
@@ -694,8 +728,9 @@ class TestRunSeed:
         assert "allow_sensitive_in_training" in str(outcomes[1])
 
     def test_holds_one_encoding_at_a_time(self, monkeypatch):
-        # the last cell of the first group fails after encoding: its exception
-        # must not keep that encoding alive either
+        # every seed's encoding of a group is held while the group trains, and
+        # none of an earlier group: the last cell of the first group fails
+        # after encoding, and its exception must not keep an encoding alive
         encode = training.encode
         earlier = []  # a weak reference to each encoded training split
         alive = []  # how many of them were alive at each encode
@@ -707,9 +742,9 @@ class TestRunSeed:
             return encoded
 
         monkeypatch.setattr(training, "encode", checked_encode)
-        outcomes = train_cells(self.CELLS, *splits(seed=1), RELATED, "lr", seed=1)
-        assert alive == [0, 0]
-        assert sum(isinstance(o, Exception) for o in outcomes) == 2
+        per_seed = run_single(RAW, RELATED, self.CELLS, "lr", [1, 2])
+        assert alive == [0, 1, 0, 1]
+        assert [sum(isinstance(o, Exception) for o in outcomes) for outcomes in per_seed] == [2, 2]
 
     def test_results_hold_no_encoding(self, monkeypatch):
         # once the cells are trained, every encoded split and its matrix is
@@ -724,11 +759,50 @@ class TestRunSeed:
 
         monkeypatch.setattr(training, "encode", recording_encode)
         cells = [*self.CELLS, ("top1", self.CFG)]
-        outcomes = train_cells(cells, *splits(seed=1), RELATED, "lr", seed=1)
+        per_seed = run_single(RAW, RELATED, cells, "lr", [1, 2])
         gc.collect()
-        assert len(made) == 2 * 3 * 2  # two encodings of three splits
+        assert len(made) == 2 * 2 * 3 * 2  # two seeds' two encodings of three splits
         assert [ref() for ref in made] == [None] * len(made)
-        assert sum(isinstance(r, training.TrainResult) for r in outcomes) == 5
+        assert [sum(isinstance(r, training.TrainResult) for r in outcomes)
+                for outcomes in per_seed] == [5, 5]
+
+    def test_each_seed_of_a_job_equals_the_seed_alone(self, monkeypatch):
+        # one job of three seeds: every cell's stack holds all three, and each
+        # seed's outcomes are those of a job of that seed alone, byte for byte
+        stacks = []  # the seeds of each pretrain
+        pretrain = training.pretrain
+
+        def recorded(seeds, cfg):
+            stacks.append([data.spec.seed for data in seeds])
+            return pretrain(seeds, cfg)
+
+        monkeypatch.setattr(training, "pretrain", recorded)
+        together = run_single(RAW, RELATED, self.CELLS, "lr", [1, 2, 3])
+        assert stacks == [[1, 2, 3], [1, 2, 3]]  # the full encoding's cells, remove_related's
+        for seed, outcomes in zip([1, 2, 3], together, strict=True):
+            (alone,) = run_single(RAW, RELATED, self.CELLS, "lr", [seed])
+            for got, own in zip(outcomes, alone, strict=True):
+                if isinstance(own, Exception):
+                    assert type(got) is type(own) and str(got) == str(own)
+                    continue
+                assert got.spec == own.spec and got.spec.seed == seed
+                assert got.trace.to_jsonl() == own.trace.to_jsonl()
+                assert got.params.flat.tobytes() == own.params.flat.tobytes()
+                assert got.test_yhat.tobytes() == own.test_yhat.tobytes()
+
+    def test_a_seed_that_cannot_be_split_fails_its_cells_alone(self, monkeypatch):
+        split = training.split
+
+        def failing_on_seed_2(raw, seed):
+            if seed == 2:
+                raise RuntimeError("seed 2 cannot be split")
+            return split(raw, seed=seed)
+
+        monkeypatch.setattr(training, "split", failing_on_seed_2)
+        cells = [("vanilla", self.CFG), ("fairrf", self.CFG)]
+        first, second = run_single(RAW, RELATED, cells, "lr", [1, 2])
+        assert [r.variant for r in first] == ["vanilla", "fairrf"]
+        assert [str(e) for e in second] == ["seed 2 cannot be split"] * 2
 
 
 class TestRunSeeds:
@@ -750,15 +824,15 @@ class TestRunSeeds:
     def test_variants_share_each_seeds_pretraining(self, monkeypatch):
         cells = [("vanilla", self.CFG), ("fairrf", self.CFG)]
         pretrain = training.pretrain
-        pretrained = []  # the seed of each pretrain call
+        pretrained = []  # the seeds of each pretrain call
 
-        def recorded(spec, *args):
-            pretrained.append(spec.seed)
-            return pretrain(spec, *args)
+        def recorded(seeds, cfg):
+            pretrained.append([data.spec.seed for data in seeds])
+            return pretrain(seeds, cfg)
 
         monkeypatch.setattr(training, "pretrain", recorded)
         both = run_seeds(RAW, RELATED, cells, "lr", [0, 1])
-        assert pretrained == [0, 1]
+        assert pretrained == [[0, 1]]  # one stack: both cells, both seeds
         for cell, (report, results) in zip(cells, both):
             ((alone, alone_results),) = run_seeds(RAW, RELATED, [cell], "lr", [0, 1])
             assert report == alone
@@ -766,24 +840,26 @@ class TestRunSeeds:
             assert ([r.trace.to_jsonl() for r in results]
                     == [r.trace.to_jsonl() for r in alone_results])
 
-    def test_raises_the_first_failure_before_the_next_seed(self, monkeypatch):
+    def test_raises_the_first_failure_in_cell_order(self, monkeypatch):
+        # one run_single call trains every seed; constrain_s and magic fail on
+        # each, and the first of them in cell order is raised
         cells = [("vanilla", self.CFG), ("constrain_s", self.CFG), ("magic", self.CFG)]
         original = training.run_single
-        started = []  # the seed of each run_single call
+        started = []  # the seeds of each run_single call
 
-        def recorded(raw, related_names, cells, model_kind, seed, **kwargs):
-            started.append(seed)
-            return original(raw, related_names, cells, model_kind, seed, **kwargs)
+        def recorded(raw, related_names, cells, model_kind, seeds, **kwargs):
+            started.append(list(seeds))
+            return original(raw, related_names, cells, model_kind, seeds, **kwargs)
 
         monkeypatch.setattr(training, "run_single", recorded)
         with pytest.raises(ValueError, match="allow_sensitive_in_training=True"):
             run_seeds(RAW, RELATED, cells, "lr", [0, 1, 2])
-        assert started == [0]
+        assert started == [[0, 1, 2]]
 
     def test_a_test_split_without_groups_cannot_be_measured(self):
         # the cell trains, but its report needs the sensitive column
         raw = without_group(RAW)
-        (result,) = run_single(raw, RELATED, [("fairrf", self.CFG)], "lr", 0)
+        ((result,),) = run_single(raw, RELATED, [("fairrf", self.CFG)], "lr", [0])
         assert result.test_s is None
         with pytest.raises(ValueError, match="^test split carries no sensitive attribute$"):
             result.test_metrics()
@@ -795,7 +871,7 @@ class TestTrace:
     def test_jsonl_round_trip_with_fixed_fields(self):
         import json
 
-        (res,) = run_single(RAW, RELATED, [("fairrf", BASE_CFG)], "lr", 0)
+        ((res,),) = run_single(RAW, RELATED, [("fairrf", BASE_CFG)], "lr", [0])
         lines = res.trace.to_jsonl().strip().splitlines()
         assert len(lines) == len(res.trace.records)
         assert TRACE_FIELDS == (
@@ -807,7 +883,7 @@ class TestTrace:
             assert set(row) == set(TRACE_FIELDS)
 
     def test_write(self, tmp_path):
-        (res,) = run_single(RAW, RELATED, [("fairrf", BASE_CFG)], "lr", 0)
+        ((res,),) = run_single(RAW, RELATED, [("fairrf", BASE_CFG)], "lr", [0])
         path = tmp_path / "trace.jsonl"
         res.trace.write(path)
         assert path.read_text() == res.trace.to_jsonl()
