@@ -20,6 +20,7 @@ import json
 import numbers
 import os
 import platform
+import shutil
 import sys
 
 import numpy as np
@@ -56,6 +57,9 @@ from relfair.training import TrainConfig, check_variant, encode_splits, run_sing
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
+
+# a run writes into <output dir>.staging-<pid> beside its output directory
+STAGING = ".staging-"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -165,15 +169,19 @@ def load_experiment_config(path):
 # artifacts
 
 
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _json_text(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_manifest(out_dir, args, seeds, paths, **metadata):
+def _write_manifest(out_dir, args, seeds, paths, outputs, **metadata):
+    """Write the command's ``outputs`` (file name -> text) and the manifest
+    into the staging directory ``out_dir`` (see ``_run_cells``), beside the
+    jobs' files ``paths``, then rename it into its output directory's place:
+    a previous run there is replaced as a whole.  Returns the output
+    directory.  On failure the staging directory is removed and the output
+    directory is left as it was."""
     manifest = {
-        "files": sorted(os.path.relpath(p, out_dir) for p in paths),
+        "files": sorted([*(os.path.relpath(p, out_dir) for p in paths), *outputs]),
         "metadata": {
             "command": args.command,
             "config": args.config,
@@ -189,7 +197,21 @@ def _write_manifest(out_dir, args, seeds, paths, **metadata):
             **metadata,
         },
     }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    target, old = out_dir.rpartition(STAGING)[0], out_dir + ".replaced"
+    try:
+        for name, text in {**outputs, "manifest.json": _json_text(manifest)}.items():
+            with open(os.path.join(out_dir, name), "w") as fh:
+                fh.write(text)
+        if os.path.exists(target):  # a previous run, or empty (see _run_cells)
+            os.rename(target, old)
+        os.rename(out_dir, target)
+    except BaseException:
+        if os.path.exists(old) and not os.path.exists(target):
+            os.rename(old, target)
+        shutil.rmtree(out_dir, ignore_errors=True)
+        raise
+    shutil.rmtree(old, ignore_errors=True)
+    return target
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +304,7 @@ def _deal(items, parts):
             for part in range(parts)]
 
 
-def _run_cells(args, exp, seeds, cells, keep_checkpoint=False):
+def _run_cells(args, exp, seeds, cells, keep_checkpoint=False, partial=False):
     """Run every cell under every seed; a cell is ``(variant, TrainConfig, subdir)``.
 
     Refuses a dataset without a sensitive column, whose cells could not be
@@ -293,12 +315,19 @@ def _run_cells(args, exp, seeds, cells, keep_checkpoint=False):
     seeds what the cells can share.  With fewer seeds than ``--workers``,
     each job has one seed, and each seed's cells are cut into
     ⌈workers / seeds⌉ jobs (never more jobs than cells), so that no worker
-    sits idle.  A cell's files go to ``<out_dir>/<subdir>/seed_<k>``.  A
-    job creates a directory when it has something to write, so a run whose
-    every cell fails first leaves no output directory behind; a directory
-    that already existed is left as it was.  Returns the output directory,
-    the files the jobs wrote, per cell one outcome per seed (its
-    ``SeedResult`` or the exception the cell raised), and each job's seeds.
+    sits idle.  A cell's files go to ``<out_dir>/<subdir>/seed_<k>``.
+
+    A run is all or nothing.  ``out_dir`` is a fresh staging directory
+    beside the output directory, named by ``STAGING``: the jobs write into
+    it, and ``_write_manifest`` adds the command's files and the manifest
+    and renames it into place.
+    An output directory that is not empty and holds no ``manifest.json``
+    (no previous run) is refused before the dataset is loaded.  Unless
+    ``partial``, a failed cell fails the run, with the first failure in
+    cell order, seed by seed.  A run that fails here removes its staging
+    directory.  Returns the staging directory, the files the jobs wrote,
+    per cell one outcome per seed (its ``SeedResult`` or the exception the
+    cell raised), and each job's seeds.
     """
     if args.workers < 1:
         raise ValueError(f"--workers: must be at least 1, got {args.workers}")
@@ -307,18 +336,29 @@ def _run_cells(args, exp, seeds, cells, keep_checkpoint=False):
             f"{args.config}: dataset {exp.dataset.name!r} has no 'sensitive' column; "
             "train, compare and sweep report delta_eo and delta_dp, which need one"
         )
+    target = args.output_dir or exp.output_dir
+    if os.path.exists(target) and not os.path.isdir(target):
+        raise ValueError(f"output directory {target} exists and is not a directory")
+    if (os.path.isdir(target) and os.listdir(target)
+            and not os.path.isfile(os.path.join(target, "manifest.json"))):
+        raise ValueError(f"output directory {target} is not empty and holds no manifest.json; "
+                         "only a previous run's directory is replaced")
     raw = load_from_config(exp.dataset, data_dir=args.data_dir)
-    out_dir = args.output_dir or exp.output_dir
-    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
-        raise ValueError(f"output directory {out_dir} exists and is not a directory")
     parts = [(seed_part, cell_part)
              for seed_part in _deal(list(seeds), min(len(seeds), args.workers))
              for cell_part in _deal(range(len(cells)),
                                     min(len(cells), -(-args.workers // len(seeds))))]
+    out_dir = f"{os.path.normpath(target)}{STAGING}{os.getpid()}"
     jobs = [([cells[c] for c in cell_part], seed_part, out_dir, keep_checkpoint)
             for seed_part, cell_part in parts]
+    os.makedirs(out_dir)
+    try:
+        outcomes = _run_jobs((raw, exp), jobs, args.workers)
+    except BaseException:
+        shutil.rmtree(out_dir)
+        raise
     table = {}  # (seed, cell index) -> outcome
-    for (seed_part, cell_part), outcome in zip(parts, _run_jobs((raw, exp), jobs, args.workers)):
+    for (seed_part, cell_part), outcome in zip(parts, outcomes):
         for i, seed in enumerate(seed_part):
             for j, c in enumerate(cell_part):
                 # a job that failed as a whole fails each of its cells
@@ -326,18 +366,11 @@ def _run_cells(args, exp, seeds, cells, keep_checkpoint=False):
     files = [p for o in table.values() if not isinstance(o, Exception) for p in o[1]]
     results = [[o if isinstance(o, Exception) else o[0]
                 for o in (table[seed, c] for seed in seeds)] for c in range(len(cells))]
+    failed = [r for cell in results for r in cell if isinstance(r, Exception)]
+    if failed and not partial:
+        shutil.rmtree(out_dir)
+        raise failed[0]
     return out_dir, files, results, [seed_part for seed_part, _ in parts]
-
-
-def _reports(cells, outcomes):
-    """One report per cell's variant; raises the first failure, in cell order."""
-    reports = {}
-    for (variant, _, _), results in zip(cells, outcomes):
-        for result in results:
-            if isinstance(result, Exception):
-                raise result
-        reports[variant] = aggregate(results)
-    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +418,7 @@ def cmd_report(args):
         variants = _parse_list(args.variants, str.strip, "variants", "--variants")
         cells = [(check_variant(v, "--variants"), exp.train, v) for v in variants]
     out_dir, files, outcomes, jobs = _run_cells(args, exp, seeds, cells, keep_checkpoint=train)
-    reports = _reports(cells, outcomes)
+    reports = {variant: aggregate(results) for (variant, _, _), results in zip(cells, outcomes)}
     if train:
         stem, payload = "report", reports[exp.variant].to_dict()
         metadata = {"variant": exp.variant}
@@ -393,12 +426,9 @@ def cmd_report(args):
         stem, payload = "comparison", {v: r.to_dict() for v, r in reports.items()}
         metadata = {"variants": list(reports)}
     table = format_comparison_table(reports)
-    os.makedirs(out_dir, exist_ok=True)
-    paths = [os.path.join(out_dir, f"{stem}.json"), os.path.join(out_dir, f"{stem}.txt")]
-    _write_json(paths[0], payload)
-    with open(paths[1], "w") as fh:
-        fh.write(table + "\n")
-    _write_manifest(out_dir, args, seeds, files + paths, jobs=jobs, **metadata)
+    _write_manifest(out_dir, args, seeds, files,
+                    {f"{stem}.json": _json_text(payload), f"{stem}.txt": table + "\n"},
+                    jobs=jobs, **metadata)
     print(table)
     return 0
 
@@ -414,7 +444,7 @@ def cmd_sweep(args):
         for eta in etas
         for beta in betas
     ]
-    out_dir, files, outcomes, jobs = _run_cells(args, exp, seeds, cells)
+    out_dir, files, outcomes, jobs = _run_cells(args, exp, seeds, cells, partial=True)
 
     table_rows, failures = [], []
     for (_, cfg, _), results in zip(cells, outcomes):
@@ -428,22 +458,16 @@ def cmd_sweep(args):
                                    result.accuracy, result.delta_eo, result.delta_dp))
 
     table_rows.sort()
-    os.makedirs(out_dir, exist_ok=True)  # every cell may have failed
-    sweep_path = os.path.join(out_dir, "sweep.csv")
-    with open(sweep_path, "w") as fh:
-        fh.write("eta,beta,seed,accuracy,delta_eo,delta_dp\n")
-        for row in table_rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
-    files.append(sweep_path)
-
+    lines = ["eta,beta,seed,accuracy,delta_eo,delta_dp\n"]
+    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+              for row in table_rows]
+    outputs = {"sweep.csv": "".join(lines)}
     if failures:
-        failures_path = os.path.join(out_dir, "failures.json")
-        _write_json(failures_path, failures)
-        files.append(failures_path)
-
-    _write_manifest(out_dir, args, seeds, files, jobs=jobs,
-                    eta_grid=etas, beta_grid=betas, n_failures=len(failures))
-    print(f"sweep: {len(table_rows)} rows, {len(failures)} failed cells -> {sweep_path}")
+        outputs["failures.json"] = _json_text(failures)
+    out_dir = _write_manifest(out_dir, args, seeds, files, outputs, jobs=jobs,
+                              eta_grid=etas, beta_grid=betas, n_failures=len(failures))
+    print(f"sweep: {len(table_rows)} rows, {len(failures)} failed cells -> "
+          f"{os.path.join(out_dir, 'sweep.csv')}")
     return 0 if table_rows else 1
 
 

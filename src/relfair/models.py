@@ -213,10 +213,6 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(weights=self.weights, biases=self.biases)
 
-    def empty_like(self) -> "ModelParams":
-        """Uninitialized parameters of the same layout, made without a copy."""
-        return ModelParams._over(np.empty_like(self.flat), self.shapes)
-
     def arrays(self) -> list[np.ndarray]:
         out = []
         for w, b in zip(self.weights, self.biases):
@@ -252,11 +248,6 @@ class ParamStack:
         self.stacked = _layer_views(flat, self.shapes)
         self.weights = [wb[:, :-1] for wb in self.stacked]
         self.biases = [wb[:, -1:] for wb in self.stacked]
-
-    @classmethod
-    def of(cls, params: ModelParams, k: int = 1) -> "ParamStack":
-        """k copies of ``params``."""
-        return cls(np.tile(params.flat, (k, 1)), params.shapes)
 
     def member(self, j) -> ModelParams:
         """A copy of model j's parameters."""

@@ -21,19 +21,20 @@ for the seed (so the same encoded width), ``learning_rate``,
 ``pretrain_epochs`` and ``batch_size``.  That is the vanilla and fairrf
 cells of a ``compare``, every (eta, beta) cell of a ``sweep``, each
 per-feature run of ``top1``, for each seed.  ``pretrain`` is a stack too,
-one row per seed.  A row carries its seed's views and batch order (from
-``[seed, 1]`` in ``pretrain``, ``[seed, 2]`` in the fair loop), so the rows
-of a seed take the same batches.  A batch is gathered once per seed (into
-a ``(k, b, d)`` block, one slice per row, when the stack has several
-seeds), forwarded and backpropagated for all k rows by one
-``loss_and_grad`` call over a ``models.ParamStack``, and stepped by one
+one row per seed, and both run their epochs in one loop, ``_run_epochs``.
+A row carries its ``SeedData``, and the stack one batch order per
+``SeedData`` (from ``[seed, 1]`` in ``pretrain``, ``[seed, 2]`` in the fair
+loop), so the rows of a seed take the same batches.  A batch is gathered
+once per seed (into a ``(k, b, d)`` block, one slice per row, when the
+stack has several seeds), forwarded and backpropagated for all k rows by
+one ``loss_and_grad`` call over a ``models.ParamStack``, and stepped by one
 Adam step over the stack's ``(k, P)`` parameter block.  Each epoch then
-forwards each split once per seed, for all of that seed's rows (the splits
-of several seeds are never copied into one block), and ends in one
-``_Plateau`` check per ``pretrain`` row, or one ``_Member.step`` per run,
-its lambda refresh and bookkeeping; each distinct related block of a split
-is gathered once per stack.  Each run keeps its own lambda, eta and beta,
-penalty blocks, fairness callback, trace, history, early stop
+forwards each split its rows read once per seed, for all of that seed's
+rows (the splits of several seeds are never copied into one block), and
+ends in one ``step`` per row: a ``pretrain`` row's ``_Plateau`` check, or
+a run's lambda refresh and bookkeeping; each distinct related block of a
+split is gathered once per stack.  Each run keeps its own lambda, eta and
+beta, penalty blocks, fairness callback, trace, history, early stop
 (``_Plateau``, as ``pretrain``'s) and model selection.  A row that stops or
 fails (a non-finite loss or parameter, or a step that raises) leaves
 through ``_Stack.drop``, the one exit: it takes the row out of the
@@ -90,7 +91,7 @@ scores and losses are bit-identical to one unblocked pass; a layer wider
 than 512 can round otherwise under another block split or BLAS thread
 count (ROADMAP item 17).  The loop sees features and labels only; the
 evaluation fairness metrics, which need the sensitive column, come from a
-callback that ``train_cells`` builds.
+callback that ``_train_group`` builds.
 
 Model selection: among epochs whose evaluation-split penalty is no worse than
 110% of the final epoch's penalty, the checkpoint with the best evaluation
@@ -300,26 +301,21 @@ def _stack_spec(seeds):
     return first.spec
 
 
-class _Seed:
-    """A ``SeedData``'s views and its batch order, drawn from ``[seed, stream]``,
-    which its rows of a stack share."""
-
-    def __init__(self, data, stream):
-        self.train, self.evaluation = data.train, data.evaluation
-        self.rng = np.random.default_rng([data.spec.seed, stream])
-
-
 class _Stack:
-    """A lockstep stack's rows: its ``ParamStack`` ``params``, its ``Adam``
-    ``opt``, and per row ``rows[row]``, its run's own state (its ``_Seed``,
-    ``.seed``, and its ``penalty()``), and ``runs[row]``, the number (0 to
-    k - 1, as made) of that run.  ``outcomes`` holds each run's outcome by
-    its number, None while it is in the stack; ``drop`` is the one way a run
-    leaves, and its whole row leaves with it."""
+    """A lockstep stack: its ``ParamStack`` ``params`` (row j starts from
+    ``seeds[j].params``), its ``Adam`` ``opt``, ``orders``, one batch-order
+    generator per ``SeedData`` from ``[seed, stream]``, and per row
+    ``rows[row]``, its run's own state (``.data``, ``penalty()``, ``step``),
+    and ``runs[row]``, the number (0 to k - 1, as made) of that run.
+    ``outcomes`` holds each run's outcome by its number, None while it is in
+    the stack; ``drop`` is the one way a run leaves, with its whole row."""
 
-    def __init__(self, starts, lr, rows):
-        self.params = ParamStack(np.stack([params.flat for params in starts]), starts[0].shapes)
+    def __init__(self, seeds, lr, rows, stream):
+        self.params = ParamStack(np.stack([data.params.flat for data in seeds]),
+                                 seeds[0].params.shapes)
         self.opt = Adam(self.params.flat, lr)
+        self.orders = {data: np.random.default_rng([data.spec.seed, stream])
+                       for data in seeds}
         self.rows = list(rows)
         self.runs = list(range(len(self.rows)))
         self.outcomes = [None] * len(self.rows)
@@ -341,10 +337,12 @@ class _Stack:
 
 def _adam_pass(spec, stack, cfg, where):
     """One shuffled pass of mini-batch Adam steps, in place, for every row of
-    the ``_Stack`` ``stack`` at once, each over its seed's training split.
+    the ``_Stack`` ``stack`` at once, each over its ``SeedData``'s training
+    split.
 
-    Each seed draws one batch order per pass.  With one seed, each batch is
-    gathered once and every model reads it; otherwise each row has its own
+    Each seed draws one batch order per pass from ``stack.orders``.  With
+    one seed, each batch is gathered once and every model reads it;
+    otherwise each row has its own
     slice of a ``(k, b, d)`` batch, which the first row of a seed gathers
     and the others of that seed copy.  A row's ``penalty()`` is
     None, for the classification loss alone, or ``(eta, reg, related,
@@ -357,14 +355,14 @@ def _adam_pass(spec, stack, cfg, where):
     after the last step; a row that fails either leaves ``stack`` with a
     ``TrainingDivergedError`` that names ``where``.
     """
-    seeds = list(dict.fromkeys(row.seed for row in stack.rows))  # in row order
-    orders = {seed: seed.rng.permutation(seed.train.n) for seed in seeds}
+    seeds = list(dict.fromkeys(row.data for row in stack.rows))  # in row order
+    orders = {seed: stack.orders[seed].permutation(seed.train.n) for seed in seeds}
     first, per_model = seeds[0], len(seeds) > 1
     n, height = first.train.n, min(cfg.batch_size, first.train.n)
     lead = (stack.params.k,) * per_model
     X_buf = np.empty((*lead, height, first.train.X.shape[1]), dtype=first.train.X.dtype)
     y_buf = np.empty((*lead, height), dtype=first.train.y.dtype)
-    gathers = [row.seed for row in stack.rows] if per_model else seeds  # each slice's seed
+    gathers = [row.data for row in stack.rows] if per_model else seeds  # each slice's seed
     workspace = Workspace(stack.params, height, per_model)
     pens = []  # per row: None, or (eta, reg, columns, lambda per column, block key)
     for row in stack.rows:
@@ -373,7 +371,7 @@ def _adam_pass(spec, stack, cfg, where):
             pens.append(None)
             continue
         eta, reg, related, lam = penalty
-        key = (row.seed, id(reg), related.columns.tobytes())  # equal keys share a block
+        key = (row.data, id(reg), related.columns.tobytes())  # equal keys share a block
         pens.append((eta, reg, related.columns, lam[related.owner], key))
 
     for start in range(0, n, cfg.batch_size):
@@ -427,12 +425,12 @@ def _adam_pass(spec, stack, cfg, where):
 
 
 def _forward_rows(stack, spec, split):
-    """Each row's ``(yhat, cls_loss)`` on its seed's ``split`` view, "train" or
-    "evaluation": one ``forward_loss`` per seed, over that seed's rows, so
-    that no split is copied beside another."""
+    """Each row's ``(yhat, cls_loss)`` on its ``SeedData``'s ``split`` view,
+    "train" or "evaluation": one ``forward_loss`` per seed, over that seed's
+    rows, so that no split is copied beside another."""
     by_seed = {}
     for row, state in enumerate(stack.rows):
-        by_seed.setdefault(state.seed, []).append(row)
+        by_seed.setdefault(state.data, []).append(row)
     fits = [None] * len(stack.rows)
     for seed, rows in by_seed.items():
         params = stack.params
@@ -460,17 +458,50 @@ class _Plateau:
         return self.stall >= self.patience
 
 
+def _run_epochs(spec, stack, cfg, splits, label=""):
+    """Train the rows of the ``_Stack`` ``stack`` until each has left it, and
+    return its outcomes.  An epoch is one ``_adam_pass``, one
+    ``_forward_rows`` of each split of ``splits``, and one ``step(fits,
+    params, row, epoch)`` per row, on its ``(yhat, cls_loss)`` of each
+    split: None while the row goes on, else its outcome, or the exception
+    it raises; the rows that are done leave in one ``_Stack.drop``."""
+    epoch = 0
+    while stack.runs:
+        _adam_pass(spec, stack, cfg, f"{label}epoch {epoch}")
+        fits = zip(*(_forward_rows(stack, spec, split) for split in splits))
+        gone = {}
+        for row, (state, fit) in enumerate(zip(stack.rows, fits)):
+            try:
+                outcome = state.step(fit, stack.params, row, epoch)
+            except Exception as exc:  # a failed run is an outcome; callers decide
+                outcome = exc
+            if outcome is not None:
+                gone[row] = outcome
+        stack.drop(gone)
+        epoch += 1
+    return stack.outcomes
+
+
 # ---------------------------------------------------------------------------
 # pretraining
 
 
 class _Warmup:
-    """A pretraining row: its seed and its early stop."""
+    """A pretraining row: its ``SeedData``, epoch limit and early stop."""
 
-    def __init__(self, seed):
-        self.seed, self.plateau = seed, _Plateau(PRETRAIN_PATIENCE)
+    def __init__(self, data, epochs):
+        self.data, self.epochs, self.plateau = data, epochs, _Plateau(PRETRAIN_PATIENCE)
 
     def penalty(self):
+        return None
+
+    def step(self, fits, params, row, epoch):
+        """The parameters once the evaluation loss stalls or the last epoch ends."""
+        ((_, eval_loss),) = fits
+        if not math.isfinite(eval_loss):
+            raise TrainingDivergedError(f"non-finite loss at pretrain epoch {epoch} (eval)")
+        if self.plateau.stalled(eval_loss) or epoch + 1 >= self.epochs:
+            return params.member(row)
         return None
 
 
@@ -481,27 +512,16 @@ def pretrain(seeds, cfg):
 
     A row runs for cfg.pretrain_epochs or until its evaluation loss stops
     improving for PRETRAIN_PATIENCE consecutive epochs, and then leaves the
-    stack; pretrain_epochs=0 is a no-op.  A row that diverges leaves with a
-    ``TrainingDivergedError`` naming the epoch.  Returns, per seed in order,
-    its ``ModelParams`` or that error.
+    stack; pretrain_epochs=0 returns copies.  A row that diverges leaves
+    with a ``TrainingDivergedError`` naming the epoch.  Returns, per seed in
+    order, its ``ModelParams`` or that error.
     """
     spec = _stack_spec(seeds)
-    stack = _Stack([data.params for data in seeds], cfg.learning_rate,
-                   [_Warmup(_Seed(data, 1)) for data in seeds])
-    for epoch in range(cfg.pretrain_epochs):
-        where = f"pretrain epoch {epoch}"
-        _adam_pass(spec, stack, cfg, where)
-        gone = {}
-        for row, (_, eval_loss) in enumerate(_forward_rows(stack, spec, "evaluation")):
-            if not math.isfinite(eval_loss):
-                gone[row] = TrainingDivergedError(f"non-finite loss at {where} (eval)")
-            elif stack.rows[row].plateau.stalled(eval_loss):
-                gone[row] = stack.params.member(row)
-        stack.drop(gone)
-        if not stack.runs:
-            break
-    stack.drop({row: stack.params.member(row) for row in range(len(stack.runs))})
-    return stack.outcomes
+    if cfg.pretrain_epochs == 0:
+        return [data.params.copy() for data in seeds]
+    rows = [_Warmup(data, cfg.pretrain_epochs) for data in seeds]
+    return _run_epochs(spec, _Stack(seeds, cfg.learning_rate, rows, 1), cfg, ("evaluation",),
+                       "pretrain ")
 
 
 # ---------------------------------------------------------------------------
@@ -560,12 +580,12 @@ class FairRun:
 
 
 class _Member:
-    """A run's own state in its stack: its ``_Seed``, lambda, trace, history
-    and early stop."""
+    """A run's own state in its stack: its ``SeedData``, lambda, trace,
+    history and early stop, beside the stack's shared related ``blocks``."""
 
-    def __init__(self, run, seed):
+    def __init__(self, run, data, blocks):
         related, cfg = run.related, run.cfg
-        train, evaluation = seed.train, seed.evaluation
+        train, evaluation = data.train, data.evaluation
         if related is None and cfg.eta != 0:
             raise ValueError("a related feature set is required unless eta=0")
         # checked once here: the theta-phase gradient makes no checks of its own
@@ -574,7 +594,7 @@ class _Member:
         if (reg_train.ndim != 2 or reg_eval.ndim != 2
                 or len(reg_train) != train.n or len(reg_eval) != evaluation.n):
             raise ValueError("regularized-column matrices must be 2-d and align with the splits")
-        self.run, self.cfg, self.related, self.seed = run, cfg, related, seed
+        self.run, self.cfg, self.related, self.data, self.blocks = run, cfg, related, data, blocks
         self.regs = (reg_train, reg_eval)
         self.batch_reg = None if reg_train is train.X else reg_train  # None: a batch's Xb
         self.lam = related.lambda0 if related is not None else np.zeros(0)
@@ -588,30 +608,30 @@ class _Member:
             return None
         return self.cfg.eta, self.batch_reg, self.related, self.lam
 
-    def per_feature(self, blocks, split, yhat):
+    def per_feature(self, split, yhat):
         """Each related feature's score of ``yhat`` on ``split`` (0 train, 1 eval)."""
         if self.related is None:
             return np.zeros(0)
         reg, columns = self.regs[split], self.related.columns
         key = (split, id(reg), columns.tobytes())
-        if key not in blocks:  # gathered once per stack run
-            blocks[key] = reg[:, columns]
-        return _per_feature(blocks[key], self.related, yhat)
+        if key not in self.blocks:  # gathered once per stack run
+            self.blocks[key] = reg[:, columns]
+        return _per_feature(self.blocks[key], self.related, yhat)
 
-    def step(self, blocks, fits, theta, epoch):
+    def step(self, fits, params, row, epoch):
         """The epoch's (b) lambda refresh, the exact minimizer given the
         current model, (c) bookkeeping and (d) convergence, from ``fits``,
-        the training and evaluation splits' ``(yhat, cls_loss)``.  True once
-        the run is done."""
+        the training and evaluation splits' ``(yhat, cls_loss)`` of row
+        ``row`` of ``params``.  The chosen ``(params, trace)`` once it is done."""
         (yhat_train, cls_loss), (yhat_eval, eval_cls) = fits
-        scores = self.per_feature(blocks, 0, yhat_train)
+        scores = self.per_feature(0, yhat_train)
         if self.related is not None and self.run.learn_lambda:  # checked before any step uses it
             self.lam = solve_lambda(self.cfg.eta * scores, self.cfg.beta).lam
             _check_lambda(self.lam, epoch)
         lam, fairness = self.lam, self.run.fairness
-        eval_penalty = float(lam @ self.per_feature(blocks, 1, yhat_eval))
+        eval_penalty = float(lam @ self.per_feature(1, yhat_eval))
         eval_obj = total_objective(eval_cls, eval_penalty, lam, self.cfg)
-        eval_acc = accuracy(yhat_eval, self.seed.evaluation.y)
+        eval_acc = accuracy(yhat_eval, self.data.evaluation.y)
         eo, dp = fairness(yhat_eval) if fairness is not None else (None, None)
         self.trace.append(
             EpochRecord(
@@ -626,15 +646,14 @@ class _Member:
                 eval_objective=eval_obj,
             )
         )
-        self.history.append((eval_acc, eval_penalty, theta.copy()))
-        return self.plateau.stalled(eval_obj) or epoch + 1 >= self.cfg.max_epochs
-
-    def chosen(self, shapes):
-        """Model selection: best eval accuracy among epochs whose penalty is
-        within slack of the final one (the final epoch always qualifies)."""
+        self.history.append((eval_acc, eval_penalty, params.flat[row].copy()))
+        if not (self.plateau.stalled(eval_obj) or epoch + 1 >= self.cfg.max_epochs):
+            return None
+        # model selection: best eval accuracy among epochs whose penalty is
+        # within slack of the final one (the final epoch always qualifies)
         allowed = self.history[-1][1] * SELECTION_PENALTY_SLACK + 1e-12
         theta = max((h for h in self.history if h[1] <= allowed), key=lambda h: h[0])[2]
-        return ModelParams._over(theta, shapes), self.trace
+        return ModelParams._over(theta, params.shapes), self.trace
 
 
 def train_stack(rows):
@@ -643,56 +662,33 @@ def train_stack(rows):
     A row starts from its ``SeedData``'s parameters and trains on its views
     (``TrainView``s: features and labels).  The rows must share the model
     shape (the spec but for its seed), the split sizes, ``learning_rate``
-    and ``batch_size``.  Each epoch the rows of a ``SeedData`` draw one
-    batch order from ``[seed, 2]``; every batch is forwarded and
-    backpropagated for all rows with one product per layer and stepped with
-    one Adam step (see the module docstring); each split is forwarded once
-    per seed, and each run takes one ``_Member.step`` on both forwards.  A
-    run leaves the stack, through ``_Stack.drop``, when it stops, or when it
-    fails: a non-finite loss or parameter, or a step that raises; the others
-    go on as if it had never been there.
+    and ``batch_size``.  They run their epochs in ``_run_epochs`` (see the
+    module docstring), the rows of a ``SeedData`` on one batch order from
+    ``[seed, 2]``.  A run leaves the stack when it stops, or when it fails:
+    a non-finite loss or parameter, or a step that raises; the others go on
+    as if it had never been there.
 
     Returns, per row in order, ``(params, trace)`` or the exception it raised.
     """
-    seeds = {data: _Seed(data, 2) for data in dict.fromkeys(data for data, _ in rows)}
+    blocks = {}  # the splits' related blocks, each gathered once
     members = []  # per row: its _Member, or the exception that refused it
     for data, run in rows:
         try:
-            members.append(_Member(run, seeds[data]))
+            members.append(_Member(run, data, blocks))
         except Exception as exc:  # a failed run is an outcome; callers decide
             members.append(exc)
     live = [member for member in members if isinstance(member, _Member)]
     if not live:
         return members
-    spec = _stack_spec(list(seeds))
+    seeds = [data for data, _ in rows]
+    spec = _stack_spec(seeds)
     cfg = live[0].cfg  # its learning_rate and batch_size are every run's
     if any((m.cfg.learning_rate, m.cfg.batch_size) != (cfg.learning_rate, cfg.batch_size)
            for m in live):
         raise ValueError("the runs of a stack must share learning_rate and batch_size")
-    stack = _Stack([data.params for data, _ in rows], cfg.learning_rate, members)
+    stack = _Stack(seeds, cfg.learning_rate, members, 2)
     stack.drop({row: m for row, m in enumerate(members) if isinstance(m, Exception)})
-    blocks = {}  # the splits' related blocks, each gathered once
-
-    epoch = 0
-    while stack.runs:
-        # (a) theta phase: one full pass per lambda refresh; a model that
-        # diverges leaves the stack in it
-        _adam_pass(spec, stack, cfg, f"epoch {epoch}")
-        if not stack.runs:
-            break
-
-        # (b)-(d) on one forward of each split: each run's step
-        fits = zip(_forward_rows(stack, spec, "train"), _forward_rows(stack, spec, "evaluation"))
-        gone = {}
-        for row, (member, fit) in enumerate(zip(stack.rows, fits)):
-            try:
-                if member.step(blocks, fit, stack.params.flat[row], epoch):
-                    gone[row] = member.chosen(stack.params.shapes)
-            except Exception as exc:
-                gone[row] = exc
-        stack.drop(gone)
-        epoch += 1
-    return stack.outcomes
+    return _run_epochs(spec, stack, cfg, ("train", "evaluation"))
 
 
 def train_fairrf(spec, params, train, evaluation, related, cfg, *,
@@ -924,16 +920,6 @@ def _train_seeds(cells, splits, related_names, model_kind, hidden_dims,
     return outcomes
 
 
-def train_cells(cells, train_raw, eval_raw, test_raw, related_names, model_kind, *,
-                seed=0, hidden_dims=None, allow_sensitive_in_training=False):
-    """Train ``(variant, cfg)`` cells on one split, drawn with ``seed``, as
-    ``run_single`` trains one seed's (see ``_train_seeds``).  Returns each
-    cell's ``TrainResult`` or the exception it raised, in cell order."""
-    (outcomes,) = _train_seeds(cells, [(seed, (train_raw, eval_raw, test_raw))], related_names,
-                               model_kind, hidden_dims, allow_sensitive_in_training)
-    return outcomes
-
-
 def train_variant(
     variant,
     train_raw,
@@ -947,12 +933,12 @@ def train_variant(
     hidden_dims=None,
     allow_sensitive_in_training=False,
 ):
-    """Train one baseline/method variant on pre-split raw data: ``train_cells``
-    of one cell; raises what the cell raised."""
-    (outcome,) = train_cells(
-        [(variant, cfg)], train_raw, eval_raw, test_raw, related_names, model_kind, seed=seed,
-        hidden_dims=hidden_dims, allow_sensitive_in_training=allow_sensitive_in_training,
-    )
+    """Train one baseline/method variant on pre-split raw data, drawn with
+    ``seed``, as ``run_single`` trains one cell (see ``_train_seeds``);
+    raises what the cell raised."""
+    ((outcome,),) = _train_seeds([(variant, cfg)], [(seed, (train_raw, eval_raw, test_raw))],
+                                 related_names, model_kind, hidden_dims,
+                                 allow_sensitive_in_training)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

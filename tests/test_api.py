@@ -18,11 +18,15 @@ from relfair.models import ModelSpec
 from relfair.synthetic import SyntheticSpec
 from relfair.training import (
     Adam,
+    FairRun,
+    SeedData,
     TrainConfig,
     TrainResult,
+    pretrain,
     run_seeds,
     run_single,
-    train_cells,
+    train_fairrf,
+    train_stack,
     train_variant,
 )
 
@@ -38,9 +42,12 @@ PARAMETERS = {
         "variant", "train_raw", "eval_raw", "test_raw", "related_names", "model_kind",
         "cfg", "seed", "hidden_dims", "allow_sensitive_in_training",
     ),
-    train_cells: (
-        "cells", "train_raw", "eval_raw", "test_raw", "related_names", "model_kind",
-        "seed", "hidden_dims", "allow_sensitive_in_training",
+    # the lockstep layer: one stack of seeds, one stack of runs, one run
+    pretrain: ("seeds", "cfg"),
+    train_stack: ("rows",),
+    train_fairrf: (
+        "spec", "params", "train", "evaluation", "related", "cfg", "learn_lambda",
+        "reg_train", "reg_eval", "fairness",
     ),
     # one job's cells over its seeds, each seed's outcomes; then those as reports
     run_single: (
@@ -62,6 +69,9 @@ FIELDS = {
         "early_stop_patience",
     ),
     ModelSpec: ("kind", "input_dim", "hidden_dims", "seed"),
+    # a seed's place in a stack, and a run of the fair loop
+    SeedData: ("spec", "params", "train", "evaluation"),
+    FairRun: ("related", "cfg", "learn_lambda", "reg_train", "reg_eval", "fairness"),
     # a trained cell keeps no encoded split: its test row comes from these
     TrainResult: (
         "variant", "spec", "params", "trace", "related", "test_yhat", "test_y", "test_s",

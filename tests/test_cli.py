@@ -733,6 +733,91 @@ def test_an_output_dir_that_is_a_file_is_refused(workspace, tmp_path, capsys):
     assert path.read_text() == "kept\n"
 
 
+def _declared_and_on_disk(out):
+    """The files ``out``'s manifest declares, and the files in ``out`` but it."""
+    declared = set(json.loads((out / "manifest.json").read_text())["files"])
+    on_disk = {os.path.relpath(os.path.join(base, f), out)
+               for base, _, names in os.walk(out) for f in names} - {"manifest.json"}
+    return declared, on_disk
+
+
+class TestRunDirectory:
+    """A run directory holds exactly the files of one run, as its manifest says."""
+
+    def test_a_rerun_with_fewer_seeds_replaces_the_run(self, workspace, tmp_path):
+        out = tmp_path / "run"
+        for seeds in ("0,1,2", "0"):
+            assert run_cli("train", "-c", str(workspace / "exp.yaml"), "--data-dir",
+                           str(workspace), "--output-dir", str(out), "--seeds", seeds) == 0
+        declared, on_disk = _declared_and_on_disk(out)
+        assert declared == on_disk
+        assert {path.split("/")[0] for path in on_disk} == {
+            "report.json", "report.txt", "seed_0"}
+        assert os.listdir(tmp_path) == ["run"]
+
+    def test_a_sweep_rerun_without_its_failure_drops_failures_json(self, workspace, tmp_path):
+        out = tmp_path / "sweep"
+        for betas, failures in (("1e-300,0.5", 1), ("0.5", 0)):
+            assert run_cli("sweep", "-c", str(workspace / "exp.yaml"), "--data-dir",
+                           str(workspace), "--output-dir", str(out), "--seeds", "0",
+                           "--eta-grid", "0.3", "--beta-grid", betas) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["metadata"]["n_failures"] == failures
+            assert (out / "failures.json").exists() == bool(failures)
+            declared, on_disk = _declared_and_on_disk(out)
+            assert declared == on_disk
+        assert os.listdir(tmp_path) == ["sweep"]
+
+    def test_a_directory_that_holds_no_run_is_refused(self, workspace, tmp_path, capsys,
+                                                      monkeypatch):
+        out = tmp_path / "notes"
+        out.mkdir()
+        (out / "todo.txt").write_text("kept\n")
+        monkeypatch.setattr(cli, "load_from_config", None)  # refused before loading
+        assert run_cli("train", "-c", str(workspace / "exp.yaml"), "--data-dir",
+                       str(workspace), "--output-dir", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: output directory {out} is not empty and holds no manifest.json; "
+            "only a previous run's directory is replaced\n")
+        assert os.listdir(out) == ["todo.txt"] and os.listdir(tmp_path) == ["notes"]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_failed_run_leaves_the_previous_run_as_it_was(self, workspace, tmp_path,
+                                                             workers):
+        out = tmp_path / "run"
+        args = ("--data-dir", str(workspace), "--output-dir", str(out), "--workers", workers)
+        assert run_cli("train", "-c", str(workspace / "exp.yaml"), *args) == 0
+        before = {path: (out / path).read_bytes() for path in _declared_and_on_disk(out)[1]}
+        before["manifest.json"] = (out / "manifest.json").read_bytes()
+        # vanilla trains and writes its files, then constrain_s fails the run
+        assert run_cli("compare", "-c", str(constrain_s_config(workspace)), *args,
+                       "--variants", "vanilla,constrain_s") == 1
+        after = {path: (out / path).read_bytes() for path in _declared_and_on_disk(out)[1]}
+        after["manifest.json"] = (out / "manifest.json").read_bytes()
+        assert after == before
+        assert os.listdir(tmp_path) == ["run"]
+
+    def test_a_failed_move_into_place_restores_the_previous_run(self, workspace, tmp_path,
+                                                                 monkeypatch, capsys):
+        out = tmp_path / "run"
+        args = ("train", "-c", str(workspace / "exp.yaml"), "--data-dir", str(workspace),
+                "--output-dir", str(out))
+        assert run_cli(*args) == 0
+        before = _artifacts(out)
+        rename = os.rename
+
+        def failing_for_the_staging_directory(src, dst):
+            if cli.STAGING in str(src) and not str(src).endswith(".replaced"):
+                raise OSError("cannot move the staging directory")
+            rename(src, dst)
+
+        monkeypatch.setattr(cli.os, "rename", failing_for_the_staging_directory)
+        assert run_cli(*args, "--seeds", "0") == 1
+        assert capsys.readouterr().err.endswith("cannot move the staging directory\n")
+        assert _artifacts(out) == before
+        assert os.listdir(tmp_path) == ["run"]
+
+
 def test_no_related_features_in_either_config_is_refused(workspace, tmp_path, capsys):
     exp = dataset_variant(workspace, tmp_path, lambda text: text.replace(
         "related: [proxy_a, proxy_b]", "related: []"))

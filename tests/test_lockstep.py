@@ -27,7 +27,6 @@ from relfair.training import (
     TrainConfig,
     pretrain,
     run_single,
-    train_cells,
     train_stack,
 )
 
@@ -111,9 +110,8 @@ def test_each_cell_of_a_stack_ends_as_it_would_alone(stacks, kind, hidden):
     # one stack over both seeds: every cell, and top1 once per related feature
     assert stacks == [2 * (len(CELLS) - 1 + len(RELATED))]
     for seed, outcomes in zip([1, 2], together, strict=True):
-        splits = split(RAW, seed=seed)
         for cell, outcome in zip(CELLS, outcomes, strict=True):
-            (alone,) = train_cells([cell], *splits, RELATED, kind, seed=seed, **options)
+            ((alone,),) = run_single(RAW, RELATED, [cell], kind, [seed], **options)
             _assert_same_cell(outcome, alone)
         failed = [o for o in outcomes if isinstance(o, Exception)]
         assert len(failed) == 1 and "too small" in str(failed[0])

@@ -192,8 +192,8 @@ def _params_by(source, tmp_path):
         return pickle.loads(pickle.dumps(params))
     if source == "deepcopy":
         return copy.deepcopy(params)
-    if source == "empty_like":
-        return params.empty_like()
+    if source == "_over":  # a layout over a fresh vector, as ParamStack.member makes
+        return ModelParams._over(np.empty_like(params.flat), params.shapes)
     return params
 
 
@@ -213,7 +213,7 @@ class TestLayout:
             assert np.shares_memory(a, flat)
 
     @pytest.mark.parametrize("source", [
-        "init_params", "copy", "empty_like", "pickle", "deepcopy", "load_checkpoint",
+        "init_params", "copy", "_over", "pickle", "deepcopy", "load_checkpoint",
         "loss_and_grad",
     ])
     def test_stacked_layers_are_views_into_the_vector(self, source, tmp_path):
@@ -644,7 +644,8 @@ class TestStack:
 
     def test_one_X_per_model_is_checked(self):
         spec = ModelSpec(kind="mlp", input_dim=2, hidden_dims=(8,), seed=0)
-        stack = ParamStack.of(init_params(spec), 3)
+        params = init_params(spec)
+        stack = ParamStack(np.tile(params.flat, (3, 1)), params.shapes)
         with pytest.raises(ValueError,
                            match=r"^X must be \(n, 2\) or \(3, n, 2\), got \(2, 4, 2\)$"):
             forward(stack, spec, np.zeros((2, 4, 2)))
@@ -657,7 +658,7 @@ class TestStack:
     def test_layers_view_the_block(self):
         spec = ModelSpec(kind="mlp", input_dim=5, hidden_dims=(8, 4), seed=1)
         params = init_params(spec)
-        stack = ParamStack.of(params, 3)
+        stack = ParamStack(np.tile(params.flat, (3, 1)), params.shapes)
         stack.flat += np.arange(3.0)[:, None]  # each model its own
         for j in range(3):
             member = stack.member(j)
@@ -669,14 +670,16 @@ class TestStack:
 
     def test_a_workspace_for_another_number_of_models_is_named(self):
         spec = ModelSpec(kind="lr", input_dim=2, seed=0)
-        stack = ParamStack.of(init_params(spec), 3)
+        params = init_params(spec)
+        stack = ParamStack(np.tile(params.flat, (3, 1)), params.shapes)
         with pytest.raises(ValueError, match="^a workspace of 1 models cannot hold 3 models$"):
             loss_and_grad(stack, spec, np.zeros((2, 2)), np.zeros(2),
                           workspace=Workspace(init_params(spec), 2))
 
     def test_a_stack_needs_one_extra_gradient_entry_per_model(self):
         spec = ModelSpec(kind="lr", input_dim=2, seed=0)
-        stack = ParamStack.of(init_params(spec), 3)
+        params = init_params(spec)
+        stack = ParamStack(np.tile(params.flat, (3, 1)), params.shapes)
         with pytest.raises(ValueError, match="^extra_grad_on_yhat must give 3 entries"):
             loss_and_grad(stack, spec, np.zeros((2, 2)), np.zeros(2),
                           extra_grad_on_yhat=lambda yhat: [None, None])

@@ -23,12 +23,10 @@ from relfair.training import (
     TrainTrace,
     TrainingDivergedError,
     _adam_pass,
-    _Seed,
     _Stack,
     pretrain,
     run_seeds,
     run_single,
-    train_cells,
     train_fairrf,
     train_variant,
 )
@@ -184,10 +182,10 @@ def _pass_penalty(kind, rng, n):
 
 
 class _Row:
-    """A stack row as ``_adam_pass`` reads it: its seed and a fixed penalty entry."""
+    """A stack row as ``_adam_pass`` reads it: its ``SeedData`` and a fixed penalty entry."""
 
-    def __init__(self, seed, penalty):
-        self.seed, self._penalty = seed, penalty
+    def __init__(self, data, penalty):
+        self.data, self._penalty = data, penalty
 
     def penalty(self):
         return self._penalty
@@ -236,12 +234,12 @@ class TestAdamPass:
         cfgs = [dataclasses.replace(cfg, eta=eta) for eta in etas]
         params = init_params(spec)
         params.flat += rng.normal(scale=0.2, size=params.flat.shape)  # biases off zero
-        by_seed = {seed: _Seed(SeedData(ModelSpec(spec.kind, 6, spec.hidden_dims, seed),
-                                        params, view, view), 2)
+        by_seed = {seed: SeedData(ModelSpec(spec.kind, 6, spec.hidden_dims, seed),
+                                  params, view, view)
                    for seed, view in views.items()}
         rows = [_Row(by_seed[seed], None if p is None else (eta, *p))
                 for seed, p, eta in zip(seeds, pens, etas)]
-        stack = _Stack([params] * len(kinds), cfg.learning_rate, rows)
+        stack = _Stack([by_seed[seed] for seed in seeds], cfg.learning_rate, rows, 2)
         references = [params.copy() for _ in kinds]
         moments = [(np.zeros_like(params.flat), np.zeros_like(params.flat)) for _ in kinds]
         t = [0] * len(kinds)
@@ -267,7 +265,7 @@ class TestStackDrop:
     def test_drop_compacts_the_rows_and_records_the_outcomes(self):
         spec = ModelSpec(kind="mlp", input_dim=5, hidden_dims=(8, 4), seed=1)
         params = init_params(spec)
-        stack = _Stack([params] * 5, 0.01, "abcde")
+        stack = _Stack([SeedData(spec, params, None, None)] * 5, 0.01, "abcde", 1)
         rows = np.arange(5.0)[:, None]  # each run its own parameters and moments
         stack.params.flat += rows
         stack.opt.m += 10 * rows
@@ -707,7 +705,7 @@ class TestRunSeed:
     ]
 
     def test_each_cell_equals_its_one_cell_run(self):
-        outcomes = train_cells(self.CELLS, *splits(seed=1), RELATED, "lr", seed=1)
+        (outcomes,) = run_single(RAW, RELATED, self.CELLS, "lr", [1])
         for (variant, cfg), result in zip(self.CELLS, outcomes, strict=True):
             if isinstance(result, Exception):
                 with pytest.raises(type(result)) as alone:
