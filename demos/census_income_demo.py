@@ -6,9 +6,11 @@ RELFAIR_DATA_DIR at the directory that holds it, or pass --data-dir.
 tests/conftest.py stages exactly this file when the archive is reachable,
 so after a successful test run the default cache already has it.
 
-Runs `train` for the regularized variant, then `compare` against the usual
-baselines, and prints where the artifacts landed.  Expect a few minutes with
-the MLP backbone.
+Runs `train` for the regularized variant into `<output-dir>/train`, then
+`compare` against the usual baselines into `<output-dir>/comparison`, and
+prints where the artifacts landed.  The two runs sit side by side, so each
+directory holds exactly the files its manifest.json lists, and a rerun
+replaces each run as a whole.  Expect a few minutes with the MLP backbone.
 """
 
 import argparse
@@ -52,7 +54,8 @@ def main():
     with tempfile.TemporaryDirectory(prefix="census-demo-") as tmp:
         cfg_path = os.path.join(tmp, "exp.yaml")
         with open(cfg_path, "w", encoding="utf-8") as fh:
-            fh.write(EXPERIMENT.format(model=args.model, out=args.output_dir))
+            fh.write(EXPERIMENT.format(model=args.model,
+                                       out=os.path.join(args.output_dir, "train")))
 
         common = ["-c", cfg_path, "--data-dir", args.data_dir,
                   "--workers", str(args.workers)]
@@ -68,9 +71,9 @@ def main():
             "--variants", args.variants,
         ])
     print()
-    print(f"artifacts under {args.output_dir}/ -- see manifest.json in each "
-          f"directory for the full list, report.txt for the human-readable "
-          f"summary, and seed_*/trace.jsonl for per-epoch trajectories.")
+    print(f"artifacts under {args.output_dir}/train/ and {args.output_dir}/comparison/ "
+          f"-- see manifest.json in each for the full list, report.txt for the "
+          f"human-readable summary, and seed_*/trace.jsonl for per-epoch trajectories.")
     return rc
 
 

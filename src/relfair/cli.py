@@ -33,7 +33,7 @@ from relfair.data import (
     check_string,
     load_dataset_config,
     load_from_config,
-    parse_yaml,
+    load_yaml,
     split,
 )
 from relfair.metrics import (
@@ -158,10 +158,8 @@ def parse_experiment_config(doc, where="experiment config", config_dir="."):
 
 
 def load_experiment_config(path):
-    with open(path) as fh:
-        doc = parse_yaml(fh)
     return parse_experiment_config(
-        doc, where=str(path), config_dir=os.path.dirname(os.path.abspath(path))
+        load_yaml(path), where=str(path), config_dir=os.path.dirname(os.path.abspath(path))
     )
 
 
@@ -200,7 +198,7 @@ def _write_manifest(out_dir, args, seeds, paths, outputs, **metadata):
     target, old = out_dir.rpartition(STAGING)[0], out_dir + ".replaced"
     try:
         for name, text in {**outputs, "manifest.json": _json_text(manifest)}.items():
-            with open(os.path.join(out_dir, name), "w") as fh:
+            with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
         if os.path.exists(target):  # a previous run, or empty (see _run_cells)
             os.rename(target, old)

@@ -983,10 +983,18 @@ def parse_yaml(stream):
     return yaml.load(stream, Loader=_YAML_LOADER)
 
 
+def load_yaml(path):
+    """The YAML document in the file at ``path``, read as UTF-8 (``ENCODING``,
+    as a CSV); a file that is not raises ``ValueError`` naming ``path``."""
+    try:
+        with open(path, encoding=ENCODING) as fh:
+            return parse_yaml(fh)
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text: {e.reason}") from None
+
+
 def load_dataset_config(path):
-    with open(path) as fh:
-        doc = parse_yaml(fh)
-    return parse_dataset_config(doc, where=str(path))
+    return parse_dataset_config(load_yaml(path), where=str(path))
 
 
 def builtin_config(name):
@@ -1003,7 +1011,7 @@ def builtin_config(name):
             f"no builtin dataset config named {name!r}; the builtin ones are "
             f"{', '.join(names)}, and a dataset config file needs a .yaml or .yml suffix"
         )
-    text = (configs / f"{name}.yaml").read_text()
+    text = (configs / f"{name}.yaml").read_text(encoding=ENCODING)
     return parse_dataset_config(parse_yaml(text), where=f"builtin config {name!r}")
 
 

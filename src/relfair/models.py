@@ -80,20 +80,21 @@ threads (ROADMAP item 17).
 
 Mini-batches: ``loss_and_grad`` forwards its batch in one go, for every
 model of the stack, in the same buffers, and keeps the activations for the
-backward pass.  It computes in a
-``Workspace``: the forward's buffers, one per hidden layer for the backward
-``delta``, one gradient ``ParamStack``, and the loss head's blocks, in
-which the sigmoid, the clip, the loss terms and ``d_raw`` are written with
-``out=``, ufunc by ufunc in the order of the written-out expressions; a
-batch of m rows uses their leading m rows.  Each ReLU mask (0.0 or 1.0)
-overwrites its activation once that is spent.  A ``delta`` buffer is as wide as the activation buffer, so
-the mask multiplies whole contiguous rows; where the MLP folds, its column
-beside the ones stays zero and is never read.  numpy runs an elementwise
-ufunc over a strided view row by row, which took 11 us for a 128 x 64 ReLU
-against 3 us whole.  A call without a workspace makes its own.  A training
-pass makes one and hands it to every step, so a step allocates no array as
-large as a layer; the returned gradient is then the workspace's, and the
-next call overwrites it.  The one-wide output layer's ``delta @ W.T`` is an
+backward pass.  It computes in a ``Workspace``: the forward's buffers,
+one per hidden layer for the backward ``delta`` and one gradient
+``ParamStack``; a batch of m rows uses their leading m rows.  The loss
+head (the sigmoid, the clip, the loss terms and ``d_raw``, each a (k, m)
+block) is the written-out expressions on fresh arrays: it is elementwise,
+and writing it in place into kept buffers showed no gain.  Each ReLU mask
+(0.0 or 1.0) overwrites its activation once that is spent.  A ``delta``
+buffer is as wide as the activation buffer, so the mask multiplies whole
+contiguous rows; where the MLP folds, its column beside the ones stays
+zero and is never read.  numpy runs an elementwise ufunc over a strided
+view row by row, which took 11 us for a 128 x 64 ReLU against 3 us whole.
+A call without a workspace makes its own.  A training pass makes one and
+hands it to every step, so a step allocates no array as large as a layer;
+the returned gradient is then the workspace's, and the next call
+overwrites it.  The one-wide output layer's ``delta @ W.T`` is an
 ``np.multiply``: the same products, without a gemm call.
 """
 
@@ -272,15 +273,14 @@ def init_params(spec: ModelSpec) -> ModelParams:
     return ModelParams(weights=weights, biases=biases)
 
 
-def sigmoid(x, out=None) -> np.ndarray:
-    """The logistic function ``1 / (1 + exp(-x))``, elementwise, into ``out`` if given.
+def sigmoid(x) -> np.ndarray:
+    """The logistic function ``1 / (1 + exp(-x))``, elementwise.
 
     Below x = -709.78 ``exp(-x)`` overflows to inf and the result is exactly
     0.0; that overflow is the intended saturation, so it is not warned about.
     """
     with np.errstate(over="ignore"):
-        e = np.exp(np.negative(x, out=out), out=out)
-        return np.divide(1.0, np.add(1.0, e, out=out), out=out)
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _check_input(spec: ModelSpec, X: np.ndarray, params=None) -> np.ndarray:
@@ -419,30 +419,23 @@ def _check_labels(X, y) -> np.ndarray:
     return y[None] if y.ndim == 1 else y
 
 
-def _cls_loss(spec: ModelSpec, raw, yhat, y, scratch=None):
+def _cls_loss(spec: ModelSpec, raw, yhat, y):
     """Each model's summed classification loss plus the per-row terms its
     gradient reuses.
 
     ``raw`` and ``yhat`` are (k, n), one row per model, ``y`` is (1, n) or
     (k, n), and the k losses are sums along the rows.  Binary cross entropy
     on the clipped probability for LR/MLP (the terms are the clipped
-    probabilities), hinge on the margins for the SVM (the terms are the signed labels and the per-row
-    hinge losses).  LR/MLP compute in ``scratch``, four arrays shaped as
-    ``yhat`` (None: fresh ones), and return the clipped probabilities in
-    its first.
+    probabilities), hinge on the margins for the SVM (the terms are the
+    signed labels and the per-row hinge losses).
     """
     if spec.kind == "svm":
         t = 2.0 * y - 1.0
         margin_loss = np.maximum(0.0, 1.0 - t * raw)
         return margin_loss.sum(axis=-1), (t, margin_loss)
-    yc, a, b, c = np.empty((4, *yhat.shape)) if scratch is None else scratch
-    np.minimum(np.maximum(yhat, PROB_EPS, out=yc), 1.0 - PROB_EPS, out=yc)
-    # -(y * log(yc) + (1 - y) * log(1 - yc)), summed
-    np.multiply(y, np.log(yc, out=a), out=a)
-    np.log(np.subtract(1.0, yc, out=b), out=b)
-    np.multiply(np.subtract(1.0, y, out=c), b, out=b)
-    loss = np.negative(np.add(a, b, out=a), out=a).sum(axis=-1)
-    return loss, yc
+    yc = np.minimum(np.maximum(yhat, PROB_EPS), 1.0 - PROB_EPS)
+    loss = -(y * np.log(yc) + (1.0 - y) * np.log(1.0 - yc))
+    return loss.sum(axis=-1), yc
 
 
 def forward_loss(params, spec: ModelSpec, X, y):
@@ -464,10 +457,8 @@ class Workspace:
     """The buffers of ``loss_and_grad`` for batches of up to ``rows`` rows.
 
     The forward's ``_layer_buffers``, one per hidden layer for the backward
-    ``delta`` (as wide as that layer's buffer), one gradient block of the
-    layout of ``params``, and five (k, rows) blocks for the loss head:
-    ``yhat``, the clipped ``yhat``, and three for the loss terms and then
-    ``d_raw``.  ``params`` is a ``ModelParams`` (k is 1) or a
+    ``delta`` (as wide as that layer's buffer) and one gradient block of
+    the layout of ``params``.  ``params`` is a ``ModelParams`` (k is 1) or a
     ``ParamStack`` of k models, and ``per_model`` says whether its batches
     give each model its own X.  A batch of m rows uses the leading m rows
     of each, through views made the first time a batch has m rows
@@ -483,14 +474,13 @@ class Workspace:
         self.layers = _layer_buffers(stack, rows, self.folds, per_model)
         self.deltas = [np.zeros(h.shape) for h in self.layers[1]]
         self.grads = ParamStack(np.empty_like(stack.flat), stack.shapes)
-        self.head = np.empty((5, self.k, rows))  # yhat, then _cls_loss's scratch
         self._at = {}
 
     def at(self, n):
         """The views of the leading n rows: the forward's ``_RowViews``, then the
         backward's, each layer's input buffer transposed (the ones too where
         the MLP folds) and its ``delta`` with the columns its product
-        writes, and the loss head's five (k, n) blocks."""
+        writes."""
         if n not in self._at:
             rows = _RowViews(self.layers, self.shapes, n)
             ins = [rows.x, *rows.hidden]
@@ -500,7 +490,6 @@ class Workspace:
                 rows, [None if a is None else a.mT for a in ins],
                 [z.mT for z in rows.z], backs,
                 [b[:, :, :fan_in] for b, fan_in in zip(backs, fan_ins)],
-                tuple(self.head[:, :, :n]),
             )
         return self._at[n]
 
@@ -536,8 +525,7 @@ def loss_and_grad(
     own, or a ``Workspace`` of this layout and k with at least as many rows
     as X.  Then the returned gradient is a view of that workspace, and the
     next call with it overwrites it.  The ``yhat`` that
-    ``extra_grad_on_yhat`` receives is a view of the workspace too: it holds
-    until the call returns, so the function must copy what it keeps.
+    ``extra_grad_on_yhat`` receives is a fresh array of this call's.
     """
     X = _check_input(spec, X, params)
     # one row per X: at k = 1 the ufuncs of the loss head then see equal
@@ -557,9 +545,9 @@ def loss_and_grad(
 
     # the bias row of a folded gradient is a dot product over the n rows
     fold = workspace.folds and 1 < n <= FOLD_MAX_TERMS
-    rows, ins_T, z_T, backs, ds, (yhat, *scratch) = workspace.at(n)
+    rows, ins_T, z_T, backs, ds = workspace.at(n)
     raw, _ = _forward_cache(stack, X, rows, fold)
-    sigmoid(raw, out=yhat)
+    yhat = sigmoid(raw)
     extras = ()
     if extra_grad_on_yhat is not None:
         extras = [extra_grad_on_yhat(yhat[0])] if single else list(extra_grad_on_yhat(yhat))
@@ -571,7 +559,7 @@ def loss_and_grad(
                 if extra.shape != (n,):
                     raise ValueError("extra_grad_on_yhat must give one entry per row")
 
-    loss, terms = _cls_loss(spec, raw, yhat, y, scratch)
+    loss, terms = _cls_loss(spec, raw, yhat, y)
     if spec.kind == "svm":
         t, margin_loss = terms
         d_raw = -t * (margin_loss > 0.0)
@@ -579,15 +567,12 @@ def loss_and_grad(
             if extra is not None:
                 d_raw[j] = d_raw[j] + extra * yhat[j] * (1.0 - yhat[j])
     else:
-        yc, d_raw, b, _ = scratch
-        # d_yhat = (yc - y) / (yc * (1 - yc)) (+ extra); d_raw = d_yhat * yhat * (1 - yhat)
-        np.multiply(yc, np.subtract(1.0, yc, out=b), out=b)
-        np.divide(np.subtract(yc, y, out=d_raw), b, out=d_raw)
+        yc = terms
+        d_raw = (yc - y) / (yc * (1.0 - yc))  # d(loss)/d(yhat), then the extra
         for j, extra in enumerate(extras):
             if extra is not None:
-                np.add(d_raw[j], extra, out=d_raw[j])
-        np.multiply(d_raw, yhat, out=d_raw)
-        np.multiply(d_raw, np.subtract(1.0, yhat, out=b), out=d_raw)
+                d_raw[j] = d_raw[j] + extra
+        d_raw = d_raw * yhat * (1.0 - yhat)
 
     grads = workspace.grads  # each layer's gradient goes straight into its view
     delta = d_raw[..., None]

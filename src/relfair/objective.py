@@ -13,8 +13,8 @@ The public functions check their arguments on every call.  The training
 loop's theta-phase calls ``_block_grad``, the same gradient without the
 checks, on the related block of each batch and with lambda mapped to the
 block's columns once per pass: the loop checks its matrices once per run,
-and lambda where it is set (``weights.solve_lambda`` and the fair loop's
-refresh), not on every step.  Both take the block and its column means
+and lambda where it is set (``weights.solve_lambda`` and the trace's
+``append`` in the same epoch step), not on every step.  Both take the block and its column means
 from ``_related_block``.
 
 The penalty is piecewise linear in the predictions, so its gradient is exact

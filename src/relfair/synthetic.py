@@ -88,7 +88,7 @@ def write_csv(dataset, path):
             cells.append([dataset.vocab[f.name][c] for c in values])
         else:
             cells.append([repr(v) for v in values])
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f.name for f in dataset.schema])
         writer.writerows(zip(*cells))

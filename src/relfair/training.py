@@ -68,16 +68,16 @@ consumes it before the next batch overwrites it.  A step rounds every value
 as one with fresh arrays does, so every bit stays.
 
 The penalized pass calls the penalty gradient without its argument checks:
-``_Member`` checks the regularized matrices once per run, and lambda where
-it is set, by ``solve_lambda`` and again right after each refresh, before
-any step uses it.  A pass maps each run's lambda to its related columns
-once, and each step gathers each distinct related block (its columns of
-the model inputs, or of the group column for ``constrain_s``) from the batch
-it has just gathered, which is still in cache, with its column means, once
-for every run that reads it.  Taking a batch's rows instead from the
-split's block, gathered once per run, was slower on adult-shaped data: there
-the block (14 of 102 columns over 27k rows) is 3 MB, and a batch's scattered
-reads of it missed cache.
+``_Member`` checks the regularized matrices once per run, and lambda is
+checked where it is set, by ``solve_lambda`` and by ``TrainTrace.append``
+in the same epoch step, before any step uses it.  A pass maps each run's
+lambda to its related columns once, and each step gathers each distinct
+related block (its columns of the model inputs, or of the group column for
+``constrain_s``) from the batch it has just gathered, which is still in
+cache, with its column means, once for every run that reads it.  Taking a
+batch's rows instead from the split's block, gathered once per run, was
+slower on adult-shaped data: there the block (14 of 102 columns over 27k
+rows) is 3 MB, and a batch's scattered reads of it missed cache.
 
 Each epoch's step forwards each split once with ``forward_loss`` (no
 backward pass): the training-split predictions serve both the lambda refresh
@@ -95,7 +95,9 @@ callback that ``_train_group`` builds.
 
 Model selection: among epochs whose evaluation-split penalty is no worse than
 110% of the final epoch's penalty, the checkpoint with the best evaluation
-accuracy wins.  Reported metrics always come from the held-out test split.
+accuracy wins; ``TrainTrace.selected`` records its epoch, and ``top1``
+picks by the evaluation ``delta_dp`` recorded there.  Reported metrics
+always come from the held-out test split.
 """
 
 import dataclasses
@@ -219,6 +221,7 @@ def _check_lambda(lam, epoch):
 @dataclasses.dataclass
 class TrainTrace:
     records: list = dataclasses.field(default_factory=list)
+    selected: object = None  # the epoch model selection chose, once the run is done
 
     def append(self, record):
         _check_lambda(record.lam, record.epoch)
@@ -229,7 +232,7 @@ class TrainTrace:
         return "\n".join(lines) + ("\n" if self.records else "")
 
     def write(self, path):
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_jsonl())
 
     @property
@@ -334,6 +337,13 @@ class _Stack:
             self.runs = [self.runs[row] for row in keep]
         return keep
 
+    def by_seed(self):
+        """Each ``SeedData`` of the rows, in row order, with its rows' numbers."""
+        rows = {}
+        for row, state in enumerate(self.rows):
+            rows.setdefault(state.data, []).append(row)
+        return rows
+
 
 def _adam_pass(spec, stack, cfg, where):
     """One shuffled pass of mini-batch Adam steps, in place, for every row of
@@ -342,27 +352,26 @@ def _adam_pass(spec, stack, cfg, where):
 
     Each seed draws one batch order per pass from ``stack.orders``.  With
     one seed, each batch is gathered once and every model reads it;
-    otherwise each row has its own
-    slice of a ``(k, b, d)`` batch, which the first row of a seed gathers
-    and the others of that seed copy.  A row's ``penalty()`` is
-    None, for the classification loss alone, or ``(eta, reg, related,
-    lam)``, and its ``extra_grad_on_yhat`` is then ``eta`` times the penalty
-    gradient on the batch's rows of ``reg`` (None: of the batch's model
-    inputs), which the caller has checked.  The batch, each distinct related
-    block of it, the step's layers and its gradient live in buffers made
-    once per pass and batch, and lambda is mapped to the related columns
-    once.  Each row's loss is checked at every step and its parameters once,
-    after the last step; a row that fails either leaves ``stack`` with a
+    otherwise each row has its own slice of a ``(k, b, d)`` batch, which
+    the first row of a seed (``stack.by_seed()``) gathers and the others of
+    that seed copy.  A row's ``penalty()`` is None, for the classification
+    loss alone, or ``(eta, reg, related, lam)``, and its
+    ``extra_grad_on_yhat`` is then ``eta`` times the penalty gradient on the
+    batch's rows of ``reg`` (None: of the batch's model inputs), which the
+    caller has checked.  The batch, each distinct related block of it, the
+    step's layers and its gradient live in buffers made once per pass and
+    batch, and lambda is mapped to the related columns once.  Each row's
+    loss is checked at every step and its parameters once, after the last
+    step; a row that fails either leaves ``stack`` with a
     ``TrainingDivergedError`` that names ``where``.
     """
-    seeds = list(dict.fromkeys(row.data for row in stack.rows))  # in row order
-    orders = {seed: stack.orders[seed].permutation(seed.train.n) for seed in seeds}
-    first, per_model = seeds[0], len(seeds) > 1
+    by_seed = stack.by_seed()
+    orders = {seed: stack.orders[seed].permutation(seed.train.n) for seed in by_seed}
+    first, per_model = next(iter(by_seed)), len(by_seed) > 1
     n, height = first.train.n, min(cfg.batch_size, first.train.n)
     lead = (stack.params.k,) * per_model
     X_buf = np.empty((*lead, height, first.train.X.shape[1]), dtype=first.train.X.dtype)
     y_buf = np.empty((*lead, height), dtype=first.train.y.dtype)
-    gathers = [row.data for row in stack.rows] if per_model else seeds  # each slice's seed
     workspace = Workspace(stack.params, height, per_model)
     pens = []  # per row: None, or (eta, reg, columns, lambda per column, block key)
     for row in stack.rows:
@@ -377,17 +386,14 @@ def _adam_pass(spec, stack, cfg, where):
     for start in range(0, n, cfg.batch_size):
         idx = {seed: order[start : start + cfg.batch_size] for seed, order in orders.items()}
         Xb, yb = X_buf[..., : len(idx[first]), :], y_buf[..., : len(idx[first])]
-        firsts = {}  # per seed, the row that gathered its batch
-        for j, seed in enumerate(gathers):
-            Xj, yj = (Xb[j], yb[j]) if per_model else (Xb, yb)
-            if seed in firsts:
-                np.copyto(Xj, Xb[firsts[seed]])
-                np.copyto(yj, yb[firsts[seed]])
-                continue
-            firsts[seed] = j
+        for seed, rows in by_seed.items():
+            Xj, yj = (Xb[rows[0]], yb[rows[0]]) if per_model else (Xb, yb)
             # idx is in range, and mode="clip" lets take write straight into out
             seed.train.X.take(idx[seed], axis=0, out=Xj, mode="clip")
             seed.train.y.take(idx[seed], out=yj, mode="clip")
+            for j in rows[1:] if per_model else ():  # the seed's other rows copy its first
+                np.copyto(Xb[j], Xj)
+                np.copyto(yb[j], yj)
         extra = None
         if any(pens):
             blocks = {}  # each distinct related block of the batch and its column means
@@ -416,7 +422,8 @@ def _adam_pass(spec, stack, cfg, where):
                 return
             pens, grad = [pens[j] for j in keep], grad[keep]
             if per_model:
-                X_buf, y_buf, gathers = X_buf[keep], y_buf[keep], [gathers[j] for j in keep]
+                X_buf, y_buf = X_buf[keep], y_buf[keep]
+            by_seed = stack.by_seed()
             workspace = Workspace(stack.params, height, per_model)
         stack.opt.step(stack.params.flat, grad)
     finite = np.isfinite(stack.params.flat).all(axis=1).tolist()
@@ -428,14 +435,9 @@ def _forward_rows(stack, spec, split):
     """Each row's ``(yhat, cls_loss)`` on its ``SeedData``'s ``split`` view,
     "train" or "evaluation": one ``forward_loss`` per seed, over that seed's
     rows, so that no split is copied beside another."""
-    by_seed = {}
-    for row, state in enumerate(stack.rows):
-        by_seed.setdefault(state.data, []).append(row)
     fits = [None] * len(stack.rows)
-    for seed, rows in by_seed.items():
-        params = stack.params
-        if len(rows) < len(fits):
-            params = ParamStack(params.flat[rows], params.shapes)
+    for seed, rows in stack.by_seed().items():
+        params = ParamStack(stack.params.flat[rows], stack.params.shapes)
         view = getattr(seed, split)
         yhat, loss = forward_loss(params, spec, view.X, view.y)
         for i, row in enumerate(rows):
@@ -599,7 +601,7 @@ class _Member:
         self.batch_reg = None if reg_train is train.X else reg_train  # None: a batch's Xb
         self.lam = related.lambda0 if related is not None else np.zeros(0)
         self.trace = TrainTrace()
-        self.history = []  # (eval_accuracy, eval_penalty, parameter vector)
+        self.history = []  # per epoch, (eval_penalty, parameter vector)
         self.plateau = _Plateau(cfg.early_stop_patience)
 
     def penalty(self):
@@ -627,11 +629,9 @@ class _Member:
         scores = self.per_feature(0, yhat_train)
         if self.related is not None and self.run.learn_lambda:  # checked before any step uses it
             self.lam = solve_lambda(self.cfg.eta * scores, self.cfg.beta).lam
-            _check_lambda(self.lam, epoch)
         lam, fairness = self.lam, self.run.fairness
         eval_penalty = float(lam @ self.per_feature(1, yhat_eval))
         eval_obj = total_objective(eval_cls, eval_penalty, lam, self.cfg)
-        eval_acc = accuracy(yhat_eval, self.data.evaluation.y)
         eo, dp = fairness(yhat_eval) if fairness is not None else (None, None)
         self.trace.append(
             EpochRecord(
@@ -640,20 +640,21 @@ class _Member:
                 penalty_total=float(lam @ scores),
                 per_feature=tuple(float(v) for v in scores),
                 lam=tuple(float(v) for v in lam),
-                eval_accuracy=eval_acc,
+                eval_accuracy=accuracy(yhat_eval, self.data.evaluation.y),
                 eval_delta_eo=eo,
                 eval_delta_dp=dp,
                 eval_objective=eval_obj,
             )
         )
-        self.history.append((eval_acc, eval_penalty, params.flat[row].copy()))
+        self.history.append((eval_penalty, params.flat[row].copy()))
         if not (self.plateau.stalled(eval_obj) or epoch + 1 >= self.cfg.max_epochs):
             return None
         # model selection: best eval accuracy among epochs whose penalty is
         # within slack of the final one (the final epoch always qualifies)
-        allowed = self.history[-1][1] * SELECTION_PENALTY_SLACK + 1e-12
-        theta = max((h for h in self.history if h[1] <= allowed), key=lambda h: h[0])[2]
-        return ModelParams._over(theta, params.shapes), self.trace
+        allowed = self.history[-1][0] * SELECTION_PENALTY_SLACK + 1e-12
+        self.trace.selected = max((e for e, (pen, _) in enumerate(self.history) if pen <= allowed),
+                                  key=lambda e: self.trace.records[e].eval_accuracy)
+        return ModelParams._over(self.history[self.trace.selected][1], params.shapes), self.trace
 
 
 def train_stack(rows):
@@ -816,18 +817,20 @@ def _cell_runs(variant, cfg, raw_schema, encoded, spec, related_names, fairness)
     return [FairRun(r, cfg, learn_lambda=learn_lambda, fairness=fairness) for r in penalties]
 
 
-def _cell_result(variant, spec, runs, outcomes, encoded):
-    """The ``TrainResult`` of a cell from its runs' outcomes; raises the first failure."""
+def _cell_result(variant, spec, runs, outcomes, enc_test):
+    """The ``TrainResult`` of a cell from its runs' outcomes; raises the first
+    failure.  ``top1`` keeps the run with the smallest evaluation ``delta_dp``
+    its trace recorded at its selected epoch, the first on a tie."""
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
-    _, enc_eval, enc_test = encoded
     trained = [(params, trace, run.related) for (params, trace), run in zip(outcomes, runs)]
     params, trace, related = trained[0]
-    if variant == "top1":  # min keeps the first of equally fair runs
-        params, trace, related = min(
-            trained, key=lambda run: delta_dp(forward(run[0], spec, enc_eval.X), enc_eval.s)
-        )
+    if variant == "top1":
+        dps = [trace.records[trace.selected].eval_delta_dp for _, trace, _ in trained]
+        if None in dps:
+            raise MetricUndefinedError("top1: the eval split has fewer than two sensitive groups")
+        params, trace, related = trained[dps.index(min(dps))]
     return TrainResult(variant, spec, params, trace, related,
                        forward(params, spec, enc_test.X), enc_test.y, enc_test.s)
 
@@ -837,7 +840,8 @@ def _train_group(cells, indices, splits, related_names, model_kind, hidden_dims,
     """Train the cells ``indices`` of one encoding group, for every seed of
     ``splits``, into ``outcomes``; see ``_train_seeds``."""
     encodings = {}  # seed position -> its encoded splits, held until the group is trained
-    stacks = {}  # stack key -> [(seed position, cell index, spec, its runs)]
+    starts = {}  # seed position -> its SeedData, at its init
+    stacks = {}  # stack key -> [(seed position, cell index, its runs)]
     for pos, (seed, seed_splits) in enumerate(splits):
         if isinstance(seed_splits, Exception):
             continue
@@ -846,11 +850,13 @@ def _train_group(cells, indices, splits, related_names, model_kind, hidden_dims,
             variant, cfg = cells[index]
             try:
                 _check_cell(variant, eval_raw, allow_sensitive_in_training)
-                if pos not in encodings:
-                    encodings[pos] = encode_splits(variant, seed_splits, related_names)
-                    fairness = _eval_fairness(encodings[pos][1])
-                spec = ModelSpec(kind=model_kind, input_dim=encodings[pos][0].n_columns,
-                                 hidden_dims=hidden_dims, seed=seed)
+                if pos not in starts:
+                    encoded = encode_splits(variant, seed_splits, related_names)
+                    spec = ModelSpec(kind=model_kind, input_dim=encoded[0].n_columns,
+                                     hidden_dims=hidden_dims, seed=seed)
+                    encodings[pos], fairness = encoded, _eval_fairness(encoded[1])
+                    starts[pos] = SeedData(spec, init_params(spec), encoded[0].train_view(),
+                                           encoded[1].train_view())
                 runs = _cell_runs(variant, cfg, train_raw.schema, encodings[pos], spec,
                                   related_names, fairness)
             except Exception as exc:  # a failed cell is an outcome; callers decide
@@ -860,32 +866,28 @@ def _train_group(cells, indices, splits, related_names, model_kind, hidden_dims,
             # seeds whose encodings differ in width stack apart
             key = (dataclasses.replace(spec, seed=0), cfg.learning_rate, cfg.pretrain_epochs,
                    cfg.batch_size)
-            stacks.setdefault(key, []).append((pos, index, spec, runs))
+            stacks.setdefault(key, []).append((pos, index, runs))
     for members in stacks.values():
         cfg = cells[members[0][1]][1]  # pretrain reads only the fields of the key
-        starts = {}  # seed position -> its SeedData, at its init
-        for pos, _, spec, _ in members:
-            if pos not in starts:
-                train, evaluation = (enc.train_view() for enc in encodings[pos][:2])
-                starts[pos] = SeedData(spec, init_params(spec), train, evaluation)
+        positions = list(dict.fromkeys(pos for pos, _, _ in members))
         try:
-            pretrained = dict(zip(starts, pretrain(list(starts.values()), cfg)))
+            pretrained = dict(zip(positions, pretrain([starts[pos] for pos in positions], cfg)))
             fair = {pos: dataclasses.replace(starts[pos], params=params)
                     for pos, params in pretrained.items() if not isinstance(params, Exception)}
-            results = train_stack([(fair[pos], run) for pos, _, _, runs in members
+            results = train_stack([(fair[pos], run) for pos, _, runs in members
                                    if pos in fair for run in runs])
         except Exception as exc:
-            for pos, index, _, _ in members:
+            for pos, index, _ in members:
                 outcomes[pos][index] = exc.with_traceback(None)
             continue
-        for pos, index, spec, runs in members:
+        for pos, index, runs in members:
             if pos not in fair:
                 outcomes[pos][index] = pretrained[pos]
                 continue
             mine, results = results[: len(runs)], results[len(runs):]
             try:
-                outcomes[pos][index] = _cell_result(cells[index][0], spec, runs, mine,
-                                                    encodings[pos])
+                outcomes[pos][index] = _cell_result(cells[index][0], starts[pos].spec, runs,
+                                                    mine, encodings[pos][2])
             except Exception as exc:
                 outcomes[pos][index] = exc.with_traceback(None)
 
@@ -906,9 +908,10 @@ def _train_seeds(cells, splits, related_names, model_kind, hidden_dims,
     reads, form one stack over their seeds: one ``pretrain``, a row per
     seed, then one ``train_stack`` of each of their runs, from its seed's
     pretrained parameters.  ``top1`` runs the fair loop once per related
-    feature and keeps the run with the smallest evaluation ``delta_dp`` (the
-    first on a tie).  Returns, per seed, each cell's ``TrainResult`` or the
-    exception it raised, in cell order.
+    feature and keeps the run with the smallest evaluation ``delta_dp`` at
+    its selected epoch, as its trace recorded it (the first on a tie).
+    Returns, per seed, each cell's ``TrainResult`` or the exception it
+    raised, in cell order.
     """
     outcomes = [[s if isinstance(s, Exception) else None] * len(cells) for _, s in splits]
     groups = {}

@@ -6,6 +6,8 @@ import os
 import pathlib
 import platform
 import re
+import subprocess
+import sys
 import textwrap
 import weakref
 from multiprocessing.reduction import ForkingPickler
@@ -1314,3 +1316,86 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert captured.err == f"error: checkpoint {path}: not an .npz archive\n"
         assert captured.out == ""
+
+
+class TestTextEncoding:
+    """Every text file relfair reads or writes is UTF-8, whatever the locale."""
+
+    @pytest.fixture(scope="class")
+    def umlaut(self, tmp_path_factory):
+        """A data dir whose CSV and dataset config name a column ``größe``."""
+        root = tmp_path_factory.mktemp("umlaut")
+        write_csv(generate(SyntheticSpec(n=300, seed=0)), root / "synth.csv")
+        text = (root / "synth.csv").read_text(encoding="utf-8")
+        header, rest = text.split("\n", 1)
+        (root / "synth.csv").write_text(header.replace("noise", "größe") + "\n" + rest,
+                                        encoding="utf-8")
+        dataset = textwrap.dedent(
+            """\
+            name: synth
+            csv: synth.csv
+            columns:
+              - {name: signal, kind: continuous}
+              - {name: größe, kind: continuous}
+              - {name: proxy_a, kind: continuous}
+              - {name: proxy_b, kind: continuous}
+            label: {name: outcome, positive: "1"}
+            sensitive: {name: group, positive: "1"}
+            related: [proxy_a, proxy_b]
+            """
+        )
+        (root / "dataset.yaml").write_text(dataset, encoding="utf-8")
+        (root / "latin1.yaml").write_text(dataset, encoding="latin-1")
+        experiment = textwrap.dedent(
+            """\
+            dataset: {dataset}
+            variant: fairrf
+            model: lr
+            seeds: [0]
+            output_dir: out
+            train: {{pretrain_epochs: 1, max_epochs: 2, batch_size: 64}}
+            """
+        )
+        for name in ("dataset", "latin1"):
+            (root / f"exp_{name}.yaml").write_text(experiment.format(dataset=f"{name}.yaml"),
+                                                   encoding="utf-8")
+        return root
+
+    @staticmethod
+    def relfair(root, flags, argv, **env):
+        """``python *flags -m relfair.cli *argv`` in a fresh process, in ``root``."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src, **env}
+        return subprocess.run([sys.executable, *flags, "-m", "relfair.cli", *argv],
+                              cwd=root, env=env, capture_output=True, text=True)
+
+    def test_an_ascii_locale_reads_a_non_ascii_column_name(self, umlaut):
+        done = self.relfair(umlaut, ["-X", "utf8=0"],
+                            ["train", "-c", "exp_dataset.yaml", "--data-dir", ".",
+                             "--output-dir", "ascii_locale"],
+                            LC_ALL="POSIX", PYTHONCOERCECLOCALE="0")
+        assert done.returncode == 0, done.stderr
+
+    def test_a_yaml_file_that_is_not_utf8_is_named(self, umlaut):
+        done = self.relfair(umlaut, [], ["train", "-c", "exp_latin1.yaml", "--data-dir", ".",
+                                         "--output-dir", "latin1"])
+        assert done.returncode == 1
+        assert done.stderr == f"error: {umlaut / 'latin1.yaml'}: not UTF-8 text: invalid start byte\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["train"],
+        ["compare", "--variants", "vanilla,fairrf"],
+        ["sweep", "--eta-grid", "0.1,0.3", "--beta-grid", "0.5", "--workers", "2"],
+        ["evaluate", "--checkpoint", "checkpoint.npz"],
+    ], ids=lambda argv: argv[0])
+    def test_no_file_is_opened_in_the_locale_encoding(self, umlaut, tmp_path, argv):
+        if argv[0] == "evaluate":
+            run = tmp_path / "run"
+            assert run_cli("train", "-c", str(umlaut / "exp_dataset.yaml"), "--data-dir",
+                           str(umlaut), "--output-dir", str(run)) == 0
+            argv = ["evaluate", "--checkpoint", str(run / "seed_0" / "checkpoint.npz")]
+        else:
+            argv = [*argv, "--output-dir", str(tmp_path / argv[0])]
+        done = self.relfair(umlaut, ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"],
+                            [argv[0], "-c", "exp_dataset.yaml", "--data-dir", ".", *argv[1:]])
+        assert done.returncode == 0, done.stderr

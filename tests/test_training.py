@@ -8,13 +8,14 @@ import pytest
 from relfair import training
 from relfair.data import Dataset, EncodedDataset, RelatedFeatureSet, TrainView, encode, split
 from relfair.metrics import MetricUndefinedError, delta_dp, delta_eo
-from relfair.models import ModelParams, ModelSpec, init_params, loss_and_grad
-from relfair.objective import penalty_grad_yhat
+from relfair.models import ModelParams, ModelSpec, forward, init_params, loss_and_grad
+from relfair.objective import penalty_grad_yhat, related_penalty
 from relfair.synthetic import SyntheticSpec, generate, related_features
 from relfair.training import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    SELECTION_PENALTY_SLACK,
     TRACE_FIELDS,
     Adam,
     EpochRecord,
@@ -910,3 +911,73 @@ class TestTrace:
         with pytest.raises(TrainingDivergedError, match="left the simplex"):
             trace.append(dataclasses.replace(self.RECORD, lam=(1.0 + 1e-11, -1e-11)))
         assert len(trace.records) == 1
+
+
+class TestTop1:
+    """``top1`` keeps the per-feature run whose trace recorded the smallest
+    evaluation ``delta_dp`` at its selected epoch, and ``trace.selected`` is
+    the epoch that model selection chose."""
+
+    CFG = dataclasses.replace(BASE_CFG, pretrain_epochs=2, max_epochs=6)
+    KINDS = [("lr", None), ("svm", None), ("mlp", (16, 8))]
+
+    @pytest.mark.parametrize("kind, hidden", KINDS, ids=[k for k, _ in KINDS])
+    def test_keeps_the_run_a_fresh_eval_forward_picks(self, monkeypatch, kind, hidden):
+        # each run's chosen model forwarded on the eval split again, and the
+        # first of the smallest delta_dp taken, as the pick was once made
+        runs = []  # (SeedData, (params, trace)) of every run trained
+        train_stack = training.train_stack
+
+        def recording(rows):
+            outcomes = train_stack(rows)
+            runs.extend((data, outcome) for (data, _), outcome in zip(rows, outcomes))
+            return outcomes
+
+        monkeypatch.setattr(training, "train_stack", recording)
+        seeds = [0, 1, 2]
+        per_seed = run_single(RAW, RELATED, [("top1", self.CFG)], kind, seeds,
+                              hidden_dims=hidden)
+        for seed, (result,) in zip(seeds, per_seed, strict=True):
+            _, enc_eval, _ = training.encode_splits("top1", splits(seed), RELATED)
+            mine = [outcome for data, outcome in runs if data.spec.seed == seed]
+            assert len(mine) == len(RELATED)
+            dps = [delta_dp(forward(params, result.spec, enc_eval.X), enc_eval.s)
+                   for params, _ in mine]
+            assert [trace.records[trace.selected].eval_delta_dp for _, trace in mine] == dps
+            params, trace = mine[dps.index(min(dps))]
+            assert result.params.flat.tobytes() == params.flat.tobytes()
+            assert result.trace is trace
+
+    @pytest.mark.parametrize("kind, hidden", KINDS, ids=[k for k, _ in KINDS])
+    def test_selected_is_the_most_accurate_epoch_within_the_penalty_slack(self, monkeypatch,
+                                                                          kind, hidden):
+        step, eval_yhats = training._Member.step, []
+
+        def recording(member, fits, params, row, epoch):
+            eval_yhats.append(fits[1][0].copy())
+            return step(member, fits, params, row, epoch)
+
+        monkeypatch.setattr(training._Member, "step", recording)
+        raw_splits = splits()
+        result = train_variant("fairrf", *raw_splits, RELATED, kind, self.CFG,
+                               hidden_dims=hidden)
+        _, enc_eval, _ = training.encode_splits("fairrf", raw_splits, RELATED)
+        records = result.trace.records
+        assert len(eval_yhats) == len(records)
+        penalties = [related_penalty(enc_eval.X, result.related, record.lam, yhat)[0]
+                     for record, yhat in zip(records, eval_yhats)]
+        allowed = penalties[-1] * SELECTION_PENALTY_SLACK + 1e-12
+        qualified = [epoch for epoch, penalty in enumerate(penalties) if penalty <= allowed]
+        best = max(qualified, key=lambda epoch: records[epoch].eval_accuracy)
+        assert result.trace.selected == best
+        # the model kept is the one that epoch measured
+        yhat = forward(result.params, result.spec, enc_eval.X)
+        assert yhat.tobytes() == eval_yhats[best].tobytes()
+
+    def test_an_eval_split_of_one_group_fails_the_cell(self):
+        train_raw, eval_raw, test_raw = splits()
+        keep = eval_raw.columns["group"] == eval_raw.columns["group"][0]
+        one_group = Dataset(columns={name: col[keep] for name, col in eval_raw.columns.items()},
+                            schema=eval_raw.schema, vocab=eval_raw.vocab)
+        with pytest.raises(MetricUndefinedError, match="two sensitive groups"):
+            train_variant("top1", train_raw, one_group, test_raw, RELATED, "lr", self.CFG)
