@@ -23,8 +23,11 @@ backward are written once, over a stack: every product is one
 ``np.matmul`` over the k models, with X (and, where the MLP folds, X beside
 its ones) broadcast to all of them, or with one X per model, ``(k, n, d)``,
 where the models train on different splits, and every loss-head ufunc runs
-over a ``(k, n)`` block.  A ``ModelParams`` runs as a stack of one that
-views it.  Each model's bits are those it gets alone: numpy runs a stacked matmul as
+over a ``(k, n)`` block.  An extra gradient on the predictions comes as one
+block over the models that have one (the penalized runs of a stack) and is
+added to their rows in one ufunc; the other rows are not touched.  A
+``ModelParams`` runs as a stack of one that views it.  Each model's bits
+are those it gets alone: numpy runs a stacked matmul as
 one BLAS call per model, with the two-dimensional call's strides (a
 model's own X is a contiguous ``(n, d)`` slice, as a split's X is), so each
 slice is the same gemm or gemv call; the ufuncs are elementwise; and the
@@ -518,8 +521,11 @@ def loss_and_grad(
     all read X (n, d) and y (n,), or each its own row of X (k, n, d) and y
     (k, n).  A stack returns its k losses and a ``ParamStack`` gradient,
     and its ``extra_grad_on_yhat`` maps the (k, n) block of predictions to
-    k entries, each None (no extra gradient for that model) or one entry
-    per row.
+    ``(models, block)``: the indices of the models that get an extra
+    gradient, each once, and their (len(models), n) block of it, row i for
+    model ``models[i]``.  The block is added to those models' rows in one
+    ufunc; every other model's upstream gradient is left as it is, bit for
+    bit (the SVM's can be -0.0, which adding 0.0 would turn into 0.0).
 
     ``workspace`` is None, and the call computes in a ``Workspace`` of its
     own, or a ``Workspace`` of this layout and k with at least as many rows
@@ -548,30 +554,31 @@ def loss_and_grad(
     rows, ins_T, z_T, backs, ds = workspace.at(n)
     raw, _ = _forward_cache(stack, X, rows, fold)
     yhat = sigmoid(raw)
-    extras = ()
+    models = None  # the models with an extra gradient, and its block
     if extra_grad_on_yhat is not None:
-        extras = [extra_grad_on_yhat(yhat[0])] if single else list(extra_grad_on_yhat(yhat))
-        if len(extras) != stack.k:
-            raise ValueError(f"extra_grad_on_yhat must give {stack.k} entries, one per model")
-        for j, extra in enumerate(extras):
-            if extra is not None:
-                extras[j] = extra = np.asarray(extra, dtype=float)
-                if extra.shape != (n,):
-                    raise ValueError("extra_grad_on_yhat must give one entry per row")
+        if single:
+            models, block = [0], np.asarray(extra_grad_on_yhat(yhat[0]), dtype=float)
+            if block.shape != (n,):
+                raise ValueError("extra_grad_on_yhat must give one entry per row")
+            block = block[None]
+        else:
+            models, block = extra_grad_on_yhat(yhat)
+            block = np.asarray(block, dtype=float)
+            if block.shape != (len(models), n):
+                raise ValueError(f"extra_grad_on_yhat must give a ({len(models)}, {n}) block, "
+                                 f"one row per model it names, got {block.shape}")
 
     loss, terms = _cls_loss(spec, raw, yhat, y)
     if spec.kind == "svm":
         t, margin_loss = terms
         d_raw = -t * (margin_loss > 0.0)
-        for j, extra in enumerate(extras):
-            if extra is not None:
-                d_raw[j] = d_raw[j] + extra * yhat[j] * (1.0 - yhat[j])
+        if models is not None:
+            d_raw[models] += block * yhat[models] * (1.0 - yhat[models])
     else:
         yc = terms
         d_raw = (yc - y) / (yc * (1.0 - yc))  # d(loss)/d(yhat), then the extra
-        for j, extra in enumerate(extras):
-            if extra is not None:
-                d_raw[j] = d_raw[j] + extra
+        if models is not None:
+            d_raw[models] += block
         d_raw = d_raw * yhat * (1.0 - yhat)
 
     grads = workspace.grads  # each layer's gradient goes straight into its view

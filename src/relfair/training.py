@@ -46,13 +46,15 @@ A run's bits do not depend on its stack.  Its products are slices of
 stacked ``np.matmul`` calls, and numpy hands each slice to the BLAS call the
 two-dimensional product makes, with the same strides; the elementwise
 ufuncs are the same; each sum over rows runs along a row of a ``(k, n)``
-block, as the one-dimensional sum does; the penalty's einsums run one run
-at a time, since their order in a stacked form is unchecked; and an Adam
-step is elementwise, with the one ``t`` every run in the stack shares
-(they all started together).  A row's X is the shared batch, or its own
-contiguous slice of the ``(k, b, d)`` block, which BLAS reads as it reads
-the batch alone.  ``tests/test_lockstep.py`` checks each run of a stack,
-within a seed and across seeds, against the run alone, byte for byte.
+block, as the one-dimensional sum does; the penalty gradient of a group of
+runs is one ``objective._penalty_grad``, whose every row is the bits of that
+run alone (the einsums sum along each run's contiguous rows, in the order of
+the one-run call; ``tests/test_objective.py`` checks this row by row); and
+an Adam step is elementwise, with the one ``t`` every run in the stack
+shares (they all started together).  A row's X is the shared batch, or its
+own contiguous slice of the ``(k, b, d)`` block, which BLAS reads as it
+reads the batch alone.  ``tests/test_lockstep.py`` checks each run of a
+stack, within a seed and across seeds, against the run alone, byte for byte.
 
 Every Adam step updates the whole model at once: the parameters, their
 gradient and Adam's two moments are each one flat vector laid out as
@@ -70,14 +72,21 @@ as one with fresh arrays does, so every bit stays.
 The penalized pass calls the penalty gradient without its argument checks:
 ``_Member`` checks the regularized matrices once per run, and lambda is
 checked where it is set, by ``solve_lambda`` and by ``TrainTrace.append``
-in the same epoch step, before any step uses it.  A pass maps each run's
-lambda to its related columns once, and each step gathers each distinct
-related block (its columns of the model inputs, or of the group column for
-``constrain_s``) from the batch it has just gathered, which is still in
-cache, with its column means, once for every run that reads it.  Taking a
-batch's rows instead from the split's block, gathered once per run, was
-slower on adult-shaped data: there the block (14 of 102 columns over 27k
-rows) is 3 MB, and a batch's scattered reads of it missed cache.
+in the same epoch step, before any step uses it.  A pass sorts the
+penalized runs into groups that read the same columns of the same source
+(``_penalty_groups``): the batch's model inputs, or one seed's group column
+for ``constrain_s``; ``top1``'s per-feature runs form one group per
+feature.  It maps each run's lambda to its related columns once.  Each step
+then gathers each group's related block, only its columns, from the batch
+it has just gathered, which is still in cache: one ``(c, b)`` block with
+its column means for every run that reads the one batch, or a ``(g, c,
+b)`` block from the runs' own slices of a ``(k, b, d)`` batch.  One
+``_penalty_grad`` per group gives its runs' gradients, scaled by each run's
+eta into one block over the penalized runs, which ``loss_and_grad`` adds in
+one step.  Taking a batch's rows instead from the split's block, gathered
+once per run, was slower on adult-shaped data: there the block (14 of 102
+columns over 27k rows) is 3 MB, and a batch's scattered reads of it missed
+cache.
 
 Each epoch's step forwards each split once with ``forward_loss`` (no
 backward pass): the training-split predictions serve both the lambda refresh
@@ -134,7 +143,13 @@ from relfair.models import (
     init_params,
     loss_and_grad,
 )
-from relfair.objective import _block_grad, _per_feature, _related_block, total_objective
+from relfair.objective import (
+    _col_means,
+    _penalty_grad,
+    _per_feature,
+    _related_block,
+    total_objective,
+)
 from relfair.weights import on_simplex, solve_lambda
 
 VARIANTS = (
@@ -345,6 +360,37 @@ class _Stack:
         return rows
 
 
+def _penalty_groups(rows):
+    """The penalized rows of a stack's ``rows``, in groups that share a
+    related block: ``(groups, models)``.
+
+    A row's ``penalty()`` is None, for the classification loss alone, or
+    ``(eta, reg, related, lam)``.  Rows whose penalty reads the same
+    columns of the same source, the batch's model inputs (``reg`` None) or
+    one seed's ``reg``, form one group ``(rows, seed, reg, columns, etas,
+    col_lam)``: its rows' numbers, the seed whose batch indices select
+    ``reg``'s rows, the columns, each row's eta as a ``(g, 1)`` column and
+    its lambda per column, ``(g, c)``.  ``models`` is every group's rows in
+    turn, the order of the block ``_adam_pass`` hands ``loss_and_grad``.
+    """
+    groups = {}
+    for j, row in enumerate(rows):
+        penalty = row.penalty()
+        if penalty is None:
+            continue
+        eta, reg, related, lam = penalty
+        seed = None if reg is None else row.data
+        key = (seed, id(reg), related.columns.tobytes())
+        group = groups.setdefault(key, ([], seed, reg, related.columns, [], []))
+        group[0].append(j)
+        group[4].append(eta)
+        group[5].append(lam[related.owner])
+    groups = [(np.array(members), seed, reg, columns, np.array(etas)[:, None], np.array(col_lam))
+              for members, seed, reg, columns, etas, col_lam in groups.values()]
+    models = np.concatenate([group[0] for group in groups]) if groups else None
+    return groups, models
+
+
 def _adam_pass(spec, stack, cfg, where):
     """One shuffled pass of mini-batch Adam steps, in place, for every row of
     the ``_Stack`` ``stack`` at once, each over its ``SeedData``'s training
@@ -354,16 +400,20 @@ def _adam_pass(spec, stack, cfg, where):
     one seed, each batch is gathered once and every model reads it;
     otherwise each row has its own slice of a ``(k, b, d)`` batch, which
     the first row of a seed (``stack.by_seed()``) gathers and the others of
-    that seed copy.  A row's ``penalty()`` is None, for the classification
-    loss alone, or ``(eta, reg, related, lam)``, and its
-    ``extra_grad_on_yhat`` is then ``eta`` times the penalty gradient on the
-    batch's rows of ``reg`` (None: of the batch's model inputs), which the
-    caller has checked.  The batch, each distinct related block of it, the
-    step's layers and its gradient live in buffers made once per pass and
-    batch, and lambda is mapped to the related columns once.  Each row's
-    loss is checked at every step and its parameters once, after the last
-    step; a row that fails either leaves ``stack`` with a
-    ``TrainingDivergedError`` that names ``where``.
+    that seed copy.  A penalized row's extra gradient is ``eta`` times the
+    penalty gradient on the batch's rows of ``reg`` (None: of the batch's
+    model inputs), which the caller has checked.  At each step, each group
+    of ``_penalty_groups`` gathers its related block once, ``(c, b)`` from
+    the one batch or from ``reg`` and shared by its rows, or ``(g, c, b)``
+    from the rows' own slices, and takes its rows' gradients in one
+    ``_penalty_grad``; the groups fill one block over the penalized rows,
+    which ``loss_and_grad`` adds in one step.  The batch, the step's layers,
+    its gradient and the penalty block live in buffers made once per pass,
+    and lambda is mapped to the related columns once.  Each row's loss is
+    checked at every step and its parameters once, after the last step; a
+    row that fails either leaves ``stack`` with a ``TrainingDivergedError``
+    that names ``where``, and the groups are formed again from the rows that
+    stay.
     """
     by_seed = stack.by_seed()
     orders = {seed: stack.orders[seed].permutation(seed.train.n) for seed in by_seed}
@@ -373,15 +423,23 @@ def _adam_pass(spec, stack, cfg, where):
     X_buf = np.empty((*lead, height, first.train.X.shape[1]), dtype=first.train.X.dtype)
     y_buf = np.empty((*lead, height), dtype=first.train.y.dtype)
     workspace = Workspace(stack.params, height, per_model)
-    pens = []  # per row: None, or (eta, reg, columns, lambda per column, block key)
-    for row in stack.rows:
-        penalty = row.penalty()
-        if penalty is None:
-            pens.append(None)
-            continue
-        eta, reg, related, lam = penalty
-        key = (row.data, id(reg), related.columns.tobytes())  # equal keys share a block
-        pens.append((eta, reg, related.columns, lam[related.owner], key))
+    groups, models = _penalty_groups(stack.rows)
+    pen_buf = np.empty((len(stack.rows), height))  # the penalized rows' extra gradients
+
+    def extra(yhat):  # on this step's batch: Xb and idx
+        b, at = yhat.shape[1], 0
+        for rows, seed, reg, columns, etas, col_lam in groups:
+            if reg is None and per_model:
+                block = _related_block(Xb, columns, rows)
+            else:
+                block = _related_block(Xb if reg is None else reg[idx[seed]], columns)
+            col_mean = _col_means(block)
+            if block.ndim == 2:  # one block that every row of the group reads
+                block = np.broadcast_to(block, (len(rows), *block.shape))
+            np.multiply(etas, _penalty_grad(block, col_mean, col_lam, yhat[rows]),
+                        out=pen_buf[at : at + len(rows), :b])
+            at += len(rows)
+        return models, pen_buf[:at, :b]
 
     for start in range(0, n, cfg.batch_size):
         idx = {seed: order[start : start + cfg.batch_size] for seed, order in orders.items()}
@@ -394,24 +452,8 @@ def _adam_pass(spec, stack, cfg, where):
             for j in rows[1:] if per_model else ():  # the seed's other rows copy its first
                 np.copyto(Xb[j], Xj)
                 np.copyto(yb[j], yj)
-        extra = None
-        if any(pens):
-            blocks = {}  # each distinct related block of the batch and its column means
-
-            def extra(yhat):
-                out = []
-                for j, (pen, yhat_j) in enumerate(zip(pens, yhat)):
-                    if pen is None:
-                        out.append(None)
-                        continue
-                    eta, reg, columns, col_lam, key = pen
-                    if key not in blocks:
-                        rows_of = (Xb[j] if per_model else Xb) if reg is None else reg[idx[key[0]]]
-                        blocks[key] = _related_block(rows_of, columns)
-                    out.append(eta * _block_grad(*blocks[key], col_lam, yhat_j))
-                return out
-
-        loss, grads = loss_and_grad(stack.params, spec, Xb, yb, extra_grad_on_yhat=extra,
+        loss, grads = loss_and_grad(stack.params, spec, Xb, yb,
+                                    extra_grad_on_yhat=extra if groups else None,
                                     workspace=workspace)
         grad = grads.flat
         diverged = {j: TrainingDivergedError(f"non-finite loss at {where}")
@@ -420,11 +462,12 @@ def _adam_pass(spec, stack, cfg, where):
             keep = stack.drop(diverged)
             if not keep:
                 return
-            pens, grad = [pens[j] for j in keep], grad[keep]
+            grad = grad[keep]
             if per_model:
                 X_buf, y_buf = X_buf[keep], y_buf[keep]
             by_seed = stack.by_seed()
             workspace = Workspace(stack.params, height, per_model)
+            groups, models = _penalty_groups(stack.rows)
         stack.opt.step(stack.params.flat, grad)
     finite = np.isfinite(stack.params.flat).all(axis=1).tolist()
     stack.drop({j: TrainingDivergedError(f"non-finite parameters at {where}")
@@ -617,7 +660,7 @@ class _Member:
         reg, columns = self.regs[split], self.related.columns
         key = (split, id(reg), columns.tobytes())
         if key not in self.blocks:  # gathered once per stack run
-            self.blocks[key] = reg[:, columns]
+            self.blocks[key] = _related_block(reg, columns)
         return _per_feature(self.blocks[key], self.related, yhat)
 
     def step(self, fits, params, row, epoch):

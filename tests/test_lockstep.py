@@ -241,6 +241,41 @@ def _seed_data(spec, seed, poison=False, flip_eval=False):
     return SeedData(spec, init_params(spec), train, evaluation)
 
 
+def test_a_penalized_run_that_diverges_mid_pass_across_seeds_leaves_alone():
+    # train_mlp_synth's shape: the (64, 32) MLP, three seeds, one fairrf run
+    # each, so one penalty group over the rows' own batches; seed 2's run
+    # meets an inf in a related column at the first step of its first pass
+    # and leaves the stack, and the pass's other steps run with the group
+    # formed again from the other two rows
+    cfg = dataclasses.replace(CFG, batch_size=128)
+
+    def rows():
+        out = []
+        for seed in (1, 2, 3):
+            train_raw, eval_raw, test_raw = split(RAW, seed=seed)
+            enc_train, enc_eval, _ = encode(train_raw, [eval_raw, test_raw])
+            related = resolve_related(train_raw.schema, enc_train, RELATED)
+            X = np.array(enc_train.X, copy=True)
+            if seed == 2:
+                X[:, related.columns[-1]] = np.inf
+            spec = ModelSpec(kind="mlp", input_dim=enc_train.n_columns, hidden_dims=(64, 32),
+                             seed=seed)
+            data = SeedData(spec, init_params(spec), TrainView(X=X, y=enc_train.y),
+                            enc_eval.train_view())
+            out.append((data, FairRun(related, cfg)))
+        return out
+
+    with np.errstate(all="ignore"):  # the poisoned run's NaNs
+        together = train_stack(rows())
+        alone = [train_stack([row])[0] for row in rows()]
+    assert str(together[1]) == str(alone[1]) == "non-finite loss at epoch 0"
+    for got, own in zip(together[::2], alone[::2]):
+        (got_params, got_trace), (own_params, own_trace) = got, own
+        assert len(got_trace.records) > 1
+        assert got_trace.to_jsonl() == own_trace.to_jsonl()
+        assert got_params.flat.tobytes() == own_params.flat.tobytes()
+
+
 @pytest.mark.parametrize("kind, hidden", KINDS)
 def test_a_row_that_diverges_in_pretrain_leaves_alone(kind, hidden):
     spec = ModelSpec(kind=kind, input_dim=1, hidden_dims=hidden)

@@ -577,6 +577,13 @@ class TestInPlaceBackward:
             assert np.any(X @ params.weights[0] + params.biases[0] < 0.0)
 
 
+def _extra_block(extras):
+    """A stack's ``extra_grad_on_yhat`` that gives model j ``extras[j]``
+    (None: nothing), in the ``(models, block)`` form, its rows last first."""
+    models = [j for j, extra in reversed(list(enumerate(extras))) if extra is not None]
+    return lambda yhat: (models, np.array([extras[j] for j in models]))
+
+
 class TestStack:
     """Each model of a ``ParamStack`` gets the bits it gets alone."""
 
@@ -599,7 +606,7 @@ class TestStack:
         X = rng.normal(size=(n, spec.input_dim))
         y = (rng.uniform(size=n) > 0.5).astype(float)
         extras = [rng.normal(size=n), None, rng.normal(size=n)]  # the middle one has none
-        loss, grads = loss_and_grad(stack, spec, X, y, extra_grad_on_yhat=lambda yhat: extras)
+        loss, grads = loss_and_grad(stack, spec, X, y, extra_grad_on_yhat=_extra_block(extras))
         yhat, losses = forward_loss(stack, spec, X, y)
         raw = raw_scores(stack, spec, X)
         for j, (params, extra) in enumerate(zip(models, extras)):
@@ -629,7 +636,7 @@ class TestStack:
         X = rng.normal(size=(3, n, spec.input_dim))
         y = (rng.uniform(size=(3, n)) > 0.5).astype(float)
         extras = [rng.normal(size=n), None, rng.normal(size=n)]
-        loss, grads = loss_and_grad(stack, spec, X, y, extra_grad_on_yhat=lambda yhat: extras)
+        loss, grads = loss_and_grad(stack, spec, X, y, extra_grad_on_yhat=_extra_block(extras))
         yhat, losses = forward_loss(stack, spec, X, y)
         raw = raw_scores(stack, spec, X)
         for j, (params, extra) in enumerate(zip(models, extras)):
@@ -676,13 +683,15 @@ class TestStack:
             loss_and_grad(stack, spec, np.zeros((2, 2)), np.zeros(2),
                           workspace=Workspace(init_params(spec), 2))
 
-    def test_a_stack_needs_one_extra_gradient_entry_per_model(self):
+    def test_a_stack_extra_gradient_block_of_another_shape_is_refused(self):
         spec = ModelSpec(kind="lr", input_dim=2, seed=0)
         params = init_params(spec)
         stack = ParamStack(np.tile(params.flat, (3, 1)), params.shapes)
-        with pytest.raises(ValueError, match="^extra_grad_on_yhat must give 3 entries"):
-            loss_and_grad(stack, spec, np.zeros((2, 2)), np.zeros(2),
-                          extra_grad_on_yhat=lambda yhat: [None, None])
+        message = r"^extra_grad_on_yhat must give a \(2, 2\) block, one row per model it names"
+        for block in (np.zeros((3, 2)), np.zeros((2, 1)), np.zeros(2)):
+            with pytest.raises(ValueError, match=message + re.escape(f", got {block.shape}") + "$"):
+                loss_and_grad(stack, spec, np.zeros((2, 2)), np.zeros(2),
+                              extra_grad_on_yhat=lambda yhat, block=block: ([0, 2], block))
 
 
 def _npy_bytes():

@@ -7,7 +7,8 @@ from _fresh_python import run_python
 
 from relfair.data import RelatedFeatureSet
 from relfair.objective import (
-    _block_grad,
+    _col_means,
+    _penalty_grad,
     _related_block,
     penalty_grad_yhat,
     related_penalty,
@@ -185,20 +186,36 @@ class TestPenaltyGrad:
         assert grad == pytest.approx(np.sign(c @ yhat) * c)
 
 
-@pytest.mark.parametrize("groups, lam", [
-    ([(0,)], [1.0]),
-    ([(0,), (1, 2)], [0.3, 0.7]),
-    ([(3,), (0, 1, 2)], [0.0, 1.0]),
-])
-@pytest.mark.parametrize("n", [1, 2, 128])
-def test_unchecked_kernel_equals_the_public_gradient(groups, lam, n):
-    # the theta-phase calls the kernel on arguments the loop has checked
-    rng = np.random.default_rng(n)
-    X, yhat = rng.normal(size=(n, 4)), rng.uniform(size=n)
-    related, lam = make_related(groups), np.array(lam)
-    want = penalty_grad_yhat(X, related, lam, yhat)
-    got = _block_grad(*_related_block(X, related.columns), lam[related.owner], yhat)
-    assert got.tobytes() == want.tobytes()
+@pytest.mark.parametrize("groups", [[(0,)], [(0,), (1, 2)], [(3,), (0, 1, 2)]])
+@pytest.mark.parametrize("n", [1, 2, 7, 128, 311])
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("shared", [True, False], ids=["one-block", "block-per-run"])
+@pytest.mark.parametrize("values", ["gaussian", "binary"])
+def test_unchecked_kernel_equals_the_public_gradient(groups, n, k, shared, values):
+    # the theta-phase calls the kernel for all runs of a group at once, on
+    # arguments the loop has checked: one block that every run reads (one
+    # seed), or each run's own rows of a (k, n, d) batch (several seeds)
+    rng = np.random.default_rng([n, k])
+    X = rng.normal(size=(k + 1, n, 4))
+    if values == "binary":
+        X = (X > 0.0).astype(float)
+    if shared:
+        X[:] = X[0]
+    related = make_related(groups)
+    lams = rng.dirichlet(np.ones(related.k), size=k)
+    lams[0] = np.eye(related.k)[-1]  # a vertex: a feature whose weight is 0
+    yhat = rng.uniform(size=(k, n))
+    rows = np.arange(k, 0, -1)  # run j reads X[rows[j]]
+    if shared:
+        block = _related_block(X[0], related.columns)
+        blocks = np.broadcast_to(block, (k, *block.shape))
+    else:
+        block = blocks = _related_block(X, related.columns, rows)
+    got = _penalty_grad(blocks, _col_means(block), lams[:, related.owner], yhat)
+    assert got.shape == (k, n)
+    for j in range(k):
+        want = penalty_grad_yhat(X[rows[j]], related, lams[j], yhat[j])
+        assert got[j].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("fn", [related_penalty, penalty_grad_yhat])
